@@ -32,10 +32,9 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--config", default=os.path.join(os.path.dirname(__file__), "default.cfg"))
     ap.add_argument("--out", default=None)
-    ap.add_argument("--threads", type=int, default=None)
     args = ap.parse_args()
 
-    config = load_config(args.config, {"out": args.out, "threads": args.threads})
+    config = load_config(args.config, {"out": args.out})
     written = []
     for cmd in (cmd_spectrum, cmd_inefficiency, cmd_communication, cmd_concentration):
         written.extend(cmd(config))

@@ -40,7 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", metavar="PATH", help="key = value config file")
         sp.add_argument("--seed", type=int, metavar="U64", help="RNG seed for randomized checks")
         sp.add_argument("--out", metavar="DIR", help="output directory")
-        sp.add_argument("--threads", type=int, metavar="N", help="worker pool size")
         sp.add_argument(
             "--n-grid", dest="n_grid", metavar="LIST", help="comma-separated copy counts"
         )
@@ -57,7 +56,6 @@ def main(argv=None) -> int:
     overrides = {
         "seed": args.seed,
         "out": args.out,
-        "threads": args.threads,
         "n_grid": args.n_grid,
         "p": args.p,
         "epsilon": args.epsilon,

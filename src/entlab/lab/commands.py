@@ -1,7 +1,7 @@
 """Experiment commands: compute scaling tables and write CSV/JSON outputs.
 
-Each command takes an ExperimentConfig, fans grid points out to a worker
-pool, sorts the collected rows, and writes plot-ready files. All numbers are
+Each command takes an ExperimentConfig, computes one row set per grid
+point, sorts the collected rows, and writes plot-ready files. All numbers are
 formatted with %.12g so a fixed config yields byte-identical output.
 """
 
@@ -11,7 +11,6 @@ import csv
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.stats import norm
@@ -58,13 +57,6 @@ def _write_json(path: str, obj) -> str:
     return path
 
 
-def _pool_map(threads: int, fn, items):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _ensure_out(config: ExperimentConfig) -> str:
     os.makedirs(config.out, exist_ok=True)
     return config.out
@@ -102,7 +94,7 @@ def cmd_spectrum(config: ExperimentConfig) -> tuple:
 
     written = []
     all_rows = []
-    for n, spec, rows in _pool_map(config.threads, work, list(config.n_grid)):
+    for n, spec, rows in map(work, config.n_grid):
         written.append(_write_json(os.path.join(out, f"spectrum_n{n}.json"), spec.to_json()))
         all_rows.extend(rows)
     all_rows.sort(key=lambda r: (r[0], r[1], r[2]))
@@ -136,7 +128,7 @@ def cmd_inefficiency(config: ExperimentConfig) -> tuple:
             st.alpha * math.sqrt(n),
         )
 
-    rows = sorted(_pool_map(config.threads, work, list(config.n_grid)))
+    rows = sorted(map(work, config.n_grid))
     written = [
         _write_csv(
             os.path.join(out, "inefficiency.csv"),
@@ -226,9 +218,7 @@ def cmd_communication(config: ExperimentConfig) -> tuple:
     rows = []
     sweep_rows = []
     written = []
-    for n, budget, report, cert, sweep in sorted(
-        _pool_map(config.threads, work, list(config.n_grid))
-    ):
+    for n, budget, report, cert, sweep in sorted(map(work, config.n_grid)):
         asn = st.alpha * math.sqrt(n)
         rows.append((n, budget, asn, budget / asn))
         sweep_rows.extend(sweep)
@@ -272,7 +262,7 @@ def cmd_concentration(config: ExperimentConfig) -> tuple:
         ne = n * st.entropy
         return (n, ne, res.expected_yield, res.deficit, res.deficit / math.sqrt(n))
 
-    rows = sorted(_pool_map(config.threads, work, list(config.n_grid)))
+    rows = sorted(map(work, config.n_grid))
     path = _write_csv(
         os.path.join(out, "concentration.csv"),
         ("n", "nE", "expected_yield", "deficit", "deficit_over_sqrt_n"),

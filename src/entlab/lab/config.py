@@ -6,14 +6,14 @@ is one `key = value` per line with `#` comments; lists are comma-separated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 from ..errors import ValidationError
 
 # every key a config file may set, with its coercion
 _LIST_INT = ("n_grid", "budget_grid")
 _LIST_FLOAT = ("p",)
-_SCALAR_INT = ("seed", "threads", "grid_cells")
+_SCALAR_INT = ("seed", "grid_cells")
 _SCALAR_FLOAT = ("delta", "epsilon", "eps_reference")
 _SCALAR_STR = ("out",)
 KNOWN_KEYS = _LIST_INT + _LIST_FLOAT + _SCALAR_INT + _SCALAR_FLOAT + _SCALAR_STR
@@ -38,7 +38,6 @@ class ExperimentConfig:
     grid_cells: int = 50
     seed: int = 0
     out: str = "results"
-    threads: int = 1
 
     def __post_init__(self):
         if not self.p or min(self.p) <= 0.0:
@@ -57,8 +56,6 @@ class ExperimentConfig:
             raise ValidationError("grid_cells must be at least 2")
         if not 0 <= self.seed < 2**64:
             raise ValidationError("seed must fit in 64 bits")
-        if not 1 <= self.threads <= 64:
-            raise ValidationError("threads must be in [1, 64]")
 
 
 def _ascending(name, grid, minimum, required):
@@ -124,10 +121,6 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Exper
         values[key] = val
     kwargs = {k: _coerce(k, v) for k, v in values.items()}
     return ExperimentConfig(**kwargs)
-
-
-def config_fields() -> tuple:
-    return tuple(f.name for f in fields(ExperimentConfig))
 
 
 def with_updates(config: ExperimentConfig, **kwargs) -> ExperimentConfig:

@@ -283,7 +283,6 @@ def _check_outputs(config: ExperimentConfig) -> list:
             n_grid=(8, 32, 64),
             grid_cells=6,
             out=tmp,
-            threads=1,
             budget_grid=(),
         )
         cmd_spectrum(reduced)

@@ -73,41 +73,6 @@ class BlockShiftFamily:
     tail_log2_mass: float
     target_error: float
 
-    @property
-    def message_bits(self) -> int:
-        return self.budget_c
-
-    @property
-    def num_outcomes(self):
-        return self.K
-
-    def x_norm(self) -> float:
-        """Largest output weight; equals the operator norm of the reduced output."""
-        return float(np.exp2(max(lx for _, lx, _ in self.x_runs)))
-
-    def prefix_x_log2_mass(self, dim: int) -> float:
-        """log2 of the output-profile mass on the top `dim` positions."""
-        if dim <= 0:
-            return NEG_INF
-        pos = 0
-        acc = []
-        for cnt, lx, _ in self.x_runs:
-            take = min(cnt, dim - pos)
-            if take <= 0:
-                break
-            acc.append(log2_int(take) + lx)
-            pos += take
-        return log2sumexp(acc)
-
-    def trace_distance_to_target_power(self) -> float:
-        """Trace distance between the reduced output and the target power state."""
-        acc = []
-        for cnt, lx, ll in self.x_runs:
-            hi, lo = (lx, ll) if lx >= ll else (ll, lx)
-            acc.append(log2_int(cnt) + log2sub(hi, lo))
-        acc.append(self.tail_log2_mass)
-        return float(np.exp2(log2sumexp(acc)))
-
     def materialize(self) -> StandardFormProtocol:
         """Dense standard-form realization; refuses beyond the weights cap."""
         if self.K * self.d_prime > WEIGHTS_CAP:

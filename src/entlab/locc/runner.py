@@ -1,11 +1,12 @@
 """Evaluation of dilution protocols against power-state targets.
 
-run_protocol feeds a maximally entangled pair through a standard-form
-protocol and scores every outcome against the target profile. Diagonal
-families run on weight vectors; dense families on full matrices; block
-families too large to materialize run symbolically on sorted-position
-run-length data. The certificate checker re-derives the communication
-lower bound from recorded quantities, flagging each inequality separately.
+run_protocol feeds a maximally entangled pair through a Schmidt-diagonal
+protocol and scores every outcome against the target profile: a diagonal
+standard-form protocol on its weight vectors, a block family too large to
+materialize on sorted-position run-length data. run_protocol_dense is the
+full-matrix oracle for the diagonal path. The certificate checker
+re-derives the communication lower bound from recorded quantities,
+flagging each inequality separately.
 """
 
 from __future__ import annotations
@@ -18,15 +19,7 @@ import numpy as np
 
 from ..errors import CapExceededError, DegenerateSpectrumError, ValidationError
 from ..logdomain import NEG_INF, log2_int, log2sub, log2sumexp
-from ..qmath import (
-    DensityMatrix,
-    PureBipartiteState,
-    SchmidtProfile,
-    epsilon_rank,
-    operator_norm,
-    trace_distance,
-)
-from ..sigsub import sig_dim
+from ..qmath import SchmidtProfile
 from ..spectrum import (
     BaseSpectrum,
     ClassSpectrum,
@@ -34,7 +27,7 @@ from ..spectrum import (
     spectrum_stats,
     tensor_power_spectrum,
 )
-from ..tolerances import DENSE_DIM_CAP, EQUALITY_TOL, RANK_REL_TOL, WEIGHTS_CAP
+from ..tolerances import DENSE_DIM_CAP, EQUALITY_TOL, WEIGHTS_CAP
 from .protocols import BlockShiftFamily
 from .standard import StandardFormProtocol
 
@@ -48,46 +41,24 @@ CERT_N_COEFF = 2500.0
 
 @dataclass(frozen=True, eq=False)
 class OutcomeState:
-    """One protocol outcome: probability, output, and reduced operators.
+    """One protocol outcome: probability, error, and its output profile.
 
-    error is the distance between the kept pair state and the target;
-    product_error the distance between the full output and target x gamma.
-    Exactly one of (state, weights, x_runs) is populated depending on the
-    evaluation path; multiplicity counts symmetry-equivalent outcomes a
-    symbolic run does not enumerate.
+    error is the distance between the output pair state and the target.
+    The output profile is either a weight vector over the target's sorted
+    positions or (count, log2 x, log2 target) runs with the target mass
+    past the family dimension; multiplicity counts symmetry-equivalent
+    outcomes a symbolic run does not enumerate.
     """
 
     k: int
     prob: float
     log2_prob: float
     error: float
-    product_error: float
     good: bool
     multiplicity: int = 1
-    state: PureBipartiteState | None = None
-    Y: DensityMatrix | None = None
-    X: np.ndarray | None = None
-    Gamma: np.ndarray | None = None
     weights: np.ndarray | None = None
     x_runs: tuple | None = None
     x_tail_log2_mass: float | None = None
-    x_rank: int | None = None
-
-    def x_operator_norm(self) -> float:
-        return float(np.exp2(self.x_operator_log2_norm()))
-
-    def x_operator_log2_norm(self) -> float:
-        """log2 of the largest eigenvalue; stays finite where the plain
-        norm underflows (weights below 2^-1074 at large n)."""
-        if self.x_runs is not None:
-            return max(lx for _, lx, _ in self.x_runs)
-        if self.weights is not None:
-            top = float(self.weights.max())
-            return math.log2(top) if top > 0 else NEG_INF
-        if self.X is not None:
-            nrm = operator_norm(self.X)
-            return math.log2(nrm) if nrm > 0 else NEG_INF
-        raise ValidationError("outcome carries no reduced operator")
 
 
 @dataclass(frozen=True)
@@ -223,6 +194,22 @@ def _aggregate(d, c, outcomes, eps_good, n):
     )
 
 
+def _require_diagonal(proto, d: int):
+    if not (isinstance(proto, StandardFormProtocol) and proto.is_diagonal()):
+        raise ValidationError(
+            "only Schmidt-diagonal protocols are scored here; check a standardized"
+            " program with run_standard_form"
+        )
+    if {proto.dim_a, proto.dim_b, proto.full_dim_a} != {d}:
+        raise ValidationError("protocol dimensions do not match d")
+
+
+def _hellinger_error(hell: float) -> float:
+    """Trace distance of two pure states from their Hellinger deficit."""
+    hell = min(1.0, hell)
+    return 2.0 * math.sqrt(max(0.0, hell * (2.0 - hell)))
+
+
 def _run_weights(proto: StandardFormProtocol, d: int, target, n, eps_good):
     tprof, t_tail = _target_prefix(target, d)
     sqrt_t = np.sqrt(tprof)
@@ -235,26 +222,20 @@ def _run_weights(proto: StandardFormProtocol, d: int, target, n, eps_good):
         # overlap deficit in Hellinger form: exact zero for a perfect match,
         # where 1 - (sum sqrt(v q))^2 would lose everything to cancellation
         diff = np.sqrt(v) - sqrt_t
-        hell = min(1.0, 0.5 * (float(diff @ diff) + t_tail))
-        err = 2.0 * math.sqrt(max(0.0, hell * (2.0 - hell)))
-        raw.append((k, p, v, err))
+        raw.append((k, p, v, _hellinger_error(0.5 * (float(diff @ diff) + t_tail))))
     if eps_good is None:
         eps_good = _default_eps_good([r[3] for r in raw])
-    outcomes = []
-    for k, p, v, err in raw:
-        good = p > PROB_FLOOR and err <= eps_good
-        outcomes.append(
-            OutcomeState(
-                k=k,
-                prob=p,
-                log2_prob=math.log2(p) if p > 0 else NEG_INF,
-                error=err,
-                product_error=err,
-                good=good,
-                weights=v,
-                x_rank=int(np.count_nonzero(v > RANK_REL_TOL * max(v.max(), 1e-300))),
-            )
+    outcomes = [
+        OutcomeState(
+            k=k,
+            prob=p,
+            log2_prob=math.log2(p) if p > 0 else NEG_INF,
+            error=err,
+            good=p > PROB_FLOOR and err <= eps_good,
+            weights=v,
         )
+        for k, p, v, err in raw
+    ]
     total = sum(o.prob for o in outcomes)
     if abs(total - 1.0) > 1e-9:
         raise ValidationError(f"outcome probabilities sum to {total}")
@@ -262,140 +243,56 @@ def _run_weights(proto: StandardFormProtocol, d: int, target, n, eps_good):
 
 
 def _run_dense(proto: StandardFormProtocol, d: int, target, n, eps_good):
-    tlen = _target_length(target)
-    simple = proto.reg_dims_a == (d,) and proto.reg_dims_b == (d,)
-    if tlen > d and not simple:
-        raise ValidationError("target rank exceeds the protocol dimension")
-    if tlen > DENSE_DIM_CAP:
-        raise CapExceededError("target too large for the dense path")
-    dd = max(d, int(tlen)) if simple else d
+    """Full-matrix run of a diagonal protocol, zero-padded to the target length."""
+    dd = max(d, int(_target_length(target)))
     if dd * dd > DENSE_DIM_CAP:
         raise CapExceededError(f"dense dimension {dd * dd} exceeds {DENSE_DIM_CAP}")
     tprof, _ = _target_prefix(target, dd)  # dd >= target length, no tail
-    phi = np.zeros((dd, dd), dtype=complex)
-    np.fill_diagonal(phi, np.sqrt(tprof))
-    phi_vec = phi.reshape(-1)
+    phi_vec = np.diag(np.sqrt(tprof)).astype(complex).reshape(-1)
+    chi0 = np.zeros((dd, dd), dtype=complex)
+    chi0[:d, :d] = np.eye(d) / math.sqrt(d)
 
-    diagonal = proto.is_diagonal()
-    if simple:
-        chi0 = np.zeros((dd, dd), dtype=complex)
-        chi0[:d, :d] = np.eye(d) / math.sqrt(d)
-        dims = [dd, dd]
-        na = 1
-    else:
-        chi0 = np.eye(d, dtype=complex) / math.sqrt(d)
-        for vec in proto.anc_states_a:
-            chi0 = np.kron(chi0, np.asarray(vec).reshape(-1, 1))
-        for vec in proto.anc_states_b:
-            chi0 = np.kron(chi0, np.asarray(vec).reshape(1, -1))
-        dims = list(proto.reg_dims_a) + list(proto.reg_dims_b)
-        na = len(proto.reg_dims_a)
-
-    fa = chi0.shape[0]
-    fb = chi0.shape[1]
-    d_main = dims[0] * dims[na]
-    d_junk = (fa // dims[0]) * (fb // dims[na])
-    reorder = [0, na] + [i for i in range(len(dims)) if i not in (0, na)]
-    a_axes = list(range(na))
-    b_axes = list(range(na, len(dims)))
+    def _pad(mat):
+        big = np.zeros((dd, dd), dtype=complex)
+        big[:d, :d] = mat
+        return big
 
     raw = []
-    for k in range(proto.num_outcomes):
-        if diagonal:
-            m_k = proto.alice_ops[k].matrix()
-            u_k = proto.alice_ops[k].partner_permutation_matrix()
-        else:
-            m_k = proto.alice_ops[k]
-            u_k = np.asarray(proto.bob_corrections[k])
-        if simple and dd > d:
-            big_m = np.zeros((dd, dd), dtype=complex)
-            big_m[:d, :d] = m_k
-            big_u = np.zeros((dd, dd), dtype=complex)
-            big_u[:d, :d] = u_k
-            m_k, u_k = big_m, big_u
-        res = m_k @ chi0 @ u_k.T
+    for k, op in enumerate(proto.alice_ops):
+        m_k = _pad(op.matrix())
+        res = m_k @ chi0 @ _pad(op.partner_permutation_matrix()).T
         p = float(np.vdot(res, res).real)
-        raw.append((k, p, res))
-
-    scored = []
-    for k, p, res in raw:
         if p <= PROB_FLOOR:
-            scored.append((k, p, None, math.inf, math.inf, None, None, None, None))
+            raw.append((k, p, math.inf))
             continue
         amp = res / math.sqrt(p)
-        tens = amp.reshape(dims)
-        pair = tens.transpose(reorder).reshape(d_main, d_junk)
-        x_op = np.tensordot(tens, tens.conj(), axes=(b_axes, b_axes)).reshape(fa, fa)
-        if len(proto.reg_dims_a) == 1:
-            # no extra register on this side: the reduced output equals the
-            # normalized measurement operator square
-            if diagonal:
-                m_k = proto.alice_ops[k].matrix()
-            else:
-                m_k = proto.alice_ops[k]
-            if simple and dd > d:
-                big = np.zeros((dd, dd), dtype=complex)
-                big[:d, :d] = m_k
-                m_k = big
-            mm = m_k @ m_k.conj().T
-            if np.abs(x_op - mm / np.trace(mm).real).max() > 1e-9:
-                raise ValidationError("reduced output disagrees with the operator square")
-        gamma_raw = pair.T @ phi_vec.conj()
-        overlap = float(np.linalg.norm(gamma_raw))
-        if d_junk == 1:
-            if overlap < 1e-12:
-                err = 2.0
-            else:
-                # phase-align before differencing so a bitwise match gives 0,
-                # where 1 - overlap^2 loses everything to cancellation
-                z = complex(gamma_raw.reshape(-1)[0])
-                aligned = pair[:, 0] * (z.conjugate() / overlap)
-                diffv = aligned - phi_vec
-                hell = min(1.0, 0.5 * float(np.vdot(diffv, diffv).real))
-                err = 2.0 * math.sqrt(max(0.0, hell * (2.0 - hell)))
-            prod_err = err
-            y = DensityMatrix(pair @ pair.conj().T)
-            gamma_mat = np.array([[1.0 + 0.0j]])
+        mm = m_k @ m_k.conj().T
+        if np.abs(amp @ amp.conj().T - mm / np.trace(mm).real).max() > 1e-9:
+            raise ValidationError("reduced output disagrees with the operator square")
+        vec = amp.reshape(-1)
+        z = complex(np.vdot(phi_vec, vec))
+        overlap = abs(z)
+        if overlap < 1e-12:
+            err = 2.0
         else:
-            y = DensityMatrix(pair @ pair.conj().T)
-            err = trace_distance(y, DensityMatrix(np.outer(phi_vec, phi_vec.conj())))
-            if overlap < 1e-12:
-                prod_err = 2.0
-                gamma_mat = None
-            else:
-                prod_err = 2.0 * math.sqrt(max(0.0, 1.0 - min(1.0, overlap * overlap)))
-                g = (gamma_raw / overlap).reshape(fa // dims[0], fb // dims[na])
-                gamma_mat = g @ g.conj().T
-        scored.append((k, p, amp, err, prod_err, y, x_op, gamma_mat, pair))
+            # phase-align before differencing so a bitwise match gives 0,
+            # where 1 - overlap^2 loses everything to cancellation
+            diffv = vec * (z.conjugate() / overlap) - phi_vec
+            err = _hellinger_error(0.5 * float(np.vdot(diffv, diffv).real))
+        raw.append((k, p, err))
 
     if eps_good is None:
-        eps_good = _default_eps_good([r[3] for r in scored])
-    outcomes = []
-    for k, p, amp, err, prod_err, y, x_op, gamma_mat, pair in scored:
-        if amp is None:
-            outcomes.append(
-                OutcomeState(
-                    k=k, prob=p, log2_prob=NEG_INF, error=err,
-                    product_error=prod_err, good=False,
-                )
-            )
-            continue
-        rho_x = DensityMatrix(x_op)
-        outcomes.append(
-            OutcomeState(
-                k=k,
-                prob=p,
-                log2_prob=math.log2(p),
-                error=err,
-                product_error=prod_err,
-                good=(gamma_mat is not None) and err <= eps_good,
-                state=PureBipartiteState(d_main, d_junk, pair.reshape(-1)),
-                Y=y,
-                X=x_op,
-                Gamma=gamma_mat,
-                x_rank=epsilon_rank(rho_x, RANK_REL_TOL),
-            )
+        eps_good = _default_eps_good([r[2] for r in raw])
+    outcomes = [
+        OutcomeState(
+            k=k,
+            prob=p,
+            log2_prob=math.log2(p) if p > PROB_FLOOR else NEG_INF,
+            error=err,
+            good=p > PROB_FLOOR and err <= eps_good,
         )
+        for k, p, err in raw
+    ]
     total = sum(o.prob for o in outcomes)
     if abs(total - 1.0) > 1e-9:
         raise ValidationError(f"outcome probabilities sum to {total}")
@@ -420,14 +317,14 @@ def _run_symbolic(family: BlockShiftFamily, d: int, target, n, eps_good):
         prob=prob,
         log2_prob=-float(c),
         error=err,
-        product_error=err,
         good=err <= eps_good,
         multiplicity=int(family.K),
         x_runs=family.x_runs,
         x_tail_log2_mass=family.tail_log2_mass,
     )
-    good_total = 1.0 if outcome.good else 0.0
-    if good_total > 0.0:
+    # K * 2^-c is exactly 1, but K may be far past float range, so the
+    # report is built here rather than by summing outcome probabilities
+    if outcome.good:
         s = 0.0
         epsilon = err
         success = True
@@ -449,33 +346,29 @@ def _run_symbolic(family: BlockShiftFamily, d: int, target, n, eps_good):
 
 
 def run_protocol(proto, d: int, target, *, n=None, eps_good=None):
-    """Run a protocol on the d-dim maximally entangled pair.
+    """Run a Schmidt-diagonal protocol on the d-dim maximally entangled pair.
 
-    Returns (outcomes, report). target is the ideal output profile: a
-    SchmidtProfile, a raw probability vector, or a ClassSpectrum for
-    power states. eps_good overrides the goodness threshold; by default
-    a gap just above the best outcome's error separates good from junk.
+    Returns (outcomes, report). proto is a diagonal StandardFormProtocol
+    or a BlockShiftFamily; any other protocol raises ValidationError
+    (standardized programs are checked with run_standard_form). target is
+    the ideal output profile: a SchmidtProfile, a raw probability vector,
+    or a ClassSpectrum for power states. eps_good overrides the goodness
+    threshold; by default a gap just above the best outcome's error
+    separates good from junk.
     """
     if isinstance(proto, BlockShiftFamily):
         report = _run_symbolic(proto, d, target, n, eps_good)
         return report.per_outcome, report
-    if not isinstance(proto, StandardFormProtocol):
-        raise ValidationError("unsupported protocol object")
-    if proto.dim_a != d or proto.dim_b != d:
-        raise ValidationError("protocol dimensions do not match d")
-    if proto.is_diagonal():
-        if d > WEIGHTS_CAP:
-            raise CapExceededError(f"dimension {d} exceeds the weights cap")
-        report = _run_weights(proto, d, target, n, eps_good)
-    else:
-        report = _run_dense(proto, d, target, n, eps_good)
+    _require_diagonal(proto, d)
+    if d > WEIGHTS_CAP:
+        raise CapExceededError(f"dimension {d} exceeds the weights cap")
+    report = _run_weights(proto, d, target, n, eps_good)
     return report.per_outcome, report
 
 
 def run_protocol_dense(proto: StandardFormProtocol, d: int, target, *, n=None, eps_good=None):
-    """Force the dense path; cross-check oracle for the diagonal path."""
-    if proto.dim_a != d or proto.dim_b != d:
-        raise ValidationError("protocol dimensions do not match d")
+    """Score a diagonal protocol on full matrices; cross-check oracle for run_protocol."""
+    _require_diagonal(proto, d)
     report = _run_dense(proto, d, target, n, eps_good)
     return report.per_outcome, report
 
@@ -506,18 +399,16 @@ def concentrate(p, n: int, *, spectrum: ClassSpectrum | None = None) -> Concentr
     """Measure the type class of the n-fold power and keep the uniform block.
 
     Class c with multiplicity m_c arrives with its spectral mass and
-    yields log2(m_c) ebits; no classical communication is involved.
+    yields log2(m_c) ebits; no classical communication is involved. Only
+    log2 multiplicities are read, so n past the exact-integer limit runs.
     """
     base = p if isinstance(p, BaseSpectrum) else BaseSpectrum(p)
     spec = spectrum if spectrum is not None else tensor_power_spectrum(base.probs, n)
-    if spec.exact_mults is None:
-        raise ValidationError("concentration needs exact multiplicities")
     stats = spectrum_stats(base)
     entries = []
     ey = 0.0
-    for idx, (cnt, lm) in enumerate(zip(spec.exact_mults, spec.log2_masses)):
+    for idx, (bits, lm) in enumerate(zip(spec.log2_mults.tolist(), spec.log2_masses)):
         prob = float(np.exp2(lm))
-        bits = log2_int(cnt)
         entries.append(ConcentrationEntry(idx, bits, prob))
         ey += prob * bits
     return ConcentrationResult(
@@ -637,35 +528,48 @@ class TheoremChainCertificate:
         return json.dumps(doc, indent=1)
 
 
-def _x_prefix_mass(outcome: OutcomeState, n1: int) -> float:
+def _outcome_runs(outcome: OutcomeState, view: SortedSpectrumView):
+    """(count, log2 x, log2 target) runs of a diagonal outcome and the log2
+    target mass past them; a weight vector becomes runs of length 1."""
     if outcome.x_runs is not None:
-        pos = 0
-        acc = []
-        for cnt, lx, _ in outcome.x_runs:
-            take = min(cnt, n1 - pos)
-            if take <= 0:
-                break
-            acc.append(log2_int(take) + lx)
-            pos += take
-        return float(np.exp2(log2sumexp(acc)))
+        return outcome.x_runs, outcome.x_tail_log2_mass
+    if outcome.weights is None:
+        raise ValidationError("outcome carries no output profile")
     v = outcome.weights
-    take = min(n1, v.size)
-    return float(v[:take].sum())
+    cover = int(min(v.size, view.total_dim))
+    lt = np.full(v.size, NEG_INF)
+    pos = 0
+    for cnt, e in view.runs(0, cover):
+        lt[pos : pos + cnt] = e
+        pos += cnt
+    with np.errstate(divide="ignore"):
+        lx = np.log2(v)
+    covered = view.log2_mass_of_prefix(cover)
+    tail = log2sub(0.0, covered) if covered < 0.0 else NEG_INF
+    return tuple(zip([1] * v.size, lx.tolist(), lt.tolist())), tail
 
 
-def _x_power_distance(outcome: OutcomeState, target_prefix, tail_mass: float) -> float:
-    if outcome.x_runs is not None:
-        acc = []
-        for cnt, lx, ll in outcome.x_runs:
-            hi, lo = (lx, ll) if lx >= ll else (ll, lx)
-            if hi == NEG_INF:
-                continue
-            acc.append(log2_int(cnt) + log2sub(hi, lo))
-        if outcome.x_tail_log2_mass is not None:
-            acc.append(outcome.x_tail_log2_mass)
-        return float(np.exp2(log2sumexp(acc)))
-    v = outcome.weights
-    return float(np.abs(v - target_prefix[: v.size]).sum()) + tail_mass
+def _x_prefix_mass(runs, n1: int) -> float:
+    pos = 0
+    acc = []
+    for cnt, lx, _ in runs:
+        take = min(cnt, n1 - pos)
+        if take <= 0:
+            break
+        acc.append(log2_int(take) + lx)
+        pos += take
+    return float(np.exp2(log2sumexp(acc)))
+
+
+def _x_power_distance(runs, tail_log2_mass: float) -> float:
+    acc = []
+    for cnt, lx, ll in runs:
+        hi, lo = (lx, ll) if lx >= ll else (ll, lx)
+        if hi == NEG_INF:
+            continue
+        acc.append(log2_int(cnt) + log2sub(hi, lo))
+    acc.append(tail_log2_mass)  # tail last: the summation order is part of the output
+    return float(np.exp2(log2sumexp(acc)))
 
 
 def verify_theorem_chain(
@@ -703,62 +607,28 @@ def verify_theorem_chain(
     n_threshold = CERT_N_COEFF * stats.beta * stats.beta
     n_past = n > n_threshold
 
-    gamma = outcome.Gamma if outcome.Gamma is not None else np.array([[1.0]])
-    gamma_dm = DensityMatrix(gamma)
-    sig = sig_dim(gamma_dm, delta_gamma)
-    s2 = int(sig.exact_dim)
-    trp2_gamma = float(sig.achieved_mass)
-
-    trpi_rho = trp1_rho * trp2_gamma
+    # a Schmidt-diagonal output leaves no junk register: Gamma is the 1x1
+    # state, so S(Gamma, delta_gamma) = 1 and Tr P2 Gamma = 1
+    s2 = 1
+    trp2_gamma = 1.0
+    trpi_rho = trp1_rho
 
     c = report.c
     s = report.s
     log2_d = report.log2_d
-    log2_xnorm = outcome.x_operator_log2_norm()
+    runs, tail_log2_mass = _outcome_runs(outcome, view)
+    # log2 of the largest output weight, the operator norm of the reduced
+    # output; stays finite where the plain norm underflows at large n
+    log2_xnorm = float(max(lx for _, lx, _ in runs))
     x_norm = float(np.exp2(log2_xnorm))  # may underflow; bounds use the log
     xnorm_pd_ok = log2_xnorm <= -outcome.log2_prob - log2_d + 1e-9
     xnorm_cc_ok = log2_xnorm <= c + s - log2_d + 1e-6
     prob_qualifies = outcome.log2_prob >= -(c + s) - 1e-6
 
-    if outcome.X is not None:
-        fa = outcome.X.shape[0]
-        d_ap = gamma.shape[0]
-        d_a0 = fa // d_ap
-        x4 = outcome.X.reshape(d_a0, d_ap, d_a0, d_ap)
-        w2, v2 = np.linalg.eigh(gamma)
-        order = np.argsort(w2)[::-1]
-        p2 = v2[:, order[:s2]]
-        p2m = p2 @ p2.conj().T
-        take = int(min(n1, d_a0))
-        trpi_x = float(np.einsum("aiaj,ij->", x4[:take, :, :take, :], p2m.conj()).real)
-        tlen = int(min(view.total_dim, d_a0))
-        tprefix = np.zeros(d_a0)
-        pos = 0
-        for cnt, e in view.runs(0, tlen):
-            cnt = int(cnt)
-            tprefix[pos : pos + cnt] = float(np.exp2(e))
-            pos += cnt
-        tail = max(0.0, 1.0 - float(np.exp2(view.log2_mass_of_prefix(tlen))))
-        rho_gamma = np.kron(np.diag(tprefix), gamma)
-        d_reduced = float(np.abs(np.linalg.eigvalsh(outcome.X - rho_gamma)).sum()) + tail
-    else:
-        trpi_x = _x_prefix_mass(outcome, n1) * trp2_gamma
-        if outcome.weights is not None:
-            d = outcome.weights.size
-            cover = int(min(d, view.total_dim))
-            tprefix = np.zeros(d)
-            pos = 0
-            for cnt, e in view.runs(0, cover):
-                cnt = int(cnt)
-                tprefix[pos : pos + cnt] = float(np.exp2(e))
-                pos += cnt
-            tail = max(0.0, 1.0 - float(np.exp2(view.log2_mass_of_prefix(cover))))
-        else:
-            tprefix = None
-            tail = 0.0
-        d_reduced = _x_power_distance(outcome, tprefix, tail)
+    trpi_x = _x_prefix_mass(runs, n1)
+    d_reduced = _x_power_distance(runs, tail_log2_mass)
 
-    log2_bound = log2_n1 + math.log2(max(s2, 1)) + log2_xnorm
+    log2_bound = log2_n1 + log2_xnorm
     trpi_x_bound = float(np.exp2(min(log2_bound, 1024.0)))
     trpi_x_bound_ok = (
         trpi_x <= 0.0 or math.log2(trpi_x) <= log2_bound + 1e-9
@@ -766,22 +636,21 @@ def verify_theorem_chain(
 
     witness_lower = 2.0 * (trpi_rho - trpi_x)
     witness_ok = witness_lower <= d_reduced + 1e-9
-    dp_ok = d_reduced <= outcome.product_error + 1e-9
-
+    # the output pair is pure with a trivial junk register, so its product
+    # distance equals its error
     err = outcome.error
-    linear_envelope_ok = outcome.product_error < 2.0 * err + 1e-12
-    sqrt_envelope_ok = outcome.product_error <= 2.0 * math.sqrt(
-        max(0.0, err - err * err / 4.0)
-    ) + 1e-9
+    dp_ok = d_reduced <= err + 1e-9
+    linear_envelope_ok = err < 2.0 * err + 1e-12
+    sqrt_envelope_ok = err <= 2.0 * math.sqrt(max(0.0, err - err * err / 4.0)) + 1e-9
 
     margin = trpi_rho - d_reduced / 2.0
     if margin > 0.0:
-        implied = math.log2(margin) + log2_d - log2_n1 - math.log2(max(s2, 1))
+        implied = math.log2(margin) + log2_d - log2_n1
     else:
         implied = NEG_INF
     implied_ok = (not math.isfinite(implied)) or (c + s >= implied - 1e-6)
 
-    log2_capture = log2_d - sqrt_term - log2_n1 - math.log2(max(s2, 1))
+    log2_capture = log2_d - sqrt_term - log2_n1
     # same bound again but with the margin pinned to the reference parameters
     ref_margin = delta_gamma / 4.0 - eps0
     if ref_margin > 0.0:
@@ -796,7 +665,7 @@ def verify_theorem_chain(
         s=s,
         log2_d=log2_d,
         error=err,
-        product_error=outcome.product_error,
+        product_error=err,
         log2_prob=outcome.log2_prob,
         entropy=stats.entropy,
         alpha=stats.alpha,

@@ -74,8 +74,3 @@ def log2sumexp_array(arr: np.ndarray) -> float:
     if m == NEG_INF:
         return NEG_INF
     return m + math.log2(float(np.exp2(arr - m).sum()))
-
-
-def cumulative_log2sumexp(arr: np.ndarray) -> np.ndarray:
-    """Running log2-sum-exp along a 1-d array."""
-    return np.logaddexp2.accumulate(arr)

@@ -200,15 +200,6 @@ def psd_sqrt(mat: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def psd_pinv_sqrt(mat: np.ndarray, rel_tol: float = RANK_REL_TOL) -> np.ndarray:
-    """Inverse square root on the support, zero on the kernel."""
-    w, v = np.linalg.eigh(_sym(mat))
-    w = np.clip(w, 0.0, None)
-    cut = rel_tol * (w.max() if w.size else 0.0)
-    inv = np.where(w > cut, 1.0 / np.sqrt(np.where(w > cut, w, 1.0)), 0.0)
-    return (v * inv) @ v.conj().T
-
-
 def fidelity(rho0: DensityMatrix, rho1: DensityMatrix) -> float:
     """Tr sqrt(sqrt(rho0) rho1 sqrt(rho0)), eigenvalues clamped at 0."""
     if rho0.dim != rho1.dim:

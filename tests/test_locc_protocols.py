@@ -66,6 +66,19 @@ def test_shift_dilution_dense_agreement():
     assert rd.s == 0.0
 
 
+def test_run_protocol_rejects_non_diagonal_protocols():
+    # a dense standard-form program is checked by run_standard_form instead
+    eye = np.eye(2, dtype=complex)
+    proto = StandardFormProtocol(
+        dim_a=2, dim_b=2, alice_ops=(eye,), bob_corrections=(eye,), message_bits=0
+    )
+    q = np.array([0.75, 0.25])
+    with pytest.raises(ValidationError, match="run_standard_form"):
+        run_protocol(proto, 2, q)
+    with pytest.raises(ValidationError, match="run_standard_form"):
+        run_protocol_dense(proto, 2, q)
+
+
 def test_shift_dilution_rejects_bad_profiles():
     with pytest.raises(ValidationError):
         build_shift_dilution(np.array([0.7, 0.7]))
