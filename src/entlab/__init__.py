@@ -17,8 +17,6 @@ from .qmath import (
     SchmidtProfile,
     epsilon_rank,
     fidelity,
-    matrix_from_json,
-    matrix_to_json,
     nearest_product_extension,
     operator_norm,
     partial_trace,

@@ -8,11 +8,10 @@ from .commands import (
     find_min_budget,
 )
 from .config import ExperimentConfig, load_config, parse_config_file, with_updates
-from .spotcheck import brute_force_log2_spectrum, run_selftest, spot_check_outputs
+from .spotcheck import run_selftest, spot_check_outputs
 
 __all__ = [
     "ExperimentConfig",
-    "brute_force_log2_spectrum",
     "cmd_communication",
     "cmd_concentration",
     "cmd_inefficiency",

@@ -25,7 +25,7 @@ _HELP = {
     "inefficiency": "dilution dimension window and growth fit",
     "communication": "minimal message budget per n with certificates",
     "concentration": "expected yield and deficit per n",
-    "selftest": "run the built-in invariant battery",
+    "selftest": "run a reduced pipeline and re-derive sampled rows of its outputs",
 }
 
 
@@ -38,7 +38,9 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("spectrum", "inefficiency", "communication", "concentration", "selftest"):
         sp = sub.add_parser(name, help=_HELP[name])
         sp.add_argument("--config", metavar="PATH", help="key = value config file")
-        sp.add_argument("--seed", type=int, metavar="U64", help="RNG seed for randomized checks")
+        sp.add_argument(
+            "--seed", type=int, metavar="U64", help="accepted for config compatibility; unused"
+        )
         sp.add_argument("--out", metavar="DIR", help="output directory")
         sp.add_argument(
             "--n-grid", dest="n_grid", metavar="LIST", help="comma-separated copy counts"

@@ -10,12 +10,12 @@ controlled by a record the acting party knows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import CapExceededError, ValidationError
-from ..qmath import DensityMatrix, PureBipartiteState, _as_complex, matrix_from_json, matrix_to_json
+from ..qmath import DensityMatrix, PureBipartiteState, _as_complex
 from ..tolerances import DENSE_DIM_CAP, VALIDITY_TOL
 
 PARTIES = ("A", "B")
@@ -106,11 +106,8 @@ class IRInfo:
     reg_dims: dict  # party -> list of register dims (creation order)
     ancillas: dict  # party -> list of (reg index, dim, state)
     alphabet: dict  # label -> outcome count
-    recorder: dict  # label -> party
-    measured_reg: dict  # label -> (party, register)
     bases: dict  # label -> basis matrix (columns = vectors)
     sent_labels: set
-    send_events: list  # (label, sender, receiver) in program order
     discards: dict  # party -> sorted list of register indices
     message_bits: int
 
@@ -133,8 +130,8 @@ class ProtocolIR:
         measured = set()  # (party, reg)
         discarded = set()
         knows = {"A": set(), "B": set()}
-        alphabet, recorder, measured_reg, bases = {}, {}, {}, {}
-        sent_labels, send_events = set(), []
+        alphabet, bases = {}, {}
+        sent_labels = set()
         bits = 0
         for pos, ins in enumerate(self.instructions):
             where = f"instruction {pos}"
@@ -189,8 +186,6 @@ class ProtocolIR:
                 bases[ins.label] = _check_unitary(basis, dim, where)
                 measured.add((ins.party, r))
                 alphabet[ins.label] = dim
-                recorder[ins.label] = ins.party
-                measured_reg[ins.label] = (ins.party, r)
                 knows[ins.party].add(ins.label)
             elif isinstance(ins, Send):
                 _check_party(ins.sender)
@@ -203,7 +198,6 @@ class ProtocolIR:
                     raise ValidationError(f"{where}: sender does not know {ins.label!r}")
                 knows[ins.receiver].add(ins.label)
                 sent_labels.add(ins.label)
-                send_events.append((ins.label, ins.sender, ins.receiver))
                 bits += max(0, math.ceil(math.log2(alphabet[ins.label])))
             elif isinstance(ins, Discard):
                 _check_party(ins.party)
@@ -222,95 +216,14 @@ class ProtocolIR:
             reg_dims=reg_dims,
             ancillas=ancillas,
             alphabet=alphabet,
-            recorder=recorder,
-            measured_reg=measured_reg,
             bases=bases,
             sent_labels=sent_labels,
-            send_events=send_events,
             discards=discards,
             message_bits=bits,
         )
 
     def message_bits(self) -> int:
         return self.validate().message_bits
-
-    def to_json(self) -> dict:
-        out = []
-        for ins in self.instructions:
-            if isinstance(ins, AddAncilla):
-                out.append(
-                    {
-                        "kind": "add_ancilla",
-                        "party": ins.party,
-                        "dim": int(ins.dim),
-                        "state": matrix_to_json(ins.state),
-                    }
-                )
-            elif isinstance(ins, ApplyUnitary):
-                rec = {"kind": "unitary", "party": ins.party, "targets": list(ins.targets)}
-                if ins.control is None:
-                    rec["matrix"] = matrix_to_json(ins.matrix)
-                else:
-                    rec["control"] = ins.control
-                    rec["cases"] = [matrix_to_json(u) for u in ins.cases]
-                out.append(rec)
-            elif isinstance(ins, Measure):
-                rec = {
-                    "kind": "measure",
-                    "party": ins.party,
-                    "register": int(ins.register),
-                    "label": ins.label,
-                }
-                if ins.basis is not None:
-                    rec["basis"] = matrix_to_json(ins.basis)
-                out.append(rec)
-            elif isinstance(ins, Send):
-                out.append(
-                    {"kind": "send", "label": ins.label, "sender": ins.sender, "receiver": ins.receiver}
-                )
-            elif isinstance(ins, Discard):
-                out.append({"kind": "discard", "party": ins.party, "register": int(ins.register)})
-        return {"dim_a": int(self.dim_a), "dim_b": int(self.dim_b), "instructions": out}
-
-    @staticmethod
-    def from_json(obj: dict) -> "ProtocolIR":
-        instrs = []
-        for rec in obj["instructions"]:
-            kind = rec["kind"]
-            if kind == "add_ancilla":
-                instrs.append(
-                    AddAncilla(rec["party"], int(rec["dim"]), matrix_from_json(rec["state"]).reshape(-1))
-                )
-            elif kind == "unitary":
-                if "control" in rec:
-                    instrs.append(
-                        ApplyUnitary(
-                            rec["party"],
-                            tuple(rec["targets"]),
-                            control=rec["control"],
-                            cases=tuple(matrix_from_json(u) for u in rec["cases"]),
-                        )
-                    )
-                else:
-                    instrs.append(
-                        ApplyUnitary(rec["party"], tuple(rec["targets"]), matrix_from_json(rec["matrix"]))
-                    )
-            elif kind == "measure":
-                instrs.append(
-                    Measure(
-                        rec["party"],
-                        int(rec["register"]),
-                        rec["label"],
-                        matrix_from_json(rec["basis"]) if "basis" in rec else None,
-                    )
-                )
-            elif kind == "send":
-                instrs.append(Send(rec["label"], rec["sender"], rec["receiver"]))
-            elif kind == "discard":
-                instrs.append(Discard(rec["party"], int(rec["register"])))
-            else:
-                raise ValidationError(f"unknown instruction kind {kind!r}")
-        return ProtocolIR(int(obj["dim_a"]), int(obj["dim_b"]), tuple(instrs))
 
 
 def embed_operator(op: np.ndarray, dims, targets) -> np.ndarray:

@@ -165,10 +165,6 @@ class StandardFormProtocol:
     def full_dim_b(self) -> int:
         return math.prod(self.reg_dims_b)
 
-    @property
-    def num_outcomes(self) -> int:
-        return len(self.alice_ops)
-
     def is_diagonal(self) -> bool:
         return isinstance(self.alice_ops[0], DiagonalKraus)
 

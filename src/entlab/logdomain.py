@@ -9,7 +9,6 @@ multiplicities and overlaps are carried as log2 values. Integers larger than
 from __future__ import annotations
 
 import math
-from typing import Iterable
 
 import numpy as np
 
@@ -58,19 +57,11 @@ def log2sub(a: float, b: float) -> float:
     return a + math.log2(-math.expm1(d * math.log(2.0)))
 
 
-def log2sumexp(values: Iterable[float]) -> float:
-    """log2 of a sum of 2^v terms; empty input gives -inf."""
-    arr = np.asarray([v for v in values if v != NEG_INF], dtype=float)
+def log2sumexp(values) -> float:
+    """log2 of a sum of 2^v terms over a list or array; empty input gives -inf."""
+    arr = np.asarray(values, dtype=float)
+    arr = arr[arr != NEG_INF]
     if arr.size == 0:
         return NEG_INF
     m = float(arr.max())
-    return m + math.log2(float(np.exp2(arr - m).sum()))
-
-
-def log2sumexp_array(arr: np.ndarray) -> float:
-    if arr.size == 0:
-        return NEG_INF
-    m = float(arr.max())
-    if m == NEG_INF:
-        return NEG_INF
     return m + math.log2(float(np.exp2(arr - m).sum()))

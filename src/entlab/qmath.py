@@ -8,7 +8,7 @@ Pure states stay amplitude vectors until an operation needs a density matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -280,22 +280,3 @@ def nearest_product_extension(psi: PureBipartiteState, phi) -> ProductExtension:
         bound_sqrt=bound_sqrt,
         holds_sqrt=distance <= bound_sqrt + EQUALITY_TOL,
     )
-
-
-def matrix_to_json(a) -> dict:
-    """Row-major [re, im] pair encoding used by test fixtures and reports."""
-    arr = _as_complex(a)
-    if arr.ndim == 1:
-        arr = arr.reshape(1, -1)
-    rows, cols = arr.shape
-    data = [[float(x.real), float(x.imag)] for x in arr.reshape(-1)]
-    return {"rows": int(rows), "cols": int(cols), "data": data}
-
-
-def matrix_from_json(obj: dict) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    data = obj["data"]
-    if len(data) != rows * cols:
-        raise ValidationError("matrix json length mismatch")
-    flat = np.array([complex(re, im) for re, im in data], dtype=complex)
-    return flat.reshape(rows, cols)

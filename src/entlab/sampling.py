@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .qmath import DensityMatrix, PureBipartiteState, SchmidtProfile
+from .qmath import DensityMatrix, PureBipartiteState
 
 
 def _complex_gaussian(gen: np.random.Generator, *shape) -> np.ndarray:
@@ -24,10 +24,6 @@ def random_spectrum(gen: np.random.Generator, dim: int) -> np.ndarray:
     lam = (np.abs(g) ** 2).sum(axis=1)
     lam = np.sort(lam)[::-1]
     return lam / lam.sum()
-
-
-def random_schmidt_profile(gen: np.random.Generator, dim: int) -> SchmidtProfile:
-    return SchmidtProfile(random_spectrum(gen, dim))
 
 
 def random_density(gen: np.random.Generator, dim: int, rank: int | None = None) -> DensityMatrix:

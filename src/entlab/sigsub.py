@@ -19,6 +19,7 @@ from .spectrum import (
     BaseSpectrum,
     ClassSpectrum,
     SortedSpectrumView,
+    mass_threshold_class,
     spectrum_stats,
     tensor_power_spectrum,
 )
@@ -72,30 +73,17 @@ def _sig_from_class_spectrum(spec: ClassSpectrum, delta: float) -> SigQueryResul
             exact_dim=dim if take_exact else None,
             achieved_mass=ach,
         )
-    # float multiplicities: track the dimension in log domain
-    acc = 0.0
-    log2_dim = NEG_INF
-    for e, lm, lw in zip(spec.log2_eigs, spec.log2_mults, spec.log2_masses):
-        mass = float(np.exp2(lw))
-        if acc + mass >= delta - 1e-15:
-            need = delta - acc
-            if need > 0.0:
-                lcount = math.log2(need) - e
-                if lcount < 53.0:
-                    lcount = math.log2(max(1, math.ceil(2.0 ** lcount - 1e-9)))
-                lcount = min(lcount, lm)
-                log2_dim = log2add(log2_dim, lcount)
-                acc += float(np.exp2(lcount + e))
-            exact = None
-            if log2_dim < 60.0:
-                exact = int(round(2.0 ** log2_dim)) if log2_dim > NEG_INF else 0
-            return SigQueryResult(
-                delta=delta, log2_dim=log2_dim, exact_dim=exact, achieved_mass=acc
-            )
-        acc += mass
-        log2_dim = log2add(log2_dim, lm)
-    exact = int(round(2.0 ** log2_dim)) if log2_dim < 60.0 else None
-    return SigQueryResult(delta=delta, log2_dim=log2_dim, exact_dim=exact, achieved_mass=acc)
+    # float multiplicities: the dimension exists only as its log2
+    c, acc, lcount = mass_threshold_class(spec, delta)
+    prefix = np.logaddexp2.accumulate(spec.log2_mults[:c])
+    log2_dim = float(prefix[-1]) if c else NEG_INF
+    if lcount != NEG_INF:
+        if lcount < 53.0:
+            lcount = log2_int(ceil_exp2(lcount))
+        lcount = min(lcount, spec.log2_mults[c])
+        log2_dim = log2add(log2_dim, lcount)
+        acc += float(np.exp2(lcount + spec.log2_eigs[c]))
+    return SigQueryResult(delta=delta, log2_dim=log2_dim, exact_dim=None, achieved_mass=acc)
 
 
 def sig_dim(state, delta: float) -> SigQueryResult:

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
 
 from .errors import CapExceededError, DegenerateSpectrumError, ValidationError
-from .logdomain import NEG_INF, ceil_exp2, log2_int, log2sumexp_array
+from .logdomain import NEG_INF, ceil_exp2, log2_int, log2sumexp
 from .tolerances import CLASS_CAP_DEFAULT, CLASS_MERGE_BITS, PROFILE_SUM_TOL
 
 LN2 = math.log(2.0)
@@ -136,10 +136,10 @@ class ClassSpectrum:
             raise ValidationError("n must be >= 1")
         if np.any(np.diff(self.log2_eigs) > CLASS_MERGE_BITS):
             raise ValidationError("classes must be sorted by descending eigenvalue")
-        total = log2sumexp_array(self.log2_masses)
+        total = log2sumexp(self.log2_masses)
         if abs(total) > 1e-10:
             raise ValidationError(f"total mass 2^{total} not 1")
-        dims = log2sumexp_array(self.log2_mults)
+        dims = log2sumexp(self.log2_mults)
         want = self.n * math.log2(len(self.base_probs))
         if abs(dims - want) > 1e-6 * max(1.0, abs(want)):
             raise ValidationError("multiplicities do not sum to d^n")
@@ -152,9 +152,6 @@ class ClassSpectrum:
     @property
     def num_classes(self) -> int:
         return int(self.log2_eigs.size)
-
-    def stats(self) -> SpectrumStats:
-        return spectrum_stats(BaseSpectrum(self.base_probs))
 
     def to_json(self) -> dict:
         return {
@@ -169,17 +166,6 @@ class ClassSpectrum:
                 for e, m, w in zip(self.log2_eigs, self.log2_mults, self.log2_masses)
             ],
         }
-
-    @staticmethod
-    def from_json(obj: dict) -> "ClassSpectrum":
-        classes = obj["classes"]
-        return ClassSpectrum(
-            n=int(obj["n"]),
-            base_probs=np.asarray(obj["base_probs"], dtype=float),
-            log2_eigs=np.asarray([c["log2_eig"] for c in classes], dtype=float),
-            log2_mults=np.asarray([c["log2_mult"] for c in classes], dtype=float),
-            log2_masses=np.asarray([c["log2_mass"] for c in classes], dtype=float),
-        )
 
 
 def _merge_classes(log2_eigs, log2_mults, exact_mults):
@@ -201,7 +187,7 @@ def _merge_classes(log2_eigs, log2_mults, exact_mults):
             if out_x is not None:
                 out_x.append(x[i])
         else:
-            out_m.append(log2sumexp_array(m[i:j]))
+            out_m.append(log2sumexp(m[i:j]))
             if out_x is not None:
                 out_x.append(sum(x[i:j]))
         i = j
@@ -256,7 +242,7 @@ def tensor_power_spectrum(
     masses = mults + eigs
     # classes are a partition, so the mass defect is pure float roundoff;
     # renormalizing in log domain keeps the unit-total invariant exact
-    total = log2sumexp_array(masses)
+    total = log2sumexp(masses)
     masses = masses - total
     return ClassSpectrum(
         n=n,
@@ -282,7 +268,7 @@ def mu(spec: ClassSpectrum, a: float, b: float) -> float:
         return 0.0
     ncl = desc.size
     sl = spec.log2_masses[ncl - hi : ncl - lo]
-    return float(np.exp2(log2sumexp_array(sl)))
+    return float(np.exp2(log2sumexp(sl)))
 
 
 def _upper_tail(x: float) -> float:
@@ -346,6 +332,25 @@ def berry_esseen_residual(
     )
 
 
+def mass_threshold_class(spec: ClassSpectrum, delta: float):
+    """Walk the classes in descending order until the prefix mass reaches delta.
+
+    Returns (c, acc, lcount): the class c whose mass carries the prefix to
+    delta, the mass acc of the classes before c, and log2 of the fractional
+    count of class-c eigenvectors still needed. lcount is -inf when nothing
+    more is needed; c = num_classes when the total mass stays below delta.
+    """
+    acc = 0.0
+    for c, lw in enumerate(spec.log2_masses):
+        mass = float(np.exp2(lw))
+        if acc + mass >= delta - 1e-15:
+            need = delta - acc
+            lcount = math.log2(need) - spec.log2_eigs[c] if need > 0.0 else NEG_INF
+            return c, acc, lcount
+        acc += mass
+    return spec.num_classes, acc, NEG_INF
+
+
 class SortedSpectrumView:
     """Big-int position calculus over a sorted class spectrum.
 
@@ -356,7 +361,11 @@ class SortedSpectrumView:
 
     def __init__(self, spec: ClassSpectrum):
         if spec.exact_mults is None:
-            raise ValidationError("exact multiplicities unavailable for this spectrum")
+            raise CapExceededError(
+                f"block dilution and its certificate need exact multiplicities, kept only for "
+                f"n <= {EXACT_MULT_MAX_N} and at most {EXACT_MULT_MAX_CLASSES} classes; "
+                f"this spectrum has n = {spec.n} and {spec.num_classes} classes"
+            )
         self.spec = spec
         self.counts = spec.exact_mults
         self.log2_eigs = spec.log2_eigs
@@ -423,20 +432,12 @@ class SortedSpectrumView:
             return 0, 0.0, True
         if delta > 1.0 + 1e-9:
             raise ValidationError("delta exceeds total mass")
-        acc = 0.0
-        dim = 0
-        for c, (cnt, e) in enumerate(zip(self.counts, self.log2_eigs)):
-            mass = float(np.exp2(self.spec.log2_masses[c]))
-            if acc + mass >= delta - 1e-15:
-                need = delta - acc
-                if need <= 0.0:
-                    return dim, acc, True
-                lcount = math.log2(need) - e
-                pc = min(cnt, ceil_exp2(lcount))
-                pc = max(pc, 1)
-                ach = acc + float(np.exp2(log2_int(pc) + e))
-                return dim + pc, ach, (pc <= 2**40 and e > -49.0)
-            acc += mass
-            dim += cnt
-        # delta within 1e-9 of 1: the whole spectrum
-        return self.total_dim, acc, True
+        c, acc, lcount = mass_threshold_class(self.spec, delta)
+        dim = self.cum_counts[c]
+        if lcount == NEG_INF:
+            # delta reached on a class boundary, or (within 1e-9 of 1) never
+            return dim, acc, True
+        e = self.log2_eigs[c]
+        pc = max(1, min(self.counts[c], ceil_exp2(lcount)))
+        ach = acc + float(np.exp2(log2_int(pc) + e))
+        return dim + pc, ach, (pc <= 2**40 and e > -49.0)

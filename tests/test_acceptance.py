@@ -118,6 +118,10 @@ def test_residual_under_plain_envelope_everywhere(residual_scan):
 def test_residual_under_normalized_envelope_everywhere(residual_scan):
     worst = max(r for _, r in residual_scan.values())
     assert worst < 1.0  # tightest cell still has ~34x headroom
+    # away from p1 = 0.6 the plain envelope holds too (worst ratios 0.066, 0.022)
+    for p1 in (0.75, 0.9):
+        for n in (100, 400, 1600, 6400):
+            assert residual_scan[(p1, n)][0] < 1.0, (p1, n)
     # freeze the counterexample the plain-envelope xfail rests on
     assert residual_scan[(0.6, 100)][0] == pytest.approx(1.22498107687, abs=1e-6)
 

@@ -19,6 +19,7 @@ from entlab.lab import (
     find_min_budget,
     load_config,
     parse_config_file,
+    spot_check_outputs,
     with_updates,
 )
 from entlab.lab.cli import main
@@ -295,4 +296,45 @@ def test_cli_selftest_passes(tmp_path, capsys):
     code = main(["selftest", "--out", str(tmp_path / "st")])
     out = capsys.readouterr().out
     assert code == 0
-    assert "8/8 checks passed" in out
+    assert "0 problems re-deriving" in out
+
+
+def test_cli_selftest_exits_2_when_a_row_does_not_rederive(tmp_path, monkeypatch, capsys):
+    import entlab.lab.spotcheck as spotcheck
+
+    monkeypatch.setattr(spotcheck, "spot_check_outputs", lambda config: ["residuals.csv bad"])
+    assert main(["selftest", "--out", str(tmp_path / "st")]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL residuals.csv bad" in out
+    assert "1 problems re-deriving" in out
+
+
+def test_spot_check_names_each_corrupted_csv(tmp_path):
+    config = tiny_config(tmp_path / "o")
+    _run_everything(config)
+    assert spot_check_outputs(config) == []
+    # the first data row is always sampled; bump one re-derived value in each file
+    for name, col in (
+        ("residuals.csv", "residual"),
+        ("inefficiency.csv", "lower_bits"),
+        ("communication.csv", "alpha_sqrt_n"),
+        ("concentration.csv", "expected_yield"),
+    ):
+        path = tmp_path / "o" / name
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        rows[0][col] = repr(float(rows[0][col]) + 0.5)
+        with open(path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+    problems = spot_check_outputs(config)
+    for name in ("residuals.csv", "inefficiency.csv", "communication.csv", "concentration.csv"):
+        assert any(msg.startswith(name) for msg in problems), name
+
+
+def test_communication_past_exact_multiplicities_exits_3(tmp_path, capsys):
+    code = main(["communication", "--n-grid", "30000", "--out", str(tmp_path / "o")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "20000" in err and "n = 30000" in err

@@ -14,8 +14,6 @@ from entlab import (
     ValidationError,
     epsilon_rank,
     fidelity,
-    matrix_from_json,
-    matrix_to_json,
     nearest_product_extension,
     operator_norm,
     partial_trace,
@@ -231,15 +229,6 @@ def test_density_matrix_validation():
         DensityMatrix(np.array([[0.5, 0.5], [-0.5, 0.5]]))  # not Hermitian
     with pytest.raises(ValidationError):
         DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
-
-
-def test_matrix_json_round_trip():
-    gen = np.random.default_rng(31)
-    a = gen.standard_normal((3, 4)) + 1j * gen.standard_normal((3, 4))
-    doc = matrix_to_json(a)
-    back = matrix_from_json(doc)
-    assert back.shape == a.shape
-    assert np.abs(back - a).max() == 0.0
 
 
 @st.composite

@@ -1,5 +1,6 @@
 """Significant-subspace dimension, proposition checkers, growth, dilution bounds."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -76,6 +77,21 @@ def test_sig_dim_large_n_is_honest_about_exactness():
         res = sig_dim(spec, num / den)
         assert res.exact_dim is None
         assert abs(res.log2_dim - math.log2(binomial_sig_dim(num, den, 200))) < 1e-9
+
+
+def test_log_only_walker_matches_exact_walker():
+    # beyond the exact-multiplicity limit sig_dim walks log2 multiplicities
+    # only; on spectra small enough to have both, the two walks must land on
+    # the same dimension and mass, and the log-only one must not publish an int
+    for n in (8, 200, 4096, 20000):
+        spec = tensor_power_spectrum(P_QUARTER, n)
+        logs_only = dataclasses.replace(spec, exact_mults=None)
+        for delta in (0.5, 0.95, 0.99, 0.999999):
+            exact = sig_dim(spec, delta)
+            approx = sig_dim(logs_only, delta)
+            assert approx.exact_dim is None
+            assert approx.achieved_mass == exact.achieved_mass, (n, delta)
+            assert abs(approx.log2_dim - exact.log2_dim) <= 1e-12 * exact.log2_dim, (n, delta)
 
 
 def test_sig_dim_dense_and_spectrum_agree():
