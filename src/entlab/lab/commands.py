@@ -172,6 +172,17 @@ def dilution_dim(proto) -> int:
     return proto.dim_a
 
 
+def probe_budget(spec, n: int, budget: int, epsilon: float):
+    """Build and run the block dilution at one budget.
+
+    Returns (meets, predicted_error, outcomes, report), where meets says the
+    run succeeded within epsilon.
+    """
+    proto, predicted = build_block_dilution(spec, budget, eps_target=epsilon)
+    outcomes, report = run_protocol(proto, dilution_dim(proto), spec, n=n)
+    return report.success and report.epsilon <= epsilon, predicted, outcomes, report
+
+
 def find_min_budget(spec, n: int, epsilon: float):
     """Smallest message budget whose block dilution run meets epsilon.
 
@@ -183,9 +194,8 @@ def find_min_budget(spec, n: int, epsilon: float):
     best = None
     while lo <= hi:
         mid = (lo + hi) // 2
-        proto, _ = build_block_dilution(spec, mid, eps_target=epsilon)
-        outcomes, report = run_protocol(proto, dilution_dim(proto), spec, n=n)
-        if report.success and report.epsilon <= epsilon:
+        meets, _, outcomes, report = probe_budget(spec, n, mid, epsilon)
+        if meets:
             best = (mid, outcomes, report)
             hi = mid - 1
         else:
@@ -210,8 +220,7 @@ def cmd_communication(config: ExperimentConfig) -> tuple:
         cert = verify_theorem_chain(good, base, n, report, spectrum=spec)
         sweep = []
         for extra in config.budget_grid:
-            proto, terr = build_block_dilution(spec, extra, eps_target=config.epsilon)
-            _, rep = run_protocol(proto, dilution_dim(proto), spec, n=n)
+            _, terr, _, rep = probe_budget(spec, n, extra, config.epsilon)
             sweep.append((n, extra, terr, rep.epsilon, rep.c, rep.s))
         return n, budget, report, cert, sweep
 

@@ -17,7 +17,7 @@ import tempfile
 
 import numpy as np
 
-from ..locc import build_block_dilution, concentrate, run_protocol
+from ..locc import concentrate
 from ..sigsub import min_dilution_dimension
 from ..spectrum import BaseSpectrum, berry_esseen_residual, spectrum_stats, tensor_power_spectrum
 from .commands import (
@@ -25,7 +25,7 @@ from .commands import (
     cmd_concentration,
     cmd_inefficiency,
     cmd_spectrum,
-    dilution_dim,
+    probe_budget,
 )
 from .config import ExperimentConfig, with_updates
 
@@ -84,13 +84,9 @@ def spot_check_outputs(config: ExperimentConfig) -> list:
     for row in _sample(rows, k=4):
         n, c_star = int(row[0]), int(row[1])
         spec = spec_of(n)
-        proto, _ = build_block_dilution(spec, c_star, eps_target=config.epsilon)
-        _, rep = run_protocol(proto, dilution_dim(proto), spec, n=n)
-        ok = rep.success and rep.epsilon <= config.epsilon
+        ok = probe_budget(spec, n, c_star, config.epsilon)[0]
         if ok and c_star > 0:
-            proto2, _ = build_block_dilution(spec, c_star - 1, eps_target=config.epsilon)
-            _, rep2 = run_protocol(proto2, dilution_dim(proto2), spec, n=n)
-            ok = not (rep2.success and rep2.epsilon <= config.epsilon)
+            ok = not probe_budget(spec, n, c_star - 1, config.epsilon)[0]
         if not (ok and _approx(st.alpha * math.sqrt(n), float(row[2]))):
             bad.append(f"communication.csv row not minimal or wrong: {row}")
         cert_path = os.path.join(config.out, "certificates", f"cert_n{n}.json")

@@ -6,7 +6,8 @@ dilution targets tensor-power profiles under a message budget: the
 significant prefix of the sorted spectrum is cut into 2^budget equal
 blocks, each flattened to its average, and only the block offset is
 communicated. Small instances materialize to a standard-form protocol;
-large ones stay symbolic as run-length data over the sorted spectrum.
+large ones stay symbolic as run columns (count, log2 x, log2 target) over
+the sorted spectrum, the form the runner gives every diagonal outcome.
 """
 
 from __future__ import annotations
@@ -23,6 +24,18 @@ from ..tolerances import PROFILE_SUM_TOL, WEIGHTS_CAP
 from .standard import DiagonalKraus, StandardFormProtocol
 
 
+def _shift_family(vec, m: int, count: int, message_bits: int) -> StandardFormProtocol:
+    """Outcome k applies sqrt(m * vec) cyclically shifted by k*m positions;
+    the partner undoes the shift."""
+    d = vec.size
+    idx = np.arange(d)
+    ops = tuple(
+        DiagonalKraus(weights=m * np.roll(vec, -(k * m)), perm=(idx + k * m) % d)
+        for k in range(count)
+    )
+    return StandardFormProtocol(dim_a=d, dim_b=d, alice_ops=ops, message_bits=message_bits)
+
+
 def build_shift_dilution(q) -> StandardFormProtocol:
     """Exact dilution of a d-dim maximally entangled pair into profile q.
 
@@ -37,17 +50,7 @@ def build_shift_dilution(q) -> StandardFormProtocol:
         raise CapExceededError(f"profile length exceeds {WEIGHTS_CAP}")
     if q.min() < -1e-15 or abs(q.sum() - 1.0) > PROFILE_SUM_TOL:
         raise ValidationError("profile must be a probability vector")
-    q = np.clip(q, 0.0, None)
-    idx = np.arange(d)
-    ops = tuple(
-        DiagonalKraus(weights=np.roll(q, -k), perm=(idx + k) % d) for k in range(d)
-    )
-    return StandardFormProtocol(
-        dim_a=d,
-        dim_b=d,
-        alice_ops=ops,
-        message_bits=(d - 1).bit_length(),
-    )
+    return _shift_family(np.clip(q, 0.0, None), 1, d, (d - 1).bit_length())
 
 
 @dataclass(frozen=True)
@@ -57,18 +60,16 @@ class BlockShiftFamily:
     Outcome k shifts by k*m positions; by symmetry every outcome yields
     the same output profile q (flat on each of the K blocks), so a single
     representative outcome with multiplicity K describes the whole run.
-    x_runs lists (position count, log2 q value, log2 target eigenvalue)
-    in sorted-position order, covering [0, d_prime) contiguously;
-    tail_log2_mass is the target mass at positions >= d_prime.
+    x_runs holds the columns (position counts, log2 q values, log2 target
+    eigenvalues) of runs in sorted-position order, covering [0, d_prime)
+    contiguously; tail_log2_mass is the target mass at positions >= d_prime.
     """
 
     spectrum: ClassSpectrum
     budget_c: int
-    d1: int
     K: int
     m: int
     d_prime: int
-    log2_tau_prime: float
     x_runs: tuple
     tail_log2_mass: float
     target_error: float
@@ -77,23 +78,11 @@ class BlockShiftFamily:
         """Dense standard-form realization; refuses beyond the weights cap."""
         if self.K * self.d_prime > WEIGHTS_CAP:
             raise CapExceededError("family too large to materialize")
-        d = int(self.d_prime)
-        m = int(self.m)
+        counts, log2_x, _ = self.x_runs
         vec = np.concatenate(
-            [np.full(int(cnt), float(np.exp2(lx))) for cnt, lx, _ in self.x_runs]
+            [np.full(int(cnt), float(np.exp2(lx))) for cnt, lx in zip(counts, log2_x)]
         )
-        vec = vec / vec.sum()
-        idx = np.arange(d)
-        ops = tuple(
-            DiagonalKraus(weights=m * np.roll(vec, -(k * m)), perm=(idx + k * m) % d)
-            for k in range(int(self.K))
-        )
-        return StandardFormProtocol(
-            dim_a=d,
-            dim_b=d,
-            alice_ops=ops,
-            message_bits=self.budget_c,
-        )
+        return _shift_family(vec / vec.sum(), int(self.m), int(self.K), self.budget_c)
 
 
 def build_block_dilution(spec: ClassSpectrum, budget_c: int, eps_target: float = 0.1):
@@ -200,12 +189,10 @@ def build_block_dilution(spec: ClassSpectrum, budget_c: int, eps_target: float =
     family = BlockShiftFamily(
         spectrum=spec,
         budget_c=budget_c,
-        d1=d1,
         K=K,
         m=m,
         d_prime=d_prime,
-        log2_tau_prime=lt,
-        x_runs=tuple(x_runs),
+        x_runs=tuple(zip(*x_runs)),
         tail_log2_mass=tail,
         target_error=target_error,
     )

@@ -1,9 +1,11 @@
 """Evaluation of dilution protocols against power-state targets.
 
 run_protocol feeds a maximally entangled pair through a Schmidt-diagonal
-protocol and scores every outcome against the target profile: a diagonal
-standard-form protocol on its weight vectors, a block family too large to
-materialize on sorted-position run-length data. run_protocol_dense is the
+protocol and scores every outcome against the target profile. Every
+outcome carries its output profile in one form, run columns (count,
+log2 x, log2 target) over the target's sorted positions: a diagonal
+standard-form protocol gives runs of length 1, a block family too large
+to materialize gives its symbolic runs. run_protocol_dense is the
 full-matrix oracle for the diagonal path. The certificate checker
 re-derives the communication lower bound from recorded quantities,
 flagging each inequality separately.
@@ -44,10 +46,11 @@ class OutcomeState:
     """One protocol outcome: probability, error, and its output profile.
 
     error is the distance between the output pair state and the target.
-    The output profile is either a weight vector over the target's sorted
-    positions or (count, log2 x, log2 target) runs with the target mass
-    past the family dimension; multiplicity counts symmetry-equivalent
-    outcomes a symbolic run does not enumerate.
+    x_runs holds the output profile as columns (counts, log2 x, log2
+    target) over the target's sorted positions, and x_tail_log2_mass the
+    target mass past them; the dense oracle records no profile.
+    multiplicity counts symmetry-equivalent outcomes a symbolic run does
+    not enumerate.
     """
 
     k: int
@@ -56,7 +59,6 @@ class OutcomeState:
     error: float
     good: bool
     multiplicity: int = 1
-    weights: np.ndarray | None = None
     x_runs: tuple | None = None
     x_tail_log2_mass: float | None = None
 
@@ -122,42 +124,34 @@ class ProtocolRunReport:
         return json.dumps(doc, indent=1)
 
 
-def _target_length(target):
+def _sorted_target(target, need: int):
+    """First `need` sorted target probabilities, zero-padded, their log2
+    values, and the mass past them in linear and log2 form.  The linear
+    tail is an exact 0.0 whenever the target fits inside `need` entries,
+    so a bitwise-perfect match still scores error 0."""
     if isinstance(target, ClassSpectrum):
-        if target.exact_mults is None:
-            raise ValidationError("target spectrum lacks exact multiplicities")
-        return sum(target.exact_mults)
-    if isinstance(target, SchmidtProfile):
-        return target.dim
-    return np.asarray(target, dtype=float).reshape(-1).size
-
-
-def _target_prefix(target, need: int) -> tuple[np.ndarray, float]:
-    """First `need` sorted target probabilities, zero-padded, plus the mass
-    of the dropped tail.  The tail is an exact 0.0 whenever the target fits
-    inside `need` entries, so a bitwise-perfect match still scores error 0."""
-    out = np.zeros(need)
-    if isinstance(target, ClassSpectrum):
+        view = SortedSpectrumView(target)
+        probs = np.zeros(need)
+        log2_probs = np.full(need, NEG_INF)
         pos = 0
-        tail_terms = []
-        for cnt, e in zip(target.exact_mults, target.log2_eigs):
-            take = int(min(cnt, need - pos))
-            if take > 0:
-                out[pos : pos + take] = float(np.exp2(e))
-                pos += take
-            rest = cnt - take
-            if rest > 0:
-                tail_terms.append(log2_int(rest) + e)
+        for cnt, e in view.runs(0, need):
+            probs[pos : pos + cnt] = float(np.exp2(e))
+            log2_probs[pos : pos + cnt] = e
+            pos += cnt
+        tail_terms = [log2_int(cnt) + e for cnt, e in view.runs(need, view.total_dim)]
         tail = float(np.exp2(log2sumexp(tail_terms))) if tail_terms else 0.0
-        return out, tail
-    if isinstance(target, SchmidtProfile):
-        vec = target.probs
-    else:
-        vec = SchmidtProfile(np.asarray(target, dtype=float).reshape(-1)).probs
+        covered = view.log2_mass_of_prefix(need)
+        return probs, log2_probs, tail, log2sub(0.0, covered) if covered < 0.0 else NEG_INF
+    if not isinstance(target, SchmidtProfile):
+        target = SchmidtProfile(np.asarray(target, dtype=float).reshape(-1))
+    vec = target.probs
+    probs = np.zeros(need)
     take = min(need, vec.size)
-    out[:take] = vec[:take]
+    probs[:take] = vec[:take]
     tail = float(vec[take:].sum()) if vec.size > take else 0.0
-    return out, tail
+    with np.errstate(divide="ignore"):
+        log2_probs = np.log2(probs)
+    return probs, log2_probs, tail, math.log2(tail) if tail > 0.0 else NEG_INF
 
 
 def _default_eps_good(errors) -> float:
@@ -168,9 +162,26 @@ def _default_eps_good(errors) -> float:
     return max(2.0 * lo, lo + 1e-6)
 
 
-def _aggregate(d, c, outcomes, eps_good, n):
-    good_probs = [o.prob * o.multiplicity for o in outcomes if o.good]
-    total_good = float(sum(good_probs))
+def _aggregate(d, c, raw, eps_good, n, x_tail_log2_mass=None):
+    """Report over the (k, prob, error, x_runs) outcomes of a materialized run."""
+    if eps_good is None:
+        eps_good = _default_eps_good([r[2] for r in raw])
+    outcomes = [
+        OutcomeState(
+            k=k,
+            prob=p,
+            log2_prob=math.log2(p) if p > PROB_FLOOR else NEG_INF,
+            error=err,
+            good=p > PROB_FLOOR and err <= eps_good,
+            x_runs=runs,
+            x_tail_log2_mass=x_tail_log2_mass,
+        )
+        for k, p, err, runs in raw
+    ]
+    total = sum(o.prob for o in outcomes)
+    if abs(total - 1.0) > 1e-9:
+        raise ValidationError(f"outcome probabilities sum to {total}")
+    total_good = float(sum(o.prob for o in outcomes if o.good))
     if total_good <= 0.0:
         s = math.inf
         epsilon = math.inf
@@ -211,8 +222,9 @@ def _hellinger_error(hell: float) -> float:
 
 
 def _run_weights(proto: StandardFormProtocol, d: int, target, n, eps_good):
-    tprof, t_tail = _target_prefix(target, d)
+    tprof, log2_t, t_tail, log2_tail = _sorted_target(target, d)
     sqrt_t = np.sqrt(tprof)
+    ones = [1] * d  # every outcome's runs share the count and target columns
     raw = []
     for k, op in enumerate(proto.alice_ops):
         p = float(op.weights.sum()) / d
@@ -222,33 +234,20 @@ def _run_weights(proto: StandardFormProtocol, d: int, target, n, eps_good):
         # overlap deficit in Hellinger form: exact zero for a perfect match,
         # where 1 - (sum sqrt(v q))^2 would lose everything to cancellation
         diff = np.sqrt(v) - sqrt_t
-        raw.append((k, p, v, _hellinger_error(0.5 * (float(diff @ diff) + t_tail))))
-    if eps_good is None:
-        eps_good = _default_eps_good([r[3] for r in raw])
-    outcomes = [
-        OutcomeState(
-            k=k,
-            prob=p,
-            log2_prob=math.log2(p) if p > 0 else NEG_INF,
-            error=err,
-            good=p > PROB_FLOOR and err <= eps_good,
-            weights=v,
-        )
-        for k, p, v, err in raw
-    ]
-    total = sum(o.prob for o in outcomes)
-    if abs(total - 1.0) > 1e-9:
-        raise ValidationError(f"outcome probabilities sum to {total}")
-    return _aggregate(d, proto.message_bits, outcomes, eps_good, n)
+        err = _hellinger_error(0.5 * (float(diff @ diff) + t_tail))
+        with np.errstate(divide="ignore"):
+            raw.append((k, p, err, (ones, np.log2(v), log2_t)))
+    return _aggregate(d, proto.message_bits, raw, eps_good, n, log2_tail)
 
 
 def _run_dense(proto: StandardFormProtocol, d: int, target, n, eps_good):
     """Full-matrix run of a diagonal protocol, zero-padded to the target length."""
-    dd = max(d, int(_target_length(target)))
-    if dd * dd > DENSE_DIM_CAP:
-        raise CapExceededError(f"dense dimension {dd * dd} exceeds {DENSE_DIM_CAP}")
-    tprof, _ = _target_prefix(target, dd)  # dd >= target length, no tail
-    phi_vec = np.diag(np.sqrt(tprof)).astype(complex).reshape(-1)
+    side = math.isqrt(DENSE_DIM_CAP)
+    tprof, _, _, log2_tail = _sorted_target(target, max(d, side))
+    if d > side or log2_tail > NEG_INF:
+        raise CapExceededError(f"dense dimension exceeds {DENSE_DIM_CAP} ({side} per side)")
+    dd = max(d, int(np.flatnonzero(tprof)[-1]) + 1)
+    phi_vec = np.diag(np.sqrt(tprof[:dd])).astype(complex).reshape(-1)
     chi0 = np.zeros((dd, dd), dtype=complex)
     chi0[:d, :d] = np.eye(d) / math.sqrt(d)
 
@@ -263,7 +262,7 @@ def _run_dense(proto: StandardFormProtocol, d: int, target, n, eps_good):
         res = m_k @ chi0 @ _pad(op.partner_permutation_matrix()).T
         p = float(np.vdot(res, res).real)
         if p <= PROB_FLOOR:
-            raw.append((k, p, math.inf))
+            raw.append((k, p, math.inf, None))
             continue
         amp = res / math.sqrt(p)
         mm = m_k @ m_k.conj().T
@@ -279,34 +278,18 @@ def _run_dense(proto: StandardFormProtocol, d: int, target, n, eps_good):
             # where 1 - overlap^2 loses everything to cancellation
             diffv = vec * (z.conjugate() / overlap) - phi_vec
             err = _hellinger_error(0.5 * float(np.vdot(diffv, diffv).real))
-        raw.append((k, p, err))
-
-    if eps_good is None:
-        eps_good = _default_eps_good([r[2] for r in raw])
-    outcomes = [
-        OutcomeState(
-            k=k,
-            prob=p,
-            log2_prob=math.log2(p) if p > PROB_FLOOR else NEG_INF,
-            error=err,
-            good=p > PROB_FLOOR and err <= eps_good,
-        )
-        for k, p, err in raw
-    ]
-    total = sum(o.prob for o in outcomes)
-    if abs(total - 1.0) > 1e-9:
-        raise ValidationError(f"outcome probabilities sum to {total}")
-    return _aggregate(d, proto.message_bits, outcomes, eps_good, n)
+        raw.append((k, p, err, None))
+    return _aggregate(d, proto.message_bits, raw, eps_good, n)
 
 
 def _run_symbolic(family: BlockShiftFamily, d: int, target, n, eps_good):
     if d != family.d_prime:
         raise ValidationError("input dimension must match the family dimension")
-    if isinstance(target, ClassSpectrum):
-        if target is not family.spectrum and not np.array_equal(
-            target.log2_eigs, family.spectrum.log2_eigs
-        ):
-            raise ValidationError("symbolic run must target the family's spectrum")
+    if not isinstance(target, ClassSpectrum) or (
+        target is not family.spectrum
+        and not np.array_equal(target.log2_eigs, family.spectrum.log2_eigs)
+    ):
+        raise ValidationError("symbolic run must target the family's spectrum")
     err = family.target_error
     if eps_good is None:
         eps_good = _default_eps_good([err])
@@ -352,7 +335,8 @@ def run_protocol(proto, d: int, target, *, n=None, eps_good=None):
     or a BlockShiftFamily; any other protocol raises ValidationError
     (standardized programs are checked with run_standard_form). target is
     the ideal output profile: a SchmidtProfile, a raw probability vector,
-    or a ClassSpectrum for power states. eps_good overrides the goodness
+    or a ClassSpectrum for power states; a BlockShiftFamily accepts only
+    the spectrum it was built from. eps_good overrides the goodness
     threshold; by default a gap just above the best outcome's error
     separates good from junk.
     """
@@ -528,31 +512,10 @@ class TheoremChainCertificate:
         return json.dumps(doc, indent=1)
 
 
-def _outcome_runs(outcome: OutcomeState, view: SortedSpectrumView):
-    """(count, log2 x, log2 target) runs of a diagonal outcome and the log2
-    target mass past them; a weight vector becomes runs of length 1."""
-    if outcome.x_runs is not None:
-        return outcome.x_runs, outcome.x_tail_log2_mass
-    if outcome.weights is None:
-        raise ValidationError("outcome carries no output profile")
-    v = outcome.weights
-    cover = int(min(v.size, view.total_dim))
-    lt = np.full(v.size, NEG_INF)
-    pos = 0
-    for cnt, e in view.runs(0, cover):
-        lt[pos : pos + cnt] = e
-        pos += cnt
-    with np.errstate(divide="ignore"):
-        lx = np.log2(v)
-    covered = view.log2_mass_of_prefix(cover)
-    tail = log2sub(0.0, covered) if covered < 0.0 else NEG_INF
-    return tuple(zip([1] * v.size, lx.tolist(), lt.tolist())), tail
-
-
-def _x_prefix_mass(runs, n1: int) -> float:
+def _x_prefix_mass(counts, log2_x, n1: int) -> float:
     pos = 0
     acc = []
-    for cnt, lx, _ in runs:
+    for cnt, lx in zip(counts, log2_x):
         take = min(cnt, n1 - pos)
         if take <= 0:
             break
@@ -561,9 +524,9 @@ def _x_prefix_mass(runs, n1: int) -> float:
     return float(np.exp2(log2sumexp(acc)))
 
 
-def _x_power_distance(runs, tail_log2_mass: float) -> float:
+def _x_power_distance(counts, log2_x, log2_target, tail_log2_mass: float) -> float:
     acc = []
-    for cnt, lx, ll in runs:
+    for cnt, lx, ll in zip(counts, log2_x, log2_target):
         hi, lo = (lx, ll) if lx >= ll else (ll, lx)
         if hi == NEG_INF:
             continue
@@ -616,17 +579,19 @@ def verify_theorem_chain(
     c = report.c
     s = report.s
     log2_d = report.log2_d
-    runs, tail_log2_mass = _outcome_runs(outcome, view)
+    if outcome.x_runs is None:
+        raise ValidationError("outcome carries no output profile")
+    counts, log2_x, log2_target = outcome.x_runs
     # log2 of the largest output weight, the operator norm of the reduced
     # output; stays finite where the plain norm underflows at large n
-    log2_xnorm = float(max(lx for _, lx, _ in runs))
+    log2_xnorm = float(np.max(log2_x))
     x_norm = float(np.exp2(log2_xnorm))  # may underflow; bounds use the log
     xnorm_pd_ok = log2_xnorm <= -outcome.log2_prob - log2_d + 1e-9
     xnorm_cc_ok = log2_xnorm <= c + s - log2_d + 1e-6
     prob_qualifies = outcome.log2_prob >= -(c + s) - 1e-6
 
-    trpi_x = _x_prefix_mass(runs, n1)
-    d_reduced = _x_power_distance(runs, tail_log2_mass)
+    trpi_x = _x_prefix_mass(counts, log2_x, n1)
+    d_reduced = _x_power_distance(counts, log2_x, log2_target, outcome.x_tail_log2_mass)
 
     log2_bound = log2_n1 + log2_xnorm
     trpi_x_bound = float(np.exp2(min(log2_bound, 1024.0)))

@@ -374,9 +374,6 @@ class SortedSpectrumView:
         self.prefix_log2_mass = np.concatenate(
             ([NEG_INF], np.logaddexp2.accumulate(spec.log2_masses))
         )
-        self.suffix_log2_mass = np.concatenate(
-            (np.logaddexp2.accumulate(spec.log2_masses[::-1])[::-1], [NEG_INF])
-        )
 
     def count_eigs_at_least(self, log2_threshold: float) -> int:
         """How many eigenvalues (with multiplicity) are >= 2^threshold."""

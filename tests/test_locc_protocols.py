@@ -1,5 +1,6 @@
 """Dilution builders, the outcome runner, concentration, and certificates."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -8,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entlab import DegenerateSpectrumError, ValidationError, tensor_power_spectrum
+from entlab import (
+    CapExceededError,
+    DegenerateSpectrumError,
+    SchmidtProfile,
+    ValidationError,
+    tensor_power_spectrum,
+)
 from entlab.locc import (
     DiagonalKraus,
     StandardFormProtocol,
@@ -128,6 +135,15 @@ def test_block_dilution_dense_agreement_and_completeness():
     assert abs(rd.epsilon - terr) < 1e-12
 
 
+def test_dense_oracle_refuses_a_target_past_its_cap():
+    # 256 target positions against a dense cap of 128 per side
+    spec = tensor_power_spectrum(P_QUARTER, 8)
+    proto, _ = build_block_dilution(spec, 0, eps_target=0.8)
+    assert proto.dim_a <= 128
+    with pytest.raises(CapExceededError):
+        run_protocol_dense(proto, proto.dim_a, spec, n=8)
+
+
 def test_block_dilution_full_budget_is_exact():
     spec = tensor_power_spectrum(P_QUARTER, 2)
     proto, terr = build_block_dilution(spec, 2, eps_target=0.1)
@@ -225,6 +241,52 @@ def test_certificate_rejects_bad_inputs(quarter_spectra):
         verify_theorem_chain(
             outcomes[0], np.array([0.5, 0.5]), 64, report, spectrum=spec
         )
+
+
+def test_symbolic_run_refuses_a_foreign_target(quarter_spectra):
+    family, _ = build_block_dilution(quarter_spectra[64], 30, eps_target=0.1)
+    flat = np.array([0.5, 0.5])
+    for target in (flat, SchmidtProfile(flat), quarter_spectra[256]):
+        with pytest.raises(ValidationError, match="family's spectrum"):
+            run_protocol(family, family.d_prime, target, n=64)
+
+
+def test_weight_vector_outcomes_are_runs_of_length_one(monkeypatch):
+    # every (n, c) that materializes at p = (3/4, 1/4), scored once on its
+    # weight vector and once as the symbolic family it was built from
+    pairs = 0
+    for n in range(2, 13):
+        spec = tensor_power_spectrum(P_QUARTER, n)
+        for c in range(n + 1):
+            proto, _ = build_block_dilution(spec, c, eps_target=0.1)
+            if not isinstance(proto, StandardFormProtocol):
+                continue
+            with monkeypatch.context() as mp:
+                mp.setattr("entlab.locc.protocols.WEIGHTS_CAP", 0)
+                family, _ = build_block_dilution(spec, c, eps_target=0.1)
+            pairs += 1
+            outs_w, rep_w = run_protocol(proto, proto.dim_a, spec, n=n)
+            outs_s, rep_s = run_protocol(family, family.d_prime, spec, n=n)
+            assert abs(rep_w.epsilon - rep_s.epsilon) <= 1e-12
+            good_w = next(o for o in outs_w if o.good)
+            cert_w = verify_theorem_chain(good_w, P_QUARTER, n, rep_w, spectrum=spec)
+            cert_s = verify_theorem_chain(outs_s[0], P_QUARTER, n, rep_s, spectrum=spec)
+            for field in dataclasses.fields(cert_w):
+                a, b = getattr(cert_w, field.name), getattr(cert_s, field.name)
+                if isinstance(a, bool):
+                    assert a == b, (n, c, field.name)
+                else:
+                    assert a == b or abs(a - b) <= 1e-12, (n, c, field.name, a, b)
+    assert pairs == 80
+
+
+def test_certificate_refuses_a_dense_oracle_outcome():
+    spec = tensor_power_spectrum(P_QUARTER, 2)
+    proto, _ = build_block_dilution(spec, 1, eps_target=0.8)
+    outcomes, report = run_protocol_dense(proto, 4, spec, n=2)
+    good = next(o for o in outcomes if o.good)
+    with pytest.raises(ValidationError, match="no output profile"):
+        verify_theorem_chain(good, P_QUARTER, 2, report, spectrum=spec)
 
 
 @given(
