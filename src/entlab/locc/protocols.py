@@ -13,13 +13,14 @@ the sorted spectrum, the form the runner gives every diagonal outcome.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import CapExceededError, ValidationError
 from ..logdomain import NEG_INF, log2_int, log2sub, log2sumexp
-from ..spectrum import ClassSpectrum, SortedSpectrumView
+from ..spectrum import ClassSpectrum
 from ..tolerances import PROFILE_SUM_TOL, WEIGHTS_CAP
 from .standard import DiagonalKraus, StandardFormProtocol
 
@@ -98,7 +99,7 @@ def build_block_dilution(spec: ClassSpectrum, budget_c: int, eps_target: float =
         raise ValidationError("error target must lie in (0, 2)")
     if budget_c < 0:
         raise ValidationError("negative message budget")
-    view = SortedSpectrumView(spec)
+    view = spec.view
     d1, _, _ = view.sig_dim(1.0 - eps_target * eps_target / 8.0)
     # beyond ceil(log2 d1) extra bits buy nothing: clamp to the exact
     # per-position shift over the kept prefix (error = truncation only)
@@ -108,68 +109,54 @@ def build_block_dilution(spec: ClassSpectrum, budget_c: int, eps_target: float =
     d_prime = K * m
     lt = view.log2_mass_of_prefix(d_prime)
 
-    # class pieces covering [0, d_prime), zero-padded past the spectrum
-    pieces = []
-    pos = 0
-    for cnt, e in view.runs(0, d_prime):
-        pieces.append((pos, pos + cnt, e))
-        pos += cnt
-    if pos < d_prime:
-        pieces.append((pos, d_prime, NEG_INF))
+    # class pieces covering [0, d_prime): class c is [bounds[c], bounds[c+1]),
+    # and one -inf piece zero-pads past the spectrum
+    k = bisect_left(view.cum_counts, d_prime)
+    bounds = view.cum_counts[:k] + [d_prime]
+    eigs = view.log2_eigs[:k].tolist() + [NEG_INF]
+    # one divmod per boundary: a piece from (q0, r0) to (q1, r1) straddles
+    # block q0 with its head and block q1 with its tail, and covers whole
+    # blocks in between; events are (block or None for whole blocks,
+    # length, log2 length, log2 eigenvalue) in position order
+    events = []
+    q0, r0 = 0, 0
+    for i in range(len(bounds) - 1):
+        q1, r1 = divmod(bounds[i + 1], m)
+        e = eigs[i]
+        if q1 == q0:
+            events.append((q0, r1 - r0, log2_int(r1 - r0), e))
+        else:
+            head = m - r0 if r0 else 0
+            if head:
+                events.append((q0, head, log2_int(head), e))
+            inner = bounds[i + 1] - bounds[i] - head - r1
+            if inner:
+                events.append((None, inner, log2_int(inner), e))
+            if r1:
+                events.append((q1, r1, log2_int(r1), e))
+        q0, r0 = q1, r1
 
     # pass 1: straddled blocks and their total mass
     partial_mass = {}
-
-    def _note(block, start, end, e):
-        partial_mass.setdefault(block, []).append((log2_int(end - start), e))
-
-    def _split(s, ee, e, emit_interior, emit_partial):
-        b0 = -(-s // m)
-        b1 = ee // m
-        if b1 > b0:
-            if s < b0 * m:
-                emit_partial(b0 - 1, s, b0 * m, e)
-            emit_interior(b0 * m, b1 * m, e)
-            if ee > b1 * m:
-                emit_partial(b1, b1 * m, ee, e)
-        else:
-            b_s = s // m
-            b_e = (ee - 1) // m
-            if b_s == b_e:
-                emit_partial(b_s, s, ee, e)
-            else:
-                mid = b_e * m
-                emit_partial(b_s, s, mid, e)
-                emit_partial(b_e, mid, ee, e)
-
-    for s, ee, e in pieces:
-        _split(s, ee, e, lambda *a: None, _note)
+    for block, _, llen, e in events:
+        if block is not None:
+            partial_mass.setdefault(block, []).append((llen, e))
     block_log2_mass = {b: log2sumexp([lc + e for lc, e in runs]) for b, runs in partial_mass.items()}
 
     # pass 2: position-ordered output runs and the overlap with the target
     lm = log2_int(m)
     x_runs = []
     overlap_terms = []
-
-    def _emit(start, end, lx, ll):
-        if end <= start:
-            return
-        if x_runs and x_runs[-1][1] == lx and x_runs[-1][2] == ll:
-            prev = x_runs.pop()
-            x_runs.append((prev[0] + (end - start), lx, ll))
+    for block, length, llen, e in events:
+        if block is None:
+            lx = e - lt
+            overlap_terms.append(llen + e)
         else:
-            x_runs.append((end - start, lx, ll))
-
-    def _interior(start, end, e):
-        _emit(start, end, e - lt, e)
-        overlap_terms.append(log2_int(end - start) + e)
-
-    def _partial(block, start, end, e):
-        lmass = block_log2_mass[block]
-        _emit(start, end, lmass - lm - lt, e)
-
-    for s, ee, e in pieces:
-        _split(s, ee, e, _interior, _partial)
+            lx = block_log2_mass[block] - lm - lt
+        if x_runs and x_runs[-1][1] == lx and x_runs[-1][2] == e:
+            x_runs[-1] = (x_runs[-1][0] + length, lx, e)
+        else:
+            x_runs.append((length, lx, e))
 
     for b, runs in partial_mass.items():
         lmass = block_log2_mass[b]

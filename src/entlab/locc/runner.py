@@ -22,13 +22,7 @@ import numpy as np
 from ..errors import CapExceededError, DegenerateSpectrumError, ValidationError
 from ..logdomain import NEG_INF, log2_int, log2sub, log2sumexp
 from ..qmath import SchmidtProfile
-from ..spectrum import (
-    BaseSpectrum,
-    ClassSpectrum,
-    SortedSpectrumView,
-    spectrum_stats,
-    tensor_power_spectrum,
-)
+from ..spectrum import BaseSpectrum, ClassSpectrum, power_spectrum, spectrum_stats
 from ..tolerances import DENSE_DIM_CAP, EQUALITY_TOL, WEIGHTS_CAP
 from .protocols import BlockShiftFamily
 from .standard import StandardFormProtocol
@@ -130,7 +124,7 @@ def _sorted_target(target, need: int):
     tail is an exact 0.0 whenever the target fits inside `need` entries,
     so a bitwise-perfect match still scores error 0."""
     if isinstance(target, ClassSpectrum):
-        view = SortedSpectrumView(target)
+        view = target.view
         probs = np.zeros(need)
         log2_probs = np.full(need, NEG_INF)
         pos = 0
@@ -387,7 +381,7 @@ def concentrate(p, n: int, *, spectrum: ClassSpectrum | None = None) -> Concentr
     log2 multiplicities are read, so n past the exact-integer limit runs.
     """
     base = p if isinstance(p, BaseSpectrum) else BaseSpectrum(p)
-    spec = spectrum if spectrum is not None else tensor_power_spectrum(base.probs, n)
+    spec = power_spectrum(base, n, spectrum)
     stats = spectrum_stats(base)
     entries = []
     ey = 0.0
@@ -553,13 +547,11 @@ def verify_theorem_chain(
     """
     if not outcome.good:
         raise ValidationError("certificate requires an outcome within the error threshold")
-    stats = spectrum_stats(p if isinstance(p, BaseSpectrum) else BaseSpectrum(p))
+    base = p if isinstance(p, BaseSpectrum) else BaseSpectrum(p)
+    stats = spectrum_stats(base)
     if stats.degenerate:
         raise DegenerateSpectrumError("flat spectrum: no deviation scale to certify against")
-    spec = spectrum if spectrum is not None else tensor_power_spectrum(
-        p.probs if isinstance(p, BaseSpectrum) else p, n
-    )
-    view = SortedSpectrumView(spec)
+    view = power_spectrum(base, n, spectrum).view
     ne = n * stats.entropy
     sqrt_term = stats.alpha * math.sqrt(n)
 

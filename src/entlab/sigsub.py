@@ -18,8 +18,8 @@ from .qmath import DensityMatrix, epsilon_rank, trace_distance
 from .spectrum import (
     BaseSpectrum,
     ClassSpectrum,
-    SortedSpectrumView,
     mass_threshold_class,
+    power_spectrum,
     spectrum_stats,
     tensor_power_spectrum,
 )
@@ -63,8 +63,7 @@ def _sig_from_class_spectrum(spec: ClassSpectrum, delta: float) -> SigQueryResul
     if delta > 1.0 + 1e-9:
         raise ValidationError(f"delta {delta} exceeds total mass")
     if spec.exact_mults is not None:
-        view = SortedSpectrumView(spec)
-        dim, ach, take_exact = view.sig_dim(delta)
+        dim, ach, take_exact = spec.view.sig_dim(delta)
         return SigQueryResult(
             delta=delta,
             log2_dim=log2_int(dim) if dim else NEG_INF,
@@ -74,7 +73,7 @@ def _sig_from_class_spectrum(spec: ClassSpectrum, delta: float) -> SigQueryResul
             achieved_mass=ach,
         )
     # float multiplicities: the dimension exists only as its log2
-    c, acc, lcount = mass_threshold_class(spec, delta)
+    c, acc, lcount = mass_threshold_class(spec.log2_masses, spec.log2_eigs, delta)
     prefix = np.logaddexp2.accumulate(spec.log2_mults[:c])
     log2_dim = float(prefix[-1]) if c else NEG_INF
     if lcount != NEG_INF:
@@ -240,7 +239,7 @@ def min_dilution_dimension(p, n: int, epsilon: float, spectrum: ClassSpectrum | 
     if not 0.0 < epsilon < 2.0:
         raise ValidationError("epsilon must be in (0, 2)")
     base = p if isinstance(p, BaseSpectrum) else BaseSpectrum(p)
-    spec = spectrum if spectrum is not None else tensor_power_spectrum(base, n)
+    spec = power_spectrum(base, n, spectrum)
     lower_delta = 1.0 - epsilon / 2.0
     upper_delta = 1.0 - epsilon * epsilon / 4.0
     lo = sig_dim(spec, lower_delta)

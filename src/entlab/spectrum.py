@@ -13,6 +13,7 @@ import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaln
@@ -153,6 +154,11 @@ class ClassSpectrum:
     def num_classes(self) -> int:
         return int(self.log2_eigs.size)
 
+    @cached_property
+    def view(self) -> SortedSpectrumView:
+        """The spectrum's one SortedSpectrumView, built on first use."""
+        return SortedSpectrumView(self)
+
     def to_json(self) -> dict:
         return {
             "n": int(self.n),
@@ -254,6 +260,20 @@ def tensor_power_spectrum(
     )
 
 
+def power_spectrum(base: BaseSpectrum, n: int, spectrum: ClassSpectrum | None = None) -> ClassSpectrum:
+    """Class spectrum of the n-fold power of base: `spectrum` when one is
+    passed in, after an O(d) check that it is that power, else built."""
+    if spectrum is None:
+        return tensor_power_spectrum(base, n)
+    probs = spectrum.base_probs
+    if spectrum.n != n or not (probs is base.probs or np.array_equal(probs, base.probs)):
+        raise ValidationError(
+            f"spectrum of n = {spectrum.n} and base {probs.tolist()} passed for "
+            f"n = {n} and base {base.probs.tolist()}"
+        )
+    return spectrum
+
+
 def mu(spec: ClassSpectrum, a: float, b: float) -> float:
     """Total mass of eigenvalues with log2 value in the closed interval [a, b]."""
     if a > b:
@@ -310,7 +330,7 @@ def berry_esseen_residual(
     The surrogate evaluates the normal mass between the standardized
     endpoints (a + nE)/(alpha sqrt n) and (b + nE)/(alpha sqrt n); the bound
     is 25 beta / sqrt(n). A spectrum computed once can be passed in when
-    scanning many (a, b) cells.
+    scanning many (a, b) cells; it must be the n-fold power of p.
     """
     if not isinstance(p, BaseSpectrum):
         p = BaseSpectrum(p)
@@ -319,7 +339,7 @@ def berry_esseen_residual(
         raise DegenerateSpectrumError("alpha = 0: all base probabilities equal")
     if a > b:
         raise ValidationError("needs a <= b")
-    spec = spectrum if spectrum is not None else tensor_power_spectrum(p, n)
+    spec = power_spectrum(p, n, spectrum)
     rt = math.sqrt(n) * st.alpha
     x1 = (a + n * st.entropy) / rt
     x2 = (b + n * st.entropy) / rt
@@ -332,23 +352,24 @@ def berry_esseen_residual(
     )
 
 
-def mass_threshold_class(spec: ClassSpectrum, delta: float):
+def mass_threshold_class(log2_masses, log2_eigs, delta: float):
     """Walk the classes in descending order until the prefix mass reaches delta.
 
-    Returns (c, acc, lcount): the class c whose mass carries the prefix to
-    delta, the mass acc of the classes before c, and log2 of the fractional
-    count of class-c eigenvectors still needed. lcount is -inf when nothing
-    more is needed; c = num_classes when the total mass stays below delta.
+    Takes the classes' log2 masses and log2 eigenvalues. Returns (c, acc,
+    lcount): the class c whose mass carries the prefix to delta, the mass
+    acc of the classes before c, and log2 of the fractional count of
+    class-c eigenvectors still needed. lcount is -inf when nothing more is
+    needed; c = number of classes when the total mass stays below delta.
     """
     acc = 0.0
-    for c, lw in enumerate(spec.log2_masses):
+    for c, lw in enumerate(log2_masses):
         mass = float(np.exp2(lw))
         if acc + mass >= delta - 1e-15:
             need = delta - acc
-            lcount = math.log2(need) - spec.log2_eigs[c] if need > 0.0 else NEG_INF
+            lcount = math.log2(need) - log2_eigs[c] if need > 0.0 else NEG_INF
             return c, acc, lcount
         acc += mass
-    return spec.num_classes, acc, NEG_INF
+    return len(log2_masses), acc, NEG_INF
 
 
 class SortedSpectrumView:
@@ -357,6 +378,12 @@ class SortedSpectrumView:
     Exposes the spectrum as one long nonincreasing eigenvalue sequence:
     class c occupies positions [cum_counts[c], cum_counts[c+1]). Requires
     exact multiplicities; positions at n = 4096 are 3000-bit integers.
+
+    A spectrum has one view, `ClassSpectrum.view`, built on first use and
+    shared by block dilution, the runner's target walker, the certificate
+    and sig_dim; sig_dim results are memoized per delta. The view keeps the
+    spectrum's arrays but no reference to the spectrum itself, so the two
+    form no cycle and are freed together by reference counting.
     """
 
     def __init__(self, spec: ClassSpectrum):
@@ -366,14 +393,15 @@ class SortedSpectrumView:
                 f"n <= {EXACT_MULT_MAX_N} and at most {EXACT_MULT_MAX_CLASSES} classes; "
                 f"this spectrum has n = {spec.n} and {spec.num_classes} classes"
             )
-        self.spec = spec
         self.counts = spec.exact_mults
         self.log2_eigs = spec.log2_eigs
+        self.log2_masses = spec.log2_masses
         self.cum_counts = list(itertools.accumulate(self.counts, initial=0))
         self.total_dim = self.cum_counts[-1]
         self.prefix_log2_mass = np.concatenate(
             ([NEG_INF], np.logaddexp2.accumulate(spec.log2_masses))
         )
+        self._sig_dims = {}
 
     def count_eigs_at_least(self, log2_threshold: float) -> int:
         """How many eigenvalues (with multiplicity) are >= 2^threshold."""
@@ -423,18 +451,24 @@ class SortedSpectrumView:
         class is entered fractionally and rounded up to whole
         eigendirections; take_exact reports whether that rounding resolved
         single eigenvectors (float masses cannot once one eigenvector weighs
-        under ~2^-49 or the take passes 2^40).
+        under ~2^-49 or the take passes 2^40). Memoized per delta.
         """
         if delta <= 0.0:
             return 0, 0.0, True
         if delta > 1.0 + 1e-9:
             raise ValidationError("delta exceeds total mass")
-        c, acc, lcount = mass_threshold_class(self.spec, delta)
+        hit = self._sig_dims.get(delta)
+        if hit is not None:
+            return hit
+        c, acc, lcount = mass_threshold_class(self.log2_masses, self.log2_eigs, delta)
         dim = self.cum_counts[c]
         if lcount == NEG_INF:
             # delta reached on a class boundary, or (within 1e-9 of 1) never
-            return dim, acc, True
-        e = self.log2_eigs[c]
-        pc = max(1, min(self.counts[c], ceil_exp2(lcount)))
-        ach = acc + float(np.exp2(log2_int(pc) + e))
-        return dim + pc, ach, (pc <= 2**40 and e > -49.0)
+            hit = (dim, acc, True)
+        else:
+            e = self.log2_eigs[c]
+            pc = max(1, min(self.counts[c], ceil_exp2(lcount)))
+            ach = acc + float(np.exp2(log2_int(pc) + e))
+            hit = (dim + pc, ach, (pc <= 2**40 and e > -49.0))
+        self._sig_dims[delta] = hit
+        return hit

@@ -17,7 +17,6 @@ def pytest_configure(config):
     config.addinivalue_line(
         "markers", "criterion(num, label): ties a test to one acceptance criterion"
     )
-    config.addinivalue_line("markers", "slow: multi-minute scaling checks")
 
 
 @pytest.hookimpl(hookwrapper=True)

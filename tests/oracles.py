@@ -3,14 +3,19 @@
 Everything here is recomputed from first principles: exact rational
 arithmetic where the inputs are rational, dense linear algebra otherwise.
 None of it calls back into entlab, so agreement is evidence rather than
-tautology.
+tautology. The one exception is the block-dilution split, which must match
+the package bit for bit: it shares entlab's log-domain float helpers and
+rebuilds everything else (positions, pieces, blocks) on its own.
 """
 
 import itertools
 import math
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
+
+from entlab.logdomain import NEG_INF, log2_int, log2sub, log2sumexp
 
 
 def enumerate_product_masses(p_fracs, n):
@@ -98,3 +103,98 @@ def dense_fidelity(a, b):
 def pure_trace_distance(u, v):
     ov = abs(np.vdot(np.asarray(u).reshape(-1), np.asarray(v).reshape(-1))) ** 2
     return 2.0 * math.sqrt(max(0.0, 1.0 - ov))
+
+
+def block_dilution_by_pieces(counts, log2_eigs, log2_masses, d1, budget_c):
+    """Block dilution of a sorted class spectrum, split piece by piece.
+
+    counts are the exact class multiplicities, d1 the kept-prefix
+    dimension. Each class piece is cut against the block grid with its own
+    floor and ceiling divisions. Returns (x_runs columns, tail log2 mass,
+    target error), the fields of a BlockShiftFamily.
+    """
+    budget_c = min(budget_c, (d1 - 1).bit_length())
+    K = 1 << budget_c
+    m = -(-d1 // K)
+    d_prime = K * m
+    cum = list(itertools.accumulate(counts, initial=0))
+    total = cum[-1]
+    prefix = np.concatenate(([NEG_INF], np.logaddexp2.accumulate(log2_masses)))
+    if d_prime >= total:
+        lt = 0.0
+    else:
+        c = min(bisect_right(cum, d_prime) - 1, len(counts) - 1)
+        part = d_prime - cum[c]
+        lt = float(prefix[c]) if part == 0 else float(
+            np.logaddexp2(prefix[c], log2_int(part) + log2_eigs[c])
+        )
+
+    pieces = []
+    for c, cnt in enumerate(counts):
+        if cum[c] >= d_prime:
+            break
+        pieces.append((cum[c], min(cum[c] + cnt, d_prime), log2_eigs[c]))
+    if total < d_prime:
+        pieces.append((total, d_prime, NEG_INF))
+
+    def split(s, ee, e, interior, partial):
+        b0 = -(-s // m)
+        b1 = ee // m
+        if b1 > b0:
+            if s < b0 * m:
+                partial(b0 - 1, s, b0 * m, e)
+            interior(b0 * m, b1 * m, e)
+            if ee > b1 * m:
+                partial(b1, b1 * m, ee, e)
+        else:
+            b_s = s // m
+            b_e = (ee - 1) // m
+            if b_s == b_e:
+                partial(b_s, s, ee, e)
+            else:
+                mid = b_e * m
+                partial(b_s, s, mid, e)
+                partial(b_e, mid, ee, e)
+
+    partial_mass = {}
+
+    def note(block, start, end, e):
+        partial_mass.setdefault(block, []).append((log2_int(end - start), e))
+
+    for s, ee, e in pieces:
+        split(s, ee, e, lambda *a: None, note)
+    block_log2_mass = {
+        b: log2sumexp([lc + e for lc, e in runs]) for b, runs in partial_mass.items()
+    }
+
+    lm = log2_int(m)
+    x_runs = []
+    overlap_terms = []
+
+    def emit(start, end, lx, ll):
+        if x_runs and x_runs[-1][1] == lx and x_runs[-1][2] == ll:
+            prev = x_runs.pop()
+            x_runs.append((prev[0] + (end - start), lx, ll))
+        else:
+            x_runs.append((end - start, lx, ll))
+
+    def interior(start, end, e):
+        emit(start, end, e - lt, e)
+        overlap_terms.append(log2_int(end - start) + e)
+
+    def partial(block, start, end, e):
+        emit(start, end, block_log2_mass[block] - lm - lt, e)
+
+    for s, ee, e in pieces:
+        split(s, ee, e, interior, partial)
+    for b, runs in partial_mass.items():
+        lmass = block_log2_mass[b]
+        overlap_terms.append(0.5 * (lmass - lm) + log2sumexp([lc + 0.5 * e for lc, e in runs]))
+
+    if m == 1:
+        error = 2.0 * math.sqrt(max(0.0, -math.expm1(lt * math.log(2.0))))
+    else:
+        l_f = log2sumexp(overlap_terms) - 0.5 * lt
+        error = 2.0 * math.sqrt(max(0.0, 1.0 - min(1.0, float(np.exp2(2.0 * l_f)))))
+    tail = log2sub(0.0, lt) if lt < 0.0 else NEG_INF
+    return tuple(zip(*x_runs)), tail, error

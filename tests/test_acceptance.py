@@ -197,7 +197,6 @@ def test_shift_dilution_exact_for_every_dim_to_64():
         assert len(outcomes) == d
 
 
-@pytest.mark.slow
 @pytest.mark.criterion(7, "minimal message budget scales like sqrt(n)")
 def test_minimal_budget_quadrupling_ratio_and_certificates(quarter_spectra):
     found = {}

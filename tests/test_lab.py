@@ -23,6 +23,7 @@ from entlab.lab import (
     with_updates,
 )
 from entlab.lab.cli import main
+from entlab.lab.commands import probe_budget
 from entlab.spectrum import tensor_power_spectrum
 
 P_QUARTER = np.array([0.75, 0.25])
@@ -160,6 +161,75 @@ def test_cmd_inefficiency_rows_rederive(tmp_path):
 
     summary = json.load(open(tmp_path / "o" / "growth_summary.json"))
     assert "fitted_sqrt_coeff" in summary and "gaussian_quantile_coeff" in summary
+
+
+# the only (p, n, epsilon) on the scanned grids where meeting epsilon is not
+# monotone in the budget: the kept prefix holds all 9 positions, and budget 3
+# pads it to 8 blocks of 2 (16 positions), which fails where budget 2 meets
+NON_MONOTONE = {((0.5, 0.3, 0.2), 2, 0.3)}
+
+
+@pytest.mark.parametrize(
+    "p, ns", [((0.75, 0.25), range(2, 65)), ((0.5, 0.3, 0.2), range(1, 21))]
+)
+def test_find_min_budget_is_the_first_meeting_budget_of_a_linear_scan(p, ns):
+    non_monotone = set()
+    for n in ns:
+        spec = tensor_power_spectrum(np.array(p), n)
+        hi = max(1, math.ceil(n * math.log2(len(p))))
+        for eps in (0.05, 0.1, 0.3):
+            c_star, _, _ = find_min_budget(spec, n, eps)
+            meets = [probe_budget(spec, n, b, eps)[0] for b in range(hi + 1)]
+            # always: the answer meets and the budget below it does not
+            assert meets[c_star] and (c_star == 0 or not meets[c_star - 1]), (p, n, eps)
+            first = meets.index(True)
+            if all(meets[first:]):
+                assert c_star == first, (p, n, eps)
+            else:
+                non_monotone.add((p, n, eps))
+    assert non_monotone == {case for case in NON_MONOTONE if case[0] == p}
+
+
+def test_find_min_budget_probes_at_most_eight_budgets_at_n_4096(quarter_spectra, monkeypatch):
+    import entlab.lab.commands as commands
+
+    probed = []
+
+    def counting(spec, n, budget, epsilon):
+        probed.append(budget)
+        return probe_budget(spec, n, budget, epsilon)
+
+    monkeypatch.setattr(commands, "probe_budget", counting)
+    c_star, _, _ = commands.find_min_budget(quarter_spectra[4096], 4096, 0.1)
+    assert c_star == 264
+    assert len(probed) <= 8, probed
+
+
+def test_find_min_budget_reproduces_the_recorded_large_n_budgets():
+    # the c*(n) values the dilution_d2 benchmark workload records
+    for n, want in ((8192, 376), (16384, 535)):
+        spec = tensor_power_spectrum(P_QUARTER, n)
+        c_star, outcomes, report = find_min_budget(spec, n, 0.1)
+        assert c_star == want
+        assert report.success and report.epsilon <= 0.1
+        assert len(outcomes) == 1 and outcomes[0].good
+
+
+def test_find_min_budget_names_the_largest_budget_it_tried(monkeypatch):
+    import entlab.lab.commands as commands
+
+    probed = []
+
+    def never_meets(spec, n, budget, epsilon):
+        probed.append(budget)
+        return False, None, None, None
+
+    monkeypatch.setattr(commands, "probe_budget", never_meets)
+    spec = tensor_power_spectrum(P_QUARTER, 64)
+    with pytest.raises(ValidationError, match="no budget up to 64 meets"):
+        commands.find_min_budget(spec, 64, 0.1)
+    # the gallop climbs from round(6 alpha sqrt 64) = 33 to the cap
+    assert probed == [33, 34, 36, 40, 48, 64]
 
 
 def test_cmd_communication_budget_table(tmp_path):

@@ -27,7 +27,7 @@ from entlab.locc import (
     run_protocol_dense,
     verify_theorem_chain,
 )
-from oracles import completeness_defect, diagonal_kraus_dense
+from oracles import block_dilution_by_pieces, completeness_defect, diagonal_kraus_dense
 
 P_QUARTER = np.array([0.75, 0.25])
 E_QUARTER = 0.8112781244591329
@@ -156,6 +156,42 @@ def test_block_dilution_full_budget_is_exact():
     assert report.c == 2
 
 
+# c*(n) at p = (3/4, 1/4) and epsilon 0.1
+C_STAR_QUARTER = {8: 8, 64: 30, 1024: 129, 4096: 264}
+
+
+def assert_split_matches_oracle(monkeypatch, spec, budget, eps):
+    proto, predicted = build_block_dilution(spec, budget, eps_target=eps)
+    with monkeypatch.context() as mp:
+        mp.setattr("entlab.locc.protocols.WEIGHTS_CAP", 0)
+        family, _ = build_block_dilution(spec, budget, eps_target=eps)
+    d1 = spec.view.sig_dim(1.0 - eps * eps / 8.0)[0]
+    runs, tail, error = block_dilution_by_pieces(
+        spec.exact_mults, spec.log2_eigs, spec.log2_masses, d1, budget
+    )
+    assert family.x_runs == runs, (spec.n, budget)
+    assert family.tail_log2_mass == tail
+    assert family.target_error == error == predicted
+    return proto
+
+
+def test_block_split_matches_the_per_piece_oracle(monkeypatch):
+    kinds = set()
+    for n, c_star in C_STAR_QUARTER.items():
+        spec = tensor_power_spectrum(P_QUARTER, n)
+        clamp = (spec.view.sig_dim(1.0 - 0.1 * 0.1 / 8.0)[0] - 1).bit_length()
+        for budget in sorted({0, 1, c_star - 1, c_star, c_star + 1, clamp, clamp + 5}):
+            proto = assert_split_matches_oracle(monkeypatch, spec, budget, 0.1)
+            kinds.add(type(proto).__name__)
+    assert kinds == {"StandardFormProtocol", "BlockShiftFamily"}
+    for p, ns in (((0.5, 0.3, 0.2), (2, 5, 9, 14)), ((0.4, 0.3, 0.2, 0.1), (3, 6, 10))):
+        for n in ns:
+            spec = tensor_power_spectrum(np.array(p), n)
+            for budget in range(0, 2 * n + 3):
+                for eps in (0.05, 0.3):
+                    assert_split_matches_oracle(monkeypatch, spec, budget, eps)
+
+
 def junk_complement_protocol():
     """One good outcome at probability 1/8, two pure leftovers."""
     q = np.array([0.75, 0.25])
@@ -209,6 +245,17 @@ def test_concentrate_hand_case():
     assert abs(mid[0].log2_multiplicity - 1.0) < 1e-15
 
 
+def test_concentrate_refuses_a_spectrum_of_another_power():
+    spec64 = tensor_power_spectrum(P_QUARTER, 64)
+    with pytest.raises(ValidationError, match="n = 64"):
+        concentrate(P_QUARTER, 128, spectrum=spec64)
+    with pytest.raises(ValidationError, match="base"):
+        concentrate(np.array([0.7, 0.3]), 64, spectrum=spec64)
+    # the canonical base of an unsorted p is the same power
+    res = concentrate(np.array([0.25, 0.75]), 64, spectrum=spec64)
+    assert res.deficit == concentrate(P_QUARTER, 64).deficit
+
+
 def test_concentrate_yield_below_entropy():
     for n in (8, 32, 64):
         res = concentrate(P_QUARTER, n)
@@ -241,6 +288,16 @@ def test_certificate_rejects_bad_inputs(quarter_spectra):
         verify_theorem_chain(
             outcomes[0], np.array([0.5, 0.5]), 64, report, spectrum=spec
         )
+
+
+def test_certificate_refuses_a_spectrum_of_another_power(quarter_spectra):
+    spec = quarter_spectra[64]
+    proto, _ = build_block_dilution(spec, 30, eps_target=0.1)
+    outcomes, report = run_protocol(proto, proto.d_prime, spec, n=64)
+    with pytest.raises(ValidationError, match="n = 256"):
+        verify_theorem_chain(outcomes[0], P_QUARTER, 64, report, spectrum=quarter_spectra[256])
+    with pytest.raises(ValidationError, match="base"):
+        verify_theorem_chain(outcomes[0], np.array([0.7, 0.3]), 64, report, spectrum=spec)
 
 
 def test_symbolic_run_refuses_a_foreign_target(quarter_spectra):

@@ -211,6 +211,14 @@ def test_min_dilution_upper_is_achievable():
             assert trunc_err(k - 1) > eps
 
 
+def test_min_dilution_dimension_refuses_a_spectrum_of_another_power():
+    spec = tensor_power_spectrum(P_QUARTER, 6)
+    with pytest.raises(ValidationError, match="n = 6"):
+        min_dilution_dimension(P_QUARTER, 8, 0.1, spectrum=spec)
+    with pytest.raises(ValidationError, match="base"):
+        min_dilution_dimension(np.array([0.6, 0.4]), 6, 0.1, spectrum=spec)
+
+
 @given(
     st.integers(min_value=2, max_value=8),
     st.integers(min_value=0, max_value=2**32 - 1),

@@ -1,6 +1,8 @@
 """Tensor-power class spectrum checks against exact rational oracles."""
 
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +20,9 @@ from entlab import (
     spectrum_stats,
     tensor_power_spectrum,
 )
+from entlab.lab.commands import find_min_budget
+from entlab.locc import verify_theorem_chain
+from entlab.sigsub import sig_dim
 from entlab.spectrum import SortedSpectrumView
 from oracles import enumerate_product_masses, norm_cdf
 
@@ -153,6 +158,54 @@ def test_sorted_view_position_calculus():
     runs = list(view.runs(0, 10))
     assert sum(c for c, _ in runs) == 10
     assert runs[0] == (1, spec.log2_eigs[0])
+
+
+def test_one_view_serves_search_certificate_and_sig_dim(monkeypatch):
+    built = []
+    init = SortedSpectrumView.__init__
+
+    def counting_init(self, spec):
+        built.append(spec.n)
+        init(self, spec)
+
+    monkeypatch.setattr(SortedSpectrumView, "__init__", counting_init)
+    spec = tensor_power_spectrum(P_QUARTER, 1024)
+    c_star, outcomes, report = find_min_budget(spec, 1024, 0.1)
+    cert = verify_theorem_chain(outcomes[0], P_QUARTER, 1024, report, spectrum=spec)
+    assert cert.consistent and c_star == 129
+    sig_dim(spec, 0.95)
+    sig_dim(spec, 0.95)
+    assert built == [1024]
+    assert spec.view is spec.view
+    # the direct constructor still builds a separate, equivalent view
+    direct = SortedSpectrumView(spec)
+    assert direct is not spec.view and direct.total_dim == spec.view.total_dim
+    assert direct.sig_dim(0.95) == spec.view.sig_dim(0.95)
+
+
+def test_view_is_freed_with_its_spectrum_without_the_cycle_collector():
+    gc.disable()
+    try:
+        spec = tensor_power_spectrum(P_QUARTER, 256)
+        view = weakref.ref(spec.view)
+        result = find_min_budget(spec, 256, 0.1)
+        assert view() is not None
+        del spec
+        # the search result holds neither the spectrum nor its view
+        assert view() is None
+        assert result[0] == 63
+    finally:
+        gc.enable()
+
+
+def test_berry_esseen_refuses_a_spectrum_of_another_power():
+    spec = tensor_power_spectrum(P_QUARTER, 64)
+    with pytest.raises(ValidationError, match="n = 64"):
+        berry_esseen_residual(P_QUARTER, 128, -60.0, -50.0, spectrum=spec)
+    with pytest.raises(ValidationError, match="base"):
+        berry_esseen_residual(np.array([0.7, 0.3]), 64, -60.0, -50.0, spectrum=spec)
+    ok = berry_esseen_residual(BaseSpectrum(P_QUARTER), 64, -60.0, -50.0, spectrum=spec)
+    assert ok.residual == berry_esseen_residual(P_QUARTER, 64, -60.0, -50.0).residual
 
 
 @st.composite
