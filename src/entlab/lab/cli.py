@@ -38,9 +38,6 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("spectrum", "inefficiency", "communication", "concentration", "selftest"):
         sp = sub.add_parser(name, help=_HELP[name])
         sp.add_argument("--config", metavar="PATH", help="key = value config file")
-        sp.add_argument(
-            "--seed", type=int, metavar="U64", help="accepted for config compatibility; unused"
-        )
         sp.add_argument("--out", metavar="DIR", help="output directory")
         sp.add_argument(
             "--n-grid", dest="n_grid", metavar="LIST", help="comma-separated copy counts"
@@ -56,7 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     overrides = {
-        "seed": args.seed,
         "out": args.out,
         "n_grid": args.n_grid,
         "p": args.p,

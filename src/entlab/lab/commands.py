@@ -77,10 +77,10 @@ def cmd_spectrum(config: ExperimentConfig) -> tuple:
     """Exact class spectra plus a Gaussian-surrogate residual table."""
     out = _ensure_out(config)
     base = BaseSpectrum(np.asarray(config.p, dtype=float))
-    st = spectrum_stats(base)
 
     def work(n: int):
         spec = tensor_power_spectrum(base, n)
+        st = spec.stats
         lefts, widths = residual_grid(n, config.grid_cells)
         scale = st.alpha * math.sqrt(n)
         rows = []
@@ -88,7 +88,7 @@ def cmd_spectrum(config: ExperimentConfig) -> tuple:
             for w in widths:
                 a = x1 * scale - n * st.entropy
                 b = (x1 + w) * scale - n * st.entropy
-                res = berry_esseen_residual(base, n, a, b, spectrum=spec)
+                res = berry_esseen_residual(spec, a, b)
                 rows.append((n, a, b, res.residual, res.bound, res.passed))
         return n, spec, rows
 
@@ -113,11 +113,11 @@ def cmd_inefficiency(config: ExperimentConfig) -> tuple:
     significant-subspace growth fit."""
     out = _ensure_out(config)
     base = BaseSpectrum(np.asarray(config.p, dtype=float))
-    st = spectrum_stats(base)
 
     def work(n: int):
         spec = tensor_power_spectrum(base, n)
-        md = min_dilution_dimension(base, n, config.eps_reference, spectrum=spec)
+        st = spec.stats
+        md = min_dilution_dimension(spec, config.eps_reference)
         ne = n * st.entropy
         return (
             n,
@@ -150,6 +150,7 @@ def cmd_inefficiency(config: ExperimentConfig) -> tuple:
             fit_rows,
         )
     )
+    st = spectrum_stats(base)  # the summary describes the base itself
     summary = {
         "delta": fit.delta,
         "floor_coeff": fit.floor_coeff,
@@ -172,14 +173,15 @@ def dilution_dim(proto) -> int:
     return proto.dim_a
 
 
-def probe_budget(spec, n: int, budget: int, epsilon: float):
-    """Build and run the block dilution at one budget.
+def probe_budget(spec, budget: int, epsilon: float):
+    """Build and run the block dilution of the power state spec at one
+    budget; spec carries n and the base.
 
     Returns (meets, predicted_error, outcomes, report), where meets says the
     run succeeded within epsilon.
     """
     proto, predicted = build_block_dilution(spec, budget, eps_target=epsilon)
-    outcomes, report = run_protocol(proto, dilution_dim(proto), spec, n=n)
+    outcomes, report = run_protocol(proto, dilution_dim(proto), spec, n=spec.n)
     return report.success and report.epsilon <= epsilon, predicted, outcomes, report
 
 
@@ -200,16 +202,19 @@ def find_min_budget(spec, n: int, epsilon: float):
     blocks, and budgets past ceil(log2) of its dimension all build the same
     exact shift. That holds on every d = 2 case tested, but padding the
     prefix to 2^c equal blocks breaks it on a few d = 3 cases at n <= 9.
-    Only the lowest meeting probe's (outcomes, report) is kept.
+    Only the lowest meeting probe's (outcomes, report) is kept. spec
+    carries n and the base; n must equal spec.n.
     """
+    if n != spec.n:
+        raise ValidationError(f"budget search at n = {n} passed a spectrum of n = {spec.n}")
     hi = max(1, int(math.ceil(n * math.log2(max(2, len(spec.base_probs))))))
-    alpha = spectrum_stats(spec.base_probs).alpha
+    alpha = spec.stats.alpha
     budget = min(hi, max(0, round(BUDGET_START_COEFF * alpha * math.sqrt(n))))
     fail = -1  # highest budget known to fail
     best = None  # (budget, outcomes, report) of the lowest meeting probe
     step = 1
     while True:
-        meets, _, outcomes, report = probe_budget(spec, n, budget, epsilon)
+        meets, _, outcomes, report = probe_budget(spec, budget, epsilon)
         if meets:
             best = (budget, outcomes, report)
             if fail >= 0 or budget == 0:
@@ -225,7 +230,7 @@ def find_min_budget(spec, n: int, epsilon: float):
         step *= 2
     while best[0] - fail > 1:
         mid = (fail + best[0]) // 2
-        meets, _, outcomes, report = probe_budget(spec, n, mid, epsilon)
+        meets, _, outcomes, report = probe_budget(spec, mid, epsilon)
         if meets:
             best = (mid, outcomes, report)
         else:
@@ -239,24 +244,22 @@ def cmd_communication(config: ExperimentConfig) -> tuple:
     cert_dir = os.path.join(out, "certificates")
     os.makedirs(cert_dir, exist_ok=True)
     base = BaseSpectrum(np.asarray(config.p, dtype=float))
-    st = spectrum_stats(base)
 
     def work(n: int):
         spec = tensor_power_spectrum(base, n)
         budget, outcomes, report = find_min_budget(spec, n, config.epsilon)
         good = next(o for o in outcomes if o.good)
-        cert = verify_theorem_chain(good, base, n, report, spectrum=spec)
+        cert = verify_theorem_chain(good, spec, report)
         sweep = []
         for extra in config.budget_grid:
-            _, terr, _, rep = probe_budget(spec, n, extra, config.epsilon)
+            _, terr, _, rep = probe_budget(spec, extra, config.epsilon)
             sweep.append((n, extra, terr, rep.epsilon, rep.c, rep.s))
-        return n, budget, report, cert, sweep
+        return n, budget, spec.stats.alpha * math.sqrt(n), report, cert, sweep
 
     rows = []
     sweep_rows = []
     written = []
-    for n, budget, report, cert, sweep in sorted(map(work, config.n_grid)):
-        asn = st.alpha * math.sqrt(n)
+    for n, budget, asn, report, cert, sweep in sorted(map(work, config.n_grid)):
         rows.append((n, budget, asn, budget / asn))
         sweep_rows.extend(sweep)
         doc = {
@@ -291,12 +294,11 @@ def cmd_concentration(config: ExperimentConfig) -> tuple:
     """Expected distillation yield per n and its shortfall against nE."""
     out = _ensure_out(config)
     base = BaseSpectrum(np.asarray(config.p, dtype=float))
-    st = spectrum_stats(base)
 
     def work(n: int):
         spec = tensor_power_spectrum(base, n)
-        res = concentrate(base, n, spectrum=spec)
-        ne = n * st.entropy
+        res = concentrate(spec)
+        ne = n * spec.stats.entropy
         return (n, ne, res.expected_yield, res.deficit, res.deficit / math.sqrt(n))
 
     rows = sorted(map(work, config.n_grid))

@@ -36,6 +36,8 @@ class ExperimentConfig:
     eps_reference: float = 0.01
     budget_grid: tuple = ()
     grid_cells: int = 50
+    # no command reads seed; it stays a known key only because the
+    # benchmark's write_config still writes it into every workload config
     seed: int = 0
     out: str = "results"
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..locc import concentrate
 from ..sigsub import min_dilution_dimension
-from ..spectrum import BaseSpectrum, berry_esseen_residual, spectrum_stats, tensor_power_spectrum
+from ..spectrum import BaseSpectrum, berry_esseen_residual, tensor_power_spectrum
 from .commands import (
     cmd_communication,
     cmd_concentration,
@@ -51,7 +51,6 @@ def spot_check_outputs(config: ExperimentConfig) -> list:
     """Re-derive sampled rows of every CSV in config.out via module calls."""
     bad = []
     base = BaseSpectrum(np.asarray(config.p, dtype=float))
-    st = spectrum_stats(base)
     specs = {}
 
     def spec_of(n):
@@ -63,7 +62,7 @@ def spot_check_outputs(config: ExperimentConfig) -> list:
     _, rows = _read_csv(path)
     for row in _sample(rows):
         n, a, b = int(row[0]), float(row[1]), float(row[2])
-        res = berry_esseen_residual(base, n, a, b, spectrum=spec_of(n))
+        res = berry_esseen_residual(spec_of(n), a, b)
         if not (
             _approx(res.residual, float(row[3]))
             and _approx(res.bound, float(row[4]))
@@ -75,7 +74,7 @@ def spot_check_outputs(config: ExperimentConfig) -> list:
     _, rows = _read_csv(path)
     for row in _sample(rows):
         n = int(row[0])
-        md = min_dilution_dimension(base, n, config.eps_reference, spectrum=spec_of(n))
+        md = min_dilution_dimension(spec_of(n), config.eps_reference)
         if not (_approx(md.lower_log2, float(row[2])) and _approx(md.upper_log2, float(row[3]))):
             bad.append(f"inefficiency.csv row not re-derivable: {row}")
 
@@ -84,10 +83,10 @@ def spot_check_outputs(config: ExperimentConfig) -> list:
     for row in _sample(rows, k=4):
         n, c_star = int(row[0]), int(row[1])
         spec = spec_of(n)
-        ok = probe_budget(spec, n, c_star, config.epsilon)[0]
+        ok = probe_budget(spec, c_star, config.epsilon)[0]
         if ok and c_star > 0:
-            ok = not probe_budget(spec, n, c_star - 1, config.epsilon)[0]
-        if not (ok and _approx(st.alpha * math.sqrt(n), float(row[2]))):
+            ok = not probe_budget(spec, c_star - 1, config.epsilon)[0]
+        if not (ok and _approx(spec.stats.alpha * math.sqrt(n), float(row[2]))):
             bad.append(f"communication.csv row not minimal or wrong: {row}")
         cert_path = os.path.join(config.out, "certificates", f"cert_n{n}.json")
         with open(cert_path, "r", encoding="utf-8") as fh:
@@ -99,7 +98,7 @@ def spot_check_outputs(config: ExperimentConfig) -> list:
     _, rows = _read_csv(path)
     for row in _sample(rows):
         n = int(row[0])
-        res = concentrate(base, n, spectrum=spec_of(n))
+        res = concentrate(spec_of(n))
         if not (
             _approx(res.expected_yield, float(row[2])) and _approx(res.deficit, float(row[3]))
         ):

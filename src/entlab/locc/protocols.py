@@ -30,11 +30,11 @@ def _shift_family(vec, m: int, count: int, message_bits: int) -> StandardFormPro
     the partner undoes the shift."""
     d = vec.size
     idx = np.arange(d)
-    ops = tuple(
-        DiagonalKraus(weights=m * np.roll(vec, -(k * m)), perm=(idx + k * m) % d)
-        for k in range(count)
-    )
-    return StandardFormProtocol(dim_a=d, dim_b=d, alice_ops=ops, message_bits=message_bits)
+    ops = []
+    for k in range(count):
+        perm = (idx + k * m) % d
+        ops.append(DiagonalKraus(weights=m * vec[perm], perm=perm))
+    return StandardFormProtocol(dim_a=d, dim_b=d, alice_ops=tuple(ops), message_bits=message_bits)
 
 
 def build_shift_dilution(q) -> StandardFormProtocol:
@@ -174,7 +174,7 @@ def build_block_dilution(spec: ClassSpectrum, budget_c: int, eps_target: float =
     tail = log2sub(0.0, lt) if lt < 0.0 else NEG_INF
 
     family = BlockShiftFamily(
-        spectrum=spec,
+        spec,
         budget_c=budget_c,
         K=K,
         m=m,

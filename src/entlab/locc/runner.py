@@ -22,7 +22,7 @@ import numpy as np
 from ..errors import CapExceededError, DegenerateSpectrumError, ValidationError
 from ..logdomain import NEG_INF, log2_int, log2sub, log2sumexp
 from ..qmath import SchmidtProfile
-from ..spectrum import BaseSpectrum, ClassSpectrum, power_spectrum, spectrum_stats
+from ..spectrum import ClassSpectrum
 from ..tolerances import DENSE_DIM_CAP, EQUALITY_TOL, WEIGHTS_CAP
 from .protocols import BlockShiftFamily
 from .standard import StandardFormProtocol
@@ -373,16 +373,14 @@ class ConcentrationResult:
         return self.n * self.entropy_rate - self.expected_yield
 
 
-def concentrate(p, n: int, *, spectrum: ClassSpectrum | None = None) -> ConcentrationResult:
+def concentrate(spec: ClassSpectrum) -> ConcentrationResult:
     """Measure the type class of the n-fold power and keep the uniform block.
 
-    Class c with multiplicity m_c arrives with its spectral mass and
-    yields log2(m_c) ebits; no classical communication is involved. Only
-    log2 multiplicities are read, so n past the exact-integer limit runs.
+    spec is the n-fold power; it carries n and the base. Class c with
+    multiplicity m_c arrives with its spectral mass and yields log2(m_c)
+    ebits; no classical communication is involved. Only log2
+    multiplicities are read, so n past the exact-integer limit runs.
     """
-    base = p if isinstance(p, BaseSpectrum) else BaseSpectrum(p)
-    spec = power_spectrum(base, n, spectrum)
-    stats = spectrum_stats(base)
     entries = []
     ey = 0.0
     for idx, (bits, lm) in enumerate(zip(spec.log2_mults.tolist(), spec.log2_masses)):
@@ -390,7 +388,7 @@ def concentrate(p, n: int, *, spectrum: ClassSpectrum | None = None) -> Concentr
         entries.append(ConcentrationEntry(idx, bits, prob))
         ey += prob * bits
     return ConcentrationResult(
-        n=n, entries=tuple(entries), expected_yield=ey, entropy_rate=stats.entropy
+        n=spec.n, entries=tuple(entries), expected_yield=ey, entropy_rate=spec.stats.entropy
     )
 
 
@@ -531,27 +529,26 @@ def _x_power_distance(counts, log2_x, log2_target, tail_log2_mass: float) -> flo
 
 def verify_theorem_chain(
     outcome: OutcomeState,
-    p,
-    n: int,
+    spec: ClassSpectrum,
     report: ProtocolRunReport,
     *,
     delta_rho: float = 0.95,
     delta_gamma: float = 0.04,
     eps0: float = 0.01,
-    spectrum: ClassSpectrum | None = None,
 ) -> TheoremChainCertificate:
     """Re-derive the message lower bound from one good outcome's numbers.
 
-    Each inequality in the chain is evaluated on its own; consistent()
-    ands together exactly the ones that must hold for any valid run.
+    spec is the n-fold power target; it carries n and the base. Each
+    inequality in the chain is evaluated on its own; consistent() ands
+    together exactly the ones that must hold for any valid run.
     """
     if not outcome.good:
         raise ValidationError("certificate requires an outcome within the error threshold")
-    base = p if isinstance(p, BaseSpectrum) else BaseSpectrum(p)
-    stats = spectrum_stats(base)
+    stats = spec.stats
     if stats.degenerate:
         raise DegenerateSpectrumError("flat spectrum: no deviation scale to certify against")
-    view = power_spectrum(base, n, spectrum).view
+    n = spec.n
+    view = spec.view
     ne = n * stats.entropy
     sqrt_term = stats.alpha * math.sqrt(n)
 

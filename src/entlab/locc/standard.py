@@ -44,8 +44,8 @@ class DiagonalKraus:
         if w.min() < -1e-15:
             raise ValidationError("negative weight")
         w = np.clip(w, 0.0, None)
-        srt = np.sort(p)
-        if srt[0] != 0 or srt[-1] != p.size - 1 or np.any(np.diff(srt) != 1):
+        # size entries in [0, size) with no repeat are a permutation
+        if p.min() < 0 or p.max() >= p.size or np.bincount(p, minlength=p.size).max() != 1:
             raise ValidationError("perm is not a permutation")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "perm", p)

@@ -19,7 +19,6 @@ from .spectrum import (
     BaseSpectrum,
     ClassSpectrum,
     mass_threshold_class,
-    power_spectrum,
     spectrum_stats,
     tensor_power_spectrum,
 )
@@ -227,19 +226,17 @@ class MinDilutionResult:
     upper_delta: float
 
 
-def min_dilution_dimension(p, n: int, epsilon: float, spectrum: ClassSpectrum | None = None) -> MinDilutionResult:
+def min_dilution_dimension(spec: ClassSpectrum, epsilon: float) -> MinDilutionResult:
     """Dimension window for diluting into n copies at error epsilon.
 
-    lower: any output within trace distance epsilon has rank at least
-    S(rho^n, 1 - eps/2). upper: the smallest truncation of the target whose
-    renormalized state is within epsilon; truncating to the top k with mass
-    tau gives distance exactly 2 sqrt(1 - tau), so the threshold is
-    tau >= 1 - eps^2/4.
+    spec is the n-fold power; it carries n and the base. lower: any output
+    within trace distance epsilon has rank at least S(rho^n, 1 - eps/2).
+    upper: the smallest truncation of the target whose renormalized state
+    is within epsilon; truncating to the top k with mass tau gives distance
+    exactly 2 sqrt(1 - tau), so the threshold is tau >= 1 - eps^2/4.
     """
     if not 0.0 < epsilon < 2.0:
         raise ValidationError("epsilon must be in (0, 2)")
-    base = p if isinstance(p, BaseSpectrum) else BaseSpectrum(p)
-    spec = power_spectrum(base, n, spectrum)
     lower_delta = 1.0 - epsilon / 2.0
     upper_delta = 1.0 - epsilon * epsilon / 4.0
     lo = sig_dim(spec, lower_delta)

@@ -155,6 +155,11 @@ class ClassSpectrum:
         return int(self.log2_eigs.size)
 
     @cached_property
+    def stats(self) -> SpectrumStats:
+        """spectrum_stats of the base, built on first use."""
+        return spectrum_stats(self.base_probs)
+
+    @cached_property
     def view(self) -> SortedSpectrumView:
         """The spectrum's one SortedSpectrumView, built on first use."""
         return SortedSpectrumView(self)
@@ -260,20 +265,6 @@ def tensor_power_spectrum(
     )
 
 
-def power_spectrum(base: BaseSpectrum, n: int, spectrum: ClassSpectrum | None = None) -> ClassSpectrum:
-    """Class spectrum of the n-fold power of base: `spectrum` when one is
-    passed in, after an O(d) check that it is that power, else built."""
-    if spectrum is None:
-        return tensor_power_spectrum(base, n)
-    probs = spectrum.base_probs
-    if spectrum.n != n or not (probs is base.probs or np.array_equal(probs, base.probs)):
-        raise ValidationError(
-            f"spectrum of n = {spectrum.n} and base {probs.tolist()} passed for "
-            f"n = {n} and base {base.probs.tolist()}"
-        )
-    return spectrum
-
-
 def mu(spec: ClassSpectrum, a: float, b: float) -> float:
     """Total mass of eigenvalues with log2 value in the closed interval [a, b]."""
     if a > b:
@@ -318,28 +309,20 @@ class BerryEsseenResult:
     passed: bool
 
 
-def berry_esseen_residual(
-    p: BaseSpectrum | np.ndarray,
-    n: int,
-    a: float,
-    b: float,
-    spectrum: ClassSpectrum | None = None,
-) -> BerryEsseenResult:
+def berry_esseen_residual(spec: ClassSpectrum, a: float, b: float) -> BerryEsseenResult:
     """Gap between the exact interval mass and its Gaussian surrogate.
 
-    The surrogate evaluates the normal mass between the standardized
-    endpoints (a + nE)/(alpha sqrt n) and (b + nE)/(alpha sqrt n); the bound
-    is 25 beta / sqrt(n). A spectrum computed once can be passed in when
-    scanning many (a, b) cells; it must be the n-fold power of p.
+    spec is the n-fold power; it carries n and the base. The surrogate
+    evaluates the normal mass between the standardized endpoints
+    (a + nE)/(alpha sqrt n) and (b + nE)/(alpha sqrt n); the bound is
+    25 beta / sqrt(n).
     """
-    if not isinstance(p, BaseSpectrum):
-        p = BaseSpectrum(p)
-    st = spectrum_stats(p)
+    st = spec.stats
     if st.degenerate:
         raise DegenerateSpectrumError("alpha = 0: all base probabilities equal")
     if a > b:
         raise ValidationError("needs a <= b")
-    spec = power_spectrum(p, n, spectrum)
+    n = spec.n
     rt = math.sqrt(n) * st.alpha
     x1 = (a + n * st.entropy) / rt
     x2 = (b + n * st.entropy) / rt

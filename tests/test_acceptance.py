@@ -96,7 +96,7 @@ def residual_scan():
                 for w in widths:
                     a = x1 * scale - shift
                     b = (x1 + w) * scale - shift
-                    res = berry_esseen_residual(base, n, a, b, spectrum=spec)
+                    res = berry_esseen_residual(spec, a, b)
                     ratio = res.residual / res.bound
                     worst_plain = max(worst_plain, ratio)
                     worst_norm = max(worst_norm, ratio * norm_scale)
@@ -203,7 +203,7 @@ def test_minimal_budget_quadrupling_ratio_and_certificates(quarter_spectra):
     for n, spec in sorted(quarter_spectra.items()):
         c_star, outcomes, report = find_min_budget(spec, n, 0.1)
         assert report.epsilon <= 0.1
-        cert = verify_theorem_chain(outcomes[0], P_QUARTER, n, report, spectrum=spec)
+        cert = verify_theorem_chain(outcomes[0], spec, report)
         assert cert.consistent
         found[n] = c_star
     assert found == {64: 30, 256: 63, 1024: 129, 4096: 264}
@@ -216,7 +216,7 @@ def test_dilution_lower_bound_overhead_grows(quarter_spectra):
     st = spectrum_stats(P_QUARTER)
     excess = []
     for n in (256, 1024, 4096):
-        res = min_dilution_dimension(P_QUARTER, n, 0.01, spectrum=quarter_spectra[n])
+        res = min_dilution_dimension(quarter_spectra[n], 0.01)
         assert res.upper_log2 >= res.lower_log2
         excess.append((res.lower_log2 - n * st.entropy) / math.sqrt(n))
     assert all(v > 0.0 for v in excess)
@@ -234,7 +234,7 @@ def test_concentration_deficit_stays_in_band(quarter_spectra):
     st = spectrum_stats(P_QUARTER)
     lo, hi = 0.2 * st.alpha, 0.6 * st.alpha
     for n in (256, 1024, 4096):
-        res = concentrate(P_QUARTER, n, spectrum=quarter_spectra[n])
+        res = concentrate(quarter_spectra[n])
         scaled = (n * st.entropy - res.expected_yield) / math.sqrt(n)
         assert lo <= scaled <= hi
 
@@ -245,7 +245,7 @@ def test_concentration_deficit_is_logarithmic(quarter_spectra):
     st = spectrum_stats(P_QUARTER)
     deficits = []
     for n in (256, 1024, 4096):
-        res = concentrate(P_QUARTER, n, spectrum=quarter_spectra[n])
+        res = concentrate(quarter_spectra[n])
         deficits.append(n * st.entropy - res.expected_yield)
     assert all(d > 0.0 for d in deficits)
     for prev, nxt in zip(deficits, deficits[1:]):

@@ -137,9 +137,8 @@ def test_cmd_spectrum_rows_rederive(tmp_path):
     rows = read_rows(tmp_path / "o" / "residuals.csv")
     assert len(rows) == 2 * config.grid_cells**2
     for row in rows[:: len(rows) // 7]:
-        res = berry_esseen_residual(
-            P_QUARTER, int(row["n"]), float(row["a"]), float(row["b"])
-        )
+        spec = tensor_power_spectrum(P_QUARTER, int(row["n"]))
+        res = berry_esseen_residual(spec, float(row["a"]), float(row["b"]))
         assert abs(res.residual - float(row["residual"])) < 1e-9
         # %.12g keeps 12 significant digits, so compare relatively
         assert abs(res.bound - float(row["bound"])) < 5e-12 * max(1.0, res.bound)
@@ -154,7 +153,7 @@ def test_cmd_inefficiency_rows_rederive(tmp_path):
 
     for row in read_rows(tmp_path / "o" / "inefficiency.csv"):
         n = int(row["n"])
-        md = min_dilution_dimension(P_QUARTER, n, config.eps_reference)
+        md = min_dilution_dimension(tensor_power_spectrum(P_QUARTER, n), config.eps_reference)
         assert abs(float(row["lower_bits"]) - md.lower_log2) < 1e-9
         assert abs(float(row["upper_bits"]) - md.upper_log2) < 1e-9
         assert float(row["upper_bits"]) >= float(row["lower_bits"])
@@ -179,7 +178,7 @@ def test_find_min_budget_is_the_first_meeting_budget_of_a_linear_scan(p, ns):
         hi = max(1, math.ceil(n * math.log2(len(p))))
         for eps in (0.05, 0.1, 0.3):
             c_star, _, _ = find_min_budget(spec, n, eps)
-            meets = [probe_budget(spec, n, b, eps)[0] for b in range(hi + 1)]
+            meets = [probe_budget(spec, b, eps)[0] for b in range(hi + 1)]
             # always: the answer meets and the budget below it does not
             assert meets[c_star] and (c_star == 0 or not meets[c_star - 1]), (p, n, eps)
             first = meets.index(True)
@@ -195,9 +194,9 @@ def test_find_min_budget_probes_at_most_eight_budgets_at_n_4096(quarter_spectra,
 
     probed = []
 
-    def counting(spec, n, budget, epsilon):
+    def counting(spec, budget, epsilon):
         probed.append(budget)
-        return probe_budget(spec, n, budget, epsilon)
+        return probe_budget(spec, budget, epsilon)
 
     monkeypatch.setattr(commands, "probe_budget", counting)
     c_star, _, _ = commands.find_min_budget(quarter_spectra[4096], 4096, 0.1)
@@ -215,12 +214,17 @@ def test_find_min_budget_reproduces_the_recorded_large_n_budgets():
         assert len(outcomes) == 1 and outcomes[0].good
 
 
+def test_find_min_budget_refuses_n_of_another_power(quarter_spectra):
+    with pytest.raises(ValidationError, match="n = 128 passed a spectrum of n = 64"):
+        find_min_budget(quarter_spectra[64], 128, 0.1)
+
+
 def test_find_min_budget_names_the_largest_budget_it_tried(monkeypatch):
     import entlab.lab.commands as commands
 
     probed = []
 
-    def never_meets(spec, n, budget, epsilon):
+    def never_meets(spec, budget, epsilon):
         probed.append(budget)
         return False, None, None, None
 
@@ -278,7 +282,7 @@ def test_cmd_concentration_rows_rederive(tmp_path):
     cmd_concentration(config)
     for row in read_rows(tmp_path / "o" / "concentration.csv"):
         n = int(row["n"])
-        res = concentrate(P_QUARTER, n)
+        res = concentrate(tensor_power_spectrum(P_QUARTER, n))
         assert abs(float(row["expected_yield"]) - res.expected_yield) < 1e-9
         deficit = n * res.entropy_rate - res.expected_yield
         assert abs(float(row["deficit"]) - deficit) < 1e-9
@@ -360,6 +364,14 @@ def test_cli_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["no-such-command"])
     capsys.readouterr()
+
+
+def test_cli_has_no_seed_flag(capsys):
+    # no command reads a seed, so the flag is gone (the config key stays)
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_cli_selftest_passes(tmp_path, capsys):

@@ -28,8 +28,10 @@ PHI2 = PureBipartiteState(2, 2, np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2))
 
 
 def test_diagonal_kraus_validation():
-    with pytest.raises(ValidationError):
-        DiagonalKraus(weights=np.array([0.5, 0.5]), perm=np.array([0, 0]))
+    # a repeat, an entry past the end, a negative entry
+    for perm in ([0, 0], [0, 2], [-1, 1]):
+        with pytest.raises(ValidationError, match="not a permutation"):
+            DiagonalKraus(weights=np.array([0.5, 0.5]), perm=np.array(perm))
     with pytest.raises(ValidationError):
         DiagonalKraus(weights=np.array([-0.5, 0.5]), perm=np.array([0, 1]))
     op = DiagonalKraus(weights=np.array([0.25, 0.75]), perm=np.array([1, 0]))

@@ -164,7 +164,7 @@ def test_reference_threshold_scale():
 
 
 def test_min_dilution_hand_case():
-    res = min_dilution_dimension(P_QUARTER, 2, 0.5)
+    res = min_dilution_dimension(tensor_power_spectrum(P_QUARTER, 2), 0.5)
     assert res.lower_exact == 2
     assert abs(res.lower_log2 - 1.0) < 1e-12
     assert res.upper_exact == 3
@@ -174,12 +174,13 @@ def test_min_dilution_hand_case():
 
 
 def test_min_dilution_wide_epsilon_collapses():
-    res = min_dilution_dimension(P_QUARTER, 4, 1.999999)
+    spec = tensor_power_spectrum(P_QUARTER, 4)
+    res = min_dilution_dimension(spec, 1.999999)
     assert res.lower_log2 <= 1e-6
     with pytest.raises(ValidationError):
-        min_dilution_dimension(P_QUARTER, 4, 2.0)
+        min_dilution_dimension(spec, 2.0)
     with pytest.raises(ValidationError):
-        min_dilution_dimension(P_QUARTER, 4, 0.0)
+        min_dilution_dimension(spec, 0.0)
 
 
 def test_min_dilution_ordering_random_instances():
@@ -189,7 +190,7 @@ def test_min_dilution_ordering_random_instances():
         raw = gen.dirichlet(np.ones(d))
         n = int(gen.integers(1, 7))
         eps = float(gen.uniform(0.05, 1.9))
-        res = min_dilution_dimension(raw, n, eps)
+        res = min_dilution_dimension(tensor_power_spectrum(raw, n), eps)
         assert res.lower_log2 <= res.upper_log2 + 1e-12
 
 
@@ -204,19 +205,11 @@ def test_min_dilution_upper_is_achievable():
         return 2.0 * math.sqrt(max(0.0, 1.0 - f * f))
 
     for eps in (0.2, 0.5, 1.0):
-        res = min_dilution_dimension(P_QUARTER, 6, eps, spectrum=spec)
+        res = min_dilution_dimension(spec, eps)
         k = res.upper_exact
         assert trunc_err(k) <= eps + 1e-12
         if k > 1:
             assert trunc_err(k - 1) > eps
-
-
-def test_min_dilution_dimension_refuses_a_spectrum_of_another_power():
-    spec = tensor_power_spectrum(P_QUARTER, 6)
-    with pytest.raises(ValidationError, match="n = 6"):
-        min_dilution_dimension(P_QUARTER, 8, 0.1, spectrum=spec)
-    with pytest.raises(ValidationError, match="base"):
-        min_dilution_dimension(np.array([0.6, 0.4]), 6, 0.1, spectrum=spec)
 
 
 @given(

@@ -1,5 +1,6 @@
 """Tensor-power class spectrum checks against exact rational oracles."""
 
+import dataclasses
 import gc
 import math
 import weakref
@@ -47,6 +48,17 @@ def test_stats_uniform_is_degenerate():
     assert st_.degenerate
     assert abs(st_.entropy - 2.0) < 1e-12
     assert st_.alpha < 1e-12
+
+
+def test_spectrum_stats_are_built_once_and_equal_the_base_stats():
+    for p, n in ((P_QUARTER, 64), (np.array([0.2, 0.5, 0.3]), 9)):
+        spec = tensor_power_spectrum(p, n)
+        assert spec.stats is spec.stats
+        want = spectrum_stats(BaseSpectrum(p))
+        for field in dataclasses.fields(want):
+            got, exp = getattr(spec.stats, field.name), getattr(want, field.name)
+            assert type(got) is type(exp), field.name
+            assert np.array(got).tobytes() == np.array(exp).tobytes(), field.name
 
 
 def test_base_spectrum_validation():
@@ -123,7 +135,7 @@ def test_berry_esseen_result_is_self_consistent():
     sq = st_.alpha * 8.0
     a = -1.3 * sq - 64 * st_.entropy
     b = a + 2.2 * sq
-    res = berry_esseen_residual(P_QUARTER, 64, a, b, spectrum=spec)
+    res = berry_esseen_residual(spec, a, b)
     assert abs(res.mu_value - mu(spec, a, b)) < 1e-15
     gauss = norm_cdf((b + 64 * st_.entropy) / sq) - norm_cdf((a + 64 * st_.entropy) / sq)
     assert abs(res.gauss_value - gauss) < 1e-12
@@ -141,7 +153,7 @@ def test_berry_esseen_known_violation_is_reported():
     sq = st_.alpha * 10.0
     a = (-20.0 / 49.0) * sq - 100 * st_.entropy
     b = a + (40.0 / 49.0) * sq
-    res = berry_esseen_residual(p, 100, a, b)
+    res = berry_esseen_residual(tensor_power_spectrum(p, 100), a, b)
     assert abs(res.residual - 0.07650116571535531) < 1e-9
     assert abs(res.bound - 0.06245089590346274) < 1e-12
     assert not res.passed
@@ -171,7 +183,7 @@ def test_one_view_serves_search_certificate_and_sig_dim(monkeypatch):
     monkeypatch.setattr(SortedSpectrumView, "__init__", counting_init)
     spec = tensor_power_spectrum(P_QUARTER, 1024)
     c_star, outcomes, report = find_min_budget(spec, 1024, 0.1)
-    cert = verify_theorem_chain(outcomes[0], P_QUARTER, 1024, report, spectrum=spec)
+    cert = verify_theorem_chain(outcomes[0], spec, report)
     assert cert.consistent and c_star == 129
     sig_dim(spec, 0.95)
     sig_dim(spec, 0.95)
@@ -196,16 +208,6 @@ def test_view_is_freed_with_its_spectrum_without_the_cycle_collector():
         assert result[0] == 63
     finally:
         gc.enable()
-
-
-def test_berry_esseen_refuses_a_spectrum_of_another_power():
-    spec = tensor_power_spectrum(P_QUARTER, 64)
-    with pytest.raises(ValidationError, match="n = 64"):
-        berry_esseen_residual(P_QUARTER, 128, -60.0, -50.0, spectrum=spec)
-    with pytest.raises(ValidationError, match="base"):
-        berry_esseen_residual(np.array([0.7, 0.3]), 64, -60.0, -50.0, spectrum=spec)
-    ok = berry_esseen_residual(BaseSpectrum(P_QUARTER), 64, -60.0, -50.0, spectrum=spec)
-    assert ok.residual == berry_esseen_residual(P_QUARTER, 64, -60.0, -50.0).residual
 
 
 @st.composite
