@@ -85,14 +85,21 @@ def spectrum_stats(p: BaseSpectrum | np.ndarray) -> SpectrumStats:
     return SpectrumStats(entropy=e, alpha=alpha, beta=beta, degenerate=degenerate)
 
 
-def _compositions(n: int, d: int):
-    """All (k_1..k_d) with sum n, lexicographic."""
-    if d == 1:
-        yield (n,)
-        return
-    for head in range(n + 1):
-        for rest in _compositions(n - head, d - 1):
-            yield (head,) + rest
+def _compositions(n: int, d: int) -> np.ndarray:
+    """All (k_1..k_d) with sum n as the rows of an int32 array, lexicographic.
+
+    Built one coordinate at a time: a row with r still to place becomes
+    r + 1 rows whose next coordinate runs 0..r.
+    """
+    cols = []
+    rem = np.array([n], dtype=np.int32)
+    for _ in range(d - 1):
+        counts = rem + 1
+        owner = np.repeat(np.arange(rem.size), counts)
+        k = (np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]).astype(np.int32)
+        cols = [c[owner] for c in cols] + [k]
+        rem = rem[owner] - k
+    return np.stack(cols + [rem], axis=1)
 
 
 def _binomials_exact(n: int) -> list[int]:
@@ -104,13 +111,59 @@ def _binomials_exact(n: int) -> list[int]:
     return out
 
 
-def _multinomial_exact(n: int, ks) -> int:
-    out = 1
-    rem = n
-    for k in ks[:-1]:
-        out *= math.comb(rem, k)
-        rem -= k
-    return out
+def _summed_multinomials(n: int, ks: np.ndarray, order: np.ndarray, starts: np.ndarray):
+    """Exact multiplicity of each merged class, as an object array of ints.
+
+    ks are the lexicographic compositions of n; the rows of class c are
+    order[starts[c]:starts[c + 1]], the last class running to the end.
+    Each k_1 owns one run of rows. The run's multinomials, products of
+    C(r_i, k_i) over the first d - 1 coordinates (r_i what is left of n
+    before coordinate i) read from one Pascal table, are added into their
+    classes before the next run is formed, so they are never all held at
+    once.
+    """
+    first = np.zeros(order.size, dtype=bool)
+    first[starts] = True
+    cls = np.empty(order.size, dtype=np.intp)
+    cls[order] = np.cumsum(first) - 1
+    pascal = np.zeros((n + 1, n + 1), dtype=object)
+    pascal[:, 0] = 1
+    for r in range(1, n + 1):
+        pascal[r, 1:] = pascal[r - 1, 1:] + pascal[r - 1, :-1]
+    sums = np.zeros(starts.size, dtype=object)
+    bounds = np.searchsorted(ks[:, 0], np.arange(n + 2))
+    for k1 in range(n + 1):
+        lo, hi = int(bounds[k1]), int(bounds[k1 + 1])
+        block = ks[lo:hi]
+        rem = n - k1
+        out = np.full(hi - lo, pascal[n, k1], dtype=object)
+        for i in range(1, ks.shape[1] - 1):
+            out *= pascal[rem, block[:, i]]
+            rem = rem - block[:, i]
+        np.add.at(sums, cls[lo:hi], out)
+    return sums
+
+
+def _class_starts(e: np.ndarray) -> np.ndarray:
+    """First index of each merged class in descending log2 eigenvalues e.
+
+    A class is anchored at its first member and takes every following
+    member within CLASS_MERGE_BITS of it. An adjacent gap wider than that
+    always starts a class; a run between such gaps is one class when its
+    span fits in CLASS_MERGE_BITS, and is walked from its anchor otherwise
+    (a chain of near-ties can be wider than the merge width).
+    """
+    cut = np.flatnonzero(e[:-1] - e[1:] > CLASS_MERGE_BITS) + 1
+    starts = np.concatenate(([0], cut))
+    ends = np.append(cut, e.size)
+    anchors = []
+    for c in np.flatnonzero(e[starts] - e[ends - 1] > CLASS_MERGE_BITS):
+        i = starts[c]
+        for j in range(i + 1, ends[c]):
+            if e[i] - e[j] > CLASS_MERGE_BITS:
+                anchors.append(j)
+                i = j
+    return np.union1d(starts, anchors) if anchors else starts
 
 
 @dataclass(frozen=True)
@@ -179,36 +232,6 @@ class ClassSpectrum:
         }
 
 
-def _merge_classes(log2_eigs, log2_mults, exact_mults):
-    """Merge classes whose eigenvalues agree within CLASS_MERGE_BITS."""
-    order = np.argsort(-log2_eigs, kind="stable")
-    e = log2_eigs[order]
-    m = log2_mults[order]
-    x = [exact_mults[i] for i in order] if exact_mults is not None else None
-    out_e, out_m, out_x = [], [], [] if x is not None else None
-    i = 0
-    ncl = e.size
-    while i < ncl:
-        j = i + 1
-        while j < ncl and e[i] - e[j] <= CLASS_MERGE_BITS:
-            j += 1
-        out_e.append(e[i])
-        if j == i + 1:
-            out_m.append(m[i])
-            if out_x is not None:
-                out_x.append(x[i])
-        else:
-            out_m.append(log2sumexp(m[i:j]))
-            if out_x is not None:
-                out_x.append(sum(x[i:j]))
-        i = j
-    return (
-        np.asarray(out_e, dtype=float),
-        np.asarray(out_m, dtype=float),
-        tuple(out_x) if out_x is not None else None,
-    )
-
-
 def tensor_power_spectrum(
     p: BaseSpectrum | np.ndarray, n: int, class_cap: int = CLASS_CAP_DEFAULT
 ) -> ClassSpectrum:
@@ -222,34 +245,44 @@ def tensor_power_spectrum(
     if n_classes > class_cap:
         raise CapExceededError(f"{n_classes} classes exceed the cap {class_cap}")
 
-    logs = np.log2(p.probs)
     if d == 1:
         eigs = np.array([0.0])
         mults = np.array([0.0])
         exact = (1,)
-    elif d == 2:
-        ks = np.arange(n + 1)
-        # base probs are sorted descending, so k = count of the smaller one
-        eigs = (n - ks) * logs[0] + ks * logs[1]
-        if n <= EXACT_MULT_MAX_N:
-            exact = tuple(_binomials_exact(n))
+    else:
+        logs = np.log2(p.probs)
+        if d == 2:
+            ks = np.arange(n + 1)
+            # base probs are sorted descending, so k = count of the smaller one
+            eigs = (n - ks) * logs[0] + ks * logs[1]
+        else:
+            ks = _compositions(n, d)
+            eigs = ks.astype(float) @ logs
+        order = np.argsort(-eigs, kind="stable")
+        e = eigs[order]
+        starts = _class_starts(e)
+        eigs = e[starts]
+        if n <= EXACT_MULT_MAX_N and n_classes <= EXACT_MULT_MAX_CLASSES:
+            if d == 2:
+                # a one-row class keeps its binomial object, no copy
+                rows = np.array(_binomials_exact(n), dtype=object)[order]
+                sums = np.add.reduceat(rows, starts)
+            else:
+                sums = _summed_multinomials(n, ks, order, starts)
+            exact = tuple(sums.tolist())
+            # exact integers define the float log to the last ulp
             mults = np.asarray([log2_int(c) for c in exact], dtype=float)
         else:
             exact = None
-            mults = (gammaln(n + 1) - gammaln(ks + 1) - gammaln(n - ks + 1)) / LN2
-    else:
-        ks = np.asarray(list(_compositions(n, d)), dtype=float)
-        eigs = ks @ logs
-        mults = (gammaln(n + 1) - gammaln(ks + 1).sum(axis=1)) / LN2
-        if n_classes <= EXACT_MULT_MAX_CLASSES and n <= EXACT_MULT_MAX_N:
-            exact = tuple(_multinomial_exact(n, tuple(int(v) for v in row)) for row in ks)
-        else:
-            exact = None
-
-    eigs, mults, exact = _merge_classes(np.asarray(eigs, float), np.asarray(mults, float), exact)
-    if exact is not None:
-        # exact integers define the float log to the last ulp
-        mults = np.asarray([log2_int(c) for c in exact], dtype=float)
+            if d == 2:
+                row_mults = (gammaln(n + 1) - gammaln(ks + 1) - gammaln(n - ks + 1)) / LN2
+            else:
+                row_mults = (gammaln(n + 1) - gammaln(ks + 1).sum(axis=1)) / LN2
+            row_mults = row_mults[order]
+            mults = row_mults[starts]
+            ends = np.append(starts[1:], order.size)
+            for c in np.flatnonzero(ends - starts > 1):
+                mults[c] = log2sumexp(row_mults[starts[c] : ends[c]])
     masses = mults + eigs
     # classes are a partition, so the mass defect is pure float roundoff;
     # renormalizing in log domain keeps the unit-total invariant exact

@@ -3,9 +3,9 @@
 Everything here is recomputed from first principles: exact rational
 arithmetic where the inputs are rational, dense linear algebra otherwise.
 None of it calls back into entlab, so agreement is evidence rather than
-tautology. The one exception is the block-dilution split, which must match
-the package bit for bit: it shares entlab's log-domain float helpers and
-rebuilds everything else (positions, pieces, blocks) on its own.
+tautology. Two oracles must match the package bit for bit: the per-row
+class enumeration and the block-dilution split. They share entlab's
+log-domain float helpers and rebuild everything else on their own.
 """
 
 import itertools
@@ -14,8 +14,10 @@ from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
+from scipy.special import gammaln
 
 from entlab.logdomain import NEG_INF, log2_int, log2sub, log2sumexp
+from entlab.tolerances import CLASS_MERGE_BITS
 
 
 def enumerate_product_masses(p_fracs, n):
@@ -31,6 +33,77 @@ def enumerate_product_masses(p_fracs, n):
         ent[0] += 1
         ent[1] += v
     return acc
+
+
+def compositions(n, d):
+    """All (k_1..k_d) with sum n, lexicographic."""
+    if d == 1:
+        yield (n,)
+        return
+    for head in range(n + 1):
+        for rest in compositions(n - head, d - 1):
+            yield (head,) + rest
+
+
+def multinomial(n, ks):
+    """n! / (k_1! .. k_d!) as a product of binomials."""
+    out = 1
+    rem = n
+    for k in ks[:-1]:
+        out *= math.comb(rem, k)
+        rem -= k
+    return out
+
+
+def anchored_class_starts(e):
+    """First index of each merged class of descending log2 eigenvalues e.
+
+    A class starts at its first member and takes each following member
+    within CLASS_MERGE_BITS of that first member.
+    """
+    starts = []
+    i = 0
+    while i < len(e):
+        starts.append(i)
+        j = i + 1
+        while j < len(e) and e[i] - e[j] <= CLASS_MERGE_BITS:
+            j += 1
+        i = j
+    return starts
+
+
+def class_spectrum_by_rows(probs, n, exact):
+    """The merged classes of a tensor power of d >= 3 levels, row by row.
+
+    probs is the base sorted descending. Every composition of n is one row;
+    the rows are sorted by descending log2 eigenvalue and merged by
+    anchored_class_starts. Returns (log2_eigs, log2_mults, log2_masses,
+    exact_mults), exact_mults None unless exact.
+    """
+    logs = np.log2(np.asarray(probs, dtype=float))
+    ks = np.asarray(list(compositions(n, logs.size)), dtype=float)
+    eigs = ks @ logs
+    mults = (gammaln(n + 1) - gammaln(ks + 1).sum(axis=1)) / math.log(2.0)
+    counts = [multinomial(n, tuple(int(v) for v in row)) for row in ks] if exact else None
+
+    order = np.argsort(-eigs, kind="stable")
+    e = eigs[order]
+    m = mults[order]
+    out_e, out_m, out_x = [], [], []
+    starts = anchored_class_starts(e)
+    for i, j in zip(starts, starts[1:] + [e.size]):
+        out_e.append(e[i])
+        out_m.append(m[i] if j == i + 1 else log2sumexp(m[i:j]))
+        if exact:
+            out_x.append(sum(counts[k] for k in order[i:j]))
+    out_e = np.asarray(out_e, dtype=float)
+    if exact:
+        out_m = np.asarray([log2_int(c) for c in out_x], dtype=float)
+    else:
+        out_m = np.asarray(out_m, dtype=float)
+    masses = out_m + out_e
+    masses = masses - log2sumexp(masses)
+    return out_e, out_m, masses, tuple(out_x) if exact else None
 
 
 def brute_force_sorted_log2(p, n):

@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-TRACING_PY = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
 # (module under entlab, name) that perfbench looks up without calling; the
 # names it calls are in WORKLOAD_CALLS
@@ -47,15 +47,16 @@ WORKLOAD_CALLS = (
 )
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING_PY)
+def _load_perfbench(name):
+    path = os.path.join(PERFBENCH, name + ".py")
+    spec = importlib.util.spec_from_file_location("perfbench_" + name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_traced_function_resolves():
-    tracing = _load_tracing()
+    tracing = _load_perfbench("tracing")
     assert tracing.TRACED
     for module, attr in tracing.TRACED:
         fn = getattr(importlib.import_module("entlab." + module), attr, None)
@@ -87,7 +88,21 @@ def test_tracer_reads_what_a_spectrum_carries():
     # the tracer keys each spectrum built by its base_probs and n
     from entlab.spectrum import tensor_power_spectrum
 
-    tracer = _load_tracing().Tracer(time.perf_counter)
+    tracer = _load_perfbench("tracing").Tracer(time.perf_counter)
     spec = tensor_power_spectrum(np.array([0.75, 0.25]), 4)
     tracer._observe_tensor_power_spectrum(spec, None)
     assert tracer.spectra == {((0.75, 0.25), 4): 5}
+
+
+def test_classes_d4_inputs_keep_their_class_counts():
+    # the gate checks these counts, and communication needs exact
+    # multiplicities at every n of the grid
+    from entlab.spectrum import tensor_power_spectrum
+
+    workload = _load_perfbench("workloads").WORKLOADS["classes_d4"]
+    p = np.array(workload["config"]["p"])
+    assert workload["classes"] == {25: 676, 50: 2601, 100: 10201}
+    for n in workload["config"]["n_grid"]:
+        spec = tensor_power_spectrum(p, n)
+        assert spec.num_classes == workload["classes"][n], n
+        assert spec.exact_mults is not None, n

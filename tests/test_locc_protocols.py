@@ -255,20 +255,32 @@ def test_concentrate_yield_below_entropy():
     assert unsorted.deficit == concentrate(tensor_power_spectrum(P_QUARTER, 64)).deficit
 
 
-def test_concentrate_deficit_follows_the_d3_type_expansion():
+def _type_expansion_residual(p, n):
     # the deficit of a type measurement is ((d - 1)/2) log2(2 pi e n)
-    # + (1/2) sum_i log2 p_i + O(1/n); at d = 3 the residual is -4.15e-3
-    # at n = 100 and -2.04e-3 at n = 200
-    p = np.array([0.5, 0.3, 0.2])
-    resid = {}
-    for n in (100, 200):
-        res = concentrate(tensor_power_spectrum(p, n))
-        want = (p.size - 1) / 2 * math.log2(2.0 * math.pi * math.e * n) + 0.5 * float(
-            np.log2(p).sum()
-        )
-        resid[n] = res.deficit - want
+    # + (1/2) sum_i log2 p_i + O(1/n) when no two types share an eigenvalue
+    p = np.array(p)
+    res = concentrate(tensor_power_spectrum(p, n))
+    want = (p.size - 1) / 2 * math.log2(2.0 * math.pi * math.e * n) + 0.5 * float(
+        np.log2(p).sum()
+    )
+    return res.deficit - want
+
+
+def test_concentrate_deficit_follows_the_d3_type_expansion():
+    # the residual is -4.15e-3 at n = 100 and -2.04e-3 at n = 200
+    resid = {n: _type_expansion_residual((0.5, 0.3, 0.2), n) for n in (100, 200)}
     assert abs(resid[200]) < 2.5e-3
     assert 0.4 < resid[200] / resid[100] < 0.6  # 1/n decay
+
+
+def test_concentrate_deficit_follows_the_d4_type_expansion():
+    # no two of the C(n + 3, 3) types collide on this base; the residual is
+    # -3.72e-2 at n = 50 and -1.70e-2 at n = 100
+    p = (0.47, 0.29, 0.15, 0.09)
+    assert tensor_power_spectrum(np.array(p), 50).num_classes == math.comb(53, 3)
+    resid = {n: _type_expansion_residual(p, n) for n in (50, 100)}
+    assert abs(resid[100]) < 0.02
+    assert 0.4 < resid[100] / resid[50] < 0.6  # 1/n decay
 
 
 def test_certificate_consistent_on_a_real_run(quarter_spectra):

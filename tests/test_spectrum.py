@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import math
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -23,9 +24,16 @@ from entlab import (
 )
 from entlab.lab.commands import find_min_budget
 from entlab.locc import verify_theorem_chain
+from entlab import spectrum as spectrum_module
 from entlab.sigsub import sig_dim
-from entlab.spectrum import SortedSpectrumView
-from oracles import enumerate_product_masses, norm_cdf
+from entlab.spectrum import SortedSpectrumView, _class_starts
+from entlab.tolerances import CLASS_MERGE_BITS
+from oracles import (
+    anchored_class_starts,
+    class_spectrum_by_rows,
+    enumerate_product_masses,
+    norm_cdf,
+)
 
 P_QUARTER = np.array([0.75, 0.25])
 
@@ -90,11 +98,72 @@ def test_quarter_spectrum_matches_enumeration(n):
 
 @pytest.mark.parametrize("n", [2, 5])
 def test_colliding_three_level_spectrum_matches_enumeration(n):
-    # (1/2)(1/3) = (1/6): distinct compositions share eigenvalues, so the
-    # class table must merge them exactly the way raw enumeration does
-    p = np.array([1 / 2, 1 / 3, 1 / 6])
-    spec = tensor_power_spectrum(p, n)
-    _assert_matches_brute_force((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)), n, spec)
+    # (4/7)(1/7) = (2/7)^2: distinct compositions share eigenvalues, so the
+    # class table must merge them exactly the way raw enumeration does;
+    # (1/2, 1/3, 1/6) has none, since k_2 + k_3 and k_1 + k_3 fix a class
+    for fracs in (
+        (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
+        (Fraction(4, 7), Fraction(2, 7), Fraction(1, 7)),
+    ):
+        spec = tensor_power_spectrum(np.array([float(f) for f in fracs]), n)
+        _assert_matches_brute_force(fracs, n, spec)
+
+
+# d = 3, 4 and 5; (4/7, 2/7, 1/7), (.4, .3, .2, .1) and (.3, .3, .2, .1, .1)
+# merge distinct compositions into one class
+ROW_ORACLE_CASES = [
+    ((0.5, 0.3, 0.2), (1, 9, 60)),
+    ((1 / 2, 1 / 3, 1 / 6), (2, 30)),
+    ((4 / 7, 2 / 7, 1 / 7), (5, 40)),
+    ((0.4, 0.3, 0.2, 0.1), (3, 12, 30)),
+    ((0.47, 0.29, 0.15, 0.09), (20,)),
+    ((0.3, 0.25, 0.2, 0.15, 0.1), (4, 12)),
+    ((0.3, 0.3, 0.2, 0.1, 0.1), (10,)),
+]
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "log_only"])
+@pytest.mark.parametrize("p,ns", ROW_ORACLE_CASES)
+def test_class_arrays_equal_the_per_row_oracle_bitwise(p, ns, exact, monkeypatch):
+    if not exact:
+        monkeypatch.setattr(spectrum_module, "EXACT_MULT_MAX_CLASSES", 0)
+    for n in ns:
+        spec = tensor_power_spectrum(np.array(p), n)
+        eigs, mults, masses, counts = class_spectrum_by_rows(spec.base_probs, n, exact)
+        assert spec.log2_eigs.tobytes() == eigs.tobytes(), n
+        assert spec.log2_mults.tobytes() == mults.tobytes(), n
+        assert spec.log2_masses.tobytes() == masses.tobytes(), n
+        assert spec.exact_mults == counts, n
+
+
+def test_class_starts_follow_the_anchored_rule():
+    # every adjacent gap fits in CLASS_MERGE_BITS, the span does not: the
+    # first member of a class anchors it, so this chain is cut every two
+    step = 0.6 * CLASS_MERGE_BITS
+    chain = -100.0 - step * np.arange(9)
+    assert np.all(chain[:-1] - chain[1:] <= CLASS_MERGE_BITS)
+    assert _class_starts(chain).tolist() == anchored_class_starts(chain) == [0, 2, 4, 6, 8]
+
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        gaps = rng.choice([0.0, 0.3, 0.6, 0.9, 1.5, 40.0], size=200) * CLASS_MERGE_BITS
+        e = -3.0 - np.concatenate(([0.0], np.cumsum(gaps)))
+        assert _class_starts(e).tolist() == anchored_class_starts(e)
+
+
+def test_d4_build_stays_small_in_memory():
+    # the compositions are enumerated as arrays and their multinomials are
+    # summed one k_1-block at a time, never all held at once (peak 1.5 MB;
+    # 3.4 MB with one Python tuple per composition)
+    p = np.array([0.4, 0.3, 0.2, 0.1])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        tensor_power_spectrum(p, 50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6, peak
 
 
 def test_spectrum_mass_normalization_large_n():
