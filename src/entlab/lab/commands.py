@@ -167,7 +167,7 @@ def cmd_inefficiency(config: ExperimentConfig) -> tuple:
 
 
 def dilution_dim(proto) -> int:
-    """Source dimension a dilution protocol acts on."""
+    """Source dimension a dilution protocol acts on (perfbench's dense check reads it)."""
     if isinstance(proto, BlockShiftFamily):
         return proto.d_prime
     return proto.dim_a
@@ -181,7 +181,7 @@ def probe_budget(spec, budget: int, epsilon: float):
     run succeeded within epsilon.
     """
     proto, predicted = build_block_dilution(spec, budget, eps_target=epsilon)
-    outcomes, report = run_protocol(proto, dilution_dim(proto), spec, n=spec.n)
+    outcomes, report = run_protocol(proto, spec)
     return report.success and report.epsilon <= epsilon, predicted, outcomes, report
 
 

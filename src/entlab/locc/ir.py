@@ -10,7 +10,7 @@ controlled by a record the acting party knows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -114,13 +114,16 @@ class IRInfo:
 
 @dataclass(frozen=True)
 class ProtocolIR:
+    """A validated program; `info` holds the facts its one validation found."""
+
     dim_a: int
     dim_b: int
     instructions: tuple
+    info: IRInfo = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "instructions", tuple(self.instructions))
-        self.validate()
+        object.__setattr__(self, "info", self.validate())
 
     def validate(self) -> IRInfo:
         if self.dim_a < 1 or self.dim_b < 1:
@@ -223,7 +226,7 @@ class ProtocolIR:
         )
 
     def message_bits(self) -> int:
-        return self.validate().message_bits
+        return self.info.message_bits
 
 
 def embed_operator(op: np.ndarray, dims, targets) -> np.ndarray:
@@ -274,9 +277,11 @@ class _Live:
 
 def simulate_dense(ir: ProtocolIR, input_state: PureBipartiteState) -> SimulationResult:
     """Exhaustive branch-by-branch run of the program on a pure input."""
-    info = ir.validate()
+    info = ir.info
     if (input_state.dim_a, input_state.dim_b) != (ir.dim_a, ir.dim_b):
         raise ValidationError("input state does not match the program dimensions")
+    # (register, dim, state) per party in creation order, as validation froze them
+    ancillas = {p: iter(info.ancillas[p]) for p in PARTIES}
 
     # axes: A registers in creation order, then B registers
     axes = [("A", 0), ("B", 0)]
@@ -295,7 +300,7 @@ def simulate_dense(ir: ProtocolIR, input_state: PureBipartiteState) -> Simulatio
 
     for ins in ir.instructions:
         if isinstance(ins, AddAncilla):
-            vec = _unit_vector(ins.state, ins.dim, "ancilla")
+            _, _, vec = next(ancillas[ins.party])
             # insert the new axis at the end of the party's block
             insert_at = max(i for i, (p, _) in enumerate(axes) if p == ins.party) + 1
             reg_index = sum(1 for p, _ in axes if p == ins.party)

@@ -6,8 +6,8 @@ dilution targets tensor-power profiles under a message budget: the
 significant prefix of the sorted spectrum is cut into 2^budget equal
 blocks, each flattened to its average, and only the block offset is
 communicated. Small instances materialize to a standard-form protocol;
-large ones stay symbolic as run columns (count, log2 x, log2 target) over
-the sorted spectrum, the form the runner gives every diagonal outcome.
+large ones stay symbolic as run columns (count, log2 x) over the sorted
+spectrum, the form the runner gives every diagonal outcome.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import CapExceededError, ValidationError
-from ..logdomain import NEG_INF, log2_int, log2sub, log2sumexp
+from ..logdomain import NEG_INF, log2_int, log2sumexp
 from ..spectrum import ClassSpectrum
 from ..tolerances import PROFILE_SUM_TOL, WEIGHTS_CAP
 from .standard import DiagonalKraus, StandardFormProtocol
@@ -61,9 +61,9 @@ class BlockShiftFamily:
     Outcome k shifts by k*m positions; by symmetry every outcome yields
     the same output profile q (flat on each of the K blocks), so a single
     representative outcome with multiplicity K describes the whole run.
-    x_runs holds the columns (position counts, log2 q values, log2 target
-    eigenvalues) of runs in sorted-position order, covering [0, d_prime)
-    contiguously; tail_log2_mass is the target mass at positions >= d_prime.
+    x_runs holds the columns (position counts, log2 q values) of runs in
+    sorted-position order, covering [0, d_prime) contiguously; neighbouring
+    runs differ in their q value.
     """
 
     spectrum: ClassSpectrum
@@ -72,14 +72,13 @@ class BlockShiftFamily:
     m: int
     d_prime: int
     x_runs: tuple
-    tail_log2_mass: float
     target_error: float
 
     def materialize(self) -> StandardFormProtocol:
         """Dense standard-form realization; refuses beyond the weights cap."""
         if self.K * self.d_prime > WEIGHTS_CAP:
             raise CapExceededError("family too large to materialize")
-        counts, log2_x, _ = self.x_runs
+        counts, log2_x = self.x_runs
         vec = np.concatenate(
             [np.full(int(cnt), float(np.exp2(lx))) for cnt, lx in zip(counts, log2_x)]
         )
@@ -153,10 +152,10 @@ def build_block_dilution(spec: ClassSpectrum, budget_c: int, eps_target: float =
             overlap_terms.append(llen + e)
         else:
             lx = block_log2_mass[block] - lm - lt
-        if x_runs and x_runs[-1][1] == lx and x_runs[-1][2] == e:
-            x_runs[-1] = (x_runs[-1][0] + length, lx, e)
+        if x_runs and x_runs[-1][1] == lx:
+            x_runs[-1] = (x_runs[-1][0] + length, lx)
         else:
-            x_runs.append((length, lx, e))
+            x_runs.append((length, lx))
 
     for b, runs in partial_mass.items():
         lmass = block_log2_mass[b]
@@ -171,8 +170,6 @@ def build_block_dilution(spec: ClassSpectrum, budget_c: int, eps_target: float =
         f_sq = min(1.0, float(np.exp2(2.0 * l_f)))
         target_error = 2.0 * math.sqrt(max(0.0, 1.0 - f_sq))
 
-    tail = log2sub(0.0, lt) if lt < 0.0 else NEG_INF
-
     family = BlockShiftFamily(
         spec,
         budget_c=budget_c,
@@ -180,7 +177,6 @@ def build_block_dilution(spec: ClassSpectrum, budget_c: int, eps_target: float =
         m=m,
         d_prime=d_prime,
         x_runs=tuple(zip(*x_runs)),
-        tail_log2_mass=tail,
         target_error=target_error,
     )
     if K * d_prime <= WEIGHTS_CAP:

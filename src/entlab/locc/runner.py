@@ -3,12 +3,12 @@
 run_protocol feeds a maximally entangled pair through a Schmidt-diagonal
 protocol and scores every outcome against the target profile. Every
 outcome carries its output profile in one form, run columns (count,
-log2 x, log2 target) over the target's sorted positions: a diagonal
-standard-form protocol gives runs of length 1, a block family too large
-to materialize gives its symbolic runs. run_protocol_dense is the
-full-matrix oracle for the diagonal path. The certificate checker
-re-derives the communication lower bound from recorded quantities,
-flagging each inequality separately.
+log2 x) over the target's sorted positions: a diagonal standard-form
+protocol gives runs of length 1, a block family too large to materialize
+gives its symbolic runs. run_protocol_dense is the full-matrix oracle for
+the diagonal path. The certificate checker cuts the runs at the target's
+class boundaries and re-derives the communication lower bound from
+recorded quantities, flagging each inequality separately.
 """
 
 from __future__ import annotations
@@ -34,15 +34,20 @@ PROB_FLOOR = 1e-15
 # may demand that the high-eigenvalue projector capture mass > 1/4
 CERT_N_COEFF = 2500.0
 
+# the reference instance's parameters: the high-eigenvalue projector's
+# target capture, the junk register's capture and the error budget
+CERT_DELTA_RHO = 0.95
+CERT_DELTA_GAMMA = 0.04
+CERT_EPS0 = 0.01
+
 
 @dataclass(frozen=True, eq=False)
 class OutcomeState:
     """One protocol outcome: probability, error, and its output profile.
 
     error is the distance between the output pair state and the target.
-    x_runs holds the output profile as columns (counts, log2 x, log2
-    target) over the target's sorted positions, and x_tail_log2_mass the
-    target mass past them; the dense oracle records no profile.
+    x_runs holds the output profile as columns (counts, log2 x) over the
+    target's sorted positions; the dense oracle records no profile.
     multiplicity counts symmetry-equivalent outcomes a symbolic run does
     not enumerate.
     """
@@ -54,7 +59,6 @@ class OutcomeState:
     good: bool
     multiplicity: int = 1
     x_runs: tuple | None = None
-    x_tail_log2_mass: float | None = None
 
 
 @dataclass(frozen=True)
@@ -67,7 +71,6 @@ class ProtocolRunReport:
     epsilon: float
     per_outcome: tuple
     n: int | None = None
-    eps_good: float = 0.0
     success: bool = True
     repetitions: int = 1
     failure_bound: float | None = None
@@ -119,23 +122,20 @@ class ProtocolRunReport:
 
 
 def _sorted_target(target, need: int):
-    """First `need` sorted target probabilities, zero-padded, their log2
-    values, and the mass past them in linear and log2 form.  The linear
-    tail is an exact 0.0 whenever the target fits inside `need` entries,
-    so a bitwise-perfect match still scores error 0."""
+    """First `need` sorted target probabilities, zero-padded, and the mass
+    past them in linear and log2 form.  The linear tail is an exact 0.0
+    whenever the target fits inside `need` entries, so a bitwise-perfect
+    match still scores error 0."""
     if isinstance(target, ClassSpectrum):
         view = target.view
         probs = np.zeros(need)
-        log2_probs = np.full(need, NEG_INF)
         pos = 0
         for cnt, e in view.runs(0, need):
             probs[pos : pos + cnt] = float(np.exp2(e))
-            log2_probs[pos : pos + cnt] = e
             pos += cnt
         tail_terms = [log2_int(cnt) + e for cnt, e in view.runs(need, view.total_dim)]
         tail = float(np.exp2(log2sumexp(tail_terms))) if tail_terms else 0.0
-        covered = view.log2_mass_of_prefix(need)
-        return probs, log2_probs, tail, log2sub(0.0, covered) if covered < 0.0 else NEG_INF
+        return probs, tail, _log2_mass_past(view, need)
     if not isinstance(target, SchmidtProfile):
         target = SchmidtProfile(np.asarray(target, dtype=float).reshape(-1))
     vec = target.probs
@@ -143,39 +143,46 @@ def _sorted_target(target, need: int):
     take = min(need, vec.size)
     probs[:take] = vec[:take]
     tail = float(vec[take:].sum()) if vec.size > take else 0.0
-    with np.errstate(divide="ignore"):
-        log2_probs = np.log2(probs)
-    return probs, log2_probs, tail, math.log2(tail) if tail > 0.0 else NEG_INF
+    return probs, tail, math.log2(tail) if tail > 0.0 else NEG_INF
 
 
-def _default_eps_good(errors) -> float:
-    finite = [e for e in errors if math.isfinite(e)]
-    if not finite:
-        return 0.0
-    lo = min(finite)
-    return max(2.0 * lo, lo + 1e-6)
+def _log2_mass_past(view, covered: int) -> float:
+    """log2 of the target mass past the first `covered` sorted positions."""
+    lm = view.log2_mass_of_prefix(covered)
+    return log2sub(0.0, lm) if lm < 0.0 else NEG_INF
 
 
-def _aggregate(d, c, raw, eps_good, n, x_tail_log2_mass=None):
-    """Report over the (k, prob, error, x_runs) outcomes of a materialized run."""
-    if eps_good is None:
-        eps_good = _default_eps_good([r[2] for r in raw])
-    outcomes = [
+def _report(d: int, c: int, n, raw) -> ProtocolRunReport:
+    """Report over the (k, prob, log2 prob, multiplicity, error, x_runs)
+    outcomes of a run.
+
+    An outcome's mass is its probability times its multiplicity. It is good
+    when its mass is scored and its error lies within a gap just above the
+    best finite error.
+    """
+    # a symbolic outcome's 2^-c probability may underflow while its
+    # multiplicity 2^c is past float range; their product is exactly 1
+    masses = [
+        p if mult == 1 else float(np.exp2(lp + log2_int(mult))) for _, p, lp, mult, _, _ in raw
+    ]
+    total = sum(masses)
+    if abs(total - 1.0) > 1e-9:
+        raise ValidationError(f"outcome probabilities sum to {total}")
+    best = min((r[4] for r in raw if math.isfinite(r[4])), default=None)
+    cutoff = 0.0 if best is None else max(2.0 * best, best + 1e-6)
+    outcomes = tuple(
         OutcomeState(
             k=k,
             prob=p,
-            log2_prob=math.log2(p) if p > PROB_FLOOR else NEG_INF,
+            log2_prob=lp,
             error=err,
-            good=p > PROB_FLOOR and err <= eps_good,
+            good=mass > PROB_FLOOR and err <= cutoff,
+            multiplicity=mult,
             x_runs=runs,
-            x_tail_log2_mass=x_tail_log2_mass,
         )
-        for k, p, err, runs in raw
-    ]
-    total = sum(o.prob for o in outcomes)
-    if abs(total - 1.0) > 1e-9:
-        raise ValidationError(f"outcome probabilities sum to {total}")
-    total_good = float(sum(o.prob for o in outcomes if o.good))
+        for mass, (k, p, lp, mult, err, runs) in zip(masses, raw)
+    )
+    total_good = float(sum(mass for mass, o in zip(masses, outcomes) if o.good))
     if total_good <= 0.0:
         s = math.inf
         epsilon = math.inf
@@ -191,22 +198,30 @@ def _aggregate(d, c, raw, eps_good, n, x_tail_log2_mass=None):
         c=c,
         s=s,
         epsilon=epsilon,
-        per_outcome=tuple(outcomes),
+        per_outcome=outcomes,
         n=n,
-        eps_good=eps_good,
         success=success,
         ebits_consumed=float(log2_int(d)),
     )
 
 
-def _require_diagonal(proto, d: int):
+def _scored(k: int, p: float, err: float, runs=None) -> tuple:
+    """One materialized outcome in the form _report reads."""
+    return (k, p, math.log2(p) if p > PROB_FLOOR else NEG_INF, 1, err, runs)
+
+
+def _target_n(target):
+    return target.n if isinstance(target, ClassSpectrum) else None
+
+
+def _require_diagonal(proto):
     if not (isinstance(proto, StandardFormProtocol) and proto.is_diagonal()):
         raise ValidationError(
             "only Schmidt-diagonal protocols are scored here; check a standardized"
             " program with run_standard_form"
         )
-    if {proto.dim_a, proto.dim_b, proto.full_dim_a} != {d}:
-        raise ValidationError("protocol dimensions do not match d")
+    if not proto.dim_a == proto.dim_b == proto.full_dim_a:
+        raise ValidationError("protocol dimensions differ between its sides")
 
 
 def _hellinger_error(hell: float) -> float:
@@ -215,10 +230,11 @@ def _hellinger_error(hell: float) -> float:
     return 2.0 * math.sqrt(max(0.0, hell * (2.0 - hell)))
 
 
-def _run_weights(proto: StandardFormProtocol, d: int, target, n, eps_good):
-    tprof, log2_t, t_tail, log2_tail = _sorted_target(target, d)
+def _run_weights(proto: StandardFormProtocol, target):
+    d = proto.dim_a
+    tprof, t_tail, _ = _sorted_target(target, d)
     sqrt_t = np.sqrt(tprof)
-    ones = [1] * d  # every outcome's runs share the count and target columns
+    ones = [1] * d  # every outcome's runs share one count column
     raw = []
     for k, op in enumerate(proto.alice_ops):
         p = float(op.weights.sum()) / d
@@ -230,14 +246,15 @@ def _run_weights(proto: StandardFormProtocol, d: int, target, n, eps_good):
         diff = np.sqrt(v) - sqrt_t
         err = _hellinger_error(0.5 * (float(diff @ diff) + t_tail))
         with np.errstate(divide="ignore"):
-            raw.append((k, p, err, (ones, np.log2(v), log2_t)))
-    return _aggregate(d, proto.message_bits, raw, eps_good, n, log2_tail)
+            raw.append(_scored(k, p, err, (ones, np.log2(v))))
+    return _report(d, proto.message_bits, _target_n(target), raw)
 
 
-def _run_dense(proto: StandardFormProtocol, d: int, target, n, eps_good):
+def _run_dense(proto: StandardFormProtocol, target):
     """Full-matrix run of a diagonal protocol, zero-padded to the target length."""
+    d = proto.dim_a
     side = math.isqrt(DENSE_DIM_CAP)
-    tprof, _, _, log2_tail = _sorted_target(target, max(d, side))
+    tprof, _, log2_tail = _sorted_target(target, max(d, side))
     if d > side or log2_tail > NEG_INF:
         raise CapExceededError(f"dense dimension exceeds {DENSE_DIM_CAP} ({side} per side)")
     dd = max(d, int(np.flatnonzero(tprof)[-1]) + 1)
@@ -256,7 +273,7 @@ def _run_dense(proto: StandardFormProtocol, d: int, target, n, eps_good):
         res = m_k @ chi0 @ _pad(op.partner_permutation_matrix()).T
         p = float(np.vdot(res, res).real)
         if p <= PROB_FLOOR:
-            raw.append((k, p, math.inf, None))
+            raw.append(_scored(k, p, math.inf))
             continue
         amp = res / math.sqrt(p)
         mm = m_k @ m_k.conj().T
@@ -272,90 +289,59 @@ def _run_dense(proto: StandardFormProtocol, d: int, target, n, eps_good):
             # where 1 - overlap^2 loses everything to cancellation
             diffv = vec * (z.conjugate() / overlap) - phi_vec
             err = _hellinger_error(0.5 * float(np.vdot(diffv, diffv).real))
-        raw.append((k, p, err, None))
-    return _aggregate(d, proto.message_bits, raw, eps_good, n)
+        raw.append(_scored(k, p, err))
+    return _report(d, proto.message_bits, _target_n(target), raw)
 
 
-def _run_symbolic(family: BlockShiftFamily, d: int, target, n, eps_good):
-    if d != family.d_prime:
-        raise ValidationError("input dimension must match the family dimension")
+def _run_symbolic(family: BlockShiftFamily, target):
     if not isinstance(target, ClassSpectrum) or (
         target is not family.spectrum
         and not np.array_equal(target.log2_eigs, family.spectrum.log2_eigs)
     ):
         raise ValidationError("symbolic run must target the family's spectrum")
-    err = family.target_error
-    if eps_good is None:
-        eps_good = _default_eps_good([err])
     c = family.budget_c
-    prob = float(np.exp2(-float(c)))
-    outcome = OutcomeState(
-        k=0,
-        prob=prob,
-        log2_prob=-float(c),
-        error=err,
-        good=err <= eps_good,
-        multiplicity=int(family.K),
-        x_runs=family.x_runs,
-        x_tail_log2_mass=family.tail_log2_mass,
+    # one representative of the K = 2^c outcomes, each of probability 2^-c
+    outcome = (
+        0, float(np.exp2(-float(c))), -float(c), int(family.K), family.target_error, family.x_runs
     )
-    # K * 2^-c is exactly 1, but K may be far past float range, so the
-    # report is built here rather than by summing outcome probabilities
-    if outcome.good:
-        s = 0.0
-        epsilon = err
-        success = True
-    else:
-        s = math.inf
-        epsilon = math.inf
-        success = False
-    return ProtocolRunReport(
-        d=d,
-        c=c,
-        s=s,
-        epsilon=epsilon,
-        per_outcome=(outcome,),
-        n=n if n is not None else family.spectrum.n,
-        eps_good=eps_good,
-        success=success,
-        ebits_consumed=float(log2_int(d)),
-    )
+    return _report(family.d_prime, c, target.n, [outcome])
 
 
-def run_protocol(proto, d: int, target, *, n=None, eps_good=None):
-    """Run a Schmidt-diagonal protocol on the d-dim maximally entangled pair.
+def run_protocol(proto, target):
+    """Run a Schmidt-diagonal protocol on its maximally entangled input pair.
 
-    Returns (outcomes, report). proto is a diagonal StandardFormProtocol
-    or a BlockShiftFamily; any other protocol raises ValidationError
+    Returns (outcomes, report). proto is a diagonal StandardFormProtocol,
+    whose input has dimension dim_a, or a BlockShiftFamily, whose input
+    has dimension d_prime; any other protocol raises ValidationError
     (standardized programs are checked with run_standard_form). target is
     the ideal output profile: a SchmidtProfile, a raw probability vector,
-    or a ClassSpectrum for power states; a BlockShiftFamily accepts only
-    the spectrum it was built from. eps_good overrides the goodness
-    threshold; by default a gap just above the best outcome's error
-    separates good from junk.
+    or a ClassSpectrum for power states, which sets the report's n; a
+    BlockShiftFamily accepts only the spectrum it was built from. A gap
+    just above the best outcome's error separates good outcomes from junk.
     """
     if isinstance(proto, BlockShiftFamily):
-        report = _run_symbolic(proto, d, target, n, eps_good)
+        report = _run_symbolic(proto, target)
         return report.per_outcome, report
-    _require_diagonal(proto, d)
-    if d > WEIGHTS_CAP:
-        raise CapExceededError(f"dimension {d} exceeds the weights cap")
-    report = _run_weights(proto, d, target, n, eps_good)
+    _require_diagonal(proto)
+    if proto.dim_a > WEIGHTS_CAP:
+        raise CapExceededError(f"dimension {proto.dim_a} exceeds the weights cap")
+    report = _run_weights(proto, target)
     return report.per_outcome, report
 
 
-def run_protocol_dense(proto: StandardFormProtocol, d: int, target, *, n=None, eps_good=None):
-    """Score a diagonal protocol on full matrices; cross-check oracle for run_protocol."""
-    _require_diagonal(proto, d)
-    report = _run_dense(proto, d, target, n, eps_good)
+def run_protocol_dense(proto: StandardFormProtocol, d: int, target, *, n=None):
+    """Score a diagonal protocol on full matrices; cross-check oracle for run_protocol.
+
+    d must be the protocol's input dimension and n, when given, the
+    target spectrum's n; both only restate what proto and target carry.
+    """
+    _require_diagonal(proto)
+    if d != proto.dim_a:
+        raise ValidationError(f"input dimension {d} given for a protocol on {proto.dim_a}")
+    if n is not None and n != _target_n(target):
+        raise ValidationError(f"n = {n} given for a target of n = {_target_n(target)}")
+    report = _run_dense(proto, target)
     return report.per_outcome, report
-
-
-@dataclass(frozen=True)
-class ConcentrationEntry:
-    class_index: int
-    log2_multiplicity: float
-    prob: float
 
 
 @dataclass(frozen=True)
@@ -363,7 +349,6 @@ class ConcentrationResult:
     """Ensemble of maximally entangled blocks extractable without messages."""
 
     n: int
-    entries: tuple
     expected_yield: float
     entropy_rate: float
 
@@ -381,15 +366,10 @@ def concentrate(spec: ClassSpectrum) -> ConcentrationResult:
     ebits; no classical communication is involved. Only log2
     multiplicities are read, so n past the exact-integer limit runs.
     """
-    entries = []
     ey = 0.0
-    for idx, (bits, lm) in enumerate(zip(spec.log2_mults.tolist(), spec.log2_masses)):
-        prob = float(np.exp2(lm))
-        entries.append(ConcentrationEntry(idx, bits, prob))
-        ey += prob * bits
-    return ConcentrationResult(
-        n=spec.n, entries=tuple(entries), expected_yield=ey, entropy_rate=spec.stats.entropy
-    )
+    for prob, bits in zip(np.exp2(spec.log2_masses).tolist(), spec.log2_mults.tolist()):
+        ey += prob * bits  # in class order: the summation order is part of the output
+    return ConcentrationResult(n=spec.n, expected_yield=ey, entropy_rate=spec.stats.entropy)
 
 
 def lift_success_probability(report: ProtocolRunReport, eps_fail: float) -> ProtocolRunReport:
@@ -412,7 +392,6 @@ def lift_success_probability(report: ProtocolRunReport, eps_fail: float) -> Prot
         epsilon=report.epsilon,
         per_outcome=report.per_outcome,
         n=report.n,
-        eps_good=report.eps_good,
         success=True,
         repetitions=report.repetitions * r,
         failure_bound=failure,
@@ -504,10 +483,35 @@ class TheoremChainCertificate:
         return json.dumps(doc, indent=1)
 
 
-def _x_prefix_mass(counts, log2_x, n1: int) -> float:
+def _target_pieces(x_runs, view):
+    """Cut output runs (counts, log2 x) at the target's class boundaries.
+
+    Returns the pieces (count, log2 x, log2 target) in position order, with
+    positions past the spectrum at -inf, and log2 of the target mass past
+    the runs.
+    """
+    bounds = view.cum_counts
+    eigs = view.log2_eigs
+    pieces = []
+    c = pos = 0
+    for cnt, lx in zip(*x_runs):
+        end = pos + cnt
+        while pos < end:
+            if c < len(eigs):
+                stop, e = min(end, bounds[c + 1]), eigs[c]
+                if stop == bounds[c + 1]:
+                    c += 1
+            else:
+                stop, e = end, NEG_INF
+            pieces.append((stop - pos, lx, e))
+            pos = stop
+    return pieces, _log2_mass_past(view, pos)
+
+
+def _x_prefix_mass(pieces, n1: int) -> float:
     pos = 0
     acc = []
-    for cnt, lx in zip(counts, log2_x):
+    for cnt, lx, _ in pieces:
         take = min(cnt, n1 - pos)
         if take <= 0:
             break
@@ -516,14 +520,14 @@ def _x_prefix_mass(counts, log2_x, n1: int) -> float:
     return float(np.exp2(log2sumexp(acc)))
 
 
-def _x_power_distance(counts, log2_x, log2_target, tail_log2_mass: float) -> float:
+def _x_power_distance(pieces, log2_tail: float) -> float:
     acc = []
-    for cnt, lx, ll in zip(counts, log2_x, log2_target):
+    for cnt, lx, ll in pieces:
         hi, lo = (lx, ll) if lx >= ll else (ll, lx)
         if hi == NEG_INF:
             continue
         acc.append(log2_int(cnt) + log2sub(hi, lo))
-    acc.append(tail_log2_mass)  # tail last: the summation order is part of the output
+    acc.append(log2_tail)  # tail last: the summation order is part of the output
     return float(np.exp2(log2sumexp(acc)))
 
 
@@ -531,19 +535,18 @@ def verify_theorem_chain(
     outcome: OutcomeState,
     spec: ClassSpectrum,
     report: ProtocolRunReport,
-    *,
-    delta_rho: float = 0.95,
-    delta_gamma: float = 0.04,
-    eps0: float = 0.01,
 ) -> TheoremChainCertificate:
     """Re-derive the message lower bound from one good outcome's numbers.
 
-    spec is the n-fold power target; it carries n and the base. Each
-    inequality in the chain is evaluated on its own; consistent() ands
+    spec is the n-fold power target; it carries n and the base, and is the
+    only source of the target the outcome's runs are measured against.
+    Each inequality in the chain is evaluated on its own; consistent() ands
     together exactly the ones that must hold for any valid run.
     """
     if not outcome.good:
         raise ValidationError("certificate requires an outcome within the error threshold")
+    if report.n != spec.n:
+        raise ValidationError(f"run at n = {report.n} checked against a spectrum of n = {spec.n}")
     stats = spec.stats
     if stats.degenerate:
         raise DegenerateSpectrumError("flat spectrum: no deviation scale to certify against")
@@ -570,17 +573,17 @@ def verify_theorem_chain(
     log2_d = report.log2_d
     if outcome.x_runs is None:
         raise ValidationError("outcome carries no output profile")
-    counts, log2_x, log2_target = outcome.x_runs
     # log2 of the largest output weight, the operator norm of the reduced
     # output; stays finite where the plain norm underflows at large n
-    log2_xnorm = float(np.max(log2_x))
+    log2_xnorm = float(np.max(outcome.x_runs[1]))
     x_norm = float(np.exp2(log2_xnorm))  # may underflow; bounds use the log
     xnorm_pd_ok = log2_xnorm <= -outcome.log2_prob - log2_d + 1e-9
     xnorm_cc_ok = log2_xnorm <= c + s - log2_d + 1e-6
     prob_qualifies = outcome.log2_prob >= -(c + s) - 1e-6
 
-    trpi_x = _x_prefix_mass(counts, log2_x, n1)
-    d_reduced = _x_power_distance(counts, log2_x, log2_target, outcome.x_tail_log2_mass)
+    pieces, log2_tail = _target_pieces(outcome.x_runs, view)
+    trpi_x = _x_prefix_mass(pieces, n1)
+    d_reduced = _x_power_distance(pieces, log2_tail)
 
     log2_bound = log2_n1 + log2_xnorm
     trpi_x_bound = float(np.exp2(min(log2_bound, 1024.0)))
@@ -606,7 +609,7 @@ def verify_theorem_chain(
 
     log2_capture = log2_d - sqrt_term - log2_n1
     # same bound again but with the margin pinned to the reference parameters
-    ref_margin = delta_gamma / 4.0 - eps0
+    ref_margin = CERT_DELTA_GAMMA / 4.0 - CERT_EPS0
     if ref_margin > 0.0:
         ref_implied = sqrt_term + math.log2(ref_margin) - log2_capture
     else:
@@ -631,11 +634,11 @@ def verify_theorem_chain(
         bound_n1_ok=bound_n1_ok,
         trp1_rho=trp1_rho,
         trp1_quarter_ok=trp1_rho > 0.25,
-        trp1_delta_rho_ok=trp1_rho >= delta_rho,
+        trp1_delta_rho_ok=trp1_rho >= CERT_DELTA_RHO,
         s2=s2,
         trp2_gamma=trp2_gamma,
         trpi_rho=trpi_rho,
-        margin_quarter_ok=trpi_rho >= delta_gamma / 4.0 - 1e-12,
+        margin_quarter_ok=trpi_rho >= CERT_DELTA_GAMMA / 4.0 - 1e-12,
         x_norm=x_norm,
         xnorm_pd_ok=xnorm_pd_ok,
         xnorm_cc_ok=xnorm_cc_ok,
@@ -655,8 +658,8 @@ def verify_theorem_chain(
         reference_margin=ref_margin,
         reference_implied_lower=ref_implied,
         reference_bound_ok=ref_bound_ok,
-        eps_within_reference=err <= eps0,
-        delta_rho=delta_rho,
-        delta_gamma=delta_gamma,
-        eps0=eps0,
+        eps_within_reference=err <= CERT_EPS0,
+        delta_rho=CERT_DELTA_RHO,
+        delta_gamma=CERT_DELTA_GAMMA,
+        eps0=CERT_EPS0,
     )

@@ -211,7 +211,7 @@ def standardize(ir: ProtocolIR, input_state: PureBipartiteState) -> StandardForm
     Programs that would act on a measured register are already rejected by
     the IR validator; inputs must be pure and match the declared dims.
     """
-    info = ir.validate()
+    info = ir.info
     if (input_state.dim_a, input_state.dim_b) != (ir.dim_a, ir.dim_b):
         raise ValidationError("input state does not match the program dimensions")
 

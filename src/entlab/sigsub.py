@@ -168,17 +168,12 @@ class GrowthFit:
     floor_coeff: float
 
 
-def growth_fit(
-    p,
-    delta: float,
-    n_grid,
-    floor_coeff: float = REFERENCE_FLOOR_COEFF,
-) -> GrowthFit:
+def growth_fit(p, delta: float, n_grid) -> GrowthFit:
     """Fit log2 S(rho^n, delta) - nE against sqrt(n).
 
-    Also reports, per n, whether the excess clears log2(floor_coeff) +
-    alpha sqrt(n), and the measured per-n coefficient
-    C(n) = S / 2^(nE + alpha sqrt n).
+    Also reports, per n, whether the excess clears
+    log2(REFERENCE_FLOOR_COEFF) + alpha sqrt(n), and the measured per-n
+    coefficient C(n) = S / 2^(nE + alpha sqrt n).
     """
     base = p if isinstance(p, BaseSpectrum) else BaseSpectrum(p)
     st = spectrum_stats(base)
@@ -195,7 +190,7 @@ def growth_fit(
         s = sig_dim(spec, delta)
         ex = s.log2_dim - n * st.entropy
         excess.append(ex)
-        bound = math.log2(floor_coeff) + st.alpha * math.sqrt(n)
+        bound = math.log2(REFERENCE_FLOOR_COEFF) + st.alpha * math.sqrt(n)
         floor_ok.append(ex >= bound)
         measured.append(2.0 ** (ex - st.alpha * math.sqrt(n)))
     rt = np.sqrt(np.asarray(ns, dtype=float))
@@ -211,7 +206,7 @@ def growth_fit(
         floor_ok=tuple(bool(x) for x in floor_ok),
         measured_coeff=tuple(float(x) for x in measured),
         delta=float(delta),
-        floor_coeff=float(floor_coeff),
+        floor_coeff=float(REFERENCE_FLOOR_COEFF),
     )
 
 

@@ -232,9 +232,7 @@ class ClassSpectrum:
         }
 
 
-def tensor_power_spectrum(
-    p: BaseSpectrum | np.ndarray, n: int, class_cap: int = CLASS_CAP_DEFAULT
-) -> ClassSpectrum:
+def tensor_power_spectrum(p: BaseSpectrum | np.ndarray, n: int) -> ClassSpectrum:
     """Exact class spectrum of the n-fold tensor power of diag(p)."""
     if not isinstance(p, BaseSpectrum):
         p = BaseSpectrum(p)
@@ -242,8 +240,8 @@ def tensor_power_spectrum(
         raise ValidationError("n must be >= 1")
     d = p.dim
     n_classes = math.comb(n + d - 1, d - 1)
-    if n_classes > class_cap:
-        raise CapExceededError(f"{n_classes} classes exceed the cap {class_cap}")
+    if n_classes > CLASS_CAP_DEFAULT:
+        raise CapExceededError(f"{n_classes} classes exceed the cap {CLASS_CAP_DEFAULT}")
 
     if d == 1:
         eigs = np.array([0.0])

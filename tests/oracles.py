@@ -271,3 +271,12 @@ def block_dilution_by_pieces(counts, log2_eigs, log2_masses, d1, budget_c):
         error = 2.0 * math.sqrt(max(0.0, 1.0 - min(1.0, float(np.exp2(2.0 * l_f)))))
     tail = log2sub(0.0, lt) if lt < 0.0 else NEG_INF
     return tuple(zip(*x_runs)), tail, error
+
+
+def concentration_yield_by_class(spec):
+    """Expected concentration yield, one class at a time in class order,
+    each class mass exponentiated as its own scalar."""
+    ey = 0.0
+    for bits, lm in zip(spec.log2_mults.tolist(), spec.log2_masses):
+        ey += float(np.exp2(lm)) * bits
+    return ey

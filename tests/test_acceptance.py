@@ -190,7 +190,7 @@ def test_shift_dilution_exact_for_every_dim_to_64():
         proto = build_shift_dilution(q)
         dense = [diagonal_kraus_dense(op.weights, op.perm) for op in proto.alice_ops]
         assert completeness_defect(dense, d) <= 1e-10
-        outcomes, report = run_protocol(proto, d, q)
+        outcomes, report = run_protocol(proto, q)
         assert report.epsilon <= 1e-12
         assert report.s == 0.0
         assert report.c == (d - 1).bit_length() == math.ceil(math.log2(d))

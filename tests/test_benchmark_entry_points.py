@@ -94,6 +94,21 @@ def test_tracer_reads_what_a_spectrum_carries():
     assert tracer.spectra == {((0.75, 0.25), 4): 5}
 
 
+def test_tracer_reads_what_a_run_returns():
+    # a run_protocol call under find_min_budget is one probe, accepted when
+    # the run succeeds within the search's epsilon, its third argument
+    from entlab.locc import build_block_dilution, run_protocol
+    from entlab.spectrum import tensor_power_spectrum
+
+    tracer = _load_perfbench("tracing").Tracer(time.perf_counter)
+    spec = tensor_power_spectrum(np.array([0.75, 0.25]), 8)
+    search = [0, "lab.commands.find_min_budget", (spec, 8, 0.1), 0.0]
+    for budget in (8, 7):  # c*(8) = 8 at epsilon 0.1
+        proto, _ = build_block_dilution(spec, budget, eps_target=0.1)
+        tracer._observe_run_protocol(run_protocol(proto, spec), search)
+    assert (tracer.probes, tracer.accepted) == (2, 1)
+
+
 def test_classes_d4_inputs_keep_their_class_counts():
     # the gate checks these counts, and communication needs exact
     # multiplicities at every n of the grid

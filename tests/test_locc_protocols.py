@@ -27,7 +27,13 @@ from entlab.locc import (
     run_protocol_dense,
     verify_theorem_chain,
 )
-from oracles import block_dilution_by_pieces, completeness_defect, diagonal_kraus_dense
+from entlab.locc.runner import _target_pieces
+from oracles import (
+    block_dilution_by_pieces,
+    completeness_defect,
+    concentration_yield_by_class,
+    diagonal_kraus_dense,
+)
 
 P_QUARTER = np.array([0.75, 0.25])
 E_QUARTER = 0.8112781244591329
@@ -50,7 +56,7 @@ def test_shift_dilution_is_exact(d):
     dense = [diagonal_kraus_dense(op.weights, op.perm) for op in proto.alice_ops]
     assert completeness_defect(dense, d) < 1e-12
 
-    outcomes, report = run_protocol(proto, d, q)
+    outcomes, report = run_protocol(proto, q)
     # rolling the profile reorders the float renormalization sum, so a few
     # ulp of error noise is intrinsic; the contract is 1e-12
     assert report.epsilon <= 1e-12
@@ -66,7 +72,7 @@ def test_shift_dilution_dense_agreement():
     gen = np.random.default_rng(97)
     q = sorted_profile(gen, 4)
     proto = build_shift_dilution(q)
-    _, rw = run_protocol(proto, 4, q)
+    _, rw = run_protocol(proto, q)
     _, rd = run_protocol_dense(proto, 4, q)
     assert rw.epsilon <= 1e-12
     assert abs(rd.epsilon - rw.epsilon) < 1e-10
@@ -81,7 +87,7 @@ def test_run_protocol_rejects_non_diagonal_protocols():
     )
     q = np.array([0.75, 0.25])
     with pytest.raises(ValidationError, match="run_standard_form"):
-        run_protocol(proto, 2, q)
+        run_protocol(proto, q)
     with pytest.raises(ValidationError, match="run_standard_form"):
         run_protocol_dense(proto, 2, q)
 
@@ -105,7 +111,7 @@ def test_block_dilution_hand_case_budget_one():
     flat = np.array([6.0, 6.0, 2.0, 2.0]) / 16.0
     assert np.abs(proto.alice_ops[0].weights - 2.0 * flat).max() < 1e-12
 
-    outcomes, report = run_protocol(proto, 4, spec, n=2)
+    outcomes, report = run_protocol(proto, spec)
     assert report.c == 1
     assert abs(report.epsilon - BLOCK_ERR_BUDGET1) < 1e-12
     assert abs(report.s) < 1e-12
@@ -120,7 +126,7 @@ def test_block_dilution_hand_case_budget_zero():
     assert len(proto.alice_ops) == 1
     assert proto.message_bits == 0
     assert abs(terr - BLOCK_ERR_BUDGET0) < 1e-12
-    _, report = run_protocol(proto, 3, spec, n=2)
+    _, report = run_protocol(proto, spec)
     assert abs(report.epsilon - BLOCK_ERR_BUDGET0) < 1e-12
 
 
@@ -129,7 +135,7 @@ def test_block_dilution_dense_agreement_and_completeness():
     proto, terr = build_block_dilution(spec, 1, eps_target=0.8)
     dense = [diagonal_kraus_dense(op.weights, op.perm) for op in proto.alice_ops]
     assert completeness_defect(dense, 4) < 1e-10
-    _, rw = run_protocol(proto, 4, spec, n=2)
+    _, rw = run_protocol(proto, spec)
     _, rd = run_protocol_dense(proto, 4, spec, n=2)
     assert abs(rw.epsilon - terr) < 1e-12
     assert abs(rd.epsilon - terr) < 1e-12
@@ -150,7 +156,7 @@ def test_block_dilution_full_budget_is_exact():
     assert proto.dim_a == 4
     assert len(proto.alice_ops) == 4
     assert terr == 0.0
-    _, report = run_protocol(proto, 4, spec, n=2)
+    _, report = run_protocol(proto, spec)
     assert report.epsilon == 0.0
     assert report.s == 0.0
     assert report.c == 2
@@ -169,8 +175,13 @@ def assert_split_matches_oracle(monkeypatch, spec, budget, eps):
     runs, tail, error = block_dilution_by_pieces(
         spec.exact_mults, spec.log2_eigs, spec.log2_masses, d1, budget
     )
-    assert family.x_runs == runs, (spec.n, budget)
-    assert family.tail_log2_mass == tail
+    # the certificate's cut at the class boundaries restores the oracle's
+    # pieces and tail, float for float
+    pieces, pieces_tail = _target_pieces(family.x_runs, spec.view)
+    assert tuple(zip(*pieces)) == runs, (spec.n, budget)
+    assert pieces_tail == tail
+    log2_x = family.x_runs[1]
+    assert all(a != b for a, b in zip(log2_x, log2_x[1:])), (spec.n, budget)
     assert family.target_error == error == predicted
     return proto
 
@@ -205,7 +216,7 @@ def junk_complement_protocol():
 
 def test_succeed_or_flag_run_reports_s():
     proto, q = junk_complement_protocol()
-    outcomes, report = run_protocol(proto, 2, q)
+    outcomes, report = run_protocol(proto, q)
     assert report.s == 3.0  # one good outcome of probability exactly 1/8
     assert report.epsilon == 0.0
     good = [o for o in outcomes if o.good]
@@ -214,7 +225,7 @@ def test_succeed_or_flag_run_reports_s():
 
 def test_lift_success_probability_hand_case():
     proto, q = junk_complement_protocol()
-    _, report = run_protocol(proto, 2, q)
+    _, report = run_protocol(proto, q)
     lifted = lift_success_probability(report, 0.01)
     assert lifted.repetitions == 37  # ceil(8 ln 100)
     assert lifted.c == report.c + 6  # 36.bit_length()
@@ -227,7 +238,7 @@ def test_lift_success_probability_hand_case():
 
 def test_lift_rejects_hopeless_runs():
     proto, q = junk_complement_protocol()
-    _, report = run_protocol(proto, 2, q)
+    _, report = run_protocol(proto, q)
     with pytest.raises(ValidationError):
         lift_success_probability(report, 0.0)
     with pytest.raises(ValidationError):
@@ -235,14 +246,24 @@ def test_lift_rejects_hopeless_runs():
 
 
 def test_concentrate_hand_case():
-    res = concentrate(tensor_power_spectrum(P_QUARTER, 2))
+    spec = tensor_power_spectrum(P_QUARTER, 2)
+    res = concentrate(spec)
     assert res.n == 2
     assert abs(res.entropy_rate - E_QUARTER) < 1e-12
     assert abs(res.expected_yield - 0.375) < 1e-15  # 6/16 of one ebit
-    mid = [e for e in res.entries if e.log2_multiplicity > 0.5]
-    assert len(mid) == 1
-    assert abs(mid[0].prob - 0.375) < 1e-15
-    assert abs(mid[0].log2_multiplicity - 1.0) < 1e-15
+    mid = np.flatnonzero(spec.log2_mults > 0.5)
+    assert mid.size == 1
+    assert abs(float(np.exp2(spec.log2_masses[mid[0]])) - 0.375) < 1e-15
+    assert abs(spec.log2_mults[mid[0]] - 1.0) < 1e-15
+
+
+@pytest.mark.parametrize(
+    "p, n",
+    [((0.47, 0.29, 0.15, 0.09), 100), ((0.5, 0.3, 0.2), 300), ((0.75, 0.25), 4096)],
+)
+def test_concentrate_yield_equals_the_per_class_sum(p, n):
+    spec = tensor_power_spectrum(np.array(p), n)
+    assert concentrate(spec).expected_yield == concentration_yield_by_class(spec)
 
 
 def test_concentrate_yield_below_entropy():
@@ -286,7 +307,7 @@ def test_concentrate_deficit_follows_the_d4_type_expansion():
 def test_certificate_consistent_on_a_real_run(quarter_spectra):
     spec = quarter_spectra[64]
     proto, _ = build_block_dilution(spec, 30, eps_target=0.1)
-    outcomes, report = run_protocol(proto, proto.d_prime, spec, n=64)
+    outcomes, report = run_protocol(proto, spec)
     assert report.epsilon <= 0.1
     cert = verify_theorem_chain(outcomes[0], spec, report)
     assert cert.consistent
@@ -299,7 +320,7 @@ def test_certificate_consistent_on_a_real_run(quarter_spectra):
 def test_certificate_rejects_bad_inputs(quarter_spectra):
     spec = quarter_spectra[64]
     proto, _ = build_block_dilution(spec, 30, eps_target=0.1)
-    outcomes, report = run_protocol(proto, proto.d_prime, spec, n=64)
+    outcomes, report = run_protocol(proto, spec)
     bad = [o for o in outcomes if not o.good]
     if bad:
         with pytest.raises(ValidationError):
@@ -308,12 +329,45 @@ def test_certificate_rejects_bad_inputs(quarter_spectra):
         verify_theorem_chain(outcomes[0], tensor_power_spectrum(np.array([0.5, 0.5]), 64), report)
 
 
+def test_a_run_takes_n_from_its_target(quarter_spectra):
+    spec = tensor_power_spectrum(P_QUARTER, 4)
+    proto, _ = build_block_dilution(spec, 1, eps_target=0.1)
+    assert run_protocol(proto, spec)[1].n == spec.n
+    family, _ = build_block_dilution(quarter_spectra[64], 30, eps_target=0.1)
+    assert run_protocol(family, quarter_spectra[64])[1].n == 64
+    assert run_protocol(build_shift_dilution(P_QUARTER), P_QUARTER)[1].n is None
+
+
+def test_dense_oracle_refuses_a_dimension_or_n_the_run_does_not_have():
+    spec = tensor_power_spectrum(P_QUARTER, 2)
+    proto, _ = build_block_dilution(spec, 1, eps_target=0.8)
+    assert run_protocol_dense(proto, 4, spec, n=2)[1].n == 2
+    with pytest.raises(ValidationError, match="n = 3"):
+        run_protocol_dense(proto, 4, spec, n=spec.n + 1)
+    with pytest.raises(ValidationError, match="input dimension"):
+        run_protocol_dense(proto, 3, spec, n=2)
+
+
+def test_certificate_reads_its_target_from_the_spectrum_alone(quarter_spectra):
+    spec = quarter_spectra[256]
+    family, _ = build_block_dilution(spec, 63, eps_target=0.1)
+    outcomes, report = run_protocol(family, spec)
+    assert verify_theorem_chain(outcomes[0], spec, report).consistent
+    with pytest.raises(ValidationError, match="n = 256"):
+        verify_theorem_chain(outcomes[0], quarter_spectra[1024], report)
+    # same n and class sizes, other eigenvalues: the run misses this target
+    other_spec = tensor_power_spectrum(np.array([0.6, 0.4]), 256)
+    other = verify_theorem_chain(outcomes[0], other_spec, report)
+    assert not other.dp_ok
+    assert not other.consistent
+
+
 def test_symbolic_run_refuses_a_foreign_target(quarter_spectra):
     family, _ = build_block_dilution(quarter_spectra[64], 30, eps_target=0.1)
     flat = np.array([0.5, 0.5])
     for target in (flat, SchmidtProfile(flat), quarter_spectra[256]):
         with pytest.raises(ValidationError, match="family's spectrum"):
-            run_protocol(family, family.d_prime, target, n=64)
+            run_protocol(family, target)
 
 
 def test_weight_vector_outcomes_are_runs_of_length_one(monkeypatch):
@@ -330,8 +384,8 @@ def test_weight_vector_outcomes_are_runs_of_length_one(monkeypatch):
                 mp.setattr("entlab.locc.protocols.WEIGHTS_CAP", 0)
                 family, _ = build_block_dilution(spec, c, eps_target=0.1)
             pairs += 1
-            outs_w, rep_w = run_protocol(proto, proto.dim_a, spec, n=n)
-            outs_s, rep_s = run_protocol(family, family.d_prime, spec, n=n)
+            outs_w, rep_w = run_protocol(proto, spec)
+            outs_s, rep_s = run_protocol(family, spec)
             assert abs(rep_w.epsilon - rep_s.epsilon) <= 1e-12
             good_w = next(o for o in outs_w if o.good)
             cert_w = verify_theorem_chain(good_w, spec, rep_w)
@@ -362,7 +416,7 @@ def test_certificate_refuses_a_dense_oracle_outcome():
 def test_shift_dilution_exactness_property(raw, seed):
     q = np.sort(np.array(raw, dtype=float) / sum(raw))[::-1]
     proto = build_shift_dilution(q)
-    outcomes, report = run_protocol(proto, q.size, q)
+    outcomes, report = run_protocol(proto, q)
     assert report.epsilon <= 1e-12
     assert report.s == 0.0
     assert abs(sum(o.prob for o in outcomes) - 1.0) < 1e-9
