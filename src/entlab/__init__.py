@@ -42,6 +42,7 @@ from .spectrum import (
     ClassSpectrum,
     SortedSpectrumView,
     SpectrumStats,
+    berry_esseen_grid,
     berry_esseen_residual,
     gaussian_cdf,
     mu,

@@ -7,7 +7,6 @@ formatted with %.12g so a fixed config yields byte-identical output.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -26,7 +25,7 @@ from ..locc import (
 from ..sigsub import growth_fit, min_dilution_dimension
 from ..spectrum import (
     BaseSpectrum,
-    berry_esseen_residual,
+    berry_esseen_grid,
     spectrum_stats,
     tensor_power_spectrum,
 )
@@ -34,6 +33,8 @@ from .config import ExperimentConfig
 
 
 def _fmt(value) -> str:
+    if isinstance(value, float):
+        return "%.12g" % value
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -42,11 +43,10 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: str, header, rows) -> str:
+    # no field holds a comma, quote or newline, so none is ever quoted
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
     return path
 
 
@@ -60,6 +60,37 @@ def _write_json(path: str, obj) -> str:
 def _ensure_out(config: ExperimentConfig) -> str:
     os.makedirs(config.out, exist_ok=True)
     return config.out
+
+
+# classes per write of write_spectrum_json
+SPECTRUM_CHUNK = 1 << 14
+_CLASS_JSON = '  {\n   "log2_eig": %r,\n   "log2_mass": %r,\n   "log2_mult": %r\n  }'
+
+
+def write_spectrum_json(path: str, spec) -> str:
+    """Write a ClassSpectrum as json.dump(indent=1, sort_keys=True) would.
+
+    The document is {"base_probs", "classes": [{"log2_eig", "log2_mass",
+    "log2_mult"}, ...], "n"}. The class table is written SPECTRUM_CHUNK
+    classes at a time, so the text of the whole table is never held at
+    once. A spectrum's entries are all finite, so %r of each float is its
+    JSON text.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write('{\n "base_probs": [\n')
+        fh.write(",\n".join("  %r" % x for x in spec.base_probs.tolist()))
+        fh.write('\n ],\n "classes": [\n')
+        for lo in range(0, spec.num_classes, SPECTRUM_CHUNK):
+            cut = slice(lo, lo + SPECTRUM_CHUNK)
+            rows = zip(
+                spec.log2_eigs[cut].tolist(),
+                spec.log2_masses[cut].tolist(),
+                spec.log2_mults[cut].tolist(),
+            )
+            fh.write(",\n" if lo else "")
+            fh.write(",\n".join(map(_CLASS_JSON.__mod__, rows)))
+        fh.write('\n ],\n "n": %d\n}\n' % spec.n)
+    return path
 
 
 def residual_grid(n: int, cells: int):
@@ -78,25 +109,13 @@ def cmd_spectrum(config: ExperimentConfig) -> tuple:
     out = _ensure_out(config)
     base = BaseSpectrum(np.asarray(config.p, dtype=float))
 
-    def work(n: int):
-        spec = tensor_power_spectrum(base, n)
-        st = spec.stats
-        lefts, widths = residual_grid(n, config.grid_cells)
-        scale = st.alpha * math.sqrt(n)
-        rows = []
-        for x1 in lefts:
-            for w in widths:
-                a = x1 * scale - n * st.entropy
-                b = (x1 + w) * scale - n * st.entropy
-                res = berry_esseen_residual(spec, a, b)
-                rows.append((n, a, b, res.residual, res.bound, res.passed))
-        return n, spec, rows
-
     written = []
     all_rows = []
-    for n, spec, rows in map(work, config.n_grid):
-        written.append(_write_json(os.path.join(out, f"spectrum_n{n}.json"), spec.to_json()))
-        all_rows.extend(rows)
+    for n in config.n_grid:
+        spec = tensor_power_spectrum(base, n)
+        all_rows.extend(berry_esseen_grid(spec, *residual_grid(n, config.grid_cells)))
+        written.append(write_spectrum_json(os.path.join(out, f"spectrum_n{n}.json"), spec))
+        del spec  # one spectrum alive at a time
     all_rows.sort(key=lambda r: (r[0], r[1], r[2]))
     written.append(
         _write_csv(
@@ -114,21 +133,20 @@ def cmd_inefficiency(config: ExperimentConfig) -> tuple:
     out = _ensure_out(config)
     base = BaseSpectrum(np.asarray(config.p, dtype=float))
 
-    def work(n: int):
-        spec = tensor_power_spectrum(base, n)
-        st = spec.stats
-        md = min_dilution_dimension(spec, config.eps_reference)
-        ne = n * st.entropy
-        return (
-            n,
-            ne,
-            md.lower_log2,
-            md.upper_log2,
-            md.lower_log2 - ne,
-            st.alpha * math.sqrt(n),
-        )
+    rows = []
 
-    rows = sorted(map(work, config.n_grid))
+    def spectra():
+        # each spectrum gives its inefficiency row, then feeds the growth fit
+        for n in config.n_grid:
+            spec = tensor_power_spectrum(base, n)
+            st = spec.stats
+            md = min_dilution_dimension(spec, config.eps_reference)
+            ne, lo = n * st.entropy, md.lower_log2
+            rows.append((n, ne, lo, md.upper_log2, lo - ne, st.alpha * math.sqrt(n)))
+            yield spec
+            del spec  # one spectrum alive at a time
+
+    fit = growth_fit(spectra(), config.delta)
     written = [
         _write_csv(
             os.path.join(out, "inefficiency.csv"),
@@ -136,7 +154,6 @@ def cmd_inefficiency(config: ExperimentConfig) -> tuple:
             rows,
         )
     ]
-    fit = growth_fit(base, config.delta, config.n_grid)
     fit_rows = [
         (n, ex, res, ok, mc)
         for n, ex, res, ok, mc in zip(

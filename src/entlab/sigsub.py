@@ -15,13 +15,7 @@ import numpy as np
 from .errors import DegenerateSpectrumError, ValidationError
 from .logdomain import NEG_INF, ceil_exp2, log2_int, log2add
 from .qmath import DensityMatrix, epsilon_rank, trace_distance
-from .spectrum import (
-    BaseSpectrum,
-    ClassSpectrum,
-    mass_threshold_class,
-    spectrum_stats,
-    tensor_power_spectrum,
-)
+from .spectrum import ClassSpectrum, mass_threshold_class
 from .tolerances import EQUALITY_TOL, RANK_REL_TOL
 
 # reference experiment constants used throughout the scaling studies
@@ -168,31 +162,39 @@ class GrowthFit:
     floor_coeff: float
 
 
-def growth_fit(p, delta: float, n_grid) -> GrowthFit:
+def growth_fit(spectra, delta: float) -> GrowthFit:
     """Fit log2 S(rho^n, delta) - nE against sqrt(n).
 
-    Also reports, per n, whether the excess clears
-    log2(REFERENCE_FLOOR_COEFF) + alpha sqrt(n), and the measured per-n
-    coefficient C(n) = S / 2^(nE + alpha sqrt n).
+    spectra is an iterable of ClassSpectrum powers of one base, in strictly
+    ascending n; each is read once as it arrives, so a generator keeps one
+    spectrum alive at a time. Also reports, per n, whether the excess
+    clears log2(REFERENCE_FLOOR_COEFF) + alpha sqrt(n), and the measured
+    per-n coefficient C(n) = S / 2^(nE + alpha sqrt n).
     """
-    base = p if isinstance(p, BaseSpectrum) else BaseSpectrum(p)
-    st = spectrum_stats(base)
-    if st.degenerate:
-        raise DegenerateSpectrumError("growth undefined for a flat spectrum")
-    ns = [int(v) for v in n_grid]
-    if not ns or any(x <= 0 for x in ns) or any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ValidationError("n_grid must be ascending positive integers")
+    ns = []
     excess = []
     floor_ok = []
     measured = []
-    for n in ns:
-        spec = tensor_power_spectrum(base, n)
-        s = sig_dim(spec, delta)
-        ex = s.log2_dim - n * st.entropy
+    for spec in spectra:
+        if not ns:
+            base = spec.base_probs
+            st = spec.stats
+            if st.degenerate:
+                raise DegenerateSpectrumError("growth undefined for a flat spectrum")
+        elif not np.array_equal(spec.base_probs, base):
+            raise ValidationError("growth_fit needs powers of one base")
+        elif spec.n <= ns[-1]:
+            raise ValidationError("growth_fit needs spectra in strictly ascending n")
+        n = spec.n
+        ns.append(n)
+        ex = sig_dim(spec, delta).log2_dim - n * st.entropy
         excess.append(ex)
         bound = math.log2(REFERENCE_FLOOR_COEFF) + st.alpha * math.sqrt(n)
         floor_ok.append(ex >= bound)
         measured.append(2.0 ** (ex - st.alpha * math.sqrt(n)))
+        del spec  # let the next spectrum build without this one
+    if not ns:
+        raise ValidationError("growth_fit needs at least one spectrum")
     rt = np.sqrt(np.asarray(ns, dtype=float))
     design = np.vstack([rt, np.ones_like(rt)]).T
     coef, *_ = np.linalg.lstsq(design, np.asarray(excess), rcond=None)

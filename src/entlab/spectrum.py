@@ -170,8 +170,9 @@ def _class_starts(e: np.ndarray) -> np.ndarray:
 class ClassSpectrum:
     """Merged multiplicity classes of a tensor power, sorted by descending eigenvalue.
 
-    log2_masses[i] = log2_mults[i] + log2_eigs[i]; the exact_mults tuple is
-    present when big-int multiplicities were affordable (see module constants).
+    log2_masses[i] = log2_mults[i] + log2_eigs[i], every entry finite; the
+    exact_mults tuple is present when big-int multiplicities were affordable
+    (see module constants).
     """
 
     n: int
@@ -184,6 +185,8 @@ class ClassSpectrum:
     def __post_init__(self):
         for name in ("base_probs", "log2_eigs", "log2_mults", "log2_masses"):
             arr = np.asarray(getattr(self, name), dtype=float)
+            if not np.isfinite(arr).all():
+                raise ValidationError(f"{name} has a non-finite entry")
             object.__setattr__(self, name, arr)
             arr.setflags(write=False)
         if self.n < 1:
@@ -216,20 +219,6 @@ class ClassSpectrum:
     def view(self) -> SortedSpectrumView:
         """The spectrum's one SortedSpectrumView, built on first use."""
         return SortedSpectrumView(self)
-
-    def to_json(self) -> dict:
-        return {
-            "n": int(self.n),
-            "base_probs": [float(x) for x in self.base_probs],
-            "classes": [
-                {
-                    "log2_eig": float(e),
-                    "log2_mult": float(m),
-                    "log2_mass": float(w),
-                }
-                for e, m, w in zip(self.log2_eigs, self.log2_mults, self.log2_masses)
-            ],
-        }
 
 
 def tensor_power_spectrum(p: BaseSpectrum | np.ndarray, n: int) -> ClassSpectrum:
@@ -296,21 +285,32 @@ def tensor_power_spectrum(p: BaseSpectrum | np.ndarray, n: int) -> ClassSpectrum
     )
 
 
+def _class_slices(asc: np.ndarray, a, b):
+    """The window-to-slice rule: classes whose log2 eigenvalue lies in [a, b].
+
+    asc holds the log2 eigenvalues in ascending order. Returns the index
+    range [lo, hi) into asc; each endpoint is widened by 1e-9 so atoms
+    sitting exactly on it count once. a and b may be arrays.
+    """
+    lo = np.searchsorted(asc, a - 1e-9, side="left")
+    hi = np.searchsorted(asc, b + 1e-9, side="right")
+    return lo, hi
+
+
+def _slice_mass(log2_masses: np.ndarray, lo: int, hi: int) -> float:
+    """Total mass of the ascending-order class slice [lo, hi); masses are descending."""
+    if hi <= lo:
+        return 0.0
+    ncl = log2_masses.size
+    return float(np.exp2(log2sumexp(log2_masses[ncl - hi : ncl - lo])))
+
+
 def mu(spec: ClassSpectrum, a: float, b: float) -> float:
     """Total mass of eigenvalues with log2 value in the closed interval [a, b]."""
     if a > b:
         raise ValidationError("mu needs a <= b")
-    # eigs are sorted descending; find the slice inside [a, b] with a small
-    # boundary tolerance so atoms sitting exactly on an endpoint count once
-    desc = spec.log2_eigs
-    asc = desc[::-1]
-    lo = int(np.searchsorted(asc, a - 1e-9, side="left"))
-    hi = int(np.searchsorted(asc, b + 1e-9, side="right"))
-    if hi <= lo:
-        return 0.0
-    ncl = desc.size
-    sl = spec.log2_masses[ncl - hi : ncl - lo]
-    return float(np.exp2(log2sumexp(sl)))
+    lo, hi = _class_slices(spec.log2_eigs[::-1], a, b)
+    return _slice_mass(spec.log2_masses, int(lo), int(hi))
 
 
 def _upper_tail(x: float) -> float:
@@ -340,30 +340,72 @@ class BerryEsseenResult:
     passed: bool
 
 
-def berry_esseen_residual(spec: ClassSpectrum, a: float, b: float) -> BerryEsseenResult:
-    """Gap between the exact interval mass and its Gaussian surrogate.
+def _surrogate(spec: ClassSpectrum):
+    """(nE, alpha sqrt(n), 25 beta / sqrt(n)) of the n-fold power spec.
 
-    spec is the n-fold power; it carries n and the base. The surrogate
-    evaluates the normal mass between the standardized endpoints
-    (a + nE)/(alpha sqrt n) and (b + nE)/(alpha sqrt n); the bound is
-    25 beta / sqrt(n).
+    The Gaussian surrogate of a window [a, b] is the normal mass between
+    the standardized endpoints (a + nE)/(alpha sqrt n) and
+    (b + nE)/(alpha sqrt n); 25 beta / sqrt(n) bounds the residual.
     """
     st = spec.stats
     if st.degenerate:
         raise DegenerateSpectrumError("alpha = 0: all base probabilities equal")
+    n = spec.n
+    return n * st.entropy, math.sqrt(n) * st.alpha, 25.0 * st.beta / math.sqrt(n)
+
+
+def _residual(ne: float, rt: float, a: float, b: float, m: float):
+    """(gauss, |m - gauss|) of the window [a, b] of exact mass m; see _surrogate."""
+    g = gaussian_cdf((a + ne) / rt, (b + ne) / rt)
+    return g, abs(m - g)
+
+
+def berry_esseen_residual(spec: ClassSpectrum, a: float, b: float) -> BerryEsseenResult:
+    """Gap between the exact mass of [a, b] and its Gaussian surrogate.
+
+    spec is the n-fold power; it carries n and the base.
+    """
+    ne, rt, bound = _surrogate(spec)
     if a > b:
         raise ValidationError("needs a <= b")
-    n = spec.n
-    rt = math.sqrt(n) * st.alpha
-    x1 = (a + n * st.entropy) / rt
-    x2 = (b + n * st.entropy) / rt
     m = mu(spec, a, b)
-    g = gaussian_cdf(x1, x2)
-    residual = abs(m - g)
-    bound = 25.0 * st.beta / math.sqrt(n)
+    g, residual = _residual(ne, rt, a, b, m)
     return BerryEsseenResult(
         mu_value=m, gauss_value=g, residual=residual, bound=bound, passed=residual < bound
     )
+
+
+def berry_esseen_grid(spec: ClassSpectrum, lefts: np.ndarray, widths: np.ndarray) -> list:
+    """berry_esseen_residual over a grid of standardized windows, in one pass.
+
+    Window (x1, w) is [a, b] with a = x1 alpha sqrt(n) - nE and
+    b = (x1 + w) alpha sqrt(n) - nE; x1 runs over lefts, and for each x1,
+    w over widths. Returns one row (n, a, b, residual, bound, passed) per
+    window in that order, each equal float for float to
+    berry_esseen_residual(spec, a, b). The slices of one x1-row are found
+    with one searchsorted, and each class slice's mass is summed once per
+    call.
+    """
+    ne, rt, bound = _surrogate(spec)
+    widths = np.asarray(widths, dtype=float)
+    if widths.size and widths.min() < 0.0:
+        raise ValidationError("needs widths >= 0")
+    n = spec.n
+    asc = np.ascontiguousarray(spec.log2_eigs[::-1])
+    masses = {}
+    rows = []
+    for x1 in np.asarray(lefts, dtype=float):
+        a = float(x1 * rt - ne)
+        bs = (x1 + widths) * rt - ne
+        lo, his = _class_slices(asc, a, bs)
+        lo = int(lo)
+        for b, hi in zip(bs.tolist(), his.tolist()):
+            m = masses.get((lo, hi))
+            if m is None:
+                m = masses[lo, hi] = _slice_mass(spec.log2_masses, lo, hi)
+            residual = _residual(ne, rt, a, b, m)[1]
+            rows.append((n, a, b, residual, bound, residual < bound))
+    return rows
 
 
 def mass_threshold_class(log2_masses, log2_eigs, delta: float):

@@ -5,10 +5,13 @@ arithmetic where the inputs are rational, dense linear algebra otherwise.
 None of it calls back into entlab, so agreement is evidence rather than
 tautology. Two oracles must match the package bit for bit: the per-row
 class enumeration and the block-dilution split. They share entlab's
-log-domain float helpers and rebuild everything else on their own.
+log-domain float helpers and rebuild everything else on their own. The
+write_spectrum_json_by_dump is the byte reference for the streamed spectrum
+writer.
 """
 
 import itertools
+import json
 import math
 from bisect import bisect_right
 from fractions import Fraction
@@ -280,3 +283,23 @@ def concentration_yield_by_class(spec):
     for bits, lm in zip(spec.log2_mults.tolist(), spec.log2_masses):
         ey += float(np.exp2(lm)) * bits
     return ey
+
+
+def write_spectrum_json_by_dump(path, spec):
+    """Write a spectrum file with json.dump(indent=1, sort_keys=True) of one
+    dict holding the whole class table, plus a newline."""
+    doc = {
+        "n": int(spec.n),
+        "base_probs": [float(x) for x in spec.base_probs],
+        "classes": [
+            {
+                "log2_eig": float(e),
+                "log2_mult": float(m),
+                "log2_mass": float(w),
+            }
+            for e, m, w in zip(spec.log2_eigs, spec.log2_mults, spec.log2_masses)
+        ],
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")

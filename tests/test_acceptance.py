@@ -50,7 +50,7 @@ from entlab.sigsub import (
     growth_fit,
     min_dilution_dimension,
 )
-from entlab.spectrum import berry_esseen_residual, spectrum_stats, tensor_power_spectrum
+from entlab.spectrum import berry_esseen_grid, spectrum_stats, tensor_power_spectrum
 
 P_QUARTER = np.array([0.75, 0.25])
 QUARTER_FRACS = (Fraction(3, 4), Fraction(1, 4))
@@ -88,18 +88,9 @@ def residual_scan():
         norm_scale = st.alpha**3
         for n in (100, 400, 1600, 6400):
             spec = tensor_power_spectrum(base, n)
-            scale = st.alpha * math.sqrt(n)
-            shift = n * st.entropy
-            lefts, widths = residual_grid(n, 50)
-            worst_plain = worst_norm = 0.0
-            for x1 in lefts:
-                for w in widths:
-                    a = x1 * scale - shift
-                    b = (x1 + w) * scale - shift
-                    res = berry_esseen_residual(spec, a, b)
-                    ratio = res.residual / res.bound
-                    worst_plain = max(worst_plain, ratio)
-                    worst_norm = max(worst_norm, ratio * norm_scale)
+            ratios = [row[3] / row[4] for row in berry_esseen_grid(spec, *residual_grid(n, 50))]
+            worst_plain = max(ratios)
+            worst_norm = max(ratio * norm_scale for ratio in ratios)
             out[(p1, n)] = (worst_plain, worst_norm)
     return out
 
@@ -157,7 +148,7 @@ def test_dimension_bounds_hold_on_seeded_instances():
 @pytest.mark.criterion(4, "sqrt(n) growth coefficient of the 0.95-subspace")
 def test_growth_coefficient_matches_gaussian_quantile():
     grid = (100, 178, 316, 562, 1000, 1778, 3162, 5623, 10000)
-    fit = growth_fit(P_QUARTER, 0.95, grid)
+    fit = growth_fit((tensor_power_spectrum(P_QUARTER, n) for n in grid), 0.95)
     assert abs(fit.fitted_coeff / QUANTILE_COEFF - 1.0) <= 0.10
     # strictly above alpha: the quantile factor 1.645 is visible in the data
     assert fit.fitted_coeff > spectrum_stats(P_QUARTER).alpha

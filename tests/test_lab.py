@@ -2,6 +2,7 @@
 
 import csv
 import filecmp
+import hashlib
 import json
 import math
 import os
@@ -23,8 +24,10 @@ from entlab.lab import (
     with_updates,
 )
 from entlab.lab.cli import main
-from entlab.lab.commands import probe_budget
+from entlab.lab import commands
+from entlab.lab.commands import probe_budget, write_spectrum_json
 from entlab.spectrum import tensor_power_spectrum
+from oracles import write_spectrum_json_by_dump
 
 P_QUARTER = np.array([0.75, 0.25])
 
@@ -329,6 +332,82 @@ def test_outputs_are_deterministic(tmp_path):
     assert ta.keys() == tb.keys()
     for rel in ta:
         assert filecmp.cmp(ta[rel], tb[rel], shallow=False), rel
+
+
+# sha256 of every file the four commands write at the default config apart
+# from p and n_grid, as json.dump, csv.writer and the per-cell residual loop
+# wrote them; a change here is a deliberate change of the published outputs
+RECORDED_OUTPUTS = {
+    ((0.75, 0.25), (64, 256)): {
+        "communication.csv": "44ace455b95dc1589e213afa6a24d40782a247aa39094a8906e592201731c5b0",
+        "concentration.csv": "0933b2869e15f0c17bbd27fc61c4140f488e55322675f2c68b8c51ebd8d19857",
+        "growth_fit.csv": "b5bb68904af7f4cdf799955246d15ce2d8be63f58a4ca883092b709fa43db028",
+        "growth_summary.json": "e176ca14d395883d5f5ec7da4464fd5d599e7f86906e9babaff71eb92ab23598",
+        "inefficiency.csv": "51981e9ca9d0282b44539c3e39a543ae4c1e2d8cbfd897d2ea6147975dc43b55",
+        "residuals.csv": "4115882a0c45d4fd517d4f58cdece4feb9c6f6cb3bd9bcb1c6a27cdb574f6f01",
+        "spectrum_n256.json": "81591c3e0c31c2d6ba9a27414a6fb4dcef031da2255208ede4eae060d8cfa536",
+        "spectrum_n64.json": "b46bd47c9e7eb46ec0b8ccbab7471f5ad36f9a8e125e65d03ce9aadb64ae1137",
+        "certificates/cert_n256.json": (
+            "e2a45440613699ce3599f38c9ecfb899c9e6d64e62b008db96d4d500dee5572d"
+        ),
+        "certificates/cert_n64.json": (
+            "4c42f868ed2abc828d34c45167ffd9630ea1d8bad6e3e8af59a66d53a061c7b1"
+        ),
+    },
+    ((0.4, 0.3, 0.2, 0.1), (25,)): {
+        "communication.csv": "b7bbf1fed141c3c394df4eba6637b6879dcc2b6659b7eba378ab9f4dc68a1c22",
+        "concentration.csv": "d0332a79a74c78a02b0d031c80a16fc13c8661e9ccffb4826a482bb697cdb23c",
+        "growth_fit.csv": "b4d373f9d01e8b5d8d191db001c022792249cfbf99cd127ae9ad25b0942b977c",
+        "growth_summary.json": "0126c96eef11db3b8dee8c79dc24763ab561d872838860f6d8ed63a8641e700d",
+        "inefficiency.csv": "8e0dedd4c3808278b537b85c65570e796df5b150a81d0b49d0d27ae56746517b",
+        "residuals.csv": "180d7c81b20d952e8a42b9d30666c0ccde2da1c38ef73f9e94dcd2f11b82a268",
+        "spectrum_n25.json": "0805a6a9758fb2631348811fb2b2b9c42d7855fc7dc11437941423c86ef9e2ad",
+        "certificates/cert_n25.json": (
+            "96058b8ea6ef0e0cc187e3a99aa57a961566171ab63f55d390eee73b7f486d8c"
+        ),
+    },
+}
+
+
+@pytest.mark.parametrize("p, n_grid", list(RECORDED_OUTPUTS), ids=["d2", "d4"])
+def test_commands_write_the_recorded_bytes(tmp_path, p, n_grid):
+    _run_everything(ExperimentConfig(p=p, n_grid=n_grid, out=str(tmp_path)))
+    digests = {}
+    for rel, path in _tree(tmp_path).items():
+        with open(path, "rb") as fh:
+            digests[rel.replace(os.sep, "/")] = hashlib.sha256(fh.read()).hexdigest()
+    assert digests == RECORDED_OUTPUTS[p, n_grid]
+
+
+@pytest.mark.parametrize(
+    "p, n, exact",
+    [
+        ((1.0,), 7, True),
+        ((0.75, 0.25), 1, True),
+        ((0.75, 0.25), 4096, True),
+        # 212,226 classes: past EXACT_MULT_MAX_CLASSES, so log2 multiplicities only
+        ((0.5, 0.3, 0.2), 650, False),
+        ((0.4, 0.3, 0.2, 0.1), 25, True),
+    ],
+)
+def test_spectrum_writer_equals_json_dump(tmp_path, p, n, exact):
+    spec = tensor_power_spectrum(np.array(p), n)
+    assert (spec.exact_mults is not None) == exact
+    write_spectrum_json(str(tmp_path / "new.json"), spec)
+    write_spectrum_json_by_dump(str(tmp_path / "old.json"), spec)
+    assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 26, 676, 677])
+def test_spectrum_writer_equals_json_dump_across_chunks(tmp_path, monkeypatch, chunk):
+    # 676 classes: one chunk, one class per chunk, and chunk edges that
+    # divide the table exactly (26, 676) or not (7, 677)
+    spec = tensor_power_spectrum(np.array([0.4, 0.3, 0.2, 0.1]), 25)
+    assert spec.num_classes == 676
+    monkeypatch.setattr(commands, "SPECTRUM_CHUNK", chunk)
+    write_spectrum_json(str(tmp_path / "new.json"), spec)
+    write_spectrum_json_by_dump(str(tmp_path / "old.json"), spec)
+    assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
 
 
 def test_cli_spectrum_roundtrip(tmp_path, capsys):

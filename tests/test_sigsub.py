@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entlab import (
+    DegenerateSpectrumError,
     DensityMatrix,
     ValidationError,
     check_prop1,
@@ -142,7 +143,7 @@ def test_prop2_rejects_bad_deltas():
 
 
 def test_growth_fit_quarter_base_short_grid():
-    fit = growth_fit(P_QUARTER, 0.95, (64, 128, 256, 512))
+    fit = growth_fit((tensor_power_spectrum(P_QUARTER, n) for n in (64, 128, 256, 512)), 0.95)
     assert fit.fitted_coeff > ALPHA_QUARTER * 0.8
     assert len(fit.excess) == 4
     assert all(np.isfinite(fit.excess))
@@ -152,9 +153,34 @@ def test_growth_fit_quarter_base_short_grid():
 
 
 def test_growth_fit_median_coefficient_shrinks():
-    fit = growth_fit(P_QUARTER, 0.5, (256, 1024, 4096))
+    fit = growth_fit((tensor_power_spectrum(P_QUARTER, n) for n in (256, 1024, 4096)), 0.5)
     # median excess is o(sqrt n): the fitted slope sits far below alpha
     assert abs(fit.fitted_coeff) < 0.25 * ALPHA_QUARTER
+
+
+def test_growth_fit_reads_each_spectrum_once_and_refuses_bad_streams():
+    grid = (64, 128, 256)
+    seen = []
+
+    def powers():
+        for n in grid:
+            seen.append(n)
+            yield tensor_power_spectrum(P_QUARTER, n)
+
+    fit = growth_fit(powers(), 0.95)
+    assert seen == list(grid) and fit.n_grid == grid
+    two = tensor_power_spectrum(P_QUARTER, 2)
+    other = tensor_power_spectrum(np.array([0.6, 0.4]), 4)
+    with pytest.raises(ValidationError, match="ascending"):
+        growth_fit([tensor_power_spectrum(P_QUARTER, 4), two], 0.95)
+    with pytest.raises(ValidationError, match="ascending"):
+        growth_fit([two, two], 0.95)
+    with pytest.raises(ValidationError, match="one base"):
+        growth_fit([two, other], 0.95)
+    with pytest.raises(ValidationError, match="at least one"):
+        growth_fit([], 0.95)
+    with pytest.raises(DegenerateSpectrumError):
+        growth_fit([tensor_power_spectrum(np.array([0.5, 0.5]), 4)], 0.95)
 
 
 def test_reference_threshold_scale():

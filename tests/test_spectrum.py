@@ -16,13 +16,14 @@ from entlab import (
     BaseSpectrum,
     DegenerateSpectrumError,
     ValidationError,
+    berry_esseen_grid,
     berry_esseen_residual,
     gaussian_cdf,
     mu,
     spectrum_stats,
     tensor_power_spectrum,
 )
-from entlab.lab.commands import find_min_budget
+from entlab.lab.commands import find_min_budget, residual_grid
 from entlab.locc import verify_theorem_chain
 from entlab import spectrum as spectrum_module
 from entlab.sigsub import sig_dim
@@ -213,6 +214,43 @@ def test_berry_esseen_result_is_self_consistent():
     assert res.passed == (res.residual < res.bound)
 
 
+@pytest.mark.parametrize(
+    "p, n",
+    [((0.75, 0.25), 64), ((0.75, 0.25), 256), ((0.75, 0.25), 1024), ((0.75, 0.25), 4096)]
+    + [((0.4, 0.3, 0.2, 0.1), 25)],
+)
+def test_residual_grid_rows_equal_per_cell_residuals(p, n):
+    spec = tensor_power_spectrum(np.array(p), n)
+    st_ = spec.stats
+    scale = st_.alpha * math.sqrt(n)
+    lefts, widths = residual_grid(n, 50)
+    assert widths[0] == 0.0
+    # plus one row of windows wholly below the smallest class and one wholly
+    # above the largest, where the class slice is empty (hi <= lo)
+    below = (spec.log2_eigs[-1] + n * st_.entropy) / scale - widths[-1] - 1.0
+    above = (spec.log2_eigs[0] + n * st_.entropy) / scale + 1.0
+    lefts = np.concatenate(([below], lefts, [above]))
+    rows = berry_esseen_grid(spec, lefts, widths)
+    assert len(rows) == lefts.size * widths.size
+    cells = [(x1, w) for x1 in lefts for w in widths]
+    for row, (x1, w) in zip(rows, cells):
+        a = x1 * scale - n * st_.entropy
+        b = (x1 + w) * scale - n * st_.entropy
+        res = berry_esseen_residual(spec, a, b)
+        assert row == (n, a, b, res.residual, res.bound, res.passed)
+        assert type(row[5]) is bool
+    outside = rows[: widths.size] + rows[-widths.size :]
+    assert all(mu(spec, a, b) == 0.0 for _, a, b, *_ in outside)
+
+
+def test_residual_grid_refuses_a_negative_width():
+    spec = tensor_power_spectrum(P_QUARTER, 16)
+    with pytest.raises(ValidationError):
+        berry_esseen_grid(spec, np.array([0.0]), np.array([1.0, -0.5]))
+    with pytest.raises(DegenerateSpectrumError):
+        berry_esseen_grid(tensor_power_spectrum(np.array([0.5, 0.5]), 4), [0.0], [1.0])
+
+
 def test_berry_esseen_known_violation_is_reported():
     """At base (0.6, 0.4), n=100, the cell with standardized left edge
     -20/49 and width 40/49 exceeds the 25 beta/sqrt(n) envelope by 22%.
@@ -314,4 +352,4 @@ def test_growth_guard_rejects_uniform_base():
     from entlab.sigsub import growth_fit
 
     with pytest.raises(DegenerateSpectrumError):
-        growth_fit(np.array([0.5, 0.5]), 0.95, (4, 8))
+        growth_fit((tensor_power_spectrum(np.array([0.5, 0.5]), n) for n in (4, 8)), 0.95)
