@@ -175,10 +175,11 @@ def _shift_matrix(d: int) -> np.ndarray:
     return s
 
 
-def _support_data(psd: np.ndarray):
-    w, v = np.linalg.eigh((psd + psd.conj().T) / 2.0)
-    w = np.clip(w, 0.0, None)
-    cut = max(float(w.max()) if w.size else 0.0, 0.0) * 1e-13
+def _support_data(f: np.ndarray):
+    """Nonzero eigenvalues and eigenvectors of f f^dagger, from a thin SVD of f."""
+    v, s, _ = np.linalg.svd(f, full_matrices=False)
+    w = s * s
+    cut = (float(w.max()) if w.size else 0.0) * 1e-13
     keep = w > max(cut, 1e-30)
     return w[keep], v[:, keep]
 
@@ -230,11 +231,9 @@ def standardize(ir: ProtocolIR, input_state: PureBipartiteState) -> StandardForm
 
     anc_states_a = [vec for (_, _, vec) in info.ancillas["A"]]
     anc_states_b = [vec for (_, _, vec) in info.ancillas["B"]]
-    rec_e0 = {}
-    for label, (party, reg) in record_reg.items():
+    for label, (party, _) in record_reg.items():
         v = np.zeros(info.alphabet[label], dtype=complex)
         v[0] = 1.0
-        rec_e0[label] = v
         (anc_states_a if party == "A" else anc_states_b).append(v)
 
     chi0 = input_state.as_matrix()
@@ -261,38 +260,41 @@ def standardize(ir: ProtocolIR, input_state: PureBipartiteState) -> StandardForm
             continue
         if kind == "ApplyUnitary":
             dims = dims_a if ins.party == "A" else dims_b
-            for node in nodes:
-                if ins.control is None:
-                    full = embed_operator(ins.matrix, dims, ins.targets)
-                elif ins.control in node.values:
-                    full = embed_operator(ins.cases[node.values[ins.control]], dims, ins.targets)
-                else:
-                    # record never sent: read it coherently
-                    _, rec = record_reg[ins.control]
-                    gate = scipy.linalg.block_diag(*ins.cases)
-                    full = embed_operator(gate, dims, (rec,) + tuple(ins.targets))
-                apply_local(node, ins.party, full)
+            if ins.control is None:
+                full = embed_operator(ins.matrix, dims, ins.targets)
+                for node in nodes:
+                    apply_local(node, ins.party, full)
+            elif ins.control in record_reg:
+                # record never sent: read it coherently
+                _, rec = record_reg[ins.control]
+                gate = scipy.linalg.block_diag(*ins.cases)
+                full = embed_operator(gate, dims, (rec,) + tuple(ins.targets))
+                for node in nodes:
+                    apply_local(node, ins.party, full)
+            else:
+                fulls = [embed_operator(case, dims, ins.targets) for case in ins.cases]
+                for node in nodes:
+                    apply_local(node, ins.party, fulls[node.values[ins.control]])
         elif kind == "Measure":
             dims = dims_a if ins.party == "A" else dims_b
             v = info.alphabet[ins.label]
             basis = info.bases[ins.label]
+            projs = [np.outer(basis[:, o], basis[:, o].conj()) for o in range(v)]
             if ins.label not in info.sent_labels:
                 # keep coherent: rotate-and-copy into the record register
                 _, rec = record_reg[ins.label]
                 shift = _shift_matrix(v)
                 gate = np.zeros((v * v, v * v), dtype=complex)
-                for o in range(v):
-                    proj = np.outer(basis[:, o], basis[:, o].conj())
+                for o, proj in enumerate(projs):
                     gate += np.kron(proj, np.linalg.matrix_power(shift, o))
                 full = embed_operator(gate, dims, (ins.register, rec))
                 for node in nodes:
                     apply_local(node, ins.party, full)
             elif ins.party == "A":
+                fulls = [embed_operator(proj, dims_a, (ins.register,)) for proj in projs]
                 grown = []
                 for node in nodes:
-                    for o in range(v):
-                        proj = np.outer(basis[:, o], basis[:, o].conj())
-                        full = embed_operator(proj, dims_a, (ins.register,))
+                    for o, full in enumerate(fulls):
                         child = _Node(
                             full @ node.chi,
                             full @ node.m_acc,
@@ -305,18 +307,15 @@ def standardize(ir: ProtocolIR, input_state: PureBipartiteState) -> StandardForm
             else:
                 # Bob measured and will send: realize the same branch states
                 # with an Alice measurement and a Bob unitary correction
+                bfulls = [embed_operator(proj, dims_b, (ins.register,)) for proj in projs]
                 grown = []
                 for node in nodes:
-                    rho_a = node.chi @ node.chi.conj().T
-                    w, vs = _support_data(rho_a)
-                    pinv_root = (vs / np.sqrt(w)) @ vs.conj().T if w.size else np.zeros_like(rho_a)
+                    w, vs = _support_data(node.chi)
+                    pinv_root = (vs / np.sqrt(w)) @ vs.conj().T if w.size else np.zeros((fa, fa))
                     proj_supp = vs @ vs.conj().T
-                    for o in range(v):
-                        bproj = np.outer(basis[:, o], basis[:, o].conj())
-                        bfull = embed_operator(bproj, dims_b, (ins.register,))
+                    for o, bfull in enumerate(bfulls):
                         y = node.chi @ bfull.T
-                        a_o = y @ y.conj().T
-                        wo, vo = _support_data(a_o)
+                        wo, vo = _support_data(y)
                         root = (vo * np.sqrt(wo)) @ vo.conj().T
                         m_o = root @ pinv_root
                         if o == 0:

@@ -39,15 +39,24 @@ class DensityMatrix:
         m = _as_complex(self.mat)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError("density matrix must be square")
-        if np.abs(m - m.conj().T).max() > VALIDITY_TOL:
+        mh = m.conj().T
+        if np.abs(m - mh).max() > VALIDITY_TOL:
             raise ValidationError("density matrix not Hermitian within tolerance")
-        m = _sym(m)
+        m = (m + mh) / 2.0  # _sym(m), reusing mh
         tr = float(np.trace(m).real)
         if abs(tr - 1.0) > VALIDITY_TOL:
             raise ValidationError(f"trace {tr} not 1 within tolerance")
-        w = np.linalg.eigvalsh(m)
-        if w.min() < -VALIDITY_TOL:
-            raise ValidationError(f"negative eigenvalue {w.min()}")
+        # m + (tol/2) I factors only if every eigenvalue exceeds -tol/2 up to
+        # roundoff far below tol/2, which the eigenvalue rule accepts too; only
+        # a failed factorization needs the eigenvalues to decide
+        shifted = m.copy()
+        shifted.flat[:: m.shape[0] + 1] += VALIDITY_TOL / 2.0
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            w = np.linalg.eigvalsh(m)
+            if w.min() < -VALIDITY_TOL:
+                raise ValidationError(f"negative eigenvalue {w.min()}") from None
         object.__setattr__(self, "mat", m)
         m.setflags(write=False)
 
@@ -130,7 +139,8 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Tr|rho - sigma|, in [0, 2]."""
     if rho.dim != sigma.dim:
         raise ValidationError("dimension mismatch")
-    w = np.linalg.eigvalsh(_sym(rho.mat - sigma.mat))
+    # stored matrices are exactly Hermitian, and so is their difference
+    w = np.linalg.eigvalsh(rho.mat - sigma.mat)
     return float(np.abs(w).sum())
 
 
@@ -142,7 +152,7 @@ def trace_distance_witness(rho: DensityMatrix, sigma: DensityMatrix):
     """
     if rho.dim != sigma.dim:
         raise ValidationError("dimension mismatch")
-    w, v = np.linalg.eigh(_sym(rho.mat - sigma.mat))
+    w, v = np.linalg.eigh(rho.mat - sigma.mat)  # exactly Hermitian, as above
     pos = v[:, w > 0]
     proj = pos @ pos.conj().T
     value = 2.0 * float(np.trace(proj @ (rho.mat - sigma.mat)).real)

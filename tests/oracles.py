@@ -7,7 +7,8 @@ tautology. Two oracles must match the package bit for bit: the per-row
 class enumeration and the block-dilution split. They share entlab's
 log-domain float helpers and rebuild everything else on their own. The
 write_spectrum_json_by_dump is the byte reference for the streamed spectrum
-writer.
+writer, and support_by_gram_eigh the reference for the SVD supports in
+standardize.
 """
 
 import itertools
@@ -174,6 +175,17 @@ def dense_fidelity(a, b):
     ra = (va * np.sqrt(np.clip(wa, 0.0, None))) @ va.conj().T
     w = np.linalg.eigvalsh(ra @ b @ ra)
     return float(np.sqrt(np.clip(w, 0.0, None)).sum())
+
+
+def support_by_gram_eigh(f):
+    """Nonzero eigenvalues and eigenvectors of the Gram matrix f f^dagger,
+    by a full eigendecomposition of it, cut at 1e-13 of the largest."""
+    gram = f @ f.conj().T
+    w, v = np.linalg.eigh((gram + gram.conj().T) / 2.0)
+    w = np.clip(w, 0.0, None)
+    cut = (float(w.max()) if w.size else 0.0) * 1e-13
+    keep = w > max(cut, 1e-30)
+    return w[keep], v[:, keep]
 
 
 def pure_trace_distance(u, v):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entlab import PureBipartiteState, ValidationError
 from entlab.locc import (
@@ -20,8 +22,9 @@ from entlab.locc import (
     simulate_dense,
     standardize,
 )
-from entlab.sampling import random_pure
-from oracles import completeness_defect
+from entlab.locc.standard import _support_data
+from entlab.sampling import random_pure, random_unitary
+from oracles import completeness_defect, support_by_gram_eigh
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 PHI2 = PureBipartiteState(2, 2, np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2))
@@ -92,8 +95,46 @@ def test_standardize_battery_against_dense_simulator():
         )
         worst_tv = max(worst_tv, tv)
         worst_d = max(worst_d, worst)
-    assert worst_tv < 1e-9
-    assert worst_d < 1e-9
+    assert worst_tv < 1e-11
+    assert worst_d < 1e-11
+
+
+@given(
+    st.integers(min_value=1, max_value=144),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=12),
+    st.floats(min_value=-6.0, max_value=1.0),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_support_from_the_factor_matches_the_gram_eigendecomposition(fa, fb, rank, scale, seed):
+    """The support of f f^dagger from a thin SVD of the fa x fb factor f has
+    the rank, eigenvalues and projector of an eigendecomposition of f f^dagger.
+    Where there is room, one more singular value sits at 1e-8 of the others:
+    its eigenvalue is below the relative cut, so both drop it."""
+    gen = np.random.default_rng(seed)
+    rank = min(rank, fa, fb)
+    extra = 1 if 0 < rank < min(fa, fb) else 0
+    left = random_unitary(gen, fa)[:, : rank + extra]
+    right = random_unitary(gen, fb)[:, : rank + extra]
+    sing = np.concatenate([gen.uniform(0.1, 1.0, rank), np.full(extra, 1e-8)])
+    f = (left * sing) @ right.conj().T * 10.0**scale
+    w, v = _support_data(f)
+    w_ref, v_ref = support_by_gram_eigh(f)
+    assert w.size == w_ref.size == rank
+    assert v.shape == (fa, rank)
+    if rank:
+        top = float(w_ref.max())
+        assert np.abs(np.sort(w) - np.sort(w_ref)).max() <= 1e-12 * top
+        assert np.abs(v @ v.conj().T - v_ref @ v_ref.conj().T).max() <= 1e-12
+
+
+def test_support_of_a_zero_factor_is_empty():
+    for fa, fb in ((1, 1), (144, 12), (5, 3)):
+        w, v = _support_data(np.zeros((fa, fb), dtype=complex))
+        w_ref, _ = support_by_gram_eigh(np.zeros((fa, fb), dtype=complex))
+        assert w.size == w_ref.size == 0
+        assert v.shape == (fa, 0)
 
 
 def test_run_standard_form_rejects_diagonal_protocols():

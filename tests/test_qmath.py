@@ -21,12 +21,15 @@ from entlab import (
     trace_distance,
     trace_distance_witness,
 )
+from entlab.qmath import _sym
 from entlab.sampling import (
     random_bipartite_pure,
     random_density,
     random_near_product,
     random_pure,
+    random_unitary,
 )
+from entlab.tolerances import VALIDITY_TOL
 from oracles import dense_fidelity, dense_trace_distance, pure_trace_distance
 
 KET0 = DensityMatrix(np.diag([1.0, 0.0]))
@@ -229,6 +232,49 @@ def test_density_matrix_validation():
         DensityMatrix(np.array([[0.5, 0.5], [-0.5, 0.5]]))  # not Hermitian
     with pytest.raises(ValidationError):
         DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
+
+
+def _rotated(gen, w):
+    q = random_unitary(gen, w.size)
+    return (q * w) @ q.conj().T
+
+
+@pytest.mark.parametrize("d", [2, 16, 144])
+def test_density_matrix_psd_boundary(d):
+    """The smallest eigenvalue may sit below 0 by less than VALIDITY_TOL,
+    not by more; the rule is pinned on both sides of the boundary."""
+    gen = np.random.default_rng(4000 + d)
+    for ratio, accepted in ((-0.5, True), (-0.9, True), (-1.1, False), (-2.0, False)):
+        lam = ratio * VALIDITY_TOL
+        w = np.full(d, (1.0 - lam) / (d - 1))
+        w[0] = lam
+        m = _rotated(gen, w)
+        if accepted:
+            DensityMatrix(m)
+        else:
+            with pytest.raises(ValidationError, match="negative eigenvalue"):
+                DensityMatrix(m)
+
+
+def test_density_matrix_accepts_a_large_rank_one_projector():
+    gen = np.random.default_rng(4216)
+    w = np.zeros(216)
+    w[0] = 1.0
+    rho = DensityMatrix(_rotated(gen, w))
+    assert abs(rho.eigenvalues()[0] - 1.0) < 1e-12
+
+
+def test_stored_differences_need_no_symmetrizing():
+    """A stored density matrix is exactly Hermitian, so the difference of two
+    is too, and symmetrizing it again returns the same bits."""
+    gen = np.random.default_rng(31)
+    for _ in range(60):
+        d = int(gen.integers(1, 17))
+        rank = int(gen.integers(1, d + 1))
+        a = random_density(gen, d, rank=rank)
+        b = random_density(gen, d, rank=int(gen.integers(1, d + 1)))
+        diff = a.mat - b.mat
+        assert np.array_equal(diff, _sym(diff))
 
 
 @st.composite
