@@ -22,6 +22,7 @@ from ..locc import (
     run_protocol,
     verify_theorem_chain,
 )
+from ..logdomain import exact_int_digits
 from ..sigsub import growth_fit, min_dilution_dimension
 from ..spectrum import (
     BaseSpectrum,
@@ -279,15 +280,17 @@ def cmd_communication(config: ExperimentConfig) -> tuple:
     for n, budget, asn, report, cert, sweep in sorted(map(work, config.n_grid)):
         rows.append((n, budget, asn, budget / asn))
         sweep_rows.extend(sweep)
-        doc = {
-            "n": n,
-            "c_star": budget,
-            "epsilon_target": config.epsilon,
-            "run": json.loads(report.to_json()),
-            "certificate": json.loads(cert.to_json()),
-            "consistent": cert.consistent,
-        }
-        written.append(_write_json(os.path.join(cert_dir, f"cert_n{n}.json"), doc))
+        # the run's exact d passes 4300 decimal digits from n = 17500 at d = 2
+        with exact_int_digits():
+            doc = {
+                "n": n,
+                "c_star": budget,
+                "epsilon_target": config.epsilon,
+                "run": json.loads(report.to_json()),
+                "certificate": json.loads(cert.to_json()),
+                "consistent": cert.consistent,
+            }
+            written.append(_write_json(os.path.join(cert_dir, f"cert_n{n}.json"), doc))
     written.append(
         _write_csv(
             os.path.join(out, "communication.csv"),

@@ -93,6 +93,12 @@ def build_block_dilution(spec: ClassSpectrum, budget_c: int, eps_target: float =
     The kept prefix holds mass 1 - eps_target^2/8 so that the truncation
     alone stays well inside the error target; flattening the blocks adds
     the rest. predicted_error is exact for the construction (not a bound).
+
+    The split walks the kept prefix block by block: the classes that end
+    inside the current block are taken in one step, with their whole-class
+    terms read from the spectrum's arrays, and only a class that reaches a
+    block end pays for a big-int divmod. The Python work grows with the
+    number of such classes, not with the length of the prefix.
     """
     if not 0.0 < eps_target < 2.0:
         raise ValidationError("error target must lie in (0, 2)")
@@ -109,57 +115,70 @@ def build_block_dilution(spec: ClassSpectrum, budget_c: int, eps_target: float =
     lt = view.log2_mass_of_prefix(d_prime)
 
     # class pieces covering [0, d_prime): class c is [bounds[c], bounds[c+1]),
-    # and one -inf piece zero-pads past the spectrum
+    # and one -inf piece zero-pads past the spectrum. A whole class c puts
+    # log2 count + e = log2_mults[c] + e into its block's mass and
+    # log2_mults[c] + e/2 into the overlap.
     k = bisect_left(view.cum_counts, d_prime)
     bounds = view.cum_counts[:k] + [d_prime]
     eigs = view.log2_eigs[:k].tolist() + [NEG_INF]
-    # one divmod per boundary: a piece from (q0, r0) to (q1, r1) straddles
-    # block q0 with its head and block q1 with its tail, and covers whole
-    # blocks in between; events are (block or None for whole blocks,
-    # length, log2 length, log2 eigenvalue) in position order
+    mass_terms = (spec.log2_mults[:k] + view.log2_eigs[:k]).tolist()
+    root_terms = (spec.log2_mults[:k] + 0.5 * view.log2_eigs[:k]).tolist()
+
+    # The walk stands at (q0, r0) = divmod(start, m). Classes that end
+    # strictly inside block q0 (one bisect) form one straddled event; a
+    # piece reaching (q1, r1) = divmod(end, m) straddles block q0 with its
+    # head and q1 with its tail, covering whole blocks between. Events are
+    # (block, or None for whole blocks, length, log2 eigenvalue) in position
+    # order; partial holds each straddled block's (mass, overlap) terms.
     events = []
+    partial = {}
+    overlap_terms = []
     q0, r0 = 0, 0
-    for i in range(len(bounds) - 1):
+    i, last = 0, len(bounds) - 1
+    while i < last:
+        lim = (q0 + 1) * m
+        if bounds[i + 1] < lim:
+            j = bisect_left(bounds, lim, i + 2) - 1
+            length = bounds[j] - bounds[i]
+            terms = partial.setdefault(q0, ([], []))
+            terms[0].extend(mass_terms[i:j])
+            terms[1].extend(root_terms[i:j])
+            events.append((q0, length, None))
+            r0 += length
+            i = j
+            continue
         q1, r1 = divmod(bounds[i + 1], m)
         e = eigs[i]
-        if q1 == q0:
-            events.append((q0, r1 - r0, log2_int(r1 - r0), e))
-        else:
-            head = m - r0 if r0 else 0
-            if head:
-                events.append((q0, head, log2_int(head), e))
-            inner = bounds[i + 1] - bounds[i] - head - r1
-            if inner:
-                events.append((None, inner, log2_int(inner), e))
-            if r1:
-                events.append((q1, r1, log2_int(r1), e))
+        head = m - r0 if r0 else 0
+        if head:
+            lc = log2_int(head)
+            terms = partial.setdefault(q0, ([], []))
+            terms[0].append(lc + e)
+            terms[1].append(lc + 0.5 * e)
+            events.append((q0, head, None))
+        inner = bounds[i + 1] - bounds[i] - head - r1
+        if inner:
+            overlap_terms.append(log2_int(inner) + e)
+            events.append((None, inner, e))
+        if r1:
+            lc = log2_int(r1)
+            partial[q1] = ([lc + e], [lc + 0.5 * e])
+            events.append((q1, r1, None))
         q0, r0 = q1, r1
+        i += 1
+    block_log2_mass = {b: log2sumexp(terms[0]) for b, terms in partial.items()}
 
-    # pass 1: straddled blocks and their total mass
-    partial_mass = {}
-    for block, _, llen, e in events:
-        if block is not None:
-            partial_mass.setdefault(block, []).append((llen, e))
-    block_log2_mass = {b: log2sumexp([lc + e for lc, e in runs]) for b, runs in partial_mass.items()}
-
-    # pass 2: position-ordered output runs and the overlap with the target
+    # position-ordered output runs, and the straddled blocks' overlaps
     lm = log2_int(m)
     x_runs = []
-    overlap_terms = []
-    for block, length, llen, e in events:
-        if block is None:
-            lx = e - lt
-            overlap_terms.append(llen + e)
-        else:
-            lx = block_log2_mass[block] - lm - lt
+    for block, length, e in events:
+        lx = e - lt if block is None else block_log2_mass[block] - lm - lt
         if x_runs and x_runs[-1][1] == lx:
             x_runs[-1] = (x_runs[-1][0] + length, lx)
         else:
             x_runs.append((length, lx))
-
-    for b, runs in partial_mass.items():
-        lmass = block_log2_mass[b]
-        overlap_terms.append(0.5 * (lmass - lm) + log2sumexp([lc + 0.5 * e for lc, e in runs]))
+    for b, (_, roots) in partial.items():
+        overlap_terms.append(0.5 * (block_log2_mass[b] - lm) + log2sumexp(roots))
 
     if m == 1:
         # no flattening: the only loss is the truncated tail, and expm1

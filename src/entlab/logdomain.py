@@ -9,6 +9,8 @@ multiplicities and overlaps are carried as log2 values. Integers larger than
 from __future__ import annotations
 
 import math
+import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -26,6 +28,24 @@ def log2_int(x: int) -> float:
         return math.log2(x)
     s = bl - 53
     return math.log2(x >> s) + s
+
+
+@contextmanager
+def exact_int_digits():
+    """Lift Python's limit on int <-> decimal str conversions, then restore it.
+
+    Exact dimension counts pass the default 4300 digits near n = 17500
+    for d = 2; json writes and reads them in decimal inside this scope.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # a Python without the limit
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def ceil_exp2(l: float) -> int:

@@ -103,12 +103,18 @@ def _compositions(n: int, d: int) -> np.ndarray:
 
 
 def _binomials_exact(n: int) -> list[int]:
-    out = []
+    """The row C(n, 0..n) of exact ints, n >= 1.
+
+    The row is symmetric, so only C(n, k) for k <= n/2 is computed, by the
+    multiplicative recurrence; the same int object then sits at k and at
+    n - k.
+    """
+    half = [1]
     c = 1
-    for k in range(n + 1):
-        out.append(c)
+    for k in range(n // 2):
         c = c * (n - k) // (k + 1)
-    return out
+        half.append(c)
+    return half + half[(n - 1) // 2 :: -1]
 
 
 def _summed_multinomials(n: int, ks: np.ndarray, order: np.ndarray, starts: np.ndarray):
@@ -409,23 +415,25 @@ def berry_esseen_grid(spec: ClassSpectrum, lefts: np.ndarray, widths: np.ndarray
 
 
 def mass_threshold_class(log2_masses, log2_eigs, delta: float):
-    """Walk the classes in descending order until the prefix mass reaches delta.
+    """Find the class where the descending prefix mass first reaches delta.
 
     Takes the classes' log2 masses and log2 eigenvalues. Returns (c, acc,
     lcount): the class c whose mass carries the prefix to delta, the mass
     acc of the classes before c, and log2 of the fractional count of
     class-c eigenvectors still needed. lcount is -inf when nothing more is
     needed; c = number of classes when the total mass stays below delta.
+    The prefix masses are one sequential np.cumsum of the class masses, so
+    acc carries the bits of a class-by-class running sum.
     """
-    acc = 0.0
-    for c, lw in enumerate(log2_masses):
-        mass = float(np.exp2(lw))
-        if acc + mass >= delta - 1e-15:
-            need = delta - acc
-            lcount = math.log2(need) - log2_eigs[c] if need > 0.0 else NEG_INF
-            return c, acc, lcount
-        acc += mass
-    return len(log2_masses), acc, NEG_INF
+    cs = np.cumsum(np.exp2(np.asarray(log2_masses, dtype=float)))
+    hit = cs >= delta - 1e-15
+    if not hit.any():
+        return cs.size, float(cs[-1]) if cs.size else 0.0, NEG_INF
+    c = int(np.argmax(hit))
+    acc = float(cs[c - 1]) if c else 0.0
+    need = delta - acc
+    lcount = math.log2(need) - log2_eigs[c] if need > 0.0 else NEG_INF
+    return c, acc, lcount
 
 
 class SortedSpectrumView:
@@ -461,13 +469,10 @@ class SortedSpectrumView:
 
     def count_eigs_at_least(self, log2_threshold: float) -> int:
         """How many eigenvalues (with multiplicity) are >= 2^threshold."""
-        out = 0
-        for cnt, e in zip(self.counts, self.log2_eigs):
-            if e >= log2_threshold - 1e-9:
-                out += cnt
-            else:
-                break
-        return out
+        below = self.log2_eigs < log2_threshold - 1e-9
+        # classes may rise by up to CLASS_MERGE_BITS, so take the first class
+        # below the threshold rather than bisecting
+        return self.cum_counts[int(np.argmax(below))] if below.any() else self.total_dim
 
     def class_of_position(self, pos: int) -> int:
         i = bisect_right(self.cum_counts, pos) - 1

@@ -3,8 +3,9 @@
 Everything here is recomputed from first principles: exact rational
 arithmetic where the inputs are rational, dense linear algebra otherwise.
 None of it calls back into entlab, so agreement is evidence rather than
-tautology. Two oracles must match the package bit for bit: the per-row
-class enumeration and the block-dilution split. They share entlab's
+tautology. Some oracles must match the package bit for bit: the per-row
+class enumeration, the block-dilution split, and the class-by-class walks
+for the mass threshold and the eigenvalue count. They share entlab's
 log-domain float helpers and rebuild everything else on their own. The
 write_spectrum_json_by_dump is the byte reference for the streamed spectrum
 writer, and support_by_gram_eigh the reference for the SVD supports in
@@ -108,6 +109,33 @@ def class_spectrum_by_rows(probs, n, exact):
     masses = out_m + out_e
     masses = masses - log2sumexp(masses)
     return out_e, out_m, masses, tuple(out_x) if exact else None
+
+
+def mass_threshold_class_by_walk(log2_masses, log2_eigs, delta):
+    """(c, acc, lcount) of the class where the descending prefix mass first
+    reaches delta, walking the classes one at a time with one scalar exp2
+    each; c = number of classes when the total stays below delta."""
+    acc = 0.0
+    for c, lw in enumerate(log2_masses):
+        mass = float(np.exp2(lw))
+        if acc + mass >= delta - 1e-15:
+            need = delta - acc
+            lcount = math.log2(need) - log2_eigs[c] if need > 0.0 else NEG_INF
+            return c, acc, lcount
+        acc += mass
+    return len(log2_masses), acc, NEG_INF
+
+
+def count_eigs_at_least_by_walk(counts, log2_eigs, log2_threshold):
+    """Eigenvalues (with multiplicity) >= 2^threshold, adding class counts
+    in order until the first class below the threshold."""
+    out = 0
+    for cnt, e in zip(counts, log2_eigs):
+        if e >= log2_threshold - 1e-9:
+            out += cnt
+        else:
+            break
+    return out
 
 
 def brute_force_sorted_log2(p, n):

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from entlab.lab import (
 from entlab.lab.cli import main
 from entlab.lab import commands
 from entlab.lab.commands import probe_budget, write_spectrum_json
+from entlab.lab.spotcheck import read_certificate
 from entlab.spectrum import tensor_power_spectrum
 from oracles import write_spectrum_json_by_dump
 
@@ -492,6 +494,25 @@ def test_spot_check_names_each_corrupted_csv(tmp_path):
     problems = spot_check_outputs(config)
     for name in ("residuals.csv", "inefficiency.csv", "communication.csv", "concentration.csv"):
         assert any(msg.startswith(name) for msg in problems), name
+
+
+def test_communication_writes_exact_ints_past_the_str_digit_limit(tmp_path):
+    # at n = 17500 the run's exact dimension d has more than 4300 decimal
+    # digits and the certificate's n1 almost as many; both are written and
+    # read in full, and the process-wide digit limit is back in force after
+    limit = sys.get_int_max_str_digits()
+    out = tmp_path / "o"
+    assert main(["communication", "--n-grid", "17500", "--out", str(out)]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    doc = read_certificate(str(out), 17500)
+    assert sys.get_int_max_str_digits() == limit
+    assert doc["consistent"] is True and doc["certificate"]["consistent"] is True
+    n1 = doc["certificate"]["n1"]
+    assert doc["run"]["d"].bit_length() > 4300 * math.log2(10)
+    spec = tensor_power_spectrum(P_QUARTER, 17500)
+    assert n1 == spec.view.count_eigs_at_least(-17500 * spec.stats.entropy)
+    rows = read_rows(out / "communication.csv")
+    assert [(r["n"], r["c_star"]) for r in rows] == [("17500", str(doc["c_star"]))]
 
 
 def test_communication_past_exact_multiplicities_exits_3(tmp_path, capsys):

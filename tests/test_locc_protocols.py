@@ -163,10 +163,20 @@ def test_block_dilution_full_budget_is_exact():
 
 
 # c*(n) at p = (3/4, 1/4) and epsilon 0.1
-C_STAR_QUARTER = {8: 8, 64: 30, 1024: 129, 4096: 264}
+C_STAR_QUARTER = {8: 8, 64: 30, 1024: 129, 4096: 264, 8192: 376, 16384: 535}
+
+# c*(n) at epsilon 0.1 for d = 3 and 4, where most blocks hold a few classes
+C_STAR_SHORT_RUNS = {
+    ((0.5, 0.3, 0.2), 50): 20,
+    ((0.5, 0.3, 0.2), 100): 29,
+    ((0.4, 0.3, 0.2, 0.1), 50): 23,
+    ((0.4, 0.3, 0.2, 0.1), 100): 33,
+}
 
 
 def assert_split_matches_oracle(monkeypatch, spec, budget, eps):
+    """Check one build against the per-piece oracle; returns (the returned
+    protocol, the symbolic family)."""
     proto, predicted = build_block_dilution(spec, budget, eps_target=eps)
     with monkeypatch.context() as mp:
         mp.setattr("entlab.locc.protocols.WEIGHTS_CAP", 0)
@@ -183,7 +193,7 @@ def assert_split_matches_oracle(monkeypatch, spec, budget, eps):
     log2_x = family.x_runs[1]
     assert all(a != b for a, b in zip(log2_x, log2_x[1:])), (spec.n, budget)
     assert family.target_error == error == predicted
-    return proto
+    return proto, family
 
 
 def test_block_split_matches_the_per_piece_oracle(monkeypatch):
@@ -192,15 +202,37 @@ def test_block_split_matches_the_per_piece_oracle(monkeypatch):
         spec = tensor_power_spectrum(P_QUARTER, n)
         clamp = (spec.view.sig_dim(1.0 - 0.1 * 0.1 / 8.0)[0] - 1).bit_length()
         for budget in sorted({0, 1, c_star - 1, c_star, c_star + 1, clamp, clamp + 5}):
-            proto = assert_split_matches_oracle(monkeypatch, spec, budget, 0.1)
+            proto, _ = assert_split_matches_oracle(monkeypatch, spec, budget, 0.1)
             kinds.add(type(proto).__name__)
     assert kinds == {"StandardFormProtocol", "BlockShiftFamily"}
+    for (p, n), c_star in C_STAR_SHORT_RUNS.items():
+        spec = tensor_power_spectrum(np.array(p), n)
+        for budget in (c_star - 1, c_star, c_star + 1):
+            assert_split_matches_oracle(monkeypatch, spec, budget, 0.1)
     for p, ns in (((0.5, 0.3, 0.2), (2, 5, 9, 14)), ((0.4, 0.3, 0.2, 0.1), (3, 6, 10))):
         for n in ns:
             spec = tensor_power_spectrum(np.array(p), n)
             for budget in range(0, 2 * n + 3):
                 for eps in (0.05, 0.3):
                     assert_split_matches_oracle(monkeypatch, spec, budget, eps)
+
+
+@pytest.mark.parametrize(
+    "p, n, budget, ends_on_a_block_end, zero_pad",
+    [((0.75, 0.25), 5, 4, True, False), ((0.5, 0.3, 0.2), 5, 3, False, True)],
+)
+def test_block_split_edge_cases_match_the_oracle(
+    monkeypatch, p, n, budget, ends_on_a_block_end, zero_pad
+):
+    # a class that ends exactly on an inner block end (r1 = 0) of blocks
+    # longer than one position, and the zero-pad piece past the spectrum
+    spec = tensor_power_spectrum(np.array(p), n)
+    _, family = assert_split_matches_oracle(monkeypatch, spec, budget, 0.1)
+    cum = spec.view.cum_counts
+    inner = [b for b in cum[1:-1] if b < family.d_prime]
+    assert family.m > 1
+    assert any(b % family.m == 0 for b in inner) == ends_on_a_block_end
+    assert (family.d_prime > spec.view.total_dim) == zero_pad
 
 
 def junk_complement_protocol():

@@ -27,12 +27,20 @@ from entlab.lab.commands import find_min_budget, residual_grid
 from entlab.locc import verify_theorem_chain
 from entlab import spectrum as spectrum_module
 from entlab.sigsub import sig_dim
-from entlab.spectrum import SortedSpectrumView, _class_starts
+from entlab.spectrum import (
+    ClassSpectrum,
+    SortedSpectrumView,
+    _binomials_exact,
+    _class_starts,
+    mass_threshold_class,
+)
 from entlab.tolerances import CLASS_MERGE_BITS
 from oracles import (
     anchored_class_starts,
     class_spectrum_by_rows,
+    count_eigs_at_least_by_walk,
     enumerate_product_masses,
+    mass_threshold_class_by_walk,
     norm_cdf,
 )
 
@@ -277,6 +285,72 @@ def test_sorted_view_position_calculus():
     runs = list(view.runs(0, 10))
     assert sum(c for c, _ in runs) == 10
     assert runs[0] == (1, spec.log2_eigs[0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 17, 18, 1000, 1001])
+def test_binomial_row_is_exact_and_mirrored(n):
+    row = _binomials_exact(n)
+    assert row == [math.comb(n, k) for k in range(n + 1)]
+    # one int object serves k and n - k
+    assert all(row[k] is row[n - k] for k in range(n + 1))
+
+
+# (p, n): d = 2 exact and log-only, d = 3 and d = 4 exact
+THRESHOLD_CASES = [
+    ((0.75, 0.25), 4096),
+    ((0.75, 0.25), 16384),
+    ((0.75, 0.25), 65536),
+    ((0.5, 0.3, 0.2), 200),
+    ((0.4, 0.3, 0.2, 0.1), 50),
+]
+
+
+@pytest.mark.parametrize("p,n", THRESHOLD_CASES)
+def test_mass_threshold_class_equals_the_scalar_walk_bitwise(p, n):
+    spec = tensor_power_spectrum(np.array(p), n)
+    assert (spec.exact_mults is None) == (n > spectrum_module.EXACT_MULT_MAX_N)
+    # 1.5 is never reached: c is the class count and acc the whole sum
+    for delta in (0.5, 0.95, 1.0 - 0.1 * 0.1 / 8.0, 0.99, 1.0, 1.5):
+        got = mass_threshold_class(spec.log2_masses, spec.log2_eigs, delta)
+        want = mass_threshold_class_by_walk(spec.log2_masses, spec.log2_eigs, delta)
+        assert got == want, (p, n, delta)
+        assert type(got[1]) is float
+    assert mass_threshold_class([], [], 0.5) == (0, 0.0, -math.inf)
+    c, acc, _ = mass_threshold_class(spec.log2_masses, spec.log2_eigs, 1.5)
+    assert c == spec.num_classes and acc < 1.5
+
+
+@pytest.mark.parametrize(
+    "p,n",
+    [((0.75, 0.25), 64), ((0.5, 0.3, 0.2), 30), ((4 / 7, 2 / 7, 1 / 7), 12), ((0.4, 0.3, 0.2, 0.1), 12)],
+)
+def test_count_eigs_at_least_equals_the_class_walk(p, n):
+    spec = tensor_power_spectrum(np.array(p), n)
+    view = spec.view
+    e = spec.log2_eigs
+    thresholds = np.concatenate(
+        (e, e + 5e-10, e - 5e-10, e + 2e-9, e - 2e-9, [e[0] + 1.0, e[-1] - 1.0])
+    )
+    for t in thresholds.tolist():
+        want = count_eigs_at_least_by_walk(spec.exact_mults, e, t)
+        assert view.count_eigs_at_least(t) == want, (p, n, t)
+
+
+def test_count_eigs_at_least_stops_at_the_first_class_below():
+    # the second class rises by 5e-13, within CLASS_MERGE_BITS; a threshold
+    # between the two stops the count at the first class, as the walk does
+    spec = ClassSpectrum(
+        n=2,
+        base_probs=np.array([0.5, 0.5]),
+        log2_eigs=np.array([-2.0, -2.0 + 5e-13]),
+        log2_mults=np.array([1.0, 1.0]),
+        log2_masses=np.array([-1.0, -1.0 + 5e-13]),
+        exact_mults=(2, 2),
+    )
+    for t in (-2.0 + 2.5e-13 + 1e-9, -3.0, -1.0):
+        want = count_eigs_at_least_by_walk(spec.exact_mults, spec.log2_eigs, t)
+        assert spec.view.count_eigs_at_least(t) == want
+    assert spec.view.count_eigs_at_least(-2.0 + 2.5e-13 + 1e-9) == 0
 
 
 def test_one_view_serves_search_certificate_and_sig_dim(monkeypatch):
