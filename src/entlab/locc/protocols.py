@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import CapExceededError, ValidationError
-from ..logdomain import NEG_INF, log2_int, log2sumexp
+from ..logdomain import NEG_INF, log2_int, log2sumexp, log2sumexp_segments
 from ..spectrum import ClassSpectrum
 from ..tolerances import PROFILE_SUM_TOL, WEIGHTS_CAP
 from .standard import DiagonalKraus, StandardFormProtocol
@@ -98,7 +98,9 @@ def build_block_dilution(spec: ClassSpectrum, budget_c: int, eps_target: float =
     inside the current block are taken in one step, with their whole-class
     terms read from the spectrum's arrays, and only a class that reaches a
     block end pays for a big-int divmod. The Python work grows with the
-    number of such classes, not with the length of the prefix.
+    number of such classes, not with the length of the prefix. Each
+    straddled block's mass and overlap terms are summed by one grouped
+    log-sum-exp per probe, with the bits of one log2sumexp per block.
     """
     if not 0.0 < eps_target < 2.0:
         raise ValidationError("error target must lie in (0, 2)")
@@ -128,10 +130,12 @@ def build_block_dilution(spec: ClassSpectrum, budget_c: int, eps_target: float =
     # strictly inside block q0 (one bisect) form one straddled event; a
     # piece reaching (q1, r1) = divmod(end, m) straddles block q0 with its
     # head and q1 with its tail, covering whole blocks between. Events are
-    # (block, or None for whole blocks, length, log2 eigenvalue) in position
-    # order; partial holds each straddled block's (mass, overlap) terms.
+    # (segment, or None for whole blocks, length, log2 eigenvalue) in
+    # position order. A straddled block's (mass, overlap) terms are one
+    # contiguous segment of mass_flat and root_flat, opened where the walk
+    # enters the block (r0 = 0 there), so both are summed in one call each.
     events = []
-    partial = {}
+    mass_flat, root_flat, starts = [], [], []
     overlap_terms = []
     q0, r0 = 0, 0
     i, last = 0, len(bounds) - 1
@@ -140,10 +144,11 @@ def build_block_dilution(spec: ClassSpectrum, budget_c: int, eps_target: float =
         if bounds[i + 1] < lim:
             j = bisect_left(bounds, lim, i + 2) - 1
             length = bounds[j] - bounds[i]
-            terms = partial.setdefault(q0, ([], []))
-            terms[0].extend(mass_terms[i:j])
-            terms[1].extend(root_terms[i:j])
-            events.append((q0, length, None))
+            if not r0:
+                starts.append(len(mass_flat))
+            mass_flat.extend(mass_terms[i:j])
+            root_flat.extend(root_terms[i:j])
+            events.append((len(starts) - 1, length, None))
             r0 += length
             i = j
             continue
@@ -152,33 +157,38 @@ def build_block_dilution(spec: ClassSpectrum, budget_c: int, eps_target: float =
         head = m - r0 if r0 else 0
         if head:
             lc = log2_int(head)
-            terms = partial.setdefault(q0, ([], []))
-            terms[0].append(lc + e)
-            terms[1].append(lc + 0.5 * e)
-            events.append((q0, head, None))
+            mass_flat.append(lc + e)
+            root_flat.append(lc + 0.5 * e)
+            events.append((len(starts) - 1, head, None))
         inner = bounds[i + 1] - bounds[i] - head - r1
         if inner:
             overlap_terms.append(log2_int(inner) + e)
             events.append((None, inner, e))
         if r1:
             lc = log2_int(r1)
-            partial[q1] = ([lc + e], [lc + 0.5 * e])
-            events.append((q1, r1, None))
+            starts.append(len(mass_flat))
+            mass_flat.append(lc + e)
+            root_flat.append(lc + 0.5 * e)
+            events.append((len(starts) - 1, r1, None))
         q0, r0 = q1, r1
         i += 1
-    block_log2_mass = {b: log2sumexp(terms[0]) for b, terms in partial.items()}
+    block_log2_mass = log2sumexp_segments(mass_flat, starts)
 
     # position-ordered output runs, and the straddled blocks' overlaps
+    # after the whole blocks' terms
     lm = log2_int(m)
+    block_lx = [b - lm - lt for b in block_log2_mass]
     x_runs = []
-    for block, length, e in events:
-        lx = e - lt if block is None else block_log2_mass[block] - lm - lt
+    for seg, length, e in events:
+        lx = e - lt if seg is None else block_lx[seg]
         if x_runs and x_runs[-1][1] == lx:
             x_runs[-1] = (x_runs[-1][0] + length, lx)
         else:
             x_runs.append((length, lx))
-    for b, (_, roots) in partial.items():
-        overlap_terms.append(0.5 * (block_log2_mass[b] - lm) + log2sumexp(roots))
+    overlap_terms.extend(
+        0.5 * (b - lm) + r
+        for b, r in zip(block_log2_mass, log2sumexp_segments(root_flat, starts))
+    )
 
     if m == 1:
         # no flattening: the only loss is the truncated tail, and expm1

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import CapExceededError, DegenerateSpectrumError, ValidationError
-from ..logdomain import NEG_INF, log2_int, log2sub, log2sumexp
+from ..logdomain import NEG_INF, exact_int_digits, log2_int, log2sub, log2sumexp
 from ..qmath import SchmidtProfile
 from ..spectrum import ClassSpectrum
 from ..tolerances import DENSE_DIM_CAP, EQUALITY_TOL, WEIGHTS_CAP
@@ -118,7 +118,9 @@ class ProtocolRunReport:
         }
         if self.failure_bound is not None:
             doc["failure_bound"] = self.failure_bound
-        return json.dumps(doc, indent=1)
+        # d passes 4300 decimal digits from n = 17500 at d = 2
+        with exact_int_digits():
+            return json.dumps(doc, indent=1)
 
 
 def _sorted_target(target, need: int):
@@ -480,7 +482,9 @@ class TheoremChainCertificate:
 
         doc = {k: _num(v) for k, v in self.__dict__.items()}
         doc["consistent"] = self.consistent
-        return json.dumps(doc, indent=1)
+        # n1 nears 4300 decimal digits at n = 17500 for d = 2
+        with exact_int_digits():
+            return json.dumps(doc, indent=1)
 
 
 def _target_pieces(x_runs, view):

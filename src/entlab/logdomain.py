@@ -59,11 +59,6 @@ def ceil_exp2(l: float) -> int:
     return max(1, math.ceil(2.0 ** (frac + 60.0)) << (int(ip) - 60))
 
 
-def log2add(a: float, b: float) -> float:
-    """log2(2^a + 2^b)."""
-    return float(np.logaddexp2(a, b))
-
-
 def log2sub(a: float, b: float) -> float:
     """log2(2^a - 2^b); requires a >= b."""
     if b == NEG_INF:
@@ -85,3 +80,45 @@ def log2sumexp(values) -> float:
         return NEG_INF
     m = float(arr.max())
     return m + math.log2(float(np.exp2(arr - m).sum()))
+
+
+# numpy sums fewer than this many float64 terms left to right from -0.0;
+# from here on its pairwise summation groups them
+SEQUENTIAL_SUM_MAX = 7
+# below this many segments a Python loop beats the vector set-up
+SEGMENTS_VECTOR_MIN = 8
+
+
+def log2sumexp_segments(flat, starts) -> list:
+    """log2sumexp of every segment of flat, bit for bit, in one vector pass.
+
+    Segment i is flat[starts[i]:starts[i + 1]] (the last one runs to the
+    end); starts must be strictly increasing, so no segment is empty.
+    Each result equals log2sumexp(segment) under ==: the segment maxima and
+    the exp2 terms are elementwise, and the sums of at most
+    SEQUENTIAL_SUM_MAX terms are accumulated position by position, in the
+    left-to-right order numpy's sum uses at that length. A longer segment,
+    or one holding a -inf term, goes through log2sumexp itself.
+    """
+    nseg = len(starts)
+    if nseg < SEGMENTS_VECTOR_MIN:
+        ends = list(starts[1:]) + [len(flat)]
+        return [log2sumexp(flat[s:e]) for s, e in zip(starts, ends)]
+    arr = np.asarray(flat, dtype=float)
+    first = np.asarray(starts, dtype=np.intp)
+    lengths = np.diff(first, append=arr.size)
+    maxes = np.maximum.reduceat(arr, first)
+    with np.errstate(invalid="ignore"):  # -inf - -inf in all -inf segments
+        terms = np.exp2(arr - np.repeat(maxes, lengths))
+    sums = np.full(nseg, -0.0)
+    for pos in range(min(SEQUENTIAL_SUM_MAX, int(lengths.max()))):
+        live = np.flatnonzero(lengths > pos)
+        sums[live] += terms[first[live] + pos]
+    slow = np.flatnonzero(
+        np.logical_or.reduceat(arr == NEG_INF, first) | (lengths > SEQUENTIAL_SUM_MAX)
+    ).tolist()
+    sums[slow] = 1.0  # their partial sums may be 0 or nan; replaced below
+    out = [m + math.log2(s) for m, s in zip(maxes.tolist(), sums.tolist())]
+    for i in slow:
+        out[i] = log2sumexp(arr[first[i] : first[i] + lengths[i]])
+    return out

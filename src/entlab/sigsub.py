@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrumError, ValidationError
-from .logdomain import NEG_INF, ceil_exp2, log2_int, log2add
+from .logdomain import NEG_INF, ceil_exp2, log2_int
 from .qmath import DensityMatrix, epsilon_rank, trace_distance
 from .spectrum import ClassSpectrum, mass_threshold_class
 from .tolerances import EQUALITY_TOL, RANK_REL_TOL
@@ -73,7 +73,7 @@ def _sig_from_class_spectrum(spec: ClassSpectrum, delta: float) -> SigQueryResul
         if lcount < 53.0:
             lcount = log2_int(ceil_exp2(lcount))
         lcount = min(lcount, spec.log2_mults[c])
-        log2_dim = log2add(log2_dim, lcount)
+        log2_dim = float(np.logaddexp2(log2_dim, lcount))
         acc += float(np.exp2(lcount + spec.log2_eigs[c]))
     return SigQueryResult(delta=delta, log2_dim=log2_dim, exact_dim=None, achieved_mass=acc)
 

@@ -381,6 +381,18 @@ def berry_esseen_residual(spec: ClassSpectrum, a: float, b: float) -> BerryEssee
     )
 
 
+def grid_windows(spec: ClassSpectrum, lefts, widths):
+    """The unrounded windows of berry_esseen_grid, one x1-row at a time.
+
+    Yields (a, bs) for each x1 in lefts: a = x1 alpha sqrt(n) - nE and the
+    array bs = (x1 + widths) alpha sqrt(n) - nE.
+    """
+    ne, rt, _ = _surrogate(spec)
+    widths = np.asarray(widths, dtype=float)
+    for x1 in np.asarray(lefts, dtype=float):
+        yield float(x1 * rt - ne), (x1 + widths) * rt - ne
+
+
 def berry_esseen_grid(spec: ClassSpectrum, lefts: np.ndarray, widths: np.ndarray) -> list:
     """berry_esseen_residual over a grid of standardized windows, in one pass.
 
@@ -400,9 +412,7 @@ def berry_esseen_grid(spec: ClassSpectrum, lefts: np.ndarray, widths: np.ndarray
     asc = np.ascontiguousarray(spec.log2_eigs[::-1])
     masses = {}
     rows = []
-    for x1 in np.asarray(lefts, dtype=float):
-        a = float(x1 * rt - ne)
-        bs = (x1 + widths) * rt - ne
+    for a, bs in grid_windows(spec, lefts, widths):
         lo, his = _class_slices(asc, a, bs)
         lo = int(lo)
         for b, hi in zip(bs.tolist(), his.tolist()):

@@ -27,7 +27,9 @@ from entlab.lab import (
 from entlab.lab.cli import main
 from entlab.lab import commands
 from entlab.lab.commands import probe_budget, write_spectrum_json
-from entlab.lab.spotcheck import read_certificate
+from entlab.lab.spotcheck import read_certificate, residual_problems
+from entlab.locc import verify_theorem_chain
+from entlab.logdomain import exact_int_digits
 from entlab.spectrum import tensor_power_spectrum
 from oracles import write_spectrum_json_by_dump
 
@@ -513,6 +515,43 @@ def test_communication_writes_exact_ints_past_the_str_digit_limit(tmp_path):
     assert n1 == spec.view.count_eigs_at_least(-17500 * spec.stats.entropy)
     rows = read_rows(out / "communication.csv")
     assert [(r["n"], r["c_star"]) for r in rows] == [("17500", str(doc["c_star"]))]
+
+
+def test_run_report_and_certificate_to_json_past_the_str_digit_limit():
+    # both writers open the exact-int scope themselves, so a caller with the
+    # default digit limit in force gets every decimal digit of d and n1
+    limit = sys.get_int_max_str_digits()
+    spec = tensor_power_spectrum(P_QUARTER, 17500)
+    _, outcomes, report = find_min_budget(spec, 17500, 0.1)
+    cert = verify_theorem_chain(next(o for o in outcomes if o.good), spec, report)
+    run_json, cert_json = report.to_json(), cert.to_json()
+    assert sys.get_int_max_str_digits() == limit
+    with pytest.raises(ValueError):
+        str(report.d)  # the limit is still in force outside the writers
+    with exact_int_digits():
+        run_doc, cert_doc = json.loads(run_json), json.loads(cert_json)
+    assert run_doc["d"] == report.d and report.d.bit_length() > 4300 * math.log2(10)
+    assert cert_doc["n1"] == cert.n1 and cert_doc["consistent"] is True
+
+
+@pytest.mark.parametrize("n", [4096, 16384])
+def test_every_residual_row_rederives_with_endpoints_on_eigenvalues(tmp_path, n):
+    # with 3 grid cells the left edge x1 = 0 gives a = -nE, the eigenvalue of
+    # class k = n/4 for p = (3/4, 1/4); its 12-digit print leaves the slice
+    # slack, so the rows are re-derived from the cells' unrounded endpoints
+    config = tiny_config(tmp_path / "o", n_grid=(n,), grid_cells=3)
+    cmd_spectrum(config)
+    rows = [list(r.values()) for r in read_rows(tmp_path / "o" / "residuals.csv")]
+    assert len(rows) == 9
+    spec = tensor_power_spectrum(P_QUARTER, n)
+    rounded = [berry_esseen_residual(spec, float(r[1]), float(r[2])).residual for r in rows]
+    assert any(abs(res - float(r[3])) > 1e-6 for res, r in zip(rounded, rows))
+    assert residual_problems(config, rows, lambda _: spec) == []
+    # a row that prints no cell's endpoints is still reported
+    moved = rows[0][:1] + [repr(float(rows[0][1]) + 1e-3)] + rows[0][2:]
+    assert residual_problems(config, [moved], lambda _: spec) == [
+        f"residuals.csv row not re-derivable: {moved}"
+    ]
 
 
 def test_communication_past_exact_multiplicities_exits_3(tmp_path, capsys):
