@@ -12,7 +12,7 @@ import math
 import os
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from ..errors import ValidationError
 from ..locc import (
@@ -177,7 +177,7 @@ def cmd_inefficiency(config: ExperimentConfig) -> tuple:
         "entropy": st.entropy,
         "alpha": st.alpha,
         "beta": st.beta,
-        "gaussian_quantile_coeff": float(norm.ppf(fit.delta)) * st.alpha,
+        "gaussian_quantile_coeff": float(ndtri(fit.delta)) * st.alpha,
         "eps_reference": config.eps_reference,
     }
     written.append(_write_json(os.path.join(out, "growth_summary.json"), summary))

@@ -590,7 +590,8 @@ def verify_theorem_chain(
     d_reduced = _x_power_distance(pieces, log2_tail)
 
     log2_bound = log2_n1 + log2_xnorm
-    trpi_x_bound = float(np.exp2(min(log2_bound, 1024.0)))
+    # 2^1024 overflows a double: past it the bound is inf, without the warning
+    trpi_x_bound = float(np.exp2(log2_bound)) if log2_bound < 1024.0 else math.inf
     trpi_x_bound_ok = (
         trpi_x <= 0.0 or math.log2(trpi_x) <= log2_bound + 1e-9
     )

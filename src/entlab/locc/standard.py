@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from ..errors import CapExceededError, ValidationError
 from ..qmath import DensityMatrix, PureBipartiteState, operator_norm
@@ -175,6 +174,20 @@ def _shift_matrix(d: int) -> np.ndarray:
     return s
 
 
+def _block_diag(*blocks) -> np.ndarray:
+    """2-D blocks on the diagonal of a zero matrix of their common dtype."""
+    blocks = [np.asarray(b) for b in blocks]
+    rows = sum(b.shape[0] for b in blocks)
+    cols = sum(b.shape[1] for b in blocks)
+    out = np.zeros((rows, cols), dtype=np.result_type(*blocks))
+    r = c = 0
+    for b in blocks:
+        out[r : r + b.shape[0], c : c + b.shape[1]] = b
+        r += b.shape[0]
+        c += b.shape[1]
+    return out
+
+
 def _support_data(f: np.ndarray):
     """Nonzero eigenvalues and eigenvectors of f f^dagger, from a thin SVD of f."""
     v, s, _ = np.linalg.svd(f, full_matrices=False)
@@ -267,7 +280,7 @@ def standardize(ir: ProtocolIR, input_state: PureBipartiteState) -> StandardForm
             elif ins.control in record_reg:
                 # record never sent: read it coherently
                 _, rec = record_reg[ins.control]
-                gate = scipy.linalg.block_diag(*ins.cases)
+                gate = _block_diag(*ins.cases)
                 full = embed_operator(gate, dims, (rec,) + tuple(ins.targets))
                 for node in nodes:
                     apply_local(node, ins.party, full)

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ValidationError
 from .tolerances import EQUALITY_TOL, PROFILE_SUM_TOL, RANK_REL_TOL, VALIDITY_TOL

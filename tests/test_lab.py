@@ -6,10 +6,14 @@ import hashlib
 import json
 import math
 import os
+import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
+from scipy.stats import norm
 
 from entlab import ValidationError, berry_esseen_residual, min_dilution_dimension
 from entlab.lab import (
@@ -167,6 +171,44 @@ def test_cmd_inefficiency_rows_rederive(tmp_path):
 
     summary = json.load(open(tmp_path / "o" / "growth_summary.json"))
     assert "fitted_sqrt_coeff" in summary and "gaussian_quantile_coeff" in summary
+
+
+def test_gaussian_quantile_is_norm_ppf_bit_for_bit():
+    # growth_summary.json computes norm.ppf(delta) as scipy.special.ndtri,
+    # which norm.ppf calls with loc 0 and scale 1; the bits must agree for
+    # every delta a config may carry, not only the reference 0.95
+    grid = np.concatenate(
+        [
+            np.linspace(0.0, 1.0, 200_001)[1:-1],
+            np.logspace(-300, -1, 3000),
+            1.0 - np.logspace(-16, -1, 3000),
+            [0.95],
+        ]
+    )
+    assert np.array_equal(ndtri(grid).view(np.int64), norm.ppf(grid).view(np.int64))
+    # the command takes the scalar path, so check it too on a coarser grid
+    for delta in [0.95, *grid[::997].tolist()]:
+        assert float(ndtri(delta)).hex() == float(norm.ppf(delta)).hex()
+
+
+def test_cli_import_loads_no_heavy_scipy_module():
+    # scipy.special is the only scipy module entlab uses; stats, linalg,
+    # optimize or sparse would cost every command most of its start-up
+    code = (
+        "import sys, entlab.lab.cli, entlab.locc\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('scipy.'))))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = done.stdout.split()
+    assert any(m.startswith("scipy.special") for m in loaded)
+    for heavy in ("scipy.stats", "scipy.linalg", "scipy.optimize", "scipy.sparse"):
+        assert not any(m == heavy or m.startswith(heavy + ".") for m in loaded), heavy
+    # besides scipy's private helpers and its version module, only special
+    public = {m.split(".")[1] for m in loaded} - {"version"}
+    assert {s for s in public if not s.startswith("_")} == {"special"}
 
 
 # the only (p, n, epsilon) on the scanned grids where meeting epsilon is not
@@ -532,6 +574,20 @@ def test_run_report_and_certificate_to_json_past_the_str_digit_limit():
         run_doc, cert_doc = json.loads(run_json), json.loads(cert_json)
     assert run_doc["d"] == report.d and report.d.bit_length() > 4300 * math.log2(10)
     assert cert_doc["n1"] == cert.n1 and cert_doc["consistent"] is True
+
+
+def test_theorem_chain_bound_past_the_double_range_is_inf_without_a_warning():
+    # at n = 17500 with every class kept, log2 of the bound n1 * ||x|| is
+    # past 1024: the bound is inf, written as null, and exp2 is not asked
+    spec = tensor_power_spectrum(P_QUARTER, 17500)
+    _, _, outcomes, report = probe_budget(spec, 10**6, 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = verify_theorem_chain(next(o for o in outcomes if o.good), spec, report)
+    assert cert.consistent and cert.trpi_x_bound_ok
+    assert cert.trpi_x_bound == math.inf
+    with exact_int_digits():
+        assert json.loads(cert.to_json())["trpi_x_bound"] is None
 
 
 @pytest.mark.parametrize("n", [4096, 16384])

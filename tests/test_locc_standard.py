@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 from entlab import PureBipartiteState, ValidationError
 from entlab.locc import (
@@ -22,7 +23,7 @@ from entlab.locc import (
     simulate_dense,
     standardize,
 )
-from entlab.locc.standard import _support_data
+from entlab.locc.standard import _block_diag, _support_data
 from entlab.sampling import random_pure, random_unitary
 from oracles import completeness_defect, support_by_gram_eigh
 
@@ -135,6 +136,24 @@ def test_support_of_a_zero_factor_is_empty():
         w_ref, _ = support_by_gram_eigh(np.zeros((fa, fb), dtype=complex))
         assert w.size == w_ref.size == 0
         assert v.shape == (fa, 0)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", [float, complex])
+def test_block_diag_equals_scipy(count, kind):
+    # the numpy fill replaces scipy.linalg.block_diag in standardize; the
+    # gates it builds must keep every bit, dtype and shape
+    gen = np.random.default_rng(count)
+    shapes = [(2, 2), (3, 3), (1, 4), (4, 1)][:count]
+    blocks = []
+    for rows, cols in shapes:
+        b = gen.standard_normal((rows, cols))
+        if kind is complex:
+            b = b + 1j * gen.standard_normal((rows, cols))
+        blocks.append(b)
+    got, want = _block_diag(*blocks), block_diag(*blocks)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_run_standard_form_rejects_diagonal_protocols():
