@@ -45,6 +45,7 @@ from .spectrum import (
     berry_esseen_grid,
     berry_esseen_residual,
     gaussian_cdf,
+    gaussian_quantile,
     mu,
     spectrum_stats,
     tensor_power_spectrum,

@@ -12,7 +12,6 @@ import math
 import os
 
 import numpy as np
-from scipy.special import ndtri
 
 from ..errors import ValidationError
 from ..locc import (
@@ -27,6 +26,7 @@ from ..sigsub import growth_fit, min_dilution_dimension
 from ..spectrum import (
     BaseSpectrum,
     berry_esseen_grid,
+    gaussian_quantile,
     spectrum_stats,
     tensor_power_spectrum,
 )
@@ -53,7 +53,7 @@ def _write_csv(path: str, header, rows) -> str:
 
 def _write_json(path: str, obj) -> str:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
+        json.dump(obj, fh, indent=1, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return path
 
@@ -177,9 +177,11 @@ def cmd_inefficiency(config: ExperimentConfig) -> tuple:
         "entropy": st.entropy,
         "alpha": st.alpha,
         "beta": st.beta,
-        "gaussian_quantile_coeff": float(ndtri(fit.delta)) * st.alpha,
+        "gaussian_quantile_coeff": gaussian_quantile(fit.delta) * st.alpha,
         "eps_reference": config.eps_reference,
     }
+    # JSON has no infinity: the quantile coefficient is inf at delta = 1
+    summary = {k: v if math.isfinite(v) else None for k, v in summary.items()}
     written.append(_write_json(os.path.join(out, "growth_summary.json"), summary))
     return tuple(written)
 

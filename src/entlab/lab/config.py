@@ -6,6 +6,7 @@ is one `key = value` per line with `#` comments; lists are comma-separated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from ..errors import ValidationError
@@ -42,8 +43,9 @@ class ExperimentConfig:
     out: str = "results"
 
     def __post_init__(self):
-        if not self.p or min(self.p) <= 0.0:
-            raise ValidationError("p must be a nonempty list of positive reals")
+        # a nan compares false both ways, so it must be caught by name
+        if not self.p or not all(math.isfinite(v) and v > 0.0 for v in self.p):
+            raise ValidationError(f"p must be a nonempty list of positive finite reals, got {self.p}")
         if abs(sum(self.p) - 1.0) > 1e-9:
             raise ValidationError(f"p sums to {sum(self.p)}, expected 1")
         _ascending("n_grid", self.n_grid, minimum=1, required=True)

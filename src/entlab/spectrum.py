@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import CapExceededError, DegenerateSpectrumError, ValidationError
 from .logdomain import NEG_INF, ceil_exp2, log2_int, log2sumexp
@@ -43,6 +42,8 @@ class BaseSpectrum:
         p = np.asarray(self.probs, dtype=float).reshape(-1)
         if p.size == 0:
             raise ValidationError("empty spectrum")
+        if not np.isfinite(p).all():
+            raise ValidationError(f"p has a non-finite entry: {p.tolist()}")
         if p.min() < -PROFILE_SUM_TOL:
             raise ValidationError("negative probability")
         p = p[p > 0.0]
@@ -267,6 +268,9 @@ def tensor_power_spectrum(p: BaseSpectrum | np.ndarray, n: int) -> ClassSpectrum
             mults = np.asarray([log2_int(c) for c in exact], dtype=float)
         else:
             exact = None
+            # the one scipy import: no other path needs it at start-up
+            from scipy.special import gammaln
+
             if d == 2:
                 row_mults = (gammaln(n + 1) - gammaln(ks + 1) - gammaln(n - ks + 1)) / LN2
             else:
@@ -335,6 +339,119 @@ def gaussian_cdf(x1: float, x2: float) -> float:
     if x2 <= 0.0:
         return max(0.0, _upper_tail(-x2) - _upper_tail(-x1))
     return max(0.0, 1.0 - _upper_tail(x2) - _upper_tail(-x1))
+
+
+# Cephes ndtri (the algorithm of scipy.special.ndtri and so of
+# scipy.stats.norm.ppf): three rational approximations with Cephes's
+# coefficients, highest power first. Cephes leaves each denominator's
+# leading 1 implicit (p1evl starts from x + c); 1.0 * x is exact, so
+# writing it out keeps the bits
+_S2PI = 2.50662827463100050242e0  # sqrt(2 pi)
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+# |y - 0.5| <= 3/8
+_P0 = (
+    -5.99633501014107895267e1,
+    9.80010754185999661536e1,
+    -5.66762857469070293439e1,
+    1.39312609387279679503e1,
+    -1.23916583867381258016e0,
+)
+_Q0 = (
+    1.0,
+    1.95448858338141759834e0,
+    4.67627912898881538453e0,
+    8.63602421390890590575e1,
+    -2.25462687854119370527e2,
+    2.00260212380060660359e2,
+    -8.20372256168333339912e1,
+    1.59056225126211695515e1,
+    -1.18331621121330003142e0,
+)
+# z = sqrt(-2 log y) in [2, 8), y down to exp(-32)
+_P1 = (
+    4.05544892305962419923e0,
+    3.15251094599893866154e1,
+    5.71628192246421288162e1,
+    4.40805073893200834700e1,
+    1.46849561928858024014e1,
+    2.18663306850790267539e0,
+    -1.40256079171354495875e-1,
+    -3.50424626827848203418e-2,
+    -8.57456785154685413611e-4,
+)
+_Q1 = (
+    1.0,
+    1.57799883256466749731e1,
+    4.53907635128879210584e1,
+    4.13172038254672030440e1,
+    1.50425385692907503408e1,
+    2.50464946208309415979e0,
+    -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2,
+    -9.33259480895457427372e-4,
+)
+# z in [8, 64)
+_P2 = (
+    3.23774891776946035970e0,
+    6.91522889068984211695e0,
+    3.93881025292474443415e0,
+    1.33303460815807542389e0,
+    2.01485389549179081538e-1,
+    1.23716634817820021358e-2,
+    3.01581553508235416007e-4,
+    2.65806974686737550832e-6,
+    6.23974539184983293730e-9,
+)
+_Q2 = (
+    1.0,
+    6.02427039364742014255e0,
+    3.67983563856160859403e0,
+    1.37702099489081330271e0,
+    2.16236993594496635890e-1,
+    1.34204006088543189037e-2,
+    3.28014464682127739104e-4,
+    2.89247864745380683936e-6,
+    6.79019408009981274425e-9,
+)
+
+
+def _polevl(x: float, coef: tuple) -> float:
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def gaussian_quantile(y: float) -> float:
+    """Standard normal quantile: the x with Phi(x) = y, +-inf at y = 1, 0.
+
+    A port of Cephes ndtri in the same operation order, so it returns
+    the bits of scipy.special.ndtri for every y in [0, 1].
+    """
+    if not 0.0 <= y <= 1.0:  # also refuses nan
+        raise ValidationError(f"gaussian_quantile needs y in [0, 1], got {y}")
+    if y == 0.0:
+        return -math.inf
+    if y == 1.0:
+        return math.inf
+    negate = True
+    if y > 1.0 - _EXP_M2:
+        y = 1.0 - y
+        negate = False
+    if y > _EXP_M2:
+        y = y - 0.5
+        y2 = y * y
+        x = y + y * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0))
+        return x * _S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    if x < 8.0:
+        x1 = z * _polevl(z, _P1) / _polevl(z, _Q1)
+    else:
+        x1 = z * _polevl(z, _P2) / _polevl(z, _Q2)
+    x = x0 - x1
+    return -x if negate else x
 
 
 @dataclass(frozen=True)

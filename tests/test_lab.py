@@ -34,7 +34,7 @@ from entlab.lab.commands import probe_budget, write_spectrum_json
 from entlab.lab.spotcheck import read_certificate, residual_problems
 from entlab.locc import verify_theorem_chain
 from entlab.logdomain import exact_int_digits
-from entlab.spectrum import tensor_power_spectrum
+from entlab.spectrum import gaussian_quantile, tensor_power_spectrum
 from oracles import write_spectrum_json_by_dump
 
 P_QUARTER = np.array([0.75, 0.25])
@@ -173,42 +173,79 @@ def test_cmd_inefficiency_rows_rederive(tmp_path):
     assert "fitted_sqrt_coeff" in summary and "gaussian_quantile_coeff" in summary
 
 
+def _strict_json(path):
+    def refuse(name):
+        raise AssertionError(f"{path} holds {name}, which is not JSON")
+
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh, parse_constant=refuse)
+
+
+def test_growth_summary_at_delta_one_is_valid_json(tmp_path):
+    # the quantile coefficient is inf at delta = 1; it used to be written
+    # as the non-JSON token Infinity
+    cmd_inefficiency(tiny_config(tmp_path / "o", delta=1.0))
+    summary = _strict_json(tmp_path / "o" / "growth_summary.json")
+    assert summary["gaussian_quantile_coeff"] is None
+    assert summary["delta"] == 1.0 and math.isfinite(summary["fitted_sqrt_coeff"])
+    # every other JSON writer refuses a non-finite value outright
+    with pytest.raises(ValueError):
+        commands._write_json(str(tmp_path / "nan.json"), {"x": math.nan})
+
+
 def test_gaussian_quantile_is_norm_ppf_bit_for_bit():
-    # growth_summary.json computes norm.ppf(delta) as scipy.special.ndtri,
-    # which norm.ppf calls with loc 0 and scale 1; the bits must agree for
-    # every delta a config may carry, not only the reference 0.95
+    # growth_summary.json computes norm.ppf(delta) as gaussian_quantile, a
+    # port of the Cephes ndtri that norm.ppf calls with loc 0 and scale 1;
+    # the bits must agree for every delta a config may carry, not only the
+    # reference 0.95
+    rng = np.random.default_rng(14)
+    edges = []
+    # the branch points: exp(-2) and 1 - exp(-2), and exp(-32), where
+    # sqrt(-2 log y) crosses 8
+    for edge in (math.exp(-2), 1.0 - math.exp(-2), math.exp(-32), 1.0 - math.exp(-32)):
+        edges += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)]
     grid = np.concatenate(
         [
             np.linspace(0.0, 1.0, 200_001)[1:-1],
             np.logspace(-300, -1, 3000),
             1.0 - np.logspace(-16, -1, 3000),
-            [0.95],
+            10.0 ** rng.uniform(-323.0, 0.0, 20_000),
+            1.0 - 10.0 ** rng.uniform(-16.0, 0.0, 20_000),
+            [0.0, 1.0, 5e-324, 1e-310, 2.2250738585072014e-308, 0.95],
+            edges,
         ]
     )
     assert np.array_equal(ndtri(grid).view(np.int64), norm.ppf(grid).view(np.int64))
-    # the command takes the scalar path, so check it too on a coarser grid
+    ours = np.array([gaussian_quantile(float(y)) for y in grid])
+    assert np.array_equal(ours.view(np.int64), ndtri(grid).view(np.int64))
+    # scipy's scalar path, on a coarser grid
     for delta in [0.95, *grid[::997].tolist()]:
         assert float(ndtri(delta)).hex() == float(norm.ppf(delta)).hex()
+    for bad in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValidationError):
+            gaussian_quantile(bad)
 
 
-def test_cli_import_loads_no_heavy_scipy_module():
-    # scipy.special is the only scipy module entlab uses; stats, linalg,
-    # optimize or sparse would cost every command most of its start-up
-    code = (
-        "import sys, entlab.lab.cli, entlab.locc\n"
-        "print(' '.join(sorted(m for m in sys.modules if m.startswith('scipy.'))))"
-    )
+def _scipy_modules_after(code):
+    code += "\nprint(' '.join(sorted(m for m in sys.modules if m.startswith('scipy'))))"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    loaded = done.stdout.split()
-    assert any(m.startswith("scipy.special") for m in loaded)
-    for heavy in ("scipy.stats", "scipy.linalg", "scipy.optimize", "scipy.sparse"):
-        assert not any(m == heavy or m.startswith(heavy + ".") for m in loaded), heavy
-    # besides scipy's private helpers and its version module, only special
-    public = {m.split(".")[1] for m in loaded} - {"version"}
-    assert {s for s in public if not s.startswith("_")} == {"special"}
+    return done.stdout.split()
+
+
+def test_cli_import_loads_no_heavy_scipy_module():
+    # no scipy module at all: scipy.special alone was half of every
+    # command's start-up, and only log-only spectra need it (gammaln)
+    assert _scipy_modules_after("import sys, entlab.lab.cli, entlab.locc") == []
+    # past the exact limit, tensor_power_spectrum loads it on first use
+    loaded = _scipy_modules_after(
+        "import sys\n"
+        "from entlab.spectrum import EXACT_MULT_MAX_N, tensor_power_spectrum\n"
+        "assert tensor_power_spectrum([0.75, 0.25], EXACT_MULT_MAX_N + 1).exact_mults is None"
+    )
+    assert "scipy.special" in loaded
 
 
 # the only (p, n, epsilon) on the scanned grids where meeting epsilon is not
@@ -480,6 +517,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["spectrum", "--config", str(bad_cfg)]) == 2
 
     assert main(["spectrum", "--p", "0.9,0.2", "--out", str(tmp_path / "x")]) == 2
+    # a nan compares false with everything, so it once passed every p check
+    for p in ("0.5,nan,0.5", "nan,0.75,0.25", "inf,0.75,0.25"):
+        capsys.readouterr()
+        assert main(["concentration", "--p", p, "--n-grid", "8", "--out", str(tmp_path / "x")]) == 2
+        assert "error: p must be" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
     blocker = tmp_path / "file_not_dir"
     blocker.write_text("x")

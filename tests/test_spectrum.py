@@ -83,6 +83,10 @@ def test_base_spectrum_validation():
         BaseSpectrum(np.array([0.9, 0.2]))
     with pytest.raises(ValidationError):
         BaseSpectrum(np.array([1.2, -0.2]))
+    # p[p > 0] would drop a nan and run on the rest
+    for probs in ([0.5, np.nan, 0.5], [np.nan, 0.75, 0.25], [np.inf, 0.5]):
+        with pytest.raises(ValidationError, match="p has a non-finite entry"):
+            BaseSpectrum(np.array(probs))
 
 
 def _assert_matches_brute_force(p_fracs, n, spec):
