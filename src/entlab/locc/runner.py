@@ -8,19 +8,21 @@ protocol gives runs of length 1, a block family too large to materialize
 gives its symbolic runs. run_protocol_dense is the full-matrix oracle for
 the diagonal path. The certificate checker cuts the runs at the target's
 class boundaries and re-derives the communication lower bound from
-recorded quantities, flagging each inequality separately.
+recorded quantities, flagging each inequality separately. Reports and
+certificates hand their fields out as plain documents (to_doc), with
+non-finite numbers as None; writing them as JSON is the caller's job.
 """
 
 from __future__ import annotations
 
-import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import CapExceededError, DegenerateSpectrumError, ValidationError
-from ..logdomain import NEG_INF, exact_int_digits, log2_int, log2sub, log2sumexp
+from ..logdomain import NEG_INF, log2_int, log2sub, log2sumexp
 from ..qmath import SchmidtProfile
 from ..spectrum import ClassSpectrum
 from ..tolerances import DENSE_DIM_CAP, EQUALITY_TOL, WEIGHTS_CAP
@@ -39,6 +41,11 @@ CERT_N_COEFF = 2500.0
 CERT_DELTA_RHO = 0.95
 CERT_DELTA_GAMMA = 0.04
 CERT_EPS0 = 0.01
+
+
+def _num(x):
+    """A document value: non-finite floats become None (JSON has no inf)."""
+    return None if isinstance(x, float) and not math.isfinite(x) else x
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,10 +98,7 @@ class ProtocolRunReport:
     def log2_d(self) -> float:
         return log2_int(self.d)
 
-    def to_json(self) -> str:
-        def _num(x):
-            return x if x is not None and math.isfinite(x) else None
-
+    def to_doc(self) -> dict:
         doc = {
             "n": self.n,
             "d": int(self.d),
@@ -118,9 +122,7 @@ class ProtocolRunReport:
         }
         if self.failure_bound is not None:
             doc["failure_bound"] = self.failure_bound
-        # d passes 4300 decimal digits from n = 17500 at d = 2
-        with exact_int_digits():
-            return json.dumps(doc, indent=1)
+        return doc
 
 
 def _sorted_target(target, need: int):
@@ -130,12 +132,14 @@ def _sorted_target(target, need: int):
     match still scores error 0."""
     if isinstance(target, ClassSpectrum):
         view = target.view
+        cum, eigs = view.cum_counts, view.log2_eigs
+        cut = min(need, view.total_dim)
+        k = bisect_left(cum, cut)  # classes 0..k-1 hold the first cut positions
         probs = np.zeros(need)
-        pos = 0
-        for cnt, e in view.runs(0, need):
-            probs[pos : pos + cnt] = float(np.exp2(e))
-            pos += cnt
-        tail_terms = [log2_int(cnt) + e for cnt, e in view.runs(need, view.total_dim)]
+        probs[:cut] = np.repeat(np.exp2(eigs[:k]), np.diff(cum[:k] + [cut]))
+        # the part of class k - 1 past need, then every later class whole
+        tail_terms = [log2_int(cum[k] - need) + eigs[k - 1]] if cum[k] > need else []
+        tail_terms += (target.log2_mults[k:] + eigs[k:]).tolist()
         tail = float(np.exp2(log2sumexp(tail_terms))) if tail_terms else 0.0
         return probs, tail, _log2_mass_past(view, need)
     if not isinstance(target, SchmidtProfile):
@@ -368,9 +372,8 @@ def concentrate(spec: ClassSpectrum) -> ConcentrationResult:
     ebits; no classical communication is involved. Only log2
     multiplicities are read, so n past the exact-integer limit runs.
     """
-    ey = 0.0
-    for prob, bits in zip(np.exp2(spec.log2_masses).tolist(), spec.log2_mults.tolist()):
-        ey += prob * bits  # in class order: the summation order is part of the output
+    # one sequential sum in class order: the summation order is part of the output
+    ey = float(np.cumsum(np.exp2(spec.log2_masses) * spec.log2_mults)[-1])
     return ConcentrationResult(n=spec.n, expected_yield=ey, entropy_rate=spec.stats.entropy)
 
 
@@ -474,17 +477,10 @@ class TheoremChainCertificate:
                 core = core and self.reference_bound_ok
         return core
 
-    def to_json(self) -> str:
-        def _num(x):
-            if isinstance(x, float) and not math.isfinite(x):
-                return None
-            return x
-
+    def to_doc(self) -> dict:
         doc = {k: _num(v) for k, v in self.__dict__.items()}
         doc["consistent"] = self.consistent
-        # n1 nears 4300 decimal digits at n = 17500 for d = 2
-        with exact_int_digits():
-            return json.dumps(doc, indent=1)
+        return doc
 
 
 def _target_pieces(x_runs, view):

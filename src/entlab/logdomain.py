@@ -85,15 +85,14 @@ def log2sumexp(values) -> float:
 # numpy sums fewer than this many float64 terms left to right from -0.0;
 # from here on its pairwise summation groups them
 SEQUENTIAL_SUM_MAX = 7
-# below this many segments a Python loop beats the vector set-up
-SEGMENTS_VECTOR_MIN = 8
 
 
 def log2sumexp_segments(flat, starts) -> list:
     """log2sumexp of every segment of flat, bit for bit, in one vector pass.
 
     Segment i is flat[starts[i]:starts[i + 1]] (the last one runs to the
-    end); starts must be strictly increasing, so no segment is empty.
+    end); starts must be strictly increasing, so no segment is empty, and
+    no starts at all gives [].
     Each result equals log2sumexp(segment) under ==: the segment maxima and
     the exp2 terms are elementwise, and the sums of at most
     SEQUENTIAL_SUM_MAX terms are accumulated position by position, in the
@@ -101,9 +100,8 @@ def log2sumexp_segments(flat, starts) -> list:
     or one holding a -inf term, goes through log2sumexp itself.
     """
     nseg = len(starts)
-    if nseg < SEGMENTS_VECTOR_MIN:
-        ends = list(starts[1:]) + [len(flat)]
-        return [log2sumexp(flat[s:e]) for s, e in zip(starts, ends)]
+    if nseg == 0:
+        return []
     arr = np.asarray(flat, dtype=float)
     first = np.asarray(starts, dtype=np.intp)
     lengths = np.diff(first, append=arr.size)
@@ -118,7 +116,11 @@ def log2sumexp_segments(flat, starts) -> list:
         np.logical_or.reduceat(arr == NEG_INF, first) | (lengths > SEQUENTIAL_SUM_MAX)
     ).tolist()
     sums[slow] = 1.0  # their partial sums may be 0 or nan; replaced below
-    out = [m + math.log2(s) for m, s in zip(maxes.tolist(), sums.tolist())]
+    # m + log2(1.0) is m + 0.0, so only sums other than 1.0 need a log
+    out = maxes + 0.0
+    rest = np.flatnonzero(sums != 1.0)
+    out[rest] = [m + math.log2(s) for m, s in zip(maxes[rest].tolist(), sums[rest].tolist())]
+    out = out.tolist()
     for i in slow:
         out[i] = log2sumexp(arr[first[i] : first[i] + lengths[i]])
     return out

@@ -93,9 +93,6 @@ class PureBipartiteState:
         """dim_a x dim_b coefficient matrix F with amp = vec(F)."""
         return self.amp.reshape(self.dim_a, self.dim_b)
 
-    def density(self) -> DensityMatrix:
-        return DensityMatrix(np.outer(self.amp, self.amp.conj()))
-
 
 @dataclass(frozen=True)
 class SchmidtProfile:

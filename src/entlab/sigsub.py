@@ -18,8 +18,7 @@ from .qmath import DensityMatrix, epsilon_rank, trace_distance
 from .spectrum import ClassSpectrum, mass_threshold_class
 from .tolerances import EQUALITY_TOL, RANK_REL_TOL
 
-# reference experiment constants used throughout the scaling studies
-REFERENCE_DELTA = 0.95
+# reference experiment constant used throughout the scaling studies
 REFERENCE_FLOOR_COEFF = 0.01
 
 
@@ -90,12 +89,10 @@ def sig_dim(state, delta: float) -> SigQueryResult:
         return SigQueryResult(delta=0.0, log2_dim=NEG_INF, exact_dim=0, achieved_mass=0.0)
     if isinstance(state, ClassSpectrum):
         return _sig_from_class_spectrum(state, delta)
-    if isinstance(state, DensityMatrix):
-        probs = state.eigenvalues()
-    else:
-        probs = np.sort(np.asarray(state, dtype=float).reshape(-1))[::-1]
-        if probs.size == 0 or probs.min() < -1e-12:
-            raise ValidationError("invalid probability vector")
+    probs = _probs_of(state)
+    # a DensityMatrix's eigenvalues are clamped at 0, so only a vector fails here
+    if probs.size == 0 or probs.min() < -1e-12:
+        raise ValidationError("invalid probability vector")
     return _sig_from_sorted_probs(probs, delta)
 
 

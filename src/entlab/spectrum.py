@@ -18,12 +18,13 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CapExceededError, DegenerateSpectrumError, ValidationError
-from .logdomain import NEG_INF, ceil_exp2, log2_int, log2sumexp
+from .logdomain import NEG_INF, ceil_exp2, log2_int, log2sumexp, log2sumexp_segments
 from .tolerances import CLASS_CAP_DEFAULT, CLASS_MERGE_BITS, PROFILE_SUM_TOL
 
 LN2 = math.log(2.0)
 
-# exact big-int multiplicities are kept below these sizes
+# exact big-int multiplicities are kept below these sizes; the second
+# counts compositions of n, before equal eigenvalues merge into classes
 EXACT_MULT_MAX_N = 20_000
 EXACT_MULT_MAX_CLASSES = 200_000
 
@@ -275,11 +276,7 @@ def tensor_power_spectrum(p: BaseSpectrum | np.ndarray, n: int) -> ClassSpectrum
                 row_mults = (gammaln(n + 1) - gammaln(ks + 1) - gammaln(n - ks + 1)) / LN2
             else:
                 row_mults = (gammaln(n + 1) - gammaln(ks + 1).sum(axis=1)) / LN2
-            row_mults = row_mults[order]
-            mults = row_mults[starts]
-            ends = np.append(starts[1:], order.size)
-            for c in np.flatnonzero(ends - starts > 1):
-                mults[c] = log2sumexp(row_mults[starts[c] : ends[c]])
+            mults = np.array(log2sumexp_segments(row_mults[order], starts))
     masses = mults + eigs
     # classes are a partition, so the mass defect is pure float roundoff;
     # renormalizing in log domain keeps the unit-total invariant exact
@@ -571,18 +568,20 @@ class SortedSpectrumView:
     exact multiplicities; positions at n = 4096 are 3000-bit integers.
 
     A spectrum has one view, `ClassSpectrum.view`, built on first use and
-    shared by block dilution, the runner's target walker, the certificate
-    and sig_dim; sig_dim results are memoized per delta. The view keeps the
-    spectrum's arrays but no reference to the spectrum itself, so the two
-    form no cycle and are freed together by reference counting.
+    shared by block dilution, the runner's target reader, the certificate
+    and sig_dim. The view keeps the spectrum's arrays but no reference to
+    the spectrum itself, so the two form no cycle and are freed together by
+    reference counting.
     """
 
     def __init__(self, spec: ClassSpectrum):
         if spec.exact_mults is None:
+            d = len(spec.base_probs)
+            compositions = math.comb(spec.n + d - 1, d - 1)
             raise CapExceededError(
                 f"block dilution and its certificate need exact multiplicities, kept only for "
-                f"n <= {EXACT_MULT_MAX_N} and at most {EXACT_MULT_MAX_CLASSES} classes; "
-                f"this spectrum has n = {spec.n} and {spec.num_classes} classes"
+                f"n <= {EXACT_MULT_MAX_N} and at most {EXACT_MULT_MAX_CLASSES} compositions; "
+                f"this spectrum has n = {spec.n} and {compositions} compositions"
             )
         self.counts = spec.exact_mults
         self.log2_eigs = spec.log2_eigs
@@ -592,7 +591,6 @@ class SortedSpectrumView:
         self.prefix_log2_mass = np.concatenate(
             ([NEG_INF], np.logaddexp2.accumulate(spec.log2_masses))
         )
-        self._sig_dims = {}
 
     def count_eigs_at_least(self, log2_threshold: float) -> int:
         """How many eigenvalues (with multiplicity) are >= 2^threshold."""
@@ -601,31 +599,13 @@ class SortedSpectrumView:
         # below the threshold rather than bisecting
         return self.cum_counts[int(np.argmax(below))] if below.any() else self.total_dim
 
-    def class_of_position(self, pos: int) -> int:
-        i = bisect_right(self.cum_counts, pos) - 1
-        return min(i, len(self.counts) - 1)
-
-    def runs(self, lo: int, hi: int):
-        """Yield (count, log2_eig) runs covering positions [lo, hi)."""
-        if lo >= hi:
-            return
-        hi = min(hi, self.total_dim)
-        c = self.class_of_position(lo)
-        pos = lo
-        while pos < hi and c < len(self.counts):
-            end = min(self.cum_counts[c + 1], hi)
-            if end > pos:
-                yield end - pos, self.log2_eigs[c]
-            pos = end
-            c += 1
-
     def log2_mass_of_prefix(self, dim: int) -> float:
         """log2 of the total mass of the top `dim` positions."""
         if dim <= 0:
             return NEG_INF
         if dim >= self.total_dim:
             return 0.0
-        c = self.class_of_position(dim)
+        c = bisect_right(self.cum_counts, dim) - 1
         whole = self.prefix_log2_mass[c]
         part = dim - self.cum_counts[c]
         if part == 0:
@@ -639,24 +619,18 @@ class SortedSpectrumView:
         class is entered fractionally and rounded up to whole
         eigendirections; take_exact reports whether that rounding resolved
         single eigenvectors (float masses cannot once one eigenvector weighs
-        under ~2^-49 or the take passes 2^40). Memoized per delta.
+        under ~2^-49 or the take passes 2^40).
         """
         if delta <= 0.0:
             return 0, 0.0, True
         if delta > 1.0 + 1e-9:
             raise ValidationError("delta exceeds total mass")
-        hit = self._sig_dims.get(delta)
-        if hit is not None:
-            return hit
         c, acc, lcount = mass_threshold_class(self.log2_masses, self.log2_eigs, delta)
         dim = self.cum_counts[c]
         if lcount == NEG_INF:
             # delta reached on a class boundary, or (within 1e-9 of 1) never
-            hit = (dim, acc, True)
-        else:
-            e = self.log2_eigs[c]
-            pc = max(1, min(self.counts[c], ceil_exp2(lcount)))
-            ach = acc + float(np.exp2(log2_int(pc) + e))
-            hit = (dim + pc, ach, (pc <= 2**40 and e > -49.0))
-        self._sig_dims[delta] = hit
-        return hit
+            return dim, acc, True
+        e = self.log2_eigs[c]
+        pc = max(1, min(self.counts[c], ceil_exp2(lcount)))
+        ach = acc + float(np.exp2(log2_int(pc) + e))
+        return dim + pc, ach, (pc <= 2**40 and e > -49.0)

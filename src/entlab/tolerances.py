@@ -2,12 +2,10 @@
 
 VALIDITY_TOL   input validation (hermiticity, trace, norm)
 EQUALITY_TOL   equality assertions between independently computed values
-ORACLE_TOL     agreement with mirrored exact arithmetic (log domain)
 """
 
 VALIDITY_TOL = 1e-10
 EQUALITY_TOL = 1e-9
-ORACLE_TOL = 1e-12
 
 # sum-to-one check for probability profiles
 PROFILE_SUM_TOL = 1e-12

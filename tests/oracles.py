@@ -4,8 +4,9 @@ Everything here is recomputed from first principles: exact rational
 arithmetic where the inputs are rational, dense linear algebra otherwise.
 None of it calls back into entlab, so agreement is evidence rather than
 tautology. Some oracles must match the package bit for bit: the per-row
-class enumeration, the block-dilution split, and the class-by-class walks
-for the mass threshold and the eigenvalue count. They share entlab's
+class enumeration, the block-dilution split, the class-by-class walks
+for the mass threshold and the eigenvalue count, and the run walk over a
+spectrum target's sorted positions. They share entlab's
 log-domain float helpers and rebuild everything else on their own. The
 write_spectrum_json_by_dump is the byte reference for the streamed spectrum
 writer, and support_by_gram_eigh the reference for the SVD supports in
@@ -314,6 +315,49 @@ def block_dilution_by_pieces(counts, log2_eigs, log2_masses, d1, budget_c):
         error = 2.0 * math.sqrt(max(0.0, 1.0 - min(1.0, float(np.exp2(2.0 * l_f)))))
     tail = log2sub(0.0, lt) if lt < 0.0 else NEG_INF
     return tuple(zip(*x_runs)), tail, error
+
+
+def sorted_target_by_runs(spec, need):
+    """A spectrum target's first `need` sorted probabilities, zero-padded,
+    and the mass past them in linear and log2 form, by walking class runs.
+
+    Runs (count, log2 eig) cover a range of sorted positions one class at a
+    time; a run's probability is written as one scalar exp2, and the linear
+    tail sums log2(count) + log2 eig over the runs past need.
+    """
+    counts = spec.exact_mults
+    cum = list(itertools.accumulate(counts, initial=0))
+    total = cum[-1]
+
+    def runs(lo, hi):
+        if lo >= hi:
+            return
+        hi = min(hi, total)
+        c = min(bisect_right(cum, lo) - 1, len(counts) - 1)
+        pos = lo
+        while pos < hi and c < len(counts):
+            end = min(cum[c + 1], hi)
+            if end > pos:
+                yield end - pos, spec.log2_eigs[c]
+            pos = end
+            c += 1
+
+    probs = np.zeros(need)
+    pos = 0
+    for cnt, e in runs(0, need):
+        probs[pos : pos + cnt] = float(np.exp2(e))
+        pos += cnt
+    tail_terms = [log2_int(cnt) + e for cnt, e in runs(need, total)]
+    tail = float(np.exp2(log2sumexp(tail_terms))) if tail_terms else 0.0
+    if need >= total:
+        return probs, tail, NEG_INF
+    c = min(bisect_right(cum, need) - 1, len(counts) - 1)
+    prefix = np.concatenate(([NEG_INF], np.logaddexp2.accumulate(spec.log2_masses)))
+    part = need - cum[c]
+    lm = float(prefix[c]) if part == 0 else float(
+        np.logaddexp2(prefix[c], log2_int(part) + spec.log2_eigs[c])
+    )
+    return probs, tail, log2sub(0.0, lm) if lm < 0.0 else NEG_INF
 
 
 def concentration_yield_by_class(spec):

@@ -63,6 +63,17 @@ def test_every_traced_function_resolves():
         assert callable(fn), f"entlab.{module}.{attr}"
 
 
+def test_tracer_wraps_the_sorted_view_constructor():
+    # the tracer wraps SortedSpectrumView.__init__ outside TRACED, so one
+    # span counts one view built from one spectrum
+    from entlab import spectrum
+
+    view = getattr(spectrum, "SortedSpectrumView", None)
+    assert inspect.isclass(view), "entlab.spectrum.SortedSpectrumView"
+    spec = spectrum.tensor_power_spectrum(np.array([0.75, 0.25]), 4)
+    inspect.signature(view).bind(spec)
+
+
 def test_workload_names_resolve():
     for module, attr in WORKLOAD_NAMES:
         assert hasattr(importlib.import_module("entlab." + module), attr), f"entlab.{module}.{attr}"

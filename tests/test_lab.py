@@ -33,7 +33,6 @@ from entlab.lab import commands
 from entlab.lab.commands import probe_budget, write_spectrum_json
 from entlab.lab.spotcheck import read_certificate, residual_problems
 from entlab.locc import verify_theorem_chain
-from entlab.logdomain import exact_int_digits
 from entlab.spectrum import gaussian_quantile, tensor_power_spectrum
 from oracles import write_spectrum_json_by_dump
 
@@ -602,21 +601,26 @@ def test_communication_writes_exact_ints_past_the_str_digit_limit(tmp_path):
     assert [(r["n"], r["c_star"]) for r in rows] == [("17500", str(doc["c_star"]))]
 
 
-def test_run_report_and_certificate_to_json_past_the_str_digit_limit():
-    # both writers open the exact-int scope themselves, so a caller with the
-    # default digit limit in force gets every decimal digit of d and n1
+def test_run_report_and_certificate_docs_past_the_str_digit_limit(tmp_path):
+    # the documents carry d and n1 as exact ints; the JSON writer and the
+    # certificate reader open the exact-int scope themselves, so a caller
+    # with the default digit limit in force gets every decimal digit
     limit = sys.get_int_max_str_digits()
     spec = tensor_power_spectrum(P_QUARTER, 17500)
     _, outcomes, report = find_min_budget(spec, 17500, 0.1)
     cert = verify_theorem_chain(next(o for o in outcomes if o.good), spec, report)
-    run_json, cert_json = report.to_json(), cert.to_json()
-    assert sys.get_int_max_str_digits() == limit
-    with pytest.raises(ValueError):
-        str(report.d)  # the limit is still in force outside the writers
-    with exact_int_digits():
-        run_doc, cert_doc = json.loads(run_json), json.loads(cert_json)
+    run_doc, cert_doc = report.to_doc(), cert.to_doc()
     assert run_doc["d"] == report.d and report.d.bit_length() > 4300 * math.log2(10)
     assert cert_doc["n1"] == cert.n1 and cert_doc["consistent"] is True
+    with pytest.raises(ValueError):
+        str(report.d)  # the limit is in force outside the writer
+    path = tmp_path / "certificates" / "cert_n17500.json"
+    path.parent.mkdir()
+    commands._write_json(str(path), {"run": run_doc, "certificate": cert_doc})
+    assert sys.get_int_max_str_digits() == limit
+    back = read_certificate(str(tmp_path), 17500)
+    assert sys.get_int_max_str_digits() == limit
+    assert back["run"]["d"] == report.d and back["certificate"]["n1"] == cert.n1
 
 
 def test_theorem_chain_bound_past_the_double_range_is_inf_without_a_warning():
@@ -629,8 +633,7 @@ def test_theorem_chain_bound_past_the_double_range_is_inf_without_a_warning():
         cert = verify_theorem_chain(next(o for o in outcomes if o.good), spec, report)
     assert cert.consistent and cert.trpi_x_bound_ok
     assert cert.trpi_x_bound == math.inf
-    with exact_int_digits():
-        assert json.loads(cert.to_json())["trpi_x_bound"] is None
+    assert cert.to_doc()["trpi_x_bound"] is None
 
 
 @pytest.mark.parametrize("n", [4096, 16384])
@@ -658,3 +661,9 @@ def test_communication_past_exact_multiplicities_exits_3(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "20000" in err and "n = 30000" in err
+    # the composition limit counts compositions before they merge into
+    # classes: C(113, 3) = 234,136 here, merged into 12,321 classes
+    argv = ["communication", "--p", "0.4,0.3,0.2,0.1", "--n-grid", "110"]
+    assert main(argv + ["--out", str(tmp_path / "o4")]) == 3
+    err = capsys.readouterr().err
+    assert "200000" in err and "n = 110" in err and "234136" in err

@@ -27,12 +27,13 @@ from entlab.locc import (
     run_protocol_dense,
     verify_theorem_chain,
 )
-from entlab.locc.runner import _target_pieces
+from entlab.locc.runner import _sorted_target, _target_pieces
 from oracles import (
     block_dilution_by_pieces,
     completeness_defect,
     concentration_yield_by_class,
     diagonal_kraus_dense,
+    sorted_target_by_runs,
 )
 
 P_QUARTER = np.array([0.75, 0.25])
@@ -291,11 +292,45 @@ def test_concentrate_hand_case():
 
 @pytest.mark.parametrize(
     "p, n",
-    [((0.47, 0.29, 0.15, 0.09), 100), ((0.5, 0.3, 0.2), 300), ((0.75, 0.25), 4096)],
+    [
+        ((0.47, 0.29, 0.15, 0.09), 100),
+        ((0.5, 0.3, 0.2), 300),
+        ((0.75, 0.25), 4096),
+        ((0.75, 0.25), 65536),  # past the exact limit: log2 multiplicities only
+    ],
 )
 def test_concentrate_yield_equals_the_per_class_sum(p, n):
     spec = tensor_power_spectrum(np.array(p), n)
     assert concentrate(spec).expected_yield == concentration_yield_by_class(spec)
+
+
+# one base per d, plus bases whose compositions merge into shared classes
+SORTED_TARGET_BASES = (
+    (1.0,),
+    (0.75, 0.25),
+    (0.5, 0.5),
+    (0.5, 0.3, 0.2),
+    (0.5, 0.25, 0.25),
+    (0.4, 0.3, 0.2, 0.1),
+)
+
+
+def test_sorted_target_equals_the_run_walk_bit_for_bit():
+    # need runs over 1..3, every class boundary and its neighbours, and
+    # total_dim + 1, wherever that stays a small array
+    cases = 0
+    for p in SORTED_TARGET_BASES:
+        for n in range(1, 31):
+            spec = tensor_power_spectrum(np.array(p), n)
+            cum = spec.view.cum_counts
+            needs = {1, 2, 3} | {b + s for b in cum for s in (-1, 0, 1)}
+            for need in sorted(x for x in needs if 1 <= x <= 1 << 12):
+                probs, tail, log2_tail = _sorted_target(spec, need)
+                want_probs, want_tail, want_log2_tail = sorted_target_by_runs(spec, need)
+                assert probs.tobytes() == want_probs.tobytes(), (p, n, need)
+                assert (tail, log2_tail) == (want_tail, want_log2_tail), (p, n, need)
+                cases += 1
+    assert cases > 1000
 
 
 def test_concentrate_yield_below_entropy():
@@ -345,8 +380,7 @@ def test_certificate_consistent_on_a_real_run(quarter_spectra):
     assert cert.consistent
     assert cert.n == 64 and cert.c == 30
     assert cert.prob_qualifies and cert.witness_ok and cert.dp_ok
-    doc = cert.to_json()
-    assert '"consistent": true' in doc
+    assert cert.to_doc()["consistent"] is True
 
 
 def test_certificate_rejects_bad_inputs(quarter_spectra):

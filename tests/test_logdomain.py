@@ -1,11 +1,9 @@
 """The grouped log-sum-exp against the per-segment one, bit for bit."""
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from entlab import logdomain
 from entlab.logdomain import (
     NEG_INF,
     SEQUENTIAL_SUM_MAX,
@@ -50,12 +48,6 @@ def _flatten(segments):
 def test_segments_equal_the_per_segment_log2sumexp(segments):
     flat, starts = _flatten(segments)
     want = [log2sumexp(seg) for seg in segments]
-    # force the vector path however few segments there are; the scalar
-    # path for few segments is log2sumexp itself
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(logdomain, "SEGMENTS_VECTOR_MIN", 0)
-        got = log2sumexp_segments(flat, starts)
-    assert got == want
     assert log2sumexp_segments(flat, starts) == want
 
 
@@ -67,6 +59,10 @@ def test_segment_lengths_across_the_sequential_sum_boundary():
     ]
     flat, starts = _flatten(segments)
     assert log2sumexp_segments(flat, starts) == [log2sumexp(seg) for seg in segments]
+    assert log2sumexp_segments([], []) == []
+    # one segment, short enough for the vector sum and too long for it
+    for one in (segments[4], segments[12]):
+        assert log2sumexp_segments(one, [0]) == [log2sumexp(one)]
 
 
 def test_numpy_sums_short_float64_arrays_left_to_right():
