@@ -1,8 +1,9 @@
 """Experiment commands: compute scaling tables and write CSV/JSON outputs.
 
 Each command takes an ExperimentConfig, computes one row set per grid
-point, sorts the collected rows, and writes plot-ready files. All numbers are
-formatted with %.12g so a fixed config yields byte-identical output.
+point in grid order, and writes plot-ready files. The grids are validated
+strictly ascending, so the rows come out sorted. All numbers are formatted
+with %.12g so a fixed config yields byte-identical output.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ def write_spectrum_json(path: str, spec) -> str:
     return path
 
 
-def residual_grid(n: int, cells: int):
+def residual_grid(cells: int):
     """Standardized interval endpoints covering [-4, 4] sigma.
 
     Pairs a left endpoint with a nonnegative width so every cell is a valid
@@ -115,10 +116,9 @@ def cmd_spectrum(config: ExperimentConfig) -> tuple:
     all_rows = []
     for n in config.n_grid:
         spec = tensor_power_spectrum(base, n)
-        all_rows.extend(berry_esseen_grid(spec, *residual_grid(n, config.grid_cells)))
+        all_rows.extend(berry_esseen_grid(spec, *residual_grid(config.grid_cells)))
         written.append(write_spectrum_json(os.path.join(out, f"spectrum_n{n}.json"), spec))
         del spec  # one spectrum alive at a time
-    all_rows.sort(key=lambda r: (r[0], r[1], r[2]))
     written.append(
         _write_csv(
             os.path.join(out, "residuals.csv"),
@@ -266,23 +266,19 @@ def cmd_communication(config: ExperimentConfig) -> tuple:
     os.makedirs(cert_dir, exist_ok=True)
     base = BaseSpectrum(np.asarray(config.p, dtype=float))
 
-    def work(n: int):
+    rows = []
+    sweep_rows = []
+    docs = []
+    for n in config.n_grid:
         spec = tensor_power_spectrum(base, n)
         budget, outcomes, report = find_min_budget(spec, n, config.epsilon)
         good = next(o for o in outcomes if o.good)
         cert = verify_theorem_chain(good, spec, report)
-        sweep = []
         for extra in config.budget_grid:
             _, terr, _, rep = probe_budget(spec, extra, config.epsilon)
-            sweep.append((n, extra, terr, rep.epsilon, rep.c, rep.s))
-        return n, budget, spec.stats.alpha * math.sqrt(n), report, cert, sweep
-
-    rows = []
-    sweep_rows = []
-    written = []
-    for n, budget, asn, report, cert, sweep in sorted(map(work, config.n_grid)):
+            sweep_rows.append((n, extra, terr, rep.epsilon, rep.c, rep.s))
+        asn = spec.stats.alpha * math.sqrt(n)
         rows.append((n, budget, asn, budget / asn))
-        sweep_rows.extend(sweep)
         doc = {
             "n": n,
             "c_star": budget,
@@ -291,7 +287,10 @@ def cmd_communication(config: ExperimentConfig) -> tuple:
             "certificate": cert.to_doc(),
             "consistent": cert.consistent,
         }
-        written.append(_write_json(os.path.join(cert_dir, f"cert_n{n}.json"), doc))
+        docs.append((n, doc))
+        del spec  # one spectrum alive at a time
+    # no certificate is written unless every n has run
+    written = [_write_json(os.path.join(cert_dir, f"cert_n{n}.json"), doc) for n, doc in docs]
     written.append(
         _write_csv(
             os.path.join(out, "communication.csv"),
@@ -300,7 +299,6 @@ def cmd_communication(config: ExperimentConfig) -> tuple:
         )
     )
     if sweep_rows:
-        sweep_rows.sort(key=lambda r: (r[0], r[1]))
         written.append(
             _write_csv(
                 os.path.join(out, "communication_budgets.csv"),
@@ -316,13 +314,13 @@ def cmd_concentration(config: ExperimentConfig) -> tuple:
     out = _ensure_out(config)
     base = BaseSpectrum(np.asarray(config.p, dtype=float))
 
-    def work(n: int):
+    rows = []
+    for n in config.n_grid:
         spec = tensor_power_spectrum(base, n)
         res = concentrate(spec)
         ne = n * spec.stats.entropy
-        return (n, ne, res.expected_yield, res.deficit, res.deficit / math.sqrt(n))
-
-    rows = sorted(map(work, config.n_grid))
+        rows.append((n, ne, res.expected_yield, res.deficit, res.deficit / math.sqrt(n)))
+        del spec  # one spectrum alive at a time
     path = _write_csv(
         os.path.join(out, "concentration.csv"),
         ("n", "nE", "expected_yield", "deficit", "deficit_over_sqrt_n"),

@@ -71,7 +71,7 @@ def residual_problems(config: ExperimentConfig, rows: list, spec_of) -> list:
     def cells_of(n):
         if n not in cells:
             table = cells[n] = {}
-            for a, bs in grid_windows(spec_of(n), *residual_grid(n, config.grid_cells)):
+            for a, bs in grid_windows(spec_of(n), *residual_grid(config.grid_cells)):
                 for b in bs.tolist():
                     table.setdefault((_fmt(a), _fmt(b)), []).append((a, b))
         return cells[n]

@@ -6,9 +6,10 @@ outcome carries its output profile in one form, run columns (count,
 log2 x) over the target's sorted positions: a diagonal standard-form
 protocol gives runs of length 1, a block family too large to materialize
 gives its symbolic runs. run_protocol_dense is the full-matrix oracle for
-the diagonal path. The certificate checker cuts the runs at the target's
-class boundaries and re-derives the communication lower bound from
-recorded quantities, flagging each inequality separately. Reports and
+the diagonal path. The certificate checker reads three profile queries in
+one walk that cuts the outcome's runs at the class boundaries as it goes,
+and re-derives the communication lower bound from them and the recorded
+quantities, flagging each inequality separately. Reports and
 certificates hand their fields out as plain documents (to_doc), with
 non-finite numbers as None; writing them as JSON is the caller's job.
 """
@@ -431,8 +432,6 @@ class TheoremChainCertificate:
     trp1_rho: float
     trp1_quarter_ok: bool
     trp1_delta_rho_ok: bool
-    s2: int
-    trp2_gamma: float
     trpi_rho: float
     margin_quarter_ok: bool
     x_norm: float
@@ -446,18 +445,25 @@ class TheoremChainCertificate:
     d_reduced: float
     witness_ok: bool
     dp_ok: bool
-    linear_envelope_ok: bool
-    sqrt_envelope_ok: bool
     implied_c_plus_s: float
     implied_ok: bool
     log2_capture_const: float
-    reference_margin: float
-    reference_implied_lower: float
-    reference_bound_ok: bool
     eps_within_reference: bool
-    delta_rho: float
-    delta_gamma: float
-    eps0: float
+    # constant for every Schmidt-diagonal run. No junk register: Gamma is
+    # 1x1, so S(Gamma, delta_gamma) = 1 and Tr P2 Gamma = 1
+    s2: int = 1
+    trp2_gamma: float = 1.0
+    # both envelopes hold for every error in [0, 2], where a good outcome's lies
+    linear_envelope_ok: bool = True
+    sqrt_envelope_ok: bool = True
+    delta_rho: float = CERT_DELTA_RHO
+    delta_gamma: float = CERT_DELTA_GAMMA
+    eps0: float = CERT_EPS0
+    # the reference margin delta_gamma / 4 - eps0 is exactly 0.0, so the
+    # bound it implies is -inf and holds in every certificate
+    reference_margin: float = CERT_DELTA_GAMMA / 4.0 - CERT_EPS0
+    reference_implied_lower: float = NEG_INF
+    reference_bound_ok: bool = True
 
     @property
     def consistent(self) -> bool:
@@ -483,16 +489,14 @@ class TheoremChainCertificate:
         return doc
 
 
-def _target_pieces(x_runs, view):
-    """Cut output runs (counts, log2 x) at the target's class boundaries.
-
-    Returns the pieces (count, log2 x, log2 target) in position order, with
-    positions past the spectrum at -inf, and log2 of the target mass past
-    the runs.
-    """
+def _profile_queries(x_runs, view, n1: int):
+    """(Tr P1 x, ||x - target||_1, log2 max x) of output runs (counts,
+    log2 x), with P1 onto the first n1 sorted positions. The runs are cut
+    at the class boundaries as the walk goes, positions past the spectrum
+    at target -inf, and both sums take their terms in position order."""
     bounds = view.cum_counts
     eigs = view.log2_eigs
-    pieces = []
+    prefix, dist = [], []
     c = pos = 0
     for cnt, lx in zip(*x_runs):
         end = pos + cnt
@@ -503,32 +507,16 @@ def _target_pieces(x_runs, view):
                     c += 1
             else:
                 stop, e = end, NEG_INF
-            pieces.append((stop - pos, lx, e))
+            if pos < n1:
+                prefix.append(log2_int(min(stop, n1) - pos) + lx)
+            hi, lo = (lx, e) if lx >= e else (e, lx)
+            if hi != NEG_INF:
+                dist.append(log2_int(stop - pos) + log2sub(hi, lo))
             pos = stop
-    return pieces, _log2_mass_past(view, pos)
-
-
-def _x_prefix_mass(pieces, n1: int) -> float:
-    pos = 0
-    acc = []
-    for cnt, lx, _ in pieces:
-        take = min(cnt, n1 - pos)
-        if take <= 0:
-            break
-        acc.append(log2_int(take) + lx)
-        pos += take
-    return float(np.exp2(log2sumexp(acc)))
-
-
-def _x_power_distance(pieces, log2_tail: float) -> float:
-    acc = []
-    for cnt, lx, ll in pieces:
-        hi, lo = (lx, ll) if lx >= ll else (ll, lx)
-        if hi == NEG_INF:
-            continue
-        acc.append(log2_int(cnt) + log2sub(hi, lo))
-    acc.append(log2_tail)  # tail last: the summation order is part of the output
-    return float(np.exp2(log2sumexp(acc)))
+    dist.append(_log2_mass_past(view, pos))  # tail last: the summation order is part of the output
+    trpi_x = float(np.exp2(log2sumexp(prefix)))
+    d_reduced = float(np.exp2(log2sumexp(dist)))
+    return trpi_x, d_reduced, float(np.max(x_runs[1]))
 
 
 def verify_theorem_chain(
@@ -553,7 +541,6 @@ def verify_theorem_chain(
     n = spec.n
     view = spec.view
     ne = n * stats.entropy
-    sqrt_term = stats.alpha * math.sqrt(n)
 
     n1 = view.count_eigs_at_least(-ne)
     log2_n1 = log2_int(n1)
@@ -562,28 +549,18 @@ def verify_theorem_chain(
     n_threshold = CERT_N_COEFF * stats.beta * stats.beta
     n_past = n > n_threshold
 
-    # a Schmidt-diagonal output leaves no junk register: Gamma is the 1x1
-    # state, so S(Gamma, delta_gamma) = 1 and Tr P2 Gamma = 1
-    s2 = 1
-    trp2_gamma = 1.0
-    trpi_rho = trp1_rho
-
     c = report.c
     s = report.s
     log2_d = report.log2_d
     if outcome.x_runs is None:
         raise ValidationError("outcome carries no output profile")
     # log2 of the largest output weight, the operator norm of the reduced
-    # output; stays finite where the plain norm underflows at large n
-    log2_xnorm = float(np.max(outcome.x_runs[1]))
+    # output, stays finite where the plain norm underflows at large n
+    trpi_x, d_reduced, log2_xnorm = _profile_queries(outcome.x_runs, view, n1)
     x_norm = float(np.exp2(log2_xnorm))  # may underflow; bounds use the log
     xnorm_pd_ok = log2_xnorm <= -outcome.log2_prob - log2_d + 1e-9
     xnorm_cc_ok = log2_xnorm <= c + s - log2_d + 1e-6
     prob_qualifies = outcome.log2_prob >= -(c + s) - 1e-6
-
-    pieces, log2_tail = _target_pieces(outcome.x_runs, view)
-    trpi_x = _x_prefix_mass(pieces, n1)
-    d_reduced = _x_power_distance(pieces, log2_tail)
 
     log2_bound = log2_n1 + log2_xnorm
     # 2^1024 overflows a double: past it the bound is inf, without the warning
@@ -592,30 +569,19 @@ def verify_theorem_chain(
         trpi_x <= 0.0 or math.log2(trpi_x) <= log2_bound + 1e-9
     )
 
-    witness_lower = 2.0 * (trpi_rho - trpi_x)
+    witness_lower = 2.0 * (trp1_rho - trpi_x)
     witness_ok = witness_lower <= d_reduced + 1e-9
     # the output pair is pure with a trivial junk register, so its product
     # distance equals its error
     err = outcome.error
     dp_ok = d_reduced <= err + 1e-9
-    linear_envelope_ok = err < 2.0 * err + 1e-12
-    sqrt_envelope_ok = err <= 2.0 * math.sqrt(max(0.0, err - err * err / 4.0)) + 1e-9
 
-    margin = trpi_rho - d_reduced / 2.0
+    margin = trp1_rho - d_reduced / 2.0
     if margin > 0.0:
         implied = math.log2(margin) + log2_d - log2_n1
     else:
         implied = NEG_INF
     implied_ok = (not math.isfinite(implied)) or (c + s >= implied - 1e-6)
-
-    log2_capture = log2_d - sqrt_term - log2_n1
-    # same bound again but with the margin pinned to the reference parameters
-    ref_margin = CERT_DELTA_GAMMA / 4.0 - CERT_EPS0
-    if ref_margin > 0.0:
-        ref_implied = sqrt_term + math.log2(ref_margin) - log2_capture
-    else:
-        ref_implied = NEG_INF
-    ref_bound_ok = (not math.isfinite(ref_implied)) or (c + s >= ref_implied - 1e-6)
 
     return TheoremChainCertificate(
         n=n,
@@ -636,10 +602,8 @@ def verify_theorem_chain(
         trp1_rho=trp1_rho,
         trp1_quarter_ok=trp1_rho > 0.25,
         trp1_delta_rho_ok=trp1_rho >= CERT_DELTA_RHO,
-        s2=s2,
-        trp2_gamma=trp2_gamma,
-        trpi_rho=trpi_rho,
-        margin_quarter_ok=trpi_rho >= CERT_DELTA_GAMMA / 4.0 - 1e-12,
+        trpi_rho=trp1_rho,  # no junk register: P_I = P1 x P2 captures Tr P1 rho
+        margin_quarter_ok=trp1_rho >= CERT_DELTA_GAMMA / 4.0 - 1e-12,
         x_norm=x_norm,
         xnorm_pd_ok=xnorm_pd_ok,
         xnorm_cc_ok=xnorm_cc_ok,
@@ -651,16 +615,8 @@ def verify_theorem_chain(
         d_reduced=d_reduced,
         witness_ok=witness_ok,
         dp_ok=dp_ok,
-        linear_envelope_ok=linear_envelope_ok,
-        sqrt_envelope_ok=sqrt_envelope_ok,
         implied_c_plus_s=implied,
         implied_ok=implied_ok,
-        log2_capture_const=log2_capture,
-        reference_margin=ref_margin,
-        reference_implied_lower=ref_implied,
-        reference_bound_ok=ref_bound_ok,
+        log2_capture_const=log2_d - stats.alpha * math.sqrt(n) - log2_n1,
         eps_within_reference=err <= CERT_EPS0,
-        delta_rho=CERT_DELTA_RHO,
-        delta_gamma=CERT_DELTA_GAMMA,
-        eps0=CERT_EPS0,
     )

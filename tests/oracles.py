@@ -5,8 +5,9 @@ arithmetic where the inputs are rational, dense linear algebra otherwise.
 None of it calls back into entlab, so agreement is evidence rather than
 tautology. Some oracles must match the package bit for bit: the per-row
 class enumeration, the block-dilution split, the class-by-class walks
-for the mass threshold and the eigenvalue count, and the run walk over a
-spectrum target's sorted positions. They share entlab's
+for the mass threshold and the eigenvalue count, the run walk over a
+spectrum target's sorted positions, and the piece list behind the
+certificate's profile queries. They share entlab's
 log-domain float helpers and rebuild everything else on their own. The
 write_spectrum_json_by_dump is the byte reference for the streamed spectrum
 writer, and support_by_gram_eigh the reference for the SVD supports in
@@ -358,6 +359,78 @@ def sorted_target_by_runs(spec, need):
         np.logaddexp2(prefix[c], log2_int(part) + spec.log2_eigs[c])
     )
     return probs, tail, log2sub(0.0, lm) if lm < 0.0 else NEG_INF
+
+
+def target_pieces_by_cut(x_runs, spec):
+    """Cut output runs (counts, log2 x) at the target's class boundaries.
+
+    Returns the pieces (count, log2 x, log2 target) in position order, with
+    positions past the spectrum at -inf, and log2 of the target mass past
+    the runs.
+    """
+    bounds = list(itertools.accumulate(spec.exact_mults, initial=0))
+    eigs = spec.log2_eigs
+    pieces = []
+    c = pos = 0
+    for cnt, lx in zip(*x_runs):
+        end = pos + cnt
+        while pos < end:
+            if c < len(eigs):
+                stop, e = min(end, bounds[c + 1]), eigs[c]
+                if stop == bounds[c + 1]:
+                    c += 1
+            else:
+                stop, e = end, NEG_INF
+            pieces.append((stop - pos, lx, e))
+            pos = stop
+    if pos >= bounds[-1]:
+        return pieces, NEG_INF
+    lm = NEG_INF  # log2 of the target mass the runs cover
+    if pos > 0:
+        c = bisect_right(bounds, pos) - 1
+        prefix = np.concatenate(([NEG_INF], np.logaddexp2.accumulate(spec.log2_masses)))
+        part = pos - bounds[c]
+        lm = float(prefix[c]) if part == 0 else float(
+            np.logaddexp2(prefix[c], log2_int(part) + eigs[c])
+        )
+    return pieces, log2sub(0.0, lm) if lm < 0.0 else NEG_INF
+
+
+def x_prefix_mass_by_pieces(pieces, n1):
+    """Mass of the first n1 positions, summed piece by piece."""
+    pos = 0
+    acc = []
+    for cnt, lx, _ in pieces:
+        take = min(cnt, n1 - pos)
+        if take <= 0:
+            break
+        acc.append(log2_int(take) + lx)
+        pos += take
+    return float(np.exp2(log2sumexp(acc)))
+
+
+def x_power_distance_by_pieces(pieces, log2_tail):
+    """L1 distance to the target, summed piece by piece, tail last."""
+    acc = []
+    for cnt, lx, ll in pieces:
+        hi, lo = (lx, ll) if lx >= ll else (ll, lx)
+        if hi == NEG_INF:
+            continue
+        acc.append(log2_int(cnt) + log2sub(hi, lo))
+    acc.append(log2_tail)
+    return float(np.exp2(log2sumexp(acc)))
+
+
+def profile_queries_by_pieces(x_runs, spec, n1):
+    """(Tr P1 x, ||x - target||_1, log2 max x) of an output profile over a
+    spectrum target, by cutting the runs into a list of class pieces and
+    walking that list once per sum."""
+    pieces, log2_tail = target_pieces_by_cut(x_runs, spec)
+    return (
+        x_prefix_mass_by_pieces(pieces, n1),
+        x_power_distance_by_pieces(pieces, log2_tail),
+        float(np.max(x_runs[1])),
+    )
 
 
 def concentration_yield_by_class(spec):

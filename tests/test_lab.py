@@ -448,10 +448,43 @@ RECORDED_OUTPUTS = {
             "96058b8ea6ef0e0cc187e3a99aa57a961566171ab63f55d390eee73b7f486d8c"
         ),
     },
+    # n <= 8 at d = 3: every c* outcome is scored on its materialized weights
+    ((0.5, 0.3, 0.2), (2, 3, 4, 5, 6, 8)): {
+        "communication.csv": "86be81be6870af386ba081c056270daba54b26413972dab7f3e8bb5eedcedee7",
+        "concentration.csv": "7460e115a40f27d0033b10cb70cf8126de3b2ae8c47bb4712ade7b4505db0d0c",
+        "growth_fit.csv": "2c6e3ca1e01c076e9fe06e0f0a298db099e90512b76a9a08378f2f492560cd6d",
+        "growth_summary.json": "783e9251562c6151d1219f74def2c8ef2cf337348487932b048332edff865c55",
+        "inefficiency.csv": "c539a5c965da8568c18d6bbc3af900c88cd1eb061ec5d577be140835bfb7ce26",
+        "residuals.csv": "c31b9abdef9ceff13a0db8588101eff3dc1335216ebea986aff38c69468d5924",
+        "spectrum_n2.json": "2c2949befce15f54dd55a663a9953a48cd6d57ef25abb439874f73256e34151f",
+        "spectrum_n3.json": "8f55e8910590636f29bddf995b2920fc0f504494c73905f2307965e7f4faccb2",
+        "spectrum_n4.json": "0234944e6dd61c3b30ba100fbf3e1764e70a2e91311e59f84b320ffa2ca57fa1",
+        "spectrum_n5.json": "70ae8415b2e84d47f4c88b6ce22818424f022032cb97318e164eff68528bc50b",
+        "spectrum_n6.json": "616427ff456ebfd03688aaeea3bb1a1a3ada2cd343a1a5adae6c950dbb022560",
+        "spectrum_n8.json": "18f44969e843808d31a4fe8f69bd12510d5ae86bfe5121a9677adab16fd96c23",
+        "certificates/cert_n2.json": (
+            "4944319dcdfdc9dc095a38f2260f4ca8df58a06ea89ad6d3e09f76762a4a2ca9"
+        ),
+        "certificates/cert_n3.json": (
+            "59bca37b469a674456ea903bada3f2e5b959b7c910c1347ea535273c3a6bf180"
+        ),
+        "certificates/cert_n4.json": (
+            "0c0c87df022f1c671675535af782869d3779b4224e84efd21bc49c35fc050e33"
+        ),
+        "certificates/cert_n5.json": (
+            "b1d9be0718ccace7afb5e3f8bc4aef9f5eea56ef117ae7b448c8ebac876917c4"
+        ),
+        "certificates/cert_n6.json": (
+            "9561dc4704af5bd1f4e8215e4dadc30e87aab9da58b56a6644f58104b59207c2"
+        ),
+        "certificates/cert_n8.json": (
+            "4ba76cd7d50cb36aec4f34482705bb295c2e96e4b07871b7f5ccaaac2491ab35"
+        ),
+    },
 }
 
 
-@pytest.mark.parametrize("p, n_grid", list(RECORDED_OUTPUTS), ids=["d2", "d4"])
+@pytest.mark.parametrize("p, n_grid", list(RECORDED_OUTPUTS), ids=["d2", "d4", "d3"])
 def test_commands_write_the_recorded_bytes(tmp_path, p, n_grid):
     _run_everything(ExperimentConfig(p=p, n_grid=n_grid, out=str(tmp_path)))
     digests = {}

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entlab import (
@@ -27,13 +27,16 @@ from entlab.locc import (
     run_protocol_dense,
     verify_theorem_chain,
 )
-from entlab.locc.runner import _sorted_target, _target_pieces
+from entlab.locc.runner import CERT_DELTA_GAMMA, CERT_EPS0, _profile_queries, _sorted_target
 from oracles import (
     block_dilution_by_pieces,
     completeness_defect,
     concentration_yield_by_class,
     diagonal_kraus_dense,
+    profile_queries_by_pieces,
     sorted_target_by_runs,
+    x_power_distance_by_pieces,
+    x_prefix_mass_by_pieces,
 )
 
 P_QUARTER = np.array([0.75, 0.25])
@@ -186,11 +189,25 @@ def assert_split_matches_oracle(monkeypatch, spec, budget, eps):
     runs, tail, error = block_dilution_by_pieces(
         spec.exact_mults, spec.log2_eigs, spec.log2_masses, d1, budget
     )
-    # the certificate's cut at the class boundaries restores the oracle's
-    # pieces and tail, float for float
-    pieces, pieces_tail = _target_pieces(family.x_runs, spec.view)
-    assert tuple(zip(*pieces)) == runs, (spec.n, budget)
-    assert pieces_tail == tail
+    # the oracle's pieces, merged where neighbouring log2 x are equal, are
+    # the family's runs
+    merged = []
+    for cnt, lx, _ in zip(*runs):
+        if merged and merged[-1][1] == lx:
+            merged[-1] = (merged[-1][0] + cnt, lx)
+        else:
+            merged.append((cnt, lx))
+    assert tuple(zip(*merged)) == family.x_runs, (spec.n, budget)
+    # the certificate's one walk over the runs gives the sums over the
+    # oracle's pieces and tail, float for float
+    pieces = list(zip(*runs))
+    n1 = spec.view.count_eigs_at_least(-spec.n * spec.stats.entropy)
+    want = (
+        x_prefix_mass_by_pieces(pieces, n1),
+        x_power_distance_by_pieces(pieces, tail),
+        max(runs[1]),
+    )
+    assert _profile_queries(family.x_runs, spec.view, n1) == want, (spec.n, budget)
     log2_x = family.x_runs[1]
     assert all(a != b for a, b in zip(log2_x, log2_x[1:])), (spec.n, budget)
     assert family.target_error == error == predicted
@@ -234,6 +251,45 @@ def test_block_split_edge_cases_match_the_oracle(
     assert family.m > 1
     assert any(b % family.m == 0 for b in inner) == ends_on_a_block_end
     assert (family.d_prime > spec.view.total_dim) == zero_pad
+
+
+# bases and n of the profile-query check: every budget up to the clamp
+PROFILE_QUERY_GRID = (
+    ((0.75, 0.25), (*range(2, 17), 24, 32, 48, 64)),
+    ((0.5, 0.3, 0.2), (*range(2, 13), 20, 32)),
+    ((0.4, 0.3, 0.2, 0.1), (*range(2, 11), 16, 20)),
+)
+
+
+def block_family_profiles(monkeypatch, spec, eps):
+    """(kind, output runs) of the block family at every budget up to the
+    clamp: the symbolic family's, and the materialized protocol's good
+    outcome's wherever the family has at most 2^14 weights."""
+    d1 = spec.view.sig_dim(1.0 - eps * eps / 8.0)[0]
+    for budget in range((d1 - 1).bit_length() + 1):
+        with monkeypatch.context() as mp:
+            mp.setattr("entlab.locc.protocols.WEIGHTS_CAP", 0)
+            family, _ = build_block_dilution(spec, budget, eps_target=eps)
+        yield "symbolic", family.x_runs
+        if family.K * family.d_prime <= 1 << 14:
+            outcomes, _ = run_protocol(family.materialize(), spec)
+            yield "materialized", next(o for o in outcomes if o.good).x_runs
+
+
+def test_profile_queries_equal_the_piece_list_oracle(monkeypatch):
+    # n1 at the certificate's projector, at 0, and past the runs
+    kinds = {"symbolic": 0, "materialized": 0}
+    for p, ns in PROFILE_QUERY_GRID:
+        for n in ns:
+            spec = tensor_power_spectrum(np.array(p), n)
+            view = spec.view
+            cert_n1 = view.count_eigs_at_least(-n * spec.stats.entropy)
+            for kind, x_runs in block_family_profiles(monkeypatch, spec, 0.1):
+                kinds[kind] += 1
+                for n1 in (cert_n1, 0, sum(x_runs[0]) + 1):
+                    got = _profile_queries(x_runs, view, n1)
+                    assert got == profile_queries_by_pieces(x_runs, spec, n1), (p, n, n1)
+    assert kinds["symbolic"] > 700 and kinds["materialized"] > 100, kinds
 
 
 def junk_complement_protocol():
@@ -381,6 +437,31 @@ def test_certificate_consistent_on_a_real_run(quarter_spectra):
     assert cert.n == 64 and cert.c == 30
     assert cert.prob_qualifies and cert.witness_ok and cert.dp_ok
     assert cert.to_doc()["consistent"] is True
+
+
+def test_reference_margin_is_not_positive(quarter_spectra):
+    margin = CERT_DELTA_GAMMA / 4.0 - CERT_EPS0
+    assert margin <= 0.0, (
+        f"the reference margin delta_gamma / 4 - eps0 = {margin} turned positive: "
+        "reference_margin, reference_implied_lower and reference_bound_ok must be "
+        "computed again from each run"
+    )
+    family, _ = build_block_dilution(quarter_spectra[64], 30, eps_target=0.1)
+    outcomes, report = run_protocol(family, quarter_spectra[64])
+    doc = verify_theorem_chain(outcomes[0], quarter_spectra[64], report).to_doc()
+    assert doc["reference_margin"] == margin
+    assert doc["reference_implied_lower"] is None and doc["reference_bound_ok"] is True
+
+
+@given(st.floats(min_value=0.0, max_value=2.0))
+@example(0.0)
+@example(2.0)
+@settings(max_examples=200, deadline=None)
+def test_certificate_envelopes_hold_for_every_error_in_range(err):
+    # the two envelope checks every certificate declares true; a good
+    # outcome's error lies in [0, 2]
+    assert err < 2.0 * err + 1e-12
+    assert err <= 2.0 * math.sqrt(max(0.0, err - err * err / 4.0)) + 1e-9
 
 
 def test_certificate_rejects_bad_inputs(quarter_spectra):

@@ -235,7 +235,7 @@ def test_residual_grid_rows_equal_per_cell_residuals(p, n):
     spec = tensor_power_spectrum(np.array(p), n)
     st_ = spec.stats
     scale = st_.alpha * math.sqrt(n)
-    lefts, widths = residual_grid(n, 50)
+    lefts, widths = residual_grid(50)
     assert widths[0] == 0.0
     # plus one row of windows wholly below the smallest class and one wholly
     # above the largest, where the class slice is empty (hi <= lo)
