@@ -13,6 +13,7 @@ import sys
 from contextlib import contextmanager
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 NEG_INF = -math.inf
 
@@ -82,45 +83,73 @@ def log2sumexp(values) -> float:
     return m + math.log2(float(np.exp2(arr - m).sum()))
 
 
-# numpy sums fewer than this many float64 terms left to right from -0.0;
-# from here on its pairwise summation groups them
-SEQUENTIAL_SUM_MAX = 7
+def log2sumexp_windows(values, starts, lengths) -> list:
+    """log2sumexp of every window values[s:s + l], bit for bit, grouped by length.
 
-
-def log2sumexp_segments(flat, starts) -> list:
-    """log2sumexp of every segment of flat, bit for bit, in one vector pass.
-
-    Segment i is flat[starts[i]:starts[i + 1]] (the last one runs to the
-    end); starts must be strictly increasing, so no segment is empty, and
-    no starts at all gives [].
-    Each result equals log2sumexp(segment) under ==: the segment maxima and
-    the exp2 terms are elementwise, and the sums of at most
-    SEQUENTIAL_SUM_MAX terms are accumulated position by position, in the
-    left-to-right order numpy's sum uses at that length. A longer segment,
-    or one holding a -inf term, goes through log2sumexp itself.
+    Window i starts at starts[i] and holds lengths[i] terms; windows may
+    overlap and come in any order. A window of length 0 gives -inf, like
+    log2sumexp([]); one with a negative start or length, or one that runs
+    past the end, raises ValueError naming it.
+    Each result equals log2sumexp(window) under ==. -inf terms are dropped
+    first, as log2sumexp drops them. The windows of one length are then the
+    rows of one gathered 2-D array: the maxima and exp2 terms are
+    elementwise, and numpy sums each row of a C-contiguous array with the
+    pairwise loop it uses for a 1-D sum (tests/test_logdomain.py pins
+    this). A length only one window has is summed as its 1-D slice, which
+    costs no gather.
     """
-    nseg = len(starts)
-    if nseg == 0:
-        return []
-    arr = np.asarray(flat, dtype=float)
+    arr = np.asarray(values, dtype=float)
     first = np.asarray(starts, dtype=np.intp)
-    lengths = np.diff(first, append=arr.size)
-    maxes = np.maximum.reduceat(arr, first)
-    with np.errstate(invalid="ignore"):  # -inf - -inf in all -inf segments
-        terms = np.exp2(arr - np.repeat(maxes, lengths))
-    sums = np.full(nseg, -0.0)
-    for pos in range(min(SEQUENTIAL_SUM_MAX, int(lengths.max()))):
-        live = np.flatnonzero(lengths > pos)
-        sums[live] += terms[first[live] + pos]
-    slow = np.flatnonzero(
-        np.logical_or.reduceat(arr == NEG_INF, first) | (lengths > SEQUENTIAL_SUM_MAX)
-    ).tolist()
-    sums[slow] = 1.0  # their partial sums may be 0 or nan; replaced below
-    # m + log2(1.0) is m + 0.0, so only sums other than 1.0 need a log
+    size = np.asarray(lengths, dtype=np.intp)
+    if first.ndim != 1 or first.shape != size.shape:
+        raise ValueError("log2sumexp_windows needs one start and one length per window")
+    bad = np.flatnonzero((first < 0) | (size < 0) | (first > arr.size - size))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(
+            f"window {i} (start {first[i]}, length {size[i]}) "
+            f"does not lie within the {arr.size} values"
+        )
+    if first.size == 0:
+        return []
+    live = arr != NEG_INF
+    if not live.all():
+        kept = np.concatenate(([0], np.cumsum(live)))
+        size = kept[first + size] - kept[first]
+        first = kept[first]
+        arr = arr[live]
+    maxes = np.full(first.size, NEG_INF)
+    sums = np.ones(first.size)
+    order = np.argsort(size, kind="stable")
+    sorted_size = size[order]
+    cuts = np.flatnonzero(sorted_size[1:] != sorted_size[:-1]) + 1
+    for g0, g1 in zip([0, *cuts.tolist()], [*cuts.tolist(), order.size]):
+        length = int(sorted_size[g0])
+        if length == 0:
+            continue
+        if g1 - g0 == 1:
+            i = order[g0]
+            seg = arr[first[i] : first[i] + length]
+            maxes[i] = m = seg.max()
+            sums[i] = np.exp2(seg - m).sum()
+            continue
+        idx = order[g0:g1]
+        rows = sliding_window_view(arr, length)[first[idx]]
+        maxes[idx] = m = rows.max(axis=1)
+        sums[idx] = np.exp2(rows - m[:, None]).sum(axis=1)
+    # m + log2(1.0) is m + 0.0, so only sums other than 1.0 need a log,
+    # and it is math.log2, the log log2sumexp takes
     out = maxes + 0.0
     rest = np.flatnonzero(sums != 1.0)
     out[rest] = [m + math.log2(s) for m, s in zip(maxes[rest].tolist(), sums[rest].tolist())]
-    out = out.tolist()
-    for i in slow:
-        out[i] = log2sumexp(arr[first[i] : first[i] + lengths[i]])
-    return out
+    return out.tolist()
+
+
+def log2sumexp_segments(flat, starts) -> list:
+    """log2sumexp_windows over the segments of flat that starts opens.
+
+    Segment i is flat[starts[i]:starts[i + 1]] (the last one runs to the
+    end); decreasing starts raise ValueError, and no starts give [].
+    """
+    first = np.asarray(starts, dtype=np.intp)
+    return log2sumexp_windows(flat, first, np.diff(first, append=len(flat)))

@@ -18,7 +18,14 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CapExceededError, DegenerateSpectrumError, ValidationError
-from .logdomain import NEG_INF, ceil_exp2, log2_int, log2sumexp, log2sumexp_segments
+from .logdomain import (
+    NEG_INF,
+    ceil_exp2,
+    log2_int,
+    log2sumexp,
+    log2sumexp_segments,
+    log2sumexp_windows,
+)
 from .tolerances import CLASS_CAP_DEFAULT, CLASS_MERGE_BITS, PROFILE_SUM_TOL
 
 LN2 = math.log(2.0)
@@ -515,8 +522,8 @@ def berry_esseen_grid(spec: ClassSpectrum, lefts: np.ndarray, widths: np.ndarray
     w over widths. Returns one row (n, a, b, residual, bound, passed) per
     window in that order, each equal float for float to
     berry_esseen_residual(spec, a, b). The slices of one x1-row are found
-    with one searchsorted, and each class slice's mass is summed once per
-    call.
+    with one searchsorted, and the masses of the grid's distinct class
+    slices are summed by one log2sumexp_windows call.
     """
     ne, rt, bound = _surrogate(spec)
     widths = np.asarray(widths, dtype=float)
@@ -524,15 +531,22 @@ def berry_esseen_grid(spec: ClassSpectrum, lefts: np.ndarray, widths: np.ndarray
         raise ValidationError("needs widths >= 0")
     n = spec.n
     asc = np.ascontiguousarray(spec.log2_eigs[::-1])
-    masses = {}
+    ncl = asc.size
+    cells = [(a, bs, *_class_slices(asc, a, bs)) for a, bs in grid_windows(spec, lefts, widths)]
+    if not cells:
+        return []
+    los = np.concatenate([np.full(his.size, lo) for _, _, lo, his in cells])
+    his = np.concatenate([his for _, _, _, his in cells])
+    # slice [lo, hi) of the ascending classes is masses[ncl - hi : ncl - lo]
+    keys, which = np.unique(los * (ncl + 1) + his, return_inverse=True)
+    lo, hi = np.divmod(keys, ncl + 1)
+    live = np.flatnonzero(hi > lo)
+    masses = np.zeros(keys.size)
+    masses[live] = np.exp2(log2sumexp_windows(spec.log2_masses, ncl - hi[live], (hi - lo)[live]))
+    cell_masses = iter(masses[which].tolist())
     rows = []
-    for a, bs in grid_windows(spec, lefts, widths):
-        lo, his = _class_slices(asc, a, bs)
-        lo = int(lo)
-        for b, hi in zip(bs.tolist(), his.tolist()):
-            m = masses.get((lo, hi))
-            if m is None:
-                m = masses[lo, hi] = _slice_mass(spec.log2_masses, lo, hi)
+    for a, bs, _, _ in cells:
+        for b, m in zip(bs.tolist(), cell_masses):
             residual = _residual(ne, rt, a, b, m)[1]
             rows.append((n, a, b, residual, bound, residual < bound))
     return rows

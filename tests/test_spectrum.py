@@ -149,6 +149,19 @@ def test_class_arrays_equal_the_per_row_oracle_bitwise(p, ns, exact, monkeypatch
         assert spec.exact_mults == counts, n
 
 
+def test_log_only_merge_equals_the_per_class_log2sumexp_loop():
+    # 234,136 compositions pass EXACT_MULT_MAX_CLASSES, so the classes'
+    # log2 multiplicities are merged by the grouped kernel; the oracle
+    # calls log2sumexp once per class of more than one composition
+    p = np.array([0.4, 0.3, 0.2, 0.1])
+    spec = tensor_power_spectrum(p, 110)
+    assert spec.exact_mults is None
+    eigs, mults, masses, _ = class_spectrum_by_rows(spec.base_probs, 110, False)
+    assert spec.log2_eigs.tobytes() == eigs.tobytes()
+    assert spec.log2_mults.tobytes() == mults.tobytes()
+    assert spec.log2_masses.tobytes() == masses.tobytes()
+
+
 def test_class_starts_follow_the_anchored_rule():
     # every adjacent gap fits in CLASS_MERGE_BITS, the span does not: the
     # first member of a class anchors it, so this chain is cut every two
@@ -229,7 +242,8 @@ def test_berry_esseen_result_is_self_consistent():
 @pytest.mark.parametrize(
     "p, n",
     [((0.75, 0.25), 64), ((0.75, 0.25), 256), ((0.75, 0.25), 1024), ((0.75, 0.25), 4096)]
-    + [((0.4, 0.3, 0.2, 0.1), 25)],
+    + [((0.4, 0.3, 0.2, 0.1), 25), ((0.75, 0.25), 16384), ((0.5, 0.3, 0.2), 200)]
+    + [((0.4, 0.3, 0.2, 0.1), 100)],
 )
 def test_residual_grid_rows_equal_per_cell_residuals(p, n):
     spec = tensor_power_spectrum(np.array(p), n)
