@@ -7,7 +7,7 @@ from .commands import (
     cmd_spectrum,
     find_min_budget,
 )
-from .config import ExperimentConfig, load_config, parse_config_file, with_updates
+from .config import ExperimentConfig, load_config, parse_config_file
 from .spotcheck import run_selftest, spot_check_outputs
 
 __all__ = [
@@ -21,5 +21,4 @@ __all__ = [
     "parse_config_file",
     "run_selftest",
     "spot_check_outputs",
-    "with_updates",
 ]

@@ -7,7 +7,7 @@ is one `key = value` per line with `#` comments; lists are comma-separated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..errors import ValidationError
 
@@ -125,7 +125,3 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Exper
         values[key] = val
     kwargs = {k: _coerce(k, v) for k, v in values.items()}
     return ExperimentConfig(**kwargs)
-
-
-def with_updates(config: ExperimentConfig, **kwargs) -> ExperimentConfig:
-    return replace(config, **kwargs)

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .commands import (
     probe_budget,
     residual_grid,
 )
-from .config import ExperimentConfig, with_updates
+from .config import ExperimentConfig
 
 
 def _approx(a: float, b: float, tol: float = 1e-9) -> bool:
@@ -145,7 +146,7 @@ def run_selftest(config: ExperimentConfig) -> int:
     """Run the reduced pipeline and spot-check its outputs; print each
     problem found and return their count."""
     with tempfile.TemporaryDirectory(prefix="entlab-selftest-") as tmp:
-        reduced = with_updates(config, n_grid=(8, 32, 64), grid_cells=6, out=tmp, budget_grid=())
+        reduced = replace(config, n_grid=(8, 32, 64), grid_cells=6, out=tmp, budget_grid=())
         for cmd in (cmd_spectrum, cmd_inefficiency, cmd_communication, cmd_concentration):
             cmd(reduced)
         problems = spot_check_outputs(reduced)

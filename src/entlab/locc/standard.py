@@ -188,22 +188,14 @@ def _block_diag(*blocks) -> np.ndarray:
     return out
 
 
-def _support_data(f: np.ndarray):
-    """Nonzero eigenvalues and eigenvectors of f f^dagger, from a thin SVD of f."""
-    v, s, _ = np.linalg.svd(f, full_matrices=False)
-    w = s * s
-    cut = (float(w.max()) if w.size else 0.0) * 1e-13
-    keep = w > max(cut, 1e-30)
-    return w[keep], v[:, keep]
-
-
-def _complete_isometry(p: np.ndarray, dim: int) -> np.ndarray:
-    """Columns of p (orthonormal) extended to a full orthonormal basis."""
-    r = p.shape[1]
-    if r == 0:
-        return np.eye(dim, dtype=complex)
-    u = np.linalg.svd(p, full_matrices=True)[0]
-    return np.concatenate([p, u[:, r:]], axis=1)
+def _with_ancillas(input_state: PureBipartiteState, anc_states_a, anc_states_b) -> np.ndarray:
+    """Amplitude matrix of the input tensored with each ancilla's initial state."""
+    chi = input_state.as_matrix()
+    for vec in anc_states_a:
+        chi = np.kron(chi, np.asarray(vec).reshape(-1, 1))
+    for vec in anc_states_b:
+        chi = np.kron(chi, np.asarray(vec).reshape(1, -1))
+    return chi
 
 
 class _Node:
@@ -249,11 +241,7 @@ def standardize(ir: ProtocolIR, input_state: PureBipartiteState) -> StandardForm
         v[0] = 1.0
         (anc_states_a if party == "A" else anc_states_b).append(v)
 
-    chi0 = input_state.as_matrix()
-    for vec in anc_states_a:
-        chi0 = np.kron(chi0, np.asarray(vec).reshape(-1, 1))
-    for vec in anc_states_b:
-        chi0 = np.kron(chi0, np.asarray(vec).reshape(1, -1))
+    chi0 = _with_ancillas(input_state, anc_states_a, anc_states_b)
 
     nodes = [
         _Node(chi0, np.eye(fa, dtype=complex), np.eye(fb, dtype=complex), {}, [])
@@ -319,34 +307,31 @@ def standardize(ir: ProtocolIR, input_state: PureBipartiteState) -> StandardForm
                 nodes = grown
             else:
                 # Bob measured and will send: realize the same branch states
-                # with an Alice measurement and a Bob unitary correction
+                # with an Alice measurement and a Bob unitary correction, both
+                # built in the branch's Schmidt basis chi = U diag(s) Vh and
+                # neither dividing by a singular value
                 bfulls = [embed_operator(proj, dims_b, (ins.register,)) for proj in projs]
                 grown = []
                 for node in nodes:
-                    w, vs = _support_data(node.chi)
-                    pinv_root = (vs / np.sqrt(w)) @ vs.conj().T if w.size else np.zeros((fa, fa))
-                    proj_supp = vs @ vs.conj().T
+                    u, s, vh = np.linalg.svd(node.chi)
+                    r = s.size
+                    ur, rest = u[:, :r], u[:, r:]
                     for o, bfull in enumerate(bfulls):
+                        # y = U_r diag(s) t, and C = t t^dagger sums to 1 over o
                         y = node.chi @ bfull.T
-                        wo, vo = _support_data(y)
-                        root = (vo * np.sqrt(wo)) @ vo.conj().T
-                        m_o = root @ pinv_root
+                        t = vh[:r] @ bfull.T
+                        pt, st, qh = np.linalg.svd(t)
+                        c_half = (pt * st) @ pt.conj().T
+                        # polar factor of diag(s) C^1/2: M = U_r x C^1/2 U_r^dagger
+                        # gives M chi the Alice marginal diag(s) C diag(s) of y
+                        ua, _, va = np.linalg.svd(s[:, None] * c_half)
+                        x = ua @ va
+                        m_o = ur @ (x @ c_half) @ ur.conj().T
                         if o == 0:
-                            m_o = m_o + (np.eye(fa) - proj_supp)
+                            m_o = m_o + rest @ rest.conj().T
                         g = m_o @ node.chi
-                        if wo.size:
-                            scale = vo / np.sqrt(wo)
-                            p_iso = g.conj().T @ scale
-                            q_iso = y.conj().T @ scale
-                        else:
-                            p_iso = np.zeros((fb, 0), dtype=complex)
-                            q_iso = np.zeros((fb, 0), dtype=complex)
-                        p_full = _complete_isometry(p_iso, fb)
-                        q_full = _complete_isometry(q_iso, fb)
-                        w_t = p_full @ q_full.conj().T
-                        # exact-unitary polish
-                        uu, _, vv = np.linalg.svd(w_t)
-                        w_t = uu @ vv
+                        # x C^1/2 diag(s) x pt = diag(s) pt diag(st), so g @ w_t = y
+                        w_t = vh.conj().T @ _block_diag(x @ pt, np.eye(fb - r)) @ qh
                         child_chi = g @ w_t
                         drift = np.abs(child_chi - y).max()
                         if drift > MIGRATION_GUARD:
@@ -407,11 +392,7 @@ def run_standard_form(proto: StandardFormProtocol, input_state: PureBipartiteSta
         raise ValidationError("protocol carries no message tags")
     if proto.is_diagonal():
         raise ValidationError("dense check path needs dense operators")
-    chi = input_state.as_matrix()
-    for vec in proto.anc_states_a:
-        chi = np.kron(chi, np.asarray(vec).reshape(-1, 1))
-    for vec in proto.anc_states_b:
-        chi = np.kron(chi, np.asarray(vec).reshape(1, -1))
+    chi = _with_ancillas(input_state, proto.anc_states_a, proto.anc_states_b)
 
     dims = list(proto.reg_dims_a) + list(proto.reg_dims_b)
     na = len(proto.reg_dims_a)

@@ -22,11 +22,6 @@ from .tolerances import EQUALITY_TOL, RANK_REL_TOL
 REFERENCE_FLOOR_COEFF = 0.01
 
 
-def reference_n_threshold(beta: float) -> float:
-    """Copy count beyond which the asymptotic growth floor is claimed."""
-    return 1e7 * beta * beta
-
-
 @dataclass(frozen=True)
 class SigQueryResult:
     delta: float

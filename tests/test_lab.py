@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from entlab.lab import (
     load_config,
     parse_config_file,
     spot_check_outputs,
-    with_updates,
 )
 from entlab.lab.cli import main
 from entlab.lab import commands
@@ -131,7 +131,7 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         ExperimentConfig(epsilon=2.0)
     cfg = ExperimentConfig()
-    assert with_updates(cfg, seed=9).seed == 9
+    assert replace(cfg, seed=9).seed == 9
 
 
 def test_cmd_spectrum_rows_rederive(tmp_path):

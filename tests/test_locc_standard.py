@@ -4,8 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
 from entlab import PureBipartiteState, ValidationError
@@ -23,9 +21,9 @@ from entlab.locc import (
     simulate_dense,
     standardize,
 )
-from entlab.locc.standard import _block_diag, _support_data
+from entlab.locc.standard import _block_diag
 from entlab.sampling import random_pure, random_unitary
-from oracles import completeness_defect, support_by_gram_eigh
+from oracles import completeness_defect
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 PHI2 = PureBipartiteState(2, 2, np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2))
@@ -100,42 +98,54 @@ def test_standardize_battery_against_dense_simulator():
     assert worst_d < 1e-11
 
 
-@given(
-    st.integers(min_value=1, max_value=144),
-    st.integers(min_value=1, max_value=12),
-    st.integers(min_value=0, max_value=12),
-    st.floats(min_value=-6.0, max_value=1.0),
-    st.integers(min_value=0, max_value=2**32 - 1),
-)
-@settings(max_examples=80, deadline=None)
-def test_support_from_the_factor_matches_the_gram_eigendecomposition(fa, fb, rank, scale, seed):
-    """The support of f f^dagger from a thin SVD of the fa x fb factor f has
-    the rank, eigenvalues and projector of an eigendecomposition of f f^dagger.
-    Where there is room, one more singular value sits at 1e-8 of the others:
-    its eigenvalue is below the relative cut, so both drop it."""
-    gen = np.random.default_rng(seed)
-    rank = min(rank, fa, fb)
-    extra = 1 if 0 < rank < min(fa, fb) else 0
-    left = random_unitary(gen, fa)[:, : rank + extra]
-    right = random_unitary(gen, fb)[:, : rank + extra]
-    sing = np.concatenate([gen.uniform(0.1, 1.0, rank), np.full(extra, 1e-8)])
-    f = (left * sing) @ right.conj().T * 10.0**scale
-    w, v = _support_data(f)
-    w_ref, v_ref = support_by_gram_eigh(f)
-    assert w.size == w_ref.size == rank
-    assert v.shape == (fa, rank)
-    if rank:
-        top = float(w_ref.max())
-        assert np.abs(np.sort(w) - np.sort(w_ref)).max() <= 1e-12 * top
-        assert np.abs(v @ v.conj().T - v_ref @ v_ref.conj().T).max() <= 1e-12
+def _check_exact_reduction(ir, state):
+    # no refusal, a complete measurement and the simulator's ensemble
+    sf = standardize(ir, state)
+    dense = [np.asarray(m) for m in sf.alice_ops]
+    assert completeness_defect(dense, sf.full_dim_a) < 1e-10
+    tv, worst = compare_ensembles(
+        run_standard_form(sf, state), group_by_message(simulate_dense(ir, state))
+    )
+    assert tv < 1e-9
+    assert worst < 1e-9
 
 
-def test_support_of_a_zero_factor_is_empty():
-    for fa, fb in ((1, 1), (144, 12), (5, 3)):
-        w, v = _support_data(np.zeros((fa, fb), dtype=complex))
-        w_ref, _ = support_by_gram_eigh(np.zeros((fa, fb), dtype=complex))
-        assert w.size == w_ref.size == 0
-        assert v.shape == (fa, 0)
+@pytest.mark.parametrize("x", [1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 0.0])
+def test_bob_sent_measurement_with_a_tiny_schmidt_coefficient(x):
+    """Bob measures in a random basis and sends; Alice applies a controlled
+    unitary. An input Schmidt coefficient x times the largest, under random
+    local bases, must neither break completeness nor be refused."""
+    coeffs = np.array([1.0, 0.6, x])
+    gen = np.random.default_rng(1800)
+    for _ in range(5):
+        amp = random_unitary(gen, 3) @ np.diag(coeffs / np.linalg.norm(coeffs))
+        amp = amp @ random_unitary(gen, 3).T
+        ir = ProtocolIR(
+            3,
+            3,
+            (
+                Measure("B", 0, "m", random_unitary(gen, 3)),
+                Send("m", "B", "A"),
+                ApplyUnitary(
+                    "A", (0,), control="m", cases=tuple(random_unitary(gen, 3) for _ in range(3))
+                ),
+            ),
+        )
+        _check_exact_reduction(ir, PureBipartiteState(3, 3, amp))
+
+
+def test_standardize_battery_on_graded_schmidt_coefficients():
+    """40 seeded programs on inputs whose smaller Schmidt coefficients are
+    10^-U(5,10) times the largest, under random local bases."""
+    gen = np.random.default_rng(1801)
+    for _ in range(40):
+        ir = random_toy_ir(gen, max_dim=4, rounds=3)
+        k = min(ir.dim_a, ir.dim_b)
+        coeffs = np.concatenate(([1.0], 10.0 ** -gen.uniform(5.0, 10.0, k - 1)))
+        left = random_unitary(gen, ir.dim_a)[:, :k]
+        right = random_unitary(gen, ir.dim_b)[:, :k]
+        amp = (left * (coeffs / np.linalg.norm(coeffs))) @ right.T
+        _check_exact_reduction(ir, PureBipartiteState(ir.dim_a, ir.dim_b, amp))
 
 
 @pytest.mark.parametrize("count", [1, 2, 3, 4])

@@ -20,7 +20,6 @@ from entlab import (
     tensor_power_spectrum,
 )
 from entlab.sampling import random_density
-from entlab.sigsub import reference_n_threshold
 from oracles import binomial_sig_dim
 
 P_QUARTER = np.array([0.75, 0.25])
@@ -181,12 +180,6 @@ def test_growth_fit_reads_each_spectrum_once_and_refuses_bad_streams():
         growth_fit([], 0.95)
     with pytest.raises(DegenerateSpectrumError):
         growth_fit([tensor_power_spectrum(np.array([0.5, 0.5]), 4)], 0.95)
-
-
-def test_reference_threshold_scale():
-    assert reference_n_threshold(0.4665930482588705) == pytest.approx(
-        1e7 * 0.4665930482588705**2
-    )
 
 
 def test_min_dilution_hand_case():
