@@ -34,10 +34,8 @@ from .commands import (
 from .config import ExperimentConfig
 
 
-def _approx(a: float, b: float, tol: float = 1e-9) -> bool:
-    if math.isinf(a) or math.isinf(b):
-        return a == b
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+def _approx(a: float, b: float) -> bool:
+    return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-9)
 
 
 def _read_csv(path: str) -> list:

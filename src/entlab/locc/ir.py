@@ -261,7 +261,6 @@ class SimBranch:
 @dataclass(frozen=True)
 class SimulationResult:
     branches: tuple
-    kept_registers: tuple  # ((party, register, dim), ...) output order
 
 
 class _Live:
@@ -346,9 +345,7 @@ def simulate_dense(ir: ProtocolIR, input_state: PureBipartiteState) -> Simulatio
     disc_axes = sorted(
         axis_of(p, r) for p in PARTIES for r in info.discards[p]
     )
-    kept_axes = [i for i in range(len(axes)) if i not in disc_axes]
-    kept = tuple((axes[i][0], axes[i][1], dims[i]) for i in kept_axes)
-    d_kept = math.prod(dims[i] for i in kept_axes) if kept_axes else 1
+    d_kept = math.prod(d for i, d in enumerate(dims) if i not in disc_axes)
 
     out = []
     for br in branches:
@@ -368,7 +365,7 @@ def simulate_dense(ir: ProtocolIR, input_state: PureBipartiteState) -> Simulatio
     total = sum(b.prob for b in out)
     if abs(total - 1.0) > 1e-10:
         raise ValidationError(f"branch probabilities sum to {total}")
-    return SimulationResult(branches=tuple(out), kept_registers=kept)
+    return SimulationResult(branches=tuple(out))
 
 
 def group_by_message(result: SimulationResult) -> dict:

@@ -269,15 +269,16 @@ def _run_dense(proto: StandardFormProtocol, target):
     chi0 = np.zeros((dd, dd), dtype=complex)
     chi0[:d, :d] = np.eye(d) / math.sqrt(d)
 
-    def _pad(mat):
-        big = np.zeros((dd, dd), dtype=complex)
-        big[:d, :d] = mat
-        return big
+    cols = np.arange(d)
 
     raw = []
     for k, op in enumerate(proto.alice_ops):
-        m_k = _pad(op.matrix())
-        res = m_k @ chi0 @ _pad(op.partner_permutation_matrix()).T
+        # sum_j sqrt(w_j) |perm_j><j| and its partner relabeling, zero-padded
+        m_k = np.zeros((dd, dd), dtype=complex)
+        m_k[op.perm, cols] = np.sqrt(op.weights)
+        partner = np.zeros((dd, dd), dtype=complex)
+        partner[op.perm, cols] = 1.0
+        res = m_k @ chi0 @ partner.T
         p = float(np.vdot(res, res).real)
         if p <= PROB_FLOOR:
             raw.append(_scored(k, p, math.inf))

@@ -18,7 +18,7 @@ import numpy as np
 from ..errors import CapExceededError, ValidationError
 from ..qmath import DensityMatrix, PureBipartiteState, operator_norm
 from ..tolerances import DENSE_DIM_CAP
-from .ir import Measure, ProtocolIR, embed_operator
+from .ir import PRUNE_PROB, Measure, ProtocolIR, embed_operator
 
 MIGRATION_GUARD = 1e-8
 
@@ -54,18 +54,6 @@ class DiagonalKraus:
     @property
     def dim(self) -> int:
         return int(self.weights.size)
-
-    def matrix(self) -> np.ndarray:
-        d = self.dim
-        m = np.zeros((d, d), dtype=complex)
-        m[self.perm, np.arange(d)] = np.sqrt(self.weights)
-        return m
-
-    def partner_permutation_matrix(self) -> np.ndarray:
-        d = self.dim
-        m = np.zeros((d, d), dtype=complex)
-        m[self.perm, np.arange(d)] = 1.0
-        return m
 
 
 @dataclass(frozen=True)
@@ -168,26 +156,6 @@ class StandardFormProtocol:
         return isinstance(self.alice_ops[0], DiagonalKraus)
 
 
-def _shift_matrix(d: int) -> np.ndarray:
-    s = np.zeros((d, d), dtype=complex)
-    s[(np.arange(d) + 1) % d, np.arange(d)] = 1.0
-    return s
-
-
-def _block_diag(*blocks) -> np.ndarray:
-    """2-D blocks on the diagonal of a zero matrix of their common dtype."""
-    blocks = [np.asarray(b) for b in blocks]
-    rows = sum(b.shape[0] for b in blocks)
-    cols = sum(b.shape[1] for b in blocks)
-    out = np.zeros((rows, cols), dtype=np.result_type(*blocks))
-    r = c = 0
-    for b in blocks:
-        out[r : r + b.shape[0], c : c + b.shape[1]] = b
-        r += b.shape[0]
-        c += b.shape[1]
-    return out
-
-
 def _with_ancillas(input_state: PureBipartiteState, anc_states_a, anc_states_b) -> np.ndarray:
     """Amplitude matrix of the input tensored with each ancilla's initial state."""
     chi = input_state.as_matrix()
@@ -266,9 +234,10 @@ def standardize(ir: ProtocolIR, input_state: PureBipartiteState) -> StandardForm
                 for node in nodes:
                     apply_local(node, ins.party, full)
             elif ins.control in record_reg:
-                # record never sent: read it coherently
+                # record never sent: read it coherently, sum_k |k><k| (x) U_k
                 _, rec = record_reg[ins.control]
-                gate = _block_diag(*ins.cases)
+                sel = np.eye(len(ins.cases))
+                gate = sum(np.kron(np.diag(e), u) for e, u in zip(sel, ins.cases))
                 full = embed_operator(gate, dims, (rec,) + tuple(ins.targets))
                 for node in nodes:
                     apply_local(node, ins.party, full)
@@ -284,10 +253,9 @@ def standardize(ir: ProtocolIR, input_state: PureBipartiteState) -> StandardForm
             if ins.label not in info.sent_labels:
                 # keep coherent: rotate-and-copy into the record register
                 _, rec = record_reg[ins.label]
-                shift = _shift_matrix(v)
-                gate = np.zeros((v * v, v * v), dtype=complex)
-                for o, proj in enumerate(projs):
-                    gate += np.kron(proj, np.linalg.matrix_power(shift, o))
+                # np.roll(eye, o) maps |j> to |j+o mod v>, the shift to the o-th power
+                eye = np.eye(v)
+                gate = sum(np.kron(proj, np.roll(eye, o, axis=0)) for o, proj in enumerate(projs))
                 full = embed_operator(gate, dims, (ins.register, rec))
                 for node in nodes:
                     apply_local(node, ins.party, full)
@@ -331,7 +299,9 @@ def standardize(ir: ProtocolIR, input_state: PureBipartiteState) -> StandardForm
                             m_o = m_o + rest @ rest.conj().T
                         g = m_o @ node.chi
                         # x C^1/2 diag(s) x pt = diag(s) pt diag(st), so g @ w_t = y
-                        w_t = vh.conj().T @ _block_diag(x @ pt, np.eye(fb - r)) @ qh
+                        w = np.eye(fb, dtype=complex)
+                        w[:r, :r] = x @ pt
+                        w_t = vh.conj().T @ w @ qh
                         child_chi = g @ w_t
                         drift = np.abs(child_chi - y).max()
                         if drift > MIGRATION_GUARD:
@@ -399,14 +369,13 @@ def run_standard_form(proto: StandardFormProtocol, input_state: PureBipartiteSta
     disc_axes = sorted(
         list(proto.discard_a) + [na + r for r in proto.discard_b]
     )
-    kept_axes = [i for i in range(len(dims)) if i not in disc_axes]
-    d_kept = math.prod(dims[i] for i in kept_axes) if kept_axes else 1
+    d_kept = math.prod(d for i, d in enumerate(dims) if i not in disc_axes)
 
     out = {}
     for m_k, u_k, msg in zip(proto.alice_ops, proto.bob_corrections, proto.messages):
         res = m_k @ chi @ np.asarray(u_k).T
         p = float(np.vdot(res, res).real)
-        if p <= 1e-13:
+        if p <= PRUNE_PROB:
             continue
         amp = res.reshape(dims)
         rho = np.tensordot(amp, amp.conj(), axes=(disc_axes, disc_axes))

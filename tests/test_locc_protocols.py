@@ -145,6 +145,43 @@ def test_block_dilution_dense_agreement_and_completeness():
     assert abs(rd.epsilon - terr) < 1e-12
 
 
+def _dense_sweep_cases():
+    """(protocol, target) pairs the dense oracle can still hold: every budget
+    up to the builder's clamp for small powers, and shift dilutions."""
+    for p, ns in (
+        ((0.75, 0.25), range(2, 8)),
+        ((0.5, 0.3, 0.2), range(2, 5)),
+        ((0.4, 0.3, 0.2, 0.1), range(2, 4)),
+    ):
+        for n in ns:
+            spec = tensor_power_spectrum(np.array(p), n)
+            for eps in (0.1, 0.5):
+                clamp = (spec.view.sig_dim(1.0 - eps * eps / 8.0)[0] - 1).bit_length()
+                for budget in range(clamp + 1):
+                    yield build_block_dilution(spec, budget, eps_target=eps)[0], spec
+    gen = np.random.default_rng(1902)
+    for d in range(2, 17):
+        q = sorted_profile(gen, d)
+        yield build_shift_dilution(q), q
+
+
+def test_dense_oracle_agrees_with_the_weights_path_on_a_sweep():
+    pairs = 0
+    for proto, target in _dense_sweep_cases():
+        ow, rw = run_protocol(proto, target)
+        od, rd = run_protocol_dense(proto, proto.dim_a, target)
+        where = (proto.dim_a, proto.message_bits)
+        assert rw.c == rd.c, where
+        assert abs(rw.s - rd.s) < 1e-10, where
+        assert abs(rw.epsilon - rd.epsilon) < 1e-10, where
+        assert len(ow) == len(od), where
+        for a, b in zip(ow, od):
+            assert abs(a.prob - b.prob) < 1e-12, where
+            assert a.good == b.good, where
+        pairs += 1
+    assert pairs == 143
+
+
 def test_dense_oracle_refuses_a_target_past_its_cap():
     # 256 target positions against a dense cap of 128 per side
     spec = tensor_power_spectrum(P_QUARTER, 8)

