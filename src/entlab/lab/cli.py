@@ -13,19 +13,16 @@ from .commands import cmd_communication, cmd_concentration, cmd_inefficiency, cm
 from .config import load_config
 from .spotcheck import run_selftest
 
+# each command's help is the first line of its function's docstring (none
+# under python -OO); the values stay the bare functions so that perfbench's
+# tracer, which swaps a function wherever a module or dict binds it, sees
+# every command call
 _COMMANDS = {
     "spectrum": cmd_spectrum,
     "inefficiency": cmd_inefficiency,
     "communication": cmd_communication,
     "concentration": cmd_concentration,
-}
-
-_HELP = {
-    "spectrum": "exact class spectra plus Gaussian residual table",
-    "inefficiency": "dilution dimension window and growth fit",
-    "communication": "minimal message budget per n with certificates",
-    "concentration": "expected yield and deficit per n",
-    "selftest": "run a reduced pipeline and re-derive sampled rows of its outputs",
+    "selftest": run_selftest,
 }
 
 
@@ -35,13 +32,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="scaling experiments for bipartite entanglement manipulation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("spectrum", "inefficiency", "communication", "concentration", "selftest"):
-        sp = sub.add_parser(name, help=_HELP[name])
+    for name, run in _COMMANDS.items():
+        sp = sub.add_parser(name, help=(run.__doc__ or "").partition("\n")[0])
         sp.add_argument("--config", metavar="PATH", help="key = value config file")
-        sp.add_argument("--out", metavar="DIR", help="output directory")
-        sp.add_argument(
-            "--n-grid", dest="n_grid", metavar="LIST", help="comma-separated copy counts"
-        )
+        # selftest picks its own grid and writes into a temporary directory
+        if name != "selftest":
+            sp.add_argument("--out", metavar="DIR", help="output directory")
+            sp.add_argument(
+                "--n-grid", dest="n_grid", metavar="LIST", help="comma-separated copy counts"
+            )
         sp.add_argument("--p", metavar="LIST", help="comma-separated base probabilities")
         sp.add_argument("--epsilon", type=float, metavar="REAL", help="dilution error target")
         sp.add_argument(
@@ -51,21 +50,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    overrides = {
-        "out": args.out,
-        "n_grid": args.n_grid,
-        "p": args.p,
-        "epsilon": args.epsilon,
-        "delta": args.delta,
-    }
+    overrides = vars(_build_parser().parse_args(argv))
+    command = overrides.pop("command")
     try:
-        config = load_config(args.config, overrides)
-        if args.command == "selftest":
-            failures = run_selftest(config)
-            return 0 if failures == 0 else 2
-        written = _COMMANDS[args.command](config)
-        for path in written:
+        config = load_config(overrides.pop("config"), overrides)
+        result = _COMMANDS[command](config)
+        if command == "selftest":  # the number of problems found
+            return 0 if result == 0 else 2
+        for path in result:
             print(path)
         return 0
     except EntlabError as exc:

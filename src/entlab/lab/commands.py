@@ -130,8 +130,10 @@ def cmd_spectrum(config: ExperimentConfig) -> tuple:
 
 
 def cmd_inefficiency(config: ExperimentConfig) -> tuple:
-    """Dimension window for dilution at the reference accuracy, with the
-    significant-subspace growth fit."""
+    """Dilution dimension window and significant-subspace growth fit.
+
+    The window is taken at the reference accuracy eps_reference.
+    """
     out = _ensure_out(config)
     base = BaseSpectrum(np.asarray(config.p, dtype=float))
 

@@ -11,14 +11,6 @@ from dataclasses import dataclass
 
 from ..errors import ValidationError
 
-# every key a config file may set, with its coercion
-_LIST_INT = ("n_grid", "budget_grid")
-_LIST_FLOAT = ("p",)
-_SCALAR_INT = ("seed", "grid_cells")
-_SCALAR_FLOAT = ("delta", "epsilon", "eps_reference")
-_SCALAR_STR = ("out",)
-KNOWN_KEYS = _LIST_INT + _LIST_FLOAT + _SCALAR_INT + _SCALAR_FLOAT + _SCALAR_STR
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -73,6 +65,36 @@ def _ascending(name, grid, minimum, required):
         raise ValidationError(f"{name} must be strictly ascending, entries >= {minimum}")
 
 
+def _list_of(kind):
+    """Parse a comma-separated string, or convert a sequence, into a tuple."""
+
+    def parse(value):
+        if isinstance(value, str):
+            value = [v for v in value.split(",") if v.strip()]
+        return tuple(kind(v) for v in value)
+
+    return parse
+
+
+def _scalar(kind):
+    """Parse a string; a value that is not a string is kept as it is."""
+    return lambda value: kind(value) if isinstance(value, str) else value
+
+
+# every key a config file may set, with its parser
+_PARSERS = {
+    "p": _list_of(float),
+    "n_grid": _list_of(int),
+    "delta": _scalar(float),
+    "epsilon": _scalar(float),
+    "eps_reference": _scalar(float),
+    "budget_grid": _list_of(int),
+    "grid_cells": _scalar(int),
+    "seed": _scalar(int),
+    "out": _scalar(str),
+}
+
+
 def parse_config_file(path: str) -> dict:
     """Read `key = value` lines into a raw string map."""
     raw = {}
@@ -85,31 +107,17 @@ def parse_config_file(path: str) -> dict:
                 raise ValidationError(f"{path}:{lineno}: expected key = value")
             key, _, value = text.partition("=")
             key = key.strip()
-            if key not in KNOWN_KEYS:
+            if key not in _PARSERS:
                 raise ValidationError(f"{path}:{lineno}: unknown key {key!r}")
             raw[key] = value.strip()
     return raw
 
 
 def _coerce(key: str, value):
-    if isinstance(value, str):
-        try:
-            if key in _LIST_INT:
-                return tuple(int(v) for v in value.split(",") if v.strip()) if value else ()
-            if key in _LIST_FLOAT:
-                return tuple(float(v) for v in value.split(",") if v.strip())
-            if key in _SCALAR_INT:
-                return int(value)
-            if key in _SCALAR_FLOAT:
-                return float(value)
-            return value
-        except ValueError as exc:
-            raise ValidationError(f"bad value for {key}: {value!r}") from exc
-    if key in _LIST_INT:
-        return tuple(int(v) for v in value)
-    if key in _LIST_FLOAT:
-        return tuple(float(v) for v in value)
-    return value
+    try:
+        return _PARSERS[key](value)
+    except ValueError as exc:
+        raise ValidationError(f"bad value for {key}: {value!r}") from exc
 
 
 def load_config(path: str | None = None, overrides: dict | None = None) -> ExperimentConfig:
@@ -120,7 +128,7 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Exper
     for key, val in (overrides or {}).items():
         if val is None:
             continue
-        if key not in KNOWN_KEYS:
+        if key not in _PARSERS:
             raise ValidationError(f"unknown config key {key!r}")
         values[key] = val
     kwargs = {k: _coerce(k, v) for k, v in values.items()}

@@ -141,8 +141,13 @@ def spot_check_outputs(config: ExperimentConfig) -> list:
 
 
 def run_selftest(config: ExperimentConfig) -> int:
-    """Run the reduced pipeline and spot-check its outputs; print each
-    problem found and return their count."""
+    """Run a reduced pipeline and re-derive sampled rows of its outputs.
+
+    n = 8, 32, 64, six grid cells and no budget sweep replace n_grid,
+    grid_cells and budget_grid, and the outputs go to a temporary directory;
+    p, epsilon, delta and eps_reference are read from config. Prints each
+    problem found and returns their count.
+    """
     with tempfile.TemporaryDirectory(prefix="entlab-selftest-") as tmp:
         reduced = replace(config, n_grid=(8, 32, 64), grid_cells=6, out=tmp, budget_grid=())
         for cmd in (cmd_spectrum, cmd_inefficiency, cmd_communication, cmd_concentration):

@@ -47,8 +47,10 @@ def build_shift_dilution(q) -> StandardFormProtocol:
     d = q.size
     if d == 0:
         raise ValidationError("empty profile")
-    if d > WEIGHTS_CAP:
-        raise CapExceededError(f"profile length exceeds {WEIGHTS_CAP}")
+    if d * d > WEIGHTS_CAP:  # d outcomes of d weights each
+        raise CapExceededError(
+            f"shift dilution of d = {d} needs {d * d} weights, past the cap of {WEIGHTS_CAP}"
+        )
     if q.min() < -1e-15 or abs(q.sum() - 1.0) > PROFILE_SUM_TOL:
         raise ValidationError("profile must be a probability vector")
     return _shift_family(np.clip(q, 0.0, None), 1, d, (d - 1).bit_length())

@@ -80,9 +80,6 @@ class ProtocolRunReport:
     per_outcome: tuple
     n: int | None = None
     success: bool = True
-    repetitions: int = 1
-    failure_bound: float | None = None
-    ebits_consumed: float = 0.0
 
     def __post_init__(self):
         if self.c < 0 or self.c != int(self.c):
@@ -92,23 +89,22 @@ class ProtocolRunReport:
                 raise ValidationError("success probability exponent out of range")
             if not (0.0 <= self.epsilon <= 2.0 + EQUALITY_TOL):
                 raise ValidationError("error must lie in [0, 2]")
-        if self.repetitions < 1:
-            raise ValidationError("repetitions must be positive")
 
     @property
     def log2_d(self) -> float:
         return log2_int(self.d)
 
     def to_doc(self) -> dict:
-        doc = {
+        # a run is one trial on one pair of dimension d
+        return {
             "n": self.n,
             "d": int(self.d),
             "c": self.c,
             "s": _num(self.s),
             "epsilon": _num(self.epsilon),
             "success": self.success,
-            "repetitions": self.repetitions,
-            "ebits_consumed": _num(self.ebits_consumed),
+            "repetitions": 1,
+            "ebits_consumed": self.log2_d,
             "per_outcome": [
                 {
                     "k": o.k,
@@ -121,9 +117,6 @@ class ProtocolRunReport:
                 for o in self.per_outcome
             ],
         }
-        if self.failure_bound is not None:
-            doc["failure_bound"] = self.failure_bound
-        return doc
 
 
 def _sorted_target(target, need: int):
@@ -208,7 +201,6 @@ def _report(d: int, c: int, n, raw) -> ProtocolRunReport:
         per_outcome=outcomes,
         n=n,
         success=success,
-        ebits_consumed=float(log2_int(d)),
     )
 
 
@@ -377,33 +369,6 @@ def concentrate(spec: ClassSpectrum) -> ConcentrationResult:
     # one sequential sum in class order: the summation order is part of the output
     ey = float(np.cumsum(np.exp2(spec.log2_masses) * spec.log2_mults)[-1])
     return ConcentrationResult(n=spec.n, expected_yield=ey, entropy_rate=spec.stats.entropy)
-
-
-def lift_success_probability(report: ProtocolRunReport, eps_fail: float) -> ProtocolRunReport:
-    """Repeat until some trial succeeds; trade repetitions for certainty.
-
-    R = ceil(2^s ln(1/eps_fail)) repetitions push the failure probability
-    below eps_fail at the cost of ceil(log2 R) extra message bits and R
-    times the entanglement.
-    """
-    if not 0.0 < eps_fail < 1.0:
-        raise ValidationError("failure target must lie in (0, 1)")
-    if not report.success or not math.isfinite(report.s):
-        raise ValidationError("cannot lift a run with no good outcomes")
-    r = max(1, math.ceil(2.0**report.s * math.log(1.0 / eps_fail)))
-    failure = (1.0 - 2.0**-report.s) ** r
-    return ProtocolRunReport(
-        d=report.d,
-        c=report.c + (r - 1).bit_length(),
-        s=-math.log2(1.0 - eps_fail),
-        epsilon=report.epsilon,
-        per_outcome=report.per_outcome,
-        n=report.n,
-        success=True,
-        repetitions=report.repetitions * r,
-        failure_bound=failure,
-        ebits_consumed=report.ebits_consumed * r,
-    )
 
 
 @dataclass(frozen=True)

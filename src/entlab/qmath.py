@@ -119,17 +119,6 @@ class SchmidtProfile:
     def dim(self) -> int:
         return int(self.probs.size)
 
-    def entropy_bits(self) -> float:
-        p = self.probs[self.probs > 0]
-        return float(-(p * np.log2(p)).sum())
-
-    def state(self) -> PureBipartiteState:
-        """The canonical state sum_i sqrt(q_i) |ii> on d x d."""
-        d = self.dim
-        f = np.zeros((d, d), dtype=complex)
-        np.fill_diagonal(f, np.sqrt(self.probs))
-        return PureBipartiteState(d, d, f.reshape(-1))
-
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Tr|rho - sigma|, in [0, 2]."""

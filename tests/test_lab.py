@@ -9,7 +9,7 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -31,6 +31,7 @@ from entlab.lab import (
 from entlab.lab.cli import main
 from entlab.lab import commands
 from entlab.lab.commands import probe_budget, write_spectrum_json
+from entlab.lab.config import _PARSERS
 from entlab.lab.spotcheck import read_certificate, residual_problems
 from entlab.locc import verify_theorem_chain
 from entlab.spectrum import gaussian_quantile, tensor_power_spectrum
@@ -110,6 +111,10 @@ def test_parse_config_rejects_missing_equals(tmp_path):
     with pytest.raises(ValidationError) as err:
         parse_config_file(str(cfg))
     assert "bad.cfg:1" in str(err.value)
+
+
+def test_every_config_field_has_one_parser():
+    assert set(_PARSERS) == {f.name for f in fields(ExperimentConfig)}
 
 
 def test_load_config_override_precedence(tmp_path):
@@ -574,18 +579,28 @@ def test_cli_has_no_seed_flag(capsys):
     assert "--seed" in capsys.readouterr().err
 
 
-def test_cli_selftest_passes(tmp_path, capsys):
-    code = main(["selftest", "--out", str(tmp_path / "st")])
+def test_cli_selftest_refuses_the_flags_it_ignores(tmp_path, capsys):
+    # selftest picks its own grid and output directory, so these are usage errors
+    for flag, value in (("--out", str(tmp_path / "st")), ("--n-grid", "5")):
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest", flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+    assert not (tmp_path / "st").exists()
+
+
+def test_cli_selftest_passes(capsys):
+    code = main(["selftest"])
     out = capsys.readouterr().out
     assert code == 0
     assert "0 problems re-deriving" in out
 
 
-def test_cli_selftest_exits_2_when_a_row_does_not_rederive(tmp_path, monkeypatch, capsys):
+def test_cli_selftest_exits_2_when_a_row_does_not_rederive(monkeypatch, capsys):
     import entlab.lab.spotcheck as spotcheck
 
     monkeypatch.setattr(spotcheck, "spot_check_outputs", lambda config: ["residuals.csv bad"])
-    assert main(["selftest", "--out", str(tmp_path / "st")]) == 2
+    assert main(["selftest"]) == 2
     out = capsys.readouterr().out
     assert "FAIL residuals.csv bad" in out
     assert "1 problems re-deriving" in out

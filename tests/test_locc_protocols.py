@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,17 +16,18 @@ from entlab import (
     tensor_power_spectrum,
 )
 from entlab.locc import (
+    BlockShiftFamily,
     DiagonalKraus,
     StandardFormProtocol,
     build_block_dilution,
     build_shift_dilution,
     concentrate,
-    lift_success_probability,
     run_protocol,
     run_protocol_dense,
     verify_theorem_chain,
 )
 from entlab.locc.runner import CERT_DELTA_GAMMA, CERT_EPS0, _profile_queries, _sorted_target
+from entlab.tolerances import WEIGHTS_CAP
 from oracles import (
     block_dilution_by_pieces,
     completeness_defect,
@@ -101,6 +101,11 @@ def test_shift_dilution_rejects_bad_profiles():
         build_shift_dilution(np.array([0.7, 0.7]))
     with pytest.raises(ValidationError):
         build_shift_dilution(np.array([]))
+    # d outcomes of d weights each: d = 1000 fills the cap exactly, d = 1001 passes it
+    assert len(build_shift_dilution(np.full(1000, 1e-3)).alice_ops) == 1000
+    with pytest.raises(CapExceededError) as err:
+        build_shift_dilution(np.full(1001, 1.0 / 1001))
+    assert "d = 1001" in str(err.value) and str(WEIGHTS_CAP) in str(err.value)
 
 
 def test_block_dilution_hand_case_budget_one():
@@ -349,26 +354,18 @@ def test_succeed_or_flag_run_reports_s():
     assert len(good) == 1 and abs(good[0].prob - 0.125) < 1e-15
 
 
-def test_lift_success_probability_hand_case():
-    proto, q = junk_complement_protocol()
-    _, report = run_protocol(proto, q)
-    lifted = lift_success_probability(report, 0.01)
-    assert lifted.repetitions == 37  # ceil(8 ln 100)
-    assert lifted.c == report.c + 6  # 36.bit_length()
-    assert abs(lifted.s - (-math.log2(0.99))) < 1e-15
-    want_fail = float(Fraction(7, 8) ** 37)
-    assert abs(lifted.failure_bound - want_fail) < 1e-15
-    assert lifted.failure_bound <= 0.01
-    assert lifted.ebits_consumed == 37.0 * report.ebits_consumed
-
-
-def test_lift_rejects_hopeless_runs():
-    proto, q = junk_complement_protocol()
-    _, report = run_protocol(proto, q)
-    with pytest.raises(ValidationError):
-        lift_success_probability(report, 0.0)
-    with pytest.raises(ValidationError):
-        lift_success_probability(report, 1.0)
+def test_report_doc_records_one_run_on_one_pair(quarter_spectra):
+    small = tensor_power_spectrum(P_QUARTER, 2)
+    materialized, _ = build_block_dilution(small, 1, eps_target=0.8)
+    symbolic, _ = build_block_dilution(quarter_spectra[64], 30, eps_target=0.1)
+    assert isinstance(materialized, StandardFormProtocol)
+    assert isinstance(symbolic, BlockShiftFamily)
+    for proto, spec in ((materialized, small), (symbolic, quarter_spectra[64])):
+        report = run_protocol(proto, spec)[1]
+        doc = report.to_doc()
+        assert doc["repetitions"] == 1
+        assert doc["ebits_consumed"] == report.log2_d
+        assert "failure_bound" not in doc
 
 
 def test_concentrate_hand_case():
