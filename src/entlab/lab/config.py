@@ -40,6 +40,14 @@ class ExperimentConfig:
             raise ValidationError(f"p must be a nonempty list of positive finite reals, got {self.p}")
         if abs(sum(self.p) - 1.0) > 1e-9:
             raise ValidationError(f"p sums to {sum(self.p)}, expected 1")
+        # integral values are stored as int, whatever type they came in
+        for name in ("n_grid", "budget_grid"):
+            grid = getattr(self, name)
+            if not isinstance(grid, (tuple, list)):
+                raise ValidationError(f"{name} must be a list of integers, got {grid!r}")
+            object.__setattr__(self, name, tuple(_integer(name, v) for v in grid))
+        for name in ("grid_cells", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         _ascending("n_grid", self.n_grid, minimum=1, required=True)
         _ascending("budget_grid", self.budget_grid, minimum=0, required=False)
         if not 0.0 < self.delta <= 1.0:
@@ -54,13 +62,21 @@ class ExperimentConfig:
             raise ValidationError("seed must fit in 64 bits")
 
 
+def _integer(name, value) -> int:
+    """value as an int when it is integral; a ValidationError naming the field otherwise."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValidationError(f"{name}: {value!r} is not an integer")
+
+
 def _ascending(name, grid, minimum, required):
     if not grid:
         if required:
             raise ValidationError(f"{name} must be nonempty")
         return
-    if any(int(v) != v for v in grid):
-        raise ValidationError(f"{name} entries must be integers")
     if grid[0] < minimum or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValidationError(f"{name} must be strictly ascending, entries >= {minimum}")
 
@@ -84,11 +100,11 @@ def _scalar(kind):
 # every key a config file may set, with its parser
 _PARSERS = {
     "p": _list_of(float),
-    "n_grid": _list_of(int),
+    "n_grid": _list_of(_scalar(int)),
     "delta": _scalar(float),
     "epsilon": _scalar(float),
     "eps_reference": _scalar(float),
-    "budget_grid": _list_of(int),
+    "budget_grid": _list_of(_scalar(int)),
     "grid_cells": _scalar(int),
     "seed": _scalar(int),
     "out": _scalar(str),

@@ -22,19 +22,52 @@ from ..errors import CapExceededError, ValidationError
 from ..logdomain import NEG_INF, log2_int, log2sumexp, log2sumexp_segments
 from ..spectrum import ClassSpectrum
 from ..tolerances import PROFILE_SUM_TOL, WEIGHTS_CAP
-from .standard import DiagonalKraus, StandardFormProtocol
 
 
-def _shift_family(vec, m: int, count: int, message_bits: int) -> StandardFormProtocol:
-    """Outcome k applies sqrt(m * vec) cyclically shifted by k*m positions;
-    the partner undoes the shift."""
-    d = vec.size
-    idx = np.arange(d)
-    ops = []
-    for k in range(count):
-        perm = (idx + k * m) % d
-        ops.append(DiagonalKraus(weights=m * vec[perm], perm=perm))
-    return StandardFormProtocol(dim_a=d, dim_b=d, alice_ops=tuple(ops), message_bits=message_bits)
+@dataclass(frozen=True, eq=False)
+class StandardFormProtocol:
+    """Shift family on one half of a d-dim maximally entangled pair.
+
+    The standard form of a Schmidt-diagonal dilution: one Alice measurement
+    whose outcome k of the d/m applies sqrt(m * x) cyclically shifted by
+    k*m positions, a message of message_bits bits naming k, and the
+    partner's relabeling that undoes the shift. The measurement is complete
+    exactly when every residue class mod m of x sums to 1/m.
+    """
+
+    x: np.ndarray
+    m: int
+    message_bits: int
+
+    def __post_init__(self):
+        x = np.asarray(self.x, dtype=float).reshape(-1)
+        m = self.m
+        if m < 1 or x.size == 0 or x.size % m:
+            raise ValidationError(f"{x.size} weights do not split into shifts of m = {m}")
+        if x.min() < -1e-15:
+            raise ValidationError("negative weight")
+        if self.message_bits < 0:
+            raise ValidationError("negative message bits")
+        if x.size // m > 2 ** self.message_bits:
+            raise ValidationError("more outcomes than the message can carry")
+        x = np.clip(x, 0.0, None)
+        defect = np.abs(m * x.reshape(-1, m).sum(axis=0) - 1.0).max()
+        if defect > 1e-12:
+            raise ValidationError(f"residue-class completeness defect {defect}")
+        x.setflags(write=False)
+        object.__setattr__(self, "x", x)
+
+    @property
+    def dim_a(self) -> int:
+        return int(self.x.size)
+
+    def kraus_ops(self):
+        """(weights, perm) of each outcome: sum_j sqrt(weights[j]) |perm[j]><j|."""
+        d, m = self.dim_a, self.m
+        idx = np.arange(d)
+        for k in range(d // m):
+            perm = (idx + k * m) % d
+            yield m * self.x[perm], perm
 
 
 def build_shift_dilution(q) -> StandardFormProtocol:
@@ -53,7 +86,7 @@ def build_shift_dilution(q) -> StandardFormProtocol:
         )
     if q.min() < -1e-15 or abs(q.sum() - 1.0) > PROFILE_SUM_TOL:
         raise ValidationError("profile must be a probability vector")
-    return _shift_family(np.clip(q, 0.0, None), 1, d, (d - 1).bit_length())
+    return StandardFormProtocol(np.clip(q, 0.0, None), 1, (d - 1).bit_length())
 
 
 @dataclass(frozen=True)
@@ -77,14 +110,17 @@ class BlockShiftFamily:
     target_error: float
 
     def materialize(self) -> StandardFormProtocol:
-        """Dense standard-form realization; refuses beyond the weights cap."""
+        """The family as a shift protocol; refuses beyond the weights cap."""
         if self.K * self.d_prime > WEIGHTS_CAP:
-            raise CapExceededError("family too large to materialize")
+            raise CapExceededError(
+                f"K = {self.K} outcomes on d' = {self.d_prime} positions score"
+                f" {self.K * self.d_prime} weights, past the cap of {WEIGHTS_CAP}"
+            )
         counts, log2_x = self.x_runs
         vec = np.concatenate(
             [np.full(int(cnt), float(np.exp2(lx))) for cnt, lx in zip(counts, log2_x)]
         )
-        return _shift_family(vec / vec.sum(), int(self.m), int(self.K), self.budget_c)
+        return StandardFormProtocol(vec / vec.sum(), int(self.m), self.budget_c)
 
 
 def build_block_dilution(spec: ClassSpectrum, budget_c: int, eps_target: float = 0.1):

@@ -3,15 +3,16 @@
 run_protocol feeds a maximally entangled pair through a Schmidt-diagonal
 protocol and scores every outcome against the target profile. Every
 outcome carries its output profile in one form, run columns (count,
-log2 x) over the target's sorted positions: a diagonal standard-form
-protocol gives runs of length 1, a block family too large to materialize
-gives its symbolic runs. run_protocol_dense is the full-matrix oracle for
-the diagonal path. The certificate checker reads three profile queries in
-one walk that cuts the outcome's runs at the class boundaries as it goes,
-and re-derives the communication lower bound from them and the recorded
-quantities, flagging each inequality separately. Reports and
-certificates hand their fields out as plain documents (to_doc), with
-non-finite numbers as None; writing them as JSON is the caller's job.
+log2 x) over the target's sorted positions: a shift family
+(StandardFormProtocol) gives runs of length 1, a block family too large
+to materialize gives its symbolic runs. run_protocol_dense is the
+full-matrix oracle for the diagonal path. The certificate checker reads
+three profile queries in one walk that cuts the outcome's runs at the
+class boundaries as it goes, and re-derives the communication lower
+bound from them and the recorded quantities, flagging each inequality
+separately. Reports and certificates hand their fields out as plain
+documents (to_doc), with non-finite numbers as None; writing them as
+JSON is the caller's job.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from ..logdomain import NEG_INF, log2_int, log2sub, log2sumexp
 from ..qmath import SchmidtProfile
 from ..spectrum import ClassSpectrum
 from ..tolerances import DENSE_DIM_CAP, EQUALITY_TOL, WEIGHTS_CAP
-from .protocols import BlockShiftFamily
-from .standard import StandardFormProtocol
+from .protocols import BlockShiftFamily, StandardFormProtocol
 
 # below this probability an outcome cannot be scored meaningfully
 PROB_FLOOR = 1e-15
@@ -214,13 +214,11 @@ def _target_n(target):
 
 
 def _require_diagonal(proto):
-    if not (isinstance(proto, StandardFormProtocol) and proto.is_diagonal()):
+    if not isinstance(proto, StandardFormProtocol):
         raise ValidationError(
             "only Schmidt-diagonal protocols are scored here; check a standardized"
             " program with run_standard_form"
         )
-    if not proto.dim_a == proto.dim_b == proto.full_dim_a:
-        raise ValidationError("protocol dimensions differ between its sides")
 
 
 def _hellinger_error(hell: float) -> float:
@@ -235,11 +233,11 @@ def _run_weights(proto: StandardFormProtocol, target):
     sqrt_t = np.sqrt(tprof)
     ones = [1] * d  # every outcome's runs share one count column
     raw = []
-    for k, op in enumerate(proto.alice_ops):
-        p = float(op.weights.sum()) / d
+    for k, (weights, perm) in enumerate(proto.kraus_ops()):
+        p = float(weights.sum()) / d
         v = np.zeros(d)
         if p > PROB_FLOOR:
-            v[op.perm] = op.weights / (d * p)
+            v[perm] = weights / (d * p)
         # overlap deficit in Hellinger form: exact zero for a perfect match,
         # where 1 - (sum sqrt(v q))^2 would lose everything to cancellation
         diff = np.sqrt(v) - sqrt_t
@@ -264,12 +262,12 @@ def _run_dense(proto: StandardFormProtocol, target):
     cols = np.arange(d)
 
     raw = []
-    for k, op in enumerate(proto.alice_ops):
+    for k, (weights, perm) in enumerate(proto.kraus_ops()):
         # sum_j sqrt(w_j) |perm_j><j| and its partner relabeling, zero-padded
         m_k = np.zeros((dd, dd), dtype=complex)
-        m_k[op.perm, cols] = np.sqrt(op.weights)
+        m_k[perm, cols] = np.sqrt(weights)
         partner = np.zeros((dd, dd), dtype=complex)
-        partner[op.perm, cols] = 1.0
+        partner[perm, cols] = 1.0
         res = m_k @ chi0 @ partner.T
         p = float(np.vdot(res, res).real)
         if p <= PROB_FLOOR:
@@ -310,8 +308,8 @@ def _run_symbolic(family: BlockShiftFamily, target):
 def run_protocol(proto, target):
     """Run a Schmidt-diagonal protocol on its maximally entangled input pair.
 
-    Returns (outcomes, report). proto is a diagonal StandardFormProtocol,
-    whose input has dimension dim_a, or a BlockShiftFamily, whose input
+    Returns (outcomes, report). proto is a StandardFormProtocol, whose
+    input has dimension dim_a, or a BlockShiftFamily, whose input
     has dimension d_prime; any other protocol raises ValidationError
     (standardized programs are checked with run_standard_form). target is
     the ideal output profile: a SchmidtProfile, a raw probability vector,
@@ -323,8 +321,13 @@ def run_protocol(proto, target):
         report = _run_symbolic(proto, target)
         return report.per_outcome, report
     _require_diagonal(proto)
-    if proto.dim_a > WEIGHTS_CAP:
-        raise CapExceededError(f"dimension {proto.dim_a} exceeds the weights cap")
+    d = proto.dim_a
+    K = d // proto.m
+    if K * d > WEIGHTS_CAP:  # K outcomes of d weights each
+        raise CapExceededError(
+            f"K = {K} outcomes of d = {d} weights each score {K * d} entries,"
+            f" past the cap of {WEIGHTS_CAP}"
+        )
     report = _run_weights(proto, target)
     return report.per_outcome, report
 

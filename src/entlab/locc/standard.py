@@ -24,45 +24,11 @@ MIGRATION_GUARD = 1e-8
 
 
 @dataclass(frozen=True)
-class DiagonalKraus:
-    """Operator sum_j sqrt(weights[j]) |perm[j]><j| on a d-dim register.
-
-    Acting on one half of a maximally entangled pair it produces a
-    Schmidt-diagonal state, so protocols built from these never need dense
-    simulation; the partner's correction is the same index relabeling.
-    """
-
-    weights: np.ndarray
-    perm: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float).reshape(-1)
-        p = np.asarray(self.perm, dtype=np.int64).reshape(-1)
-        if w.size != p.size or w.size == 0:
-            raise ValidationError("weights and perm must have equal positive length")
-        if w.min() < -1e-15:
-            raise ValidationError("negative weight")
-        w = np.clip(w, 0.0, None)
-        # size entries in [0, size) with no repeat are a permutation
-        if p.min() < 0 or p.max() >= p.size or np.bincount(p, minlength=p.size).max() != 1:
-            raise ValidationError("perm is not a permutation")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "perm", p)
-        w.setflags(write=False)
-        p.setflags(write=False)
-
-    @property
-    def dim(self) -> int:
-        return int(self.weights.size)
-
-
-@dataclass(frozen=True)
-class StandardFormProtocol:
+class StandardizedProgram:
     """One Alice measurement, a c-bit message, Bob corrections, discards.
 
-    alice_ops are either dense matrices on Alice's full register block or
-    DiagonalKraus operators (then bob_corrections is None and the partner
-    correction is the op's own relabeling). Register blocks list the input
+    alice_ops are dense matrices on Alice's full register block, one Bob
+    correction and one message per outcome. Register blocks list the input
     register first, then ancillas in the order their initial states appear
     in anc_states_*.
     """
@@ -71,20 +37,16 @@ class StandardFormProtocol:
     dim_b: int
     alice_ops: tuple
     message_bits: int
-    bob_corrections: tuple | None = None
-    messages: tuple | None = None
-    reg_dims_a: tuple | None = None
-    reg_dims_b: tuple | None = None
+    bob_corrections: tuple
+    messages: tuple
+    reg_dims_a: tuple
+    reg_dims_b: tuple
     anc_states_a: tuple = ()
     anc_states_b: tuple = ()
     discard_a: tuple = ()
     discard_b: tuple = ()
 
     def __post_init__(self):
-        if self.reg_dims_a is None:
-            object.__setattr__(self, "reg_dims_a", (self.dim_a,))
-        if self.reg_dims_b is None:
-            object.__setattr__(self, "reg_dims_b", (self.dim_b,))
         for side in "ab":
             dims = getattr(self, f"reg_dims_{side}")
             anc = getattr(self, f"anc_states_{side}")
@@ -105,44 +67,24 @@ class StandardFormProtocol:
             raise ValidationError("negative message bits")
         if len(ops) > 2 ** self.message_bits:
             raise ValidationError("more outcomes than the message can carry")
-        if self.messages is not None and len(self.messages) != len(ops):
-            raise ValidationError("one message per outcome")
-        diag = all(isinstance(m, DiagonalKraus) for m in ops)
-        dense = all(isinstance(m, np.ndarray) for m in ops)
-        if not (diag or dense):
-            raise ValidationError("mixed operator kinds")
+        if not len(self.messages) == len(self.bob_corrections) == len(ops):
+            raise ValidationError("one message and one partner correction per outcome")
         fa = self.full_dim_a
         fb = self.full_dim_b
-        if diag:
-            if self.bob_corrections is not None:
-                raise ValidationError("diagonal families imply the partner correction")
-            if fa != fb:
-                raise ValidationError("diagonal families need equal side dimensions")
-            sums = np.zeros(fa)
-            for op in ops:
-                if op.dim != fa:
-                    raise ValidationError("operator dimension mismatch")
-                sums += op.weights
-            defect = np.abs(sums - 1.0).max()
-            if defect > 1e-12:
-                raise ValidationError(f"per-index completeness defect {defect}")
-        else:
-            if self.bob_corrections is None or len(self.bob_corrections) != len(ops):
-                raise ValidationError("one partner correction per outcome")
-            acc = np.zeros((fa, fa), dtype=complex)
-            for op in ops:
-                if op.shape != (fa, fa):
-                    raise ValidationError("operator dimension mismatch")
-                acc += op.conj().T @ op
-            defect = operator_norm(acc - np.eye(fa))
-            if defect > 1e-10:
-                raise ValidationError(f"completeness defect {defect}")
-            for u in self.bob_corrections:
-                u = np.asarray(u)
-                if u.shape != (fb, fb):
-                    raise ValidationError("correction dimension mismatch")
-                if operator_norm(u.conj().T @ u - np.eye(fb)) > 1e-10:
-                    raise ValidationError("correction not unitary")
+        acc = np.zeros((fa, fa), dtype=complex)
+        for op in ops:
+            if op.shape != (fa, fa):
+                raise ValidationError("operator dimension mismatch")
+            acc += op.conj().T @ op
+        defect = operator_norm(acc - np.eye(fa))
+        if defect > 1e-10:
+            raise ValidationError(f"completeness defect {defect}")
+        for u in self.bob_corrections:
+            u = np.asarray(u)
+            if u.shape != (fb, fb):
+                raise ValidationError("correction dimension mismatch")
+            if operator_norm(u.conj().T @ u - np.eye(fb)) > 1e-10:
+                raise ValidationError("correction not unitary")
 
     @property
     def full_dim_a(self) -> int:
@@ -151,9 +93,6 @@ class StandardFormProtocol:
     @property
     def full_dim_b(self) -> int:
         return math.prod(self.reg_dims_b)
-
-    def is_diagonal(self) -> bool:
-        return isinstance(self.alice_ops[0], DiagonalKraus)
 
 
 def _with_ancillas(input_state: PureBipartiteState, anc_states_a, anc_states_b) -> np.ndarray:
@@ -177,7 +116,7 @@ class _Node:
         self.message = message
 
 
-def standardize(ir: ProtocolIR, input_state: PureBipartiteState) -> StandardFormProtocol:
+def standardize(ir: ProtocolIR, input_state: PureBipartiteState) -> StandardizedProgram:
     """Rewrite a program into the measure-message-correct shape.
 
     The output reproduces the input program's per-message output ensemble
@@ -336,7 +275,7 @@ def standardize(ir: ProtocolIR, input_state: PureBipartiteState) -> StandardForm
         corrections.append(node.u_acc)
         messages.append(tuple(node.message))
 
-    return StandardFormProtocol(
+    return StandardizedProgram(
         dim_a=ir.dim_a,
         dim_b=ir.dim_b,
         alice_ops=tuple(ops),
@@ -352,16 +291,14 @@ def standardize(ir: ProtocolIR, input_state: PureBipartiteState) -> StandardForm
     )
 
 
-def run_standard_form(proto: StandardFormProtocol, input_state: PureBipartiteState) -> dict:
+def run_standard_form(proto: StandardizedProgram, input_state: PureBipartiteState) -> dict:
     """Ensemble {message: (prob, output density)} of the reduced protocol.
 
     Exists to cross-check standardize against the branch-tree simulator;
-    messages must be recorded on the protocol (standardize always does).
+    a shift family is scored with run_protocol instead.
     """
-    if proto.messages is None:
-        raise ValidationError("protocol carries no message tags")
-    if proto.is_diagonal():
-        raise ValidationError("dense check path needs dense operators")
+    if not isinstance(proto, StandardizedProgram):
+        raise ValidationError("run_standard_form checks a StandardizedProgram only")
     chi = _with_ancillas(input_state, proto.anc_states_a, proto.anc_states_b)
 
     dims = list(proto.reg_dims_a) + list(proto.reg_dims_b)

@@ -22,5 +22,6 @@ CLASS_CAP_DEFAULT = 50_000_000
 # dense simulation refuses beyond this total Hilbert dimension
 DENSE_DIM_CAP = 2 ** 14
 
-# diagonal weight-vector protocol path refuses beyond this many entries
+# the weights path scores K outcomes of d weights each; a shift family
+# is refused (and a block family stays symbolic) beyond K*d entries
 WEIGHTS_CAP = 1_000_000

@@ -179,7 +179,7 @@ def test_shift_dilution_exact_for_every_dim_to_64():
     for d in range(2, 65):
         q = random_spectrum(gen, d)
         proto = build_shift_dilution(q)
-        dense = [diagonal_kraus_dense(op.weights, op.perm) for op in proto.alice_ops]
+        dense = [diagonal_kraus_dense(w, perm) for w, perm in proto.kraus_ops()]
         assert completeness_defect(dense, d) <= 1e-10
         outcomes, report = run_protocol(proto, q)
         assert report.epsilon <= 1e-12

@@ -139,6 +139,33 @@ def test_config_validation():
     assert replace(cfg, seed=9).seed == 9
 
 
+def test_integer_config_fields_are_strict():
+    # integral values of any numeric type are stored as int
+    cfg = ExperimentConfig(n_grid=(8.0, np.int64(16)), budget_grid=[2.0], grid_cells=7.0, seed=3.0)
+    assert (cfg.n_grid, cfg.budget_grid, cfg.grid_cells, cfg.seed) == ((8, 16), (2,), 7, 3)
+    for value in (cfg.grid_cells, cfg.seed, *cfg.n_grid, *cfg.budget_grid):
+        assert type(value) is int
+    # anything else names its field
+    bad = [
+        {"grid_cells": 7.5},
+        {"seed": 2.5},
+        {"seed": "4"},
+        {"n_grid": (8.5,)},
+        {"n_grid": (8, math.nan)},
+        {"n_grid": (math.inf,)},
+        {"n_grid": 8},
+        {"budget_grid": (None,)},
+    ]
+    for kwargs in bad:
+        with pytest.raises(ValidationError, match=next(iter(kwargs))):
+            ExperimentConfig(**kwargs)
+    # programmatic overrides reach the same check; files and flags parse with int
+    for overrides in ({"grid_cells": 7.5, "n_grid": "8"}, {"seed": 2.5}, {"n_grid": [8.5]}):
+        with pytest.raises(ValidationError, match="is not an integer"):
+            load_config(None, overrides)
+    assert load_config(None, {"n_grid": "8, 16", "seed": "5"}).n_grid == (8, 16)
+
+
 def test_cmd_spectrum_rows_rederive(tmp_path):
     config = tiny_config(tmp_path / "o")
     written = cmd_spectrum(config)
@@ -486,10 +513,41 @@ RECORDED_OUTPUTS = {
             "4ba76cd7d50cb36aec4f34482705bb295c2e96e4b07871b7f5ccaaac2491ab35"
         ),
     },
+    # n <= 9 at d = 2: every c* outcome is scored on its materialized weights
+    ((0.75, 0.25), (2, 3, 5, 6, 9)): {
+        "communication.csv": "0fd71bfcf3cc20831cad686552f8ce2e1ebe5d56c11b78b808561493408e0f99",
+        "concentration.csv": "9f2f54a362d74e1011ff9da36e86a771948c0293bc11ed45d4385d6ac763d4ac",
+        "growth_fit.csv": "a9ab9216d293ddaae11c2f1e69410c855f9c2e3d04df20155a22821b4af52b0b",
+        "growth_summary.json": "5f0170a3dda6f4112bae492c1aac175f6288afaabb893af9889f96399f0e66be",
+        "inefficiency.csv": "2cefb3a96390208060cbc2c902482cc9b1f5075a532476702538c5191dfbdde2",
+        "residuals.csv": "8ba6832a2e53416d269d4992ee2f6c66ebe18d945f999bd8523c55d8fce75ace",
+        "spectrum_n2.json": "ece4704971eb7450b952a86f8748111ab67e2bde89c088cda8bd1be84f35883f",
+        "spectrum_n3.json": "23d0ce433ffb74fb4cd9bb7fc3b1aa1f4dc4fb1b97553e034427af68f0e01c44",
+        "spectrum_n5.json": "0ddc362dda5fbc4211078b74795dd731294566549cda45ab037fc5063b18c68c",
+        "spectrum_n6.json": "17d4b5a095ff40f73e285216f2d9315c300afccd4a4b8098c13d7c677d3b6ec9",
+        "spectrum_n9.json": "d694d86e3a19d1bfe8b3cb15d741e685c888c082b193b516375c0a2b567419e3",
+        "certificates/cert_n2.json": (
+            "e09582cab903f38661299d0ceba679181d4334d4f3c946a749853ae8c535d5b1"
+        ),
+        "certificates/cert_n3.json": (
+            "81863426b317d8ce5c90de3902761d4f4dc8aabd8c4ce87bdd059f08cc5e1690"
+        ),
+        "certificates/cert_n5.json": (
+            "21609e33438383c2f8c10fd141850646a5cfada74ee95f7dd6e187802f853a4e"
+        ),
+        "certificates/cert_n6.json": (
+            "97ee99d9ee988b9f0546d04d8592761664bdac6ba633849a82ecad874c8e861b"
+        ),
+        "certificates/cert_n9.json": (
+            "5687c9cbba53dcc4bec286d82386447c0d2d8d373cd69031ed5f5dd4db7b8a3f"
+        ),
+    },
 }
 
 
-@pytest.mark.parametrize("p, n_grid", list(RECORDED_OUTPUTS), ids=["d2", "d4", "d3"])
+@pytest.mark.parametrize(
+    "p, n_grid", list(RECORDED_OUTPUTS), ids=["d2", "d4", "d3", "d2_materialized"]
+)
 def test_commands_write_the_recorded_bytes(tmp_path, p, n_grid):
     _run_everything(ExperimentConfig(p=p, n_grid=n_grid, out=str(tmp_path)))
     digests = {}

@@ -17,8 +17,8 @@ from entlab import (
 )
 from entlab.locc import (
     BlockShiftFamily,
-    DiagonalKraus,
     StandardFormProtocol,
+    StandardizedProgram,
     build_block_dilution,
     build_shift_dilution,
     concentrate,
@@ -26,7 +26,14 @@ from entlab.locc import (
     run_protocol_dense,
     verify_theorem_chain,
 )
-from entlab.locc.runner import CERT_DELTA_GAMMA, CERT_EPS0, _profile_queries, _sorted_target
+from entlab.locc.runner import (
+    CERT_DELTA_GAMMA,
+    CERT_EPS0,
+    _profile_queries,
+    _report,
+    _scored,
+    _sorted_target,
+)
 from entlab.tolerances import WEIGHTS_CAP
 from oracles import (
     block_dilution_by_pieces,
@@ -57,7 +64,7 @@ def test_shift_dilution_is_exact(d):
     q = sorted_profile(gen, d)
     proto = build_shift_dilution(q)
     assert proto.message_bits == (d - 1).bit_length()
-    dense = [diagonal_kraus_dense(op.weights, op.perm) for op in proto.alice_ops]
+    dense = [diagonal_kraus_dense(w, perm) for w, perm in proto.kraus_ops()]
     assert completeness_defect(dense, d) < 1e-12
 
     outcomes, report = run_protocol(proto, q)
@@ -83,11 +90,44 @@ def test_shift_dilution_dense_agreement():
     assert rd.s == 0.0
 
 
+def test_shift_family_validation():
+    # a length that is not a multiple of m, a negative weight, a residue
+    # class of x that does not sum to 1/m, more outcomes than the bits name
+    cases = (
+        (np.full(3, 0.5), 2, 1, "do not split"),
+        (np.array([-0.5, 1.5]), 1, 1, "negative weight"),
+        (np.array([0.4, 0.2, 0.2, 0.2]), 2, 1, "completeness defect"),
+        (np.full(4, 0.25), 1, 1, "more outcomes"),
+    )
+    for x, m, bits, match in cases:
+        with pytest.raises(ValidationError, match=match):
+            StandardFormProtocol(x, m, bits)
+    # outcome k applies sqrt(2 x) shifted by 2k
+    proto = StandardFormProtocol(np.array([0.25, 0.35, 0.25, 0.15]), 2, 1)
+    dense = [diagonal_kraus_dense(w, perm) for w, perm in proto.kraus_ops()]
+    r5, r3, r7 = math.sqrt(0.5), math.sqrt(0.3), math.sqrt(0.7)
+    want = (
+        np.diag([r5, r7, r5, r3]),
+        np.array([[0, 0, r5, 0], [0, 0, 0, r7], [r5, 0, 0, 0], [0, r3, 0, 0]]),
+    )
+    assert len(dense) == 2
+    for got, m_k in zip(dense, want):
+        assert np.abs(got - m_k).max() < 1e-15
+    assert completeness_defect(dense, 4) < 1e-15
+
+
 def test_run_protocol_rejects_non_diagonal_protocols():
     # a dense standard-form program is checked by run_standard_form instead
     eye = np.eye(2, dtype=complex)
-    proto = StandardFormProtocol(
-        dim_a=2, dim_b=2, alice_ops=(eye,), bob_corrections=(eye,), message_bits=0
+    proto = StandardizedProgram(
+        dim_a=2,
+        dim_b=2,
+        alice_ops=(eye,),
+        message_bits=0,
+        bob_corrections=(eye,),
+        messages=((),),
+        reg_dims_a=(2,),
+        reg_dims_b=(2,),
     )
     q = np.array([0.75, 0.25])
     with pytest.raises(ValidationError, match="run_standard_form"):
@@ -102,7 +142,7 @@ def test_shift_dilution_rejects_bad_profiles():
     with pytest.raises(ValidationError):
         build_shift_dilution(np.array([]))
     # d outcomes of d weights each: d = 1000 fills the cap exactly, d = 1001 passes it
-    assert len(build_shift_dilution(np.full(1000, 1e-3)).alice_ops) == 1000
+    assert len(list(build_shift_dilution(np.full(1000, 1e-3)).kraus_ops())) == 1000
     with pytest.raises(CapExceededError) as err:
         build_shift_dilution(np.full(1001, 1.0 / 1001))
     assert "d = 1001" in str(err.value) and str(WEIGHTS_CAP) in str(err.value)
@@ -114,11 +154,11 @@ def test_block_dilution_hand_case_budget_one():
     spec = tensor_power_spectrum(P_QUARTER, 2)
     proto, terr = build_block_dilution(spec, 1, eps_target=0.8)
     assert proto.dim_a == 4
-    assert len(proto.alice_ops) == 2
+    assert len(list(proto.kraus_ops())) == 2
     assert proto.message_bits == 1
     assert abs(terr - BLOCK_ERR_BUDGET1) < 1e-12
     flat = np.array([6.0, 6.0, 2.0, 2.0]) / 16.0
-    assert np.abs(proto.alice_ops[0].weights - 2.0 * flat).max() < 1e-12
+    assert np.abs(next(proto.kraus_ops())[0] - 2.0 * flat).max() < 1e-12
 
     outcomes, report = run_protocol(proto, spec)
     assert report.c == 1
@@ -132,7 +172,7 @@ def test_block_dilution_hand_case_budget_zero():
     spec = tensor_power_spectrum(P_QUARTER, 2)
     proto, terr = build_block_dilution(spec, 0, eps_target=0.8)
     assert proto.dim_a == 3
-    assert len(proto.alice_ops) == 1
+    assert len(list(proto.kraus_ops())) == 1
     assert proto.message_bits == 0
     assert abs(terr - BLOCK_ERR_BUDGET0) < 1e-12
     _, report = run_protocol(proto, spec)
@@ -142,7 +182,7 @@ def test_block_dilution_hand_case_budget_zero():
 def test_block_dilution_dense_agreement_and_completeness():
     spec = tensor_power_spectrum(P_QUARTER, 2)
     proto, terr = build_block_dilution(spec, 1, eps_target=0.8)
-    dense = [diagonal_kraus_dense(op.weights, op.perm) for op in proto.alice_ops]
+    dense = [diagonal_kraus_dense(w, perm) for w, perm in proto.kraus_ops()]
     assert completeness_defect(dense, 4) < 1e-10
     _, rw = run_protocol(proto, spec)
     _, rd = run_protocol_dense(proto, 4, spec, n=2)
@@ -200,7 +240,7 @@ def test_block_dilution_full_budget_is_exact():
     spec = tensor_power_spectrum(P_QUARTER, 2)
     proto, terr = build_block_dilution(spec, 2, eps_target=0.1)
     assert proto.dim_a == 4
-    assert len(proto.alice_ops) == 4
+    assert len(list(proto.kraus_ops())) == 4
     assert terr == 0.0
     _, report = run_protocol(proto, spec)
     assert report.epsilon == 0.0
@@ -334,24 +374,33 @@ def test_profile_queries_equal_the_piece_list_oracle(monkeypatch):
     assert kinds["symbolic"] > 700 and kinds["materialized"] > 100, kinds
 
 
-def junk_complement_protocol():
-    """One good outcome at probability 1/8, two pure leftovers."""
-    q = np.array([0.75, 0.25])
-    ops = (
-        DiagonalKraus(weights=q / 4.0, perm=np.array([0, 1])),
-        DiagonalKraus(weights=np.array([1.0 - q[0] / 4.0, 0.0]), perm=np.array([0, 1])),
-        DiagonalKraus(weights=np.array([0.0, 1.0 - q[1] / 4.0]), perm=np.array([0, 1])),
-    )
-    return StandardFormProtocol(dim_a=2, dim_b=2, alice_ops=ops, message_bits=2), q
-
-
 def test_succeed_or_flag_run_reports_s():
-    proto, q = junk_complement_protocol()
-    outcomes, report = run_protocol(proto, q)
+    # one good outcome at probability 1/8 and two pure leftovers, whose
+    # errors against (3/4, 1/4) are 1 and sqrt(3)
+    raw = [_scored(0, 0.125, 0.0), _scored(1, 13 / 32, 1.0), _scored(2, 15 / 32, math.sqrt(3.0))]
+    report = _report(2, 2, None, raw)
     assert report.s == 3.0  # one good outcome of probability exactly 1/8
     assert report.epsilon == 0.0
-    good = [o for o in outcomes if o.good]
+    good = [o for o in report.per_outcome if o.good]
     assert len(good) == 1 and abs(good[0].prob - 0.125) < 1e-15
+
+
+def test_weights_cap_refusals_name_the_sizes_and_the_cap(quarter_spectra):
+    # the runner scores K outcomes of d weights each: d = 1000 shifts fill
+    # the cap exactly, d = 1001 pass it though d itself is far below it
+    flat = np.full(1000, 1e-3)
+    assert run_protocol(StandardFormProtocol(flat, 1, 10), flat)[1].epsilon < 1e-12
+    flat = np.full(1001, 1.0 / 1001)
+    with pytest.raises(CapExceededError) as err:
+        run_protocol(StandardFormProtocol(flat, 1, 10), flat)
+    for part in ("K = 1001", "d = 1001", str(WEIGHTS_CAP)):
+        assert part in str(err.value)
+    family, _ = build_block_dilution(quarter_spectra[64], 30, eps_target=0.1)
+    assert isinstance(family, BlockShiftFamily)
+    with pytest.raises(CapExceededError) as err:
+        family.materialize()
+    for part in (f"K = {family.K}", f"d' = {family.d_prime}", str(WEIGHTS_CAP)):
+        assert part in str(err.value)
 
 
 def test_report_doc_records_one_run_on_one_pair(quarter_spectra):

@@ -8,7 +8,6 @@ import pytest
 from entlab import PureBipartiteState, ValidationError
 from entlab.locc import (
     ApplyUnitary,
-    DiagonalKraus,
     Measure,
     ProtocolIR,
     Send,
@@ -21,22 +20,10 @@ from entlab.locc import (
     standardize,
 )
 from entlab.sampling import random_pure, random_unitary
-from oracles import completeness_defect, diagonal_kraus_dense
+from oracles import completeness_defect
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 PHI2 = PureBipartiteState(2, 2, np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2))
-
-
-def test_diagonal_kraus_validation():
-    # a repeat, an entry past the end, a negative entry
-    for perm in ([0, 0], [0, 2], [-1, 1]):
-        with pytest.raises(ValidationError, match="not a permutation"):
-            DiagonalKraus(weights=np.array([0.5, 0.5]), perm=np.array(perm))
-    with pytest.raises(ValidationError):
-        DiagonalKraus(weights=np.array([-0.5, 0.5]), perm=np.array([0, 1]))
-    op = DiagonalKraus(weights=np.array([0.25, 0.75]), perm=np.array([1, 0]))
-    m = diagonal_kraus_dense(op.weights, op.perm)
-    assert np.abs(m - np.array([[0.0, math.sqrt(0.75)], [0.5, 0.0]])).max() < 1e-12
 
 
 def test_standardize_hand_protocol():
