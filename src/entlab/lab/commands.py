@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from ..logdomain import exact_int_digits
 from ..sigsub import growth_fit, min_dilution_dimension
 from ..spectrum import (
     BaseSpectrum,
+    ClassSpectrum,
     berry_esseen_grid,
     gaussian_quantile,
     spectrum_stats,
@@ -66,7 +68,7 @@ def _ensure_out(config: ExperimentConfig) -> str:
 
 
 # classes per write of write_spectrum_json
-SPECTRUM_CHUNK = 1 << 14
+SPECTRUM_CHUNK = 1 << 12
 _CLASS_JSON = '  {\n   "log2_eig": %r,\n   "log2_mass": %r,\n   "log2_mult": %r\n  }'
 
 
@@ -96,6 +98,35 @@ def write_spectrum_json(path: str, spec) -> str:
     return path
 
 
+# the spectrum _power_spectrum holds: the largest n of the last grid a command walked
+_held: ClassSpectrum | None = None
+
+
+def _power_spectrum(base: BaseSpectrum, n: int, largest: int) -> ClassSpectrum:
+    """tensor_power_spectrum(base, n) for a command whose grid ends at n = largest.
+
+    The spectrum at the largest n, the costliest to build, is built once
+    per process and held for the next command that walks a grid of the
+    same base and largest n. Each command walks its grid in ascending
+    order, so its memory peak already falls at the largest n, where that
+    spectrum is alive anyway: holding it between commands keeps the peak
+    where it was. At most one spectrum is held; it is freed before
+    anything is built for another grid or base. The caller gets a fresh
+    ClassSpectrum on the held arrays, so the view it sums and caches is
+    freed with it, not kept with the held spectrum.
+    """
+    global _held
+    if _held is not None and not (
+        _held.n == largest and np.array_equal(_held.base_probs, base.probs)
+    ):
+        _held = None
+    if n != largest:
+        return tensor_power_spectrum(base, n)
+    if _held is None:
+        _held = tensor_power_spectrum(base, n)
+    return replace(_held)
+
+
 def residual_grid(cells: int):
     """Standardized interval endpoints covering [-4, 4] sigma.
 
@@ -115,10 +146,10 @@ def cmd_spectrum(config: ExperimentConfig) -> tuple:
     written = []
     all_rows = []
     for n in config.n_grid:
-        spec = tensor_power_spectrum(base, n)
+        spec = _power_spectrum(base, n, config.n_grid[-1])
         all_rows.extend(berry_esseen_grid(spec, *residual_grid(config.grid_cells)))
         written.append(write_spectrum_json(os.path.join(out, f"spectrum_n{n}.json"), spec))
-        del spec  # one spectrum alive at a time
+        del spec  # only the held largest outlives its row: the peak stays at the largest n
     written.append(
         _write_csv(
             os.path.join(out, "residuals.csv"),
@@ -142,13 +173,13 @@ def cmd_inefficiency(config: ExperimentConfig) -> tuple:
     def spectra():
         # each spectrum gives its inefficiency row, then feeds the growth fit
         for n in config.n_grid:
-            spec = tensor_power_spectrum(base, n)
+            spec = _power_spectrum(base, n, config.n_grid[-1])
             st = spec.stats
             md = min_dilution_dimension(spec, config.eps_reference)
             ne, lo = n * st.entropy, md.lower_log2
             rows.append((n, ne, lo, md.upper_log2, lo - ne, st.alpha * math.sqrt(n)))
             yield spec
-            del spec  # one spectrum alive at a time
+            del spec  # only the held largest outlives its row: the peak stays at the largest n
 
     fit = growth_fit(spectra(), config.delta)
     written = [
@@ -272,7 +303,7 @@ def cmd_communication(config: ExperimentConfig) -> tuple:
     sweep_rows = []
     docs = []
     for n in config.n_grid:
-        spec = tensor_power_spectrum(base, n)
+        spec = _power_spectrum(base, n, config.n_grid[-1])
         budget, outcomes, report = find_min_budget(spec, n, config.epsilon)
         good = next(o for o in outcomes if o.good)
         cert = verify_theorem_chain(good, spec, report)
@@ -290,7 +321,7 @@ def cmd_communication(config: ExperimentConfig) -> tuple:
             "consistent": cert.consistent,
         }
         docs.append((n, doc))
-        del spec  # one spectrum alive at a time
+        del spec  # only the held largest outlives its row: the peak stays at the largest n
     # no certificate is written unless every n has run
     written = [_write_json(os.path.join(cert_dir, f"cert_n{n}.json"), doc) for n, doc in docs]
     written.append(
@@ -318,11 +349,11 @@ def cmd_concentration(config: ExperimentConfig) -> tuple:
 
     rows = []
     for n in config.n_grid:
-        spec = tensor_power_spectrum(base, n)
+        spec = _power_spectrum(base, n, config.n_grid[-1])
         res = concentrate(spec)
         ne = n * spec.stats.entropy
         rows.append((n, ne, res.expected_yield, res.deficit, res.deficit / math.sqrt(n)))
-        del spec  # one spectrum alive at a time
+        del spec  # only the held largest outlives its row: the peak stays at the largest n
     path = _write_csv(
         os.path.join(out, "concentration.csv"),
         ("n", "nE", "expected_yield", "deficit", "deficit_over_sqrt_n"),

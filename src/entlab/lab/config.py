@@ -36,6 +36,9 @@ class ExperimentConfig:
     out: str = "results"
 
     def __post_init__(self):
+        if not isinstance(self.p, (tuple, list)):
+            raise ValidationError(f"p must be a list of real numbers, got {self.p!r}")
+        object.__setattr__(self, "p", tuple(_real("p", v) for v in self.p))
         # a nan compares false both ways, so it must be caught by name
         if not self.p or not all(math.isfinite(v) and v > 0.0 for v in self.p):
             raise ValidationError(f"p must be a nonempty list of positive finite reals, got {self.p}")

@@ -332,17 +332,27 @@ def _upper_tail(x: float) -> float:
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
-def gaussian_cdf(x1: float, x2: float) -> float:
-    """Standard normal mass of [x1, x2]; endpoints may be +-inf."""
+def _left_tail(x1: float) -> float:
+    """The one tail at the left endpoint x1 that gaussian_cdf takes."""
+    return _upper_tail(x1) if x1 >= 0.0 else _upper_tail(-x1)
+
+
+def _gaussian_mass(x1: float, t1: float, x2: float) -> float:
+    """gaussian_cdf(x1, x2) given t1 = _left_tail(x1)."""
     if math.isnan(x1) or math.isnan(x2):
         raise ValidationError("nan endpoint")
     if x1 > x2:
         raise ValidationError("gaussian_cdf needs x1 <= x2")
     if x1 >= 0.0:
-        return max(0.0, _upper_tail(x1) - _upper_tail(x2))
+        return max(0.0, t1 - _upper_tail(x2))
     if x2 <= 0.0:
-        return max(0.0, _upper_tail(-x2) - _upper_tail(-x1))
-    return max(0.0, 1.0 - _upper_tail(x2) - _upper_tail(-x1))
+        return max(0.0, _upper_tail(-x2) - t1)
+    return max(0.0, 1.0 - _upper_tail(x2) - t1)
+
+
+def gaussian_cdf(x1: float, x2: float) -> float:
+    """Standard normal mass of [x1, x2]; endpoints may be +-inf."""
+    return _gaussian_mass(x1, _left_tail(x1), x2)
 
 
 # Cephes ndtri (the algorithm of scipy.special.ndtri and so of
@@ -481,12 +491,6 @@ def _surrogate(spec: ClassSpectrum):
     return n * st.entropy, math.sqrt(n) * st.alpha, 25.0 * st.beta / math.sqrt(n)
 
 
-def _residual(ne: float, rt: float, a: float, b: float, m: float):
-    """(gauss, |m - gauss|) of the window [a, b] of exact mass m; see _surrogate."""
-    g = gaussian_cdf((a + ne) / rt, (b + ne) / rt)
-    return g, abs(m - g)
-
-
 def berry_esseen_residual(spec: ClassSpectrum, a: float, b: float) -> BerryEsseenResult:
     """Gap between the exact mass of [a, b] and its Gaussian surrogate.
 
@@ -496,7 +500,8 @@ def berry_esseen_residual(spec: ClassSpectrum, a: float, b: float) -> BerryEssee
     if a > b:
         raise ValidationError("needs a <= b")
     m = mu(spec, a, b)
-    g, residual = _residual(ne, rt, a, b, m)
+    g = gaussian_cdf((a + ne) / rt, (b + ne) / rt)
+    residual = abs(m - g)
     return BerryEsseenResult(
         mu_value=m, gauss_value=g, residual=residual, bound=bound, passed=residual < bound
     )
@@ -546,8 +551,11 @@ def berry_esseen_grid(spec: ClassSpectrum, lefts: np.ndarray, widths: np.ndarray
     cell_masses = iter(masses[which].tolist())
     rows = []
     for a, bs, _, _ in cells:
+        # the left endpoint, and so its tail, is shared by the whole row
+        x1 = (a + ne) / rt
+        t1 = _left_tail(x1)
         for b, m in zip(bs.tolist(), cell_masses):
-            residual = _residual(ne, rt, a, b, m)[1]
+            residual = abs(m - _gaussian_mass(x1, t1, (b + ne) / rt))
             rows.append((n, a, b, residual, bound, residual < bound))
     return rows
 

@@ -35,7 +35,7 @@ from entlab.lab.commands import probe_budget, write_spectrum_json
 from entlab.lab.config import _PARSERS
 from entlab.lab.spotcheck import read_certificate, residual_problems
 from entlab.locc import verify_theorem_chain
-from entlab.spectrum import gaussian_quantile, tensor_power_spectrum
+from entlab.spectrum import BaseSpectrum, gaussian_quantile, tensor_power_spectrum
 from oracles import write_spectrum_json_by_dump
 
 P_QUARTER = np.array([0.75, 0.25])
@@ -192,6 +192,16 @@ def test_float_and_string_config_fields_are_strict():
     # files and flags parse strings as before
     cfg = load_config(None, {"delta": "0.5", "eps_reference": "0.02", "out": "o"})
     assert (cfg.delta, cfg.eps_reference, cfg.out) == (0.5, 0.02, "o")
+
+
+def test_malformed_p_names_p():
+    # a p that is not a list of reals is named before its entries are tested
+    for p in ("0.5,0.5", (0.5, [0.5]), 0.5, (0.5, None), (True,)):
+        with pytest.raises(ValidationError, match=r"^p[ :]"):
+            ExperimentConfig(p=p)
+    # any list of reals is stored as a tuple of floats; files and flags parse as before
+    assert ExperimentConfig(p=[np.float64(0.75), Fraction(1, 4)]).p == (0.75, 0.25)
+    assert load_config(None, {"p": "0.75, 0.25"}).p == (0.75, 0.25)
 
 
 def test_cmd_spectrum_rows_rederive(tmp_path):
@@ -466,14 +476,85 @@ def _tree(root):
     return out
 
 
-def test_outputs_are_deterministic(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    _run_everything(tiny_config(a))
-    _run_everything(tiny_config(b))
+def _same_tree(a, b):
     ta, tb = _tree(a), _tree(b)
     assert ta.keys() == tb.keys()
     for rel in ta:
         assert filecmp.cmp(ta[rel], tb[rel], shallow=False), rel
+
+
+def test_outputs_are_deterministic(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    _run_everything(tiny_config(a))
+    _run_everything(tiny_config(b))
+    _same_tree(a, b)
+
+
+@pytest.fixture
+def cleared_slot(monkeypatch):
+    """The commands' held spectrum, emptied for this test and restored after it."""
+    monkeypatch.setattr(commands, "_held", None)
+
+
+def test_pipeline_builds_the_largest_spectrum_once(tmp_path, monkeypatch, cleared_slot):
+    built = []
+
+    def counting(base, n):
+        built.append(n)
+        return tensor_power_spectrum(base, n)
+
+    monkeypatch.setattr(commands, "tensor_power_spectrum", counting)
+    _run_everything(tiny_config(tmp_path, n_grid=(8, 16, 32)))
+    assert sorted(built) == [8] * 4 + [16] * 4 + [32]
+    # a second pipeline on the same grid builds only the smaller n again
+    built.clear()
+    _run_everything(tiny_config(tmp_path, n_grid=(8, 16, 32)))
+    assert sorted(built) == [8] * 4 + [16] * 4
+
+
+def test_held_spectrum_hands_out_fresh_spectra(tmp_path, cleared_slot):
+    _run_everything(tiny_config(tmp_path))
+    held = commands._held
+    assert held.n == 16 and "view" not in vars(held)
+    base = held.base_probs
+    spec = commands._power_spectrum(BaseSpectrum(base), 16, 16)
+    assert spec is not held and "view" not in vars(spec)
+    assert spec.log2_masses is held.log2_masses and spec.exact_mults is held.exact_mults
+    assert spec.view.total_dim == 2**16
+    assert "view" not in vars(held)
+    # another base or largest n frees the held spectrum before building
+    commands._power_spectrum(BaseSpectrum(base), 8, 12)
+    assert commands._held is None
+
+
+def test_pipelines_in_one_process_write_the_bytes_of_cleared_runs(tmp_path, monkeypatch):
+    # each pipeline finds held the spectrum of another base at its largest
+    # n, of the same base and largest n on another grid, or of another
+    # largest n of the same base
+    configs = [
+        ((0.75, 0.25), (4, 8)),
+        ((0.5, 0.3, 0.2), (4, 8)),
+        ((0.5, 0.3, 0.2), (2, 8)),
+        ((0.5, 0.3, 0.2), (4, 6)),
+    ]
+    for i, (p, n_grid) in enumerate(configs):
+        _run_everything(ExperimentConfig(p=p, n_grid=n_grid, out=str(tmp_path / f"seq{i}")))
+    for i, (p, n_grid) in enumerate(configs):
+        monkeypatch.setattr(commands, "_held", None)
+        _run_everything(ExperimentConfig(p=p, n_grid=n_grid, out=str(tmp_path / f"new{i}")))
+        _same_tree(tmp_path / f"seq{i}", tmp_path / f"new{i}")
+
+
+@pytest.mark.parametrize("p, n_grid", [("0.75,0.25", "8,16,64"), ("0.5,0.3,0.2", "6,12")])
+def test_pipeline_equals_one_process_per_command(tmp_path, p, n_grid):
+    _run_everything(load_config(None, {"p": p, "n_grid": n_grid, "out": str(tmp_path / "one")}))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    for name in ("spectrum", "inefficiency", "communication", "concentration"):
+        args = [name, "--p", p, "--n-grid", n_grid, "--out", str(tmp_path / "each")]
+        subprocess.run(
+            [sys.executable, "-m", "entlab.lab.cli", *args], env=env, capture_output=True, check=True
+        )
+    _same_tree(tmp_path / "one", tmp_path / "each")
 
 
 # sha256 of every file the four commands write at the default config apart

@@ -223,6 +223,9 @@ def test_gaussian_cdf_values():
     assert abs(gaussian_cdf(-40.0, 40.0) - 1.0) < 1e-15
     assert abs(gaussian_cdf(-2.0, 0.0) - gaussian_cdf(0.0, 2.0)) < 1e-15
     assert gaussian_cdf(1.0, 1.0) == 0.0
+    for x1, x2 in ((math.nan, 0.0), (0.0, math.nan), (1.0, 0.5)):
+        with pytest.raises(ValidationError):
+            gaussian_cdf(x1, x2)
 
 
 def test_berry_esseen_result_is_self_consistent():
@@ -244,7 +247,7 @@ def test_berry_esseen_result_is_self_consistent():
     "p, n",
     [((0.75, 0.25), 64), ((0.75, 0.25), 256), ((0.75, 0.25), 1024), ((0.75, 0.25), 4096)]
     + [((0.4, 0.3, 0.2, 0.1), 25), ((0.75, 0.25), 16384), ((0.5, 0.3, 0.2), 200)]
-    + [((0.4, 0.3, 0.2, 0.1), 100)],
+    + [((0.4, 0.3, 0.2, 0.1), 100), ((0.5, 0.3, 0.2), 40)],
 )
 def test_residual_grid_rows_equal_per_cell_residuals(p, n):
     spec = tensor_power_spectrum(np.array(p), n)
@@ -260,12 +263,17 @@ def test_residual_grid_rows_equal_per_cell_residuals(p, n):
     rows = berry_esseen_grid(spec, lefts, widths)
     assert len(rows) == lefts.size * widths.size
     cells = [(x1, w) for x1 in lefts for w in widths]
+    branches = set()
     for row, (x1, w) in zip(rows, cells):
         a = x1 * scale - n * st_.entropy
         b = (x1 + w) * scale - n * st_.entropy
         res = berry_esseen_residual(spec, a, b)
         assert row == (n, a, b, res.residual, res.bound, res.passed)
         assert type(row[5]) is bool
+        # the Gaussian mass's three cases: window right of 0, left of 0, or across it
+        z1, z2 = (a + n * st_.entropy) / scale, (b + n * st_.entropy) / scale
+        branches.add("right" if z1 >= 0.0 else "left" if z2 <= 0.0 else "across")
+    assert branches == {"right", "left", "across"}
     outside = rows[: widths.size] + rows[-widths.size :]
     assert all(mu(spec, a, b) == 0.0 for _, a, b, *_ in outside)
 
@@ -274,6 +282,10 @@ def test_residual_grid_refuses_a_negative_width():
     spec = tensor_power_spectrum(P_QUARTER, 16)
     with pytest.raises(ValidationError):
         berry_esseen_grid(spec, np.array([0.0]), np.array([1.0, -0.5]))
+    # a nan endpoint is refused as gaussian_cdf refuses it
+    for lefts, widths in (([math.nan], [1.0]), ([0.0], [0.5, math.nan])):
+        with pytest.raises(ValidationError, match="nan endpoint"):
+            berry_esseen_grid(spec, lefts, widths)
     with pytest.raises(DegenerateSpectrumError):
         berry_esseen_grid(tensor_power_spectrum(np.array([0.5, 0.5]), 4), [0.0], [1.0])
 
