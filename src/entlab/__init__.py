@@ -40,6 +40,7 @@ from .spectrum import (
     BaseSpectrum,
     BerryEsseenResult,
     ClassSpectrum,
+    ResidualTable,
     SortedSpectrumView,
     SpectrumStats,
     berry_esseen_grid,

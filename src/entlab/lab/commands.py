@@ -36,21 +36,54 @@ from ..spectrum import (
 from .config import ExperimentConfig
 
 
+_FLOAT = "%.12g"
+
+
 def _fmt(value) -> str:
+    """The CSV text of one field."""
     if isinstance(value, float):
-        return "%.12g" % value
+        return _FLOAT % value
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return "%.12g" % float(value)
+    return _FLOAT % float(value)
 
 
-def _write_csv(path: str, header, rows) -> str:
-    # no field holds a comma, quote or newline, so none is ever quoted
+def _lines(block):
+    """The CSV lines of a block of fields, each a scalar or a 1-D array.
+
+    A block without arrays is one line. Otherwise the arrays, float or
+    bool, hold one entry per line and the scalars are the same on every
+    line: they are formatted once, into one % template whose specs give
+    _fmt's text for the array entries (no _fmt text holds a %).
+    """
+    if not any(isinstance(f, np.ndarray) for f in block):
+        return [",".join(map(_fmt, block)) + "\n"]
+    specs, columns = [], []
+    for f in block:
+        if not isinstance(f, np.ndarray):
+            specs.append(_fmt(f))
+        elif f.dtype == bool:
+            texts = (_fmt(False), _fmt(True))
+            specs.append("%s")
+            columns.append([texts[v] for v in f.tolist()])
+        else:
+            specs.append(_FLOAT)
+            columns.append(f.tolist())
+    return map((",".join(specs) + "\n").__mod__, zip(*columns))
+
+
+def _write_csv(path: str, header, blocks) -> str:
+    """Write a header and the lines of each block (see _lines) to path.
+
+    The text is written block by block, never held whole. No field holds a
+    comma, quote or newline, so none is ever quoted.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+        for block in blocks:
+            fh.write("".join(_lines(block)))
     return path
 
 
@@ -144,17 +177,23 @@ def cmd_spectrum(config: ExperimentConfig) -> tuple:
     base = BaseSpectrum(np.asarray(config.p, dtype=float))
 
     written = []
-    all_rows = []
+    tables = []
     for n in config.n_grid:
         spec = _power_spectrum(base, n, config.n_grid[-1])
-        all_rows.extend(berry_esseen_grid(spec, *residual_grid(config.grid_cells)))
+        tables.append(berry_esseen_grid(spec, *residual_grid(config.grid_cells)))
         written.append(write_spectrum_json(os.path.join(out, f"spectrum_n{n}.json"), spec))
         del spec  # only the held largest outlives its row: the peak stays at the largest n
+    # one block per grid row: n, a and bound are the same along it
+    blocks = (
+        (t.n, a, b, residual, t.bound, passed)
+        for t in tables
+        for a, b, residual, passed in zip(t.a.tolist(), t.b, t.residual, t.passed)
+    )
     written.append(
         _write_csv(
             os.path.join(out, "residuals.csv"),
             ("n", "a", "b", "residual", "bound", "pass"),
-            all_rows,
+            blocks,
         )
     )
     return tuple(written)

@@ -70,9 +70,10 @@ def residual_problems(config: ExperimentConfig, rows: list, spec_of) -> list:
     def cells_of(n):
         if n not in cells:
             table = cells[n] = {}
-            for a, bs in grid_windows(spec_of(n), *residual_grid(config.grid_cells)):
-                for b in bs.tolist():
-                    table.setdefault((_fmt(a), _fmt(b)), []).append((a, b))
+            a, b = grid_windows(spec_of(n), *residual_grid(config.grid_cells))
+            for ai, bs in zip(a.tolist(), b.tolist()):
+                for bj in bs:
+                    table.setdefault((_fmt(ai), _fmt(bj)), []).append((ai, bj))
         return cells[n]
 
     def rederives(row, a, b):

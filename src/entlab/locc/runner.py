@@ -126,9 +126,10 @@ def _sorted_target(target, need: int):
     if isinstance(target, ClassSpectrum):
         view = target.view
         eigs = view.log2_eigs
-        cut = min(need, view.total_dim)
-        k = view.class_at(cut - 1) + 1  # classes 0..k-1 hold the first cut positions
+        # classes 0..k-1 hold the first cut positions, all of them when need passes the end
+        k = min(view.class_at(need - 1) + 1, eigs.size)
         cum = view.bounds(k)
+        cut = min(need, cum[k])
         probs = np.zeros(need)
         probs[:cut] = np.repeat(np.exp2(eigs[:k]), np.diff(cum[:k] + [cut]))
         # the part of class k - 1 past need, then every later class whole

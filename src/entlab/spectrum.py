@@ -327,32 +327,49 @@ def mu(spec: ClassSpectrum, a: float, b: float) -> float:
     return _slice_mass(spec.log2_masses, int(lo), int(hi))
 
 
+_SQRT2 = math.sqrt(2.0)
+
+
 def _upper_tail(x: float) -> float:
     # 0.5 erfc(x / sqrt 2), accurate for x >= 0
-    return 0.5 * math.erfc(x / math.sqrt(2.0))
+    return 0.5 * math.erfc(x / _SQRT2)
 
 
-def _left_tail(x1: float) -> float:
-    """The one tail at the left endpoint x1 that gaussian_cdf takes."""
-    return _upper_tail(x1) if x1 >= 0.0 else _upper_tail(-x1)
-
-
-def _gaussian_mass(x1: float, t1: float, x2: float) -> float:
-    """gaussian_cdf(x1, x2) given t1 = _left_tail(x1)."""
+def gaussian_cdf(x1: float, x2: float) -> float:
+    """Standard normal mass of [x1, x2]; endpoints may be +-inf."""
     if math.isnan(x1) or math.isnan(x2):
         raise ValidationError("nan endpoint")
     if x1 > x2:
         raise ValidationError("gaussian_cdf needs x1 <= x2")
     if x1 >= 0.0:
-        return max(0.0, t1 - _upper_tail(x2))
+        return max(0.0, _upper_tail(x1) - _upper_tail(x2))
     if x2 <= 0.0:
-        return max(0.0, _upper_tail(-x2) - t1)
-    return max(0.0, 1.0 - _upper_tail(x2) - t1)
+        return max(0.0, _upper_tail(-x2) - _upper_tail(-x1))
+    return max(0.0, 1.0 - _upper_tail(x2) - _upper_tail(-x1))
 
 
-def gaussian_cdf(x1: float, x2: float) -> float:
-    """Standard normal mass of [x1, x2]; endpoints may be +-inf."""
-    return _gaussian_mass(x1, _left_tail(x1), x2)
+def gaussian_masses(x1, x2) -> np.ndarray:
+    """gaussian_cdf(x1, x2) entry by entry, bit for bit; x1 and x2 broadcast.
+
+    Every tail gaussian_cdf takes is 0.5 erfc(|x| / sqrt 2) of one
+    endpoint (erfc(-0.0) = erfc(0.0)), so the tails are one math.erfc per
+    entry of x1 and of x2, all in one pass over a list: a column x1
+    against a 2-D x2 takes each row's left tail once. The rest is
+    gaussian_cdf's IEEE arithmetic in its order, on arrays, with
+    max(0.0, v) as np.where(v > 0.0, v, 0.0).
+    """
+    x1 = np.asarray(x1, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    if np.isnan(x1).any() or np.isnan(x2).any():
+        raise ValidationError("nan endpoint")
+    if (x1 > x2).any():
+        raise ValidationError("gaussian_cdf needs x1 <= x2")
+    args = np.abs(np.concatenate((x1.ravel(), x2.ravel()))) / _SQRT2
+    tails = 0.5 * np.fromiter(map(math.erfc, args.tolist()), float, args.size)
+    t1 = tails[: x1.size].reshape(x1.shape)
+    t2 = tails[x1.size :].reshape(x2.shape)
+    mass = np.where(x1 >= 0.0, t1 - t2, np.where(x2 <= 0.0, t2 - t1, 1.0 - t2 - t1))
+    return np.where(mass > 0.0, mass, 0.0)
 
 
 # Cephes ndtri (the algorithm of scipy.special.ndtri and so of
@@ -508,56 +525,65 @@ def berry_esseen_residual(spec: ClassSpectrum, a: float, b: float) -> BerryEssee
 
 
 def grid_windows(spec: ClassSpectrum, lefts, widths):
-    """The unrounded windows of berry_esseen_grid, one x1-row at a time.
+    """The unrounded windows of berry_esseen_grid, as arrays (a, b).
 
-    Yields (a, bs) for each x1 in lefts: a = x1 alpha sqrt(n) - nE and the
-    array bs = (x1 + widths) alpha sqrt(n) - nE.
+    a[i] = lefts[i] alpha sqrt(n) - nE, and b[i, j] = (lefts[i] +
+    widths[j]) alpha sqrt(n) - nE: row i holds the windows of left edge
+    lefts[i].
     """
     ne, rt, _ = _surrogate(spec)
+    lefts = np.asarray(lefts, dtype=float)
     widths = np.asarray(widths, dtype=float)
-    for x1 in np.asarray(lefts, dtype=float):
-        yield float(x1 * rt - ne), (x1 + widths) * rt - ne
+    return lefts * rt - ne, (lefts[:, None] + widths) * rt - ne
 
 
-def berry_esseen_grid(spec: ClassSpectrum, lefts: np.ndarray, widths: np.ndarray) -> list:
+@dataclass(frozen=True)
+class ResidualTable:
+    """berry_esseen_residual over a grid of windows, as columns.
+
+    Row i of the 2-D arrays is the block of windows [a[i], b[i, j]] that
+    share the left endpoint a[i]; residual[i, j] and passed[i, j] belong
+    to window (i, j). n and bound are the same for every window.
+    """
+
+    n: int
+    bound: float
+    a: np.ndarray
+    b: np.ndarray
+    residual: np.ndarray
+    passed: np.ndarray
+
+
+def berry_esseen_grid(spec: ClassSpectrum, lefts, widths) -> ResidualTable:
     """berry_esseen_residual over a grid of standardized windows, in one pass.
 
-    Window (x1, w) is [a, b] with a = x1 alpha sqrt(n) - nE and
-    b = (x1 + w) alpha sqrt(n) - nE; x1 runs over lefts, and for each x1,
-    w over widths. Returns one row (n, a, b, residual, bound, passed) per
-    window in that order, each equal float for float to
-    berry_esseen_residual(spec, a, b). The slices of one x1-row are found
-    with one searchsorted, and the masses of the grid's distinct class
-    slices are summed by one log2sumexp_windows call.
+    Window (i, j) is [a, b] with a = lefts[i] alpha sqrt(n) - nE and
+    b = (lefts[i] + widths[j]) alpha sqrt(n) - nE (grid_windows). The
+    table's residual[i, j], bound and passed[i, j] equal, float for float,
+    the fields of berry_esseen_residual(spec, a, b). The class slices of the
+    whole grid are found with one searchsorted, the masses of its distinct
+    slices are summed by one log2sumexp_windows call, and the Gaussian
+    masses are one gaussian_masses call.
     """
     ne, rt, bound = _surrogate(spec)
     widths = np.asarray(widths, dtype=float)
     if widths.size and widths.min() < 0.0:
         raise ValidationError("needs widths >= 0")
-    n = spec.n
+    a, b = grid_windows(spec, lefts, widths)
+    g = gaussian_masses(((a + ne) / rt)[:, None], (b + ne) / rt)
     asc = np.ascontiguousarray(spec.log2_eigs[::-1])
     ncl = asc.size
-    cells = [(a, bs, *_class_slices(asc, a, bs)) for a, bs in grid_windows(spec, lefts, widths)]
-    if not cells:
-        return []
-    los = np.concatenate([np.full(his.size, lo) for _, _, lo, his in cells])
-    his = np.concatenate([his for _, _, _, his in cells])
+    lo, hi = _class_slices(asc, a[:, None], b)
     # slice [lo, hi) of the ascending classes is masses[ncl - hi : ncl - lo]
-    keys, which = np.unique(los * (ncl + 1) + his, return_inverse=True)
+    keys, which = np.unique((lo * (ncl + 1) + hi).ravel(), return_inverse=True)
     lo, hi = np.divmod(keys, ncl + 1)
     live = np.flatnonzero(hi > lo)
     masses = np.zeros(keys.size)
     masses[live] = np.exp2(log2sumexp_windows(spec.log2_masses, ncl - hi[live], (hi - lo)[live]))
-    cell_masses = iter(masses[which].tolist())
-    rows = []
-    for a, bs, _, _ in cells:
-        # the left endpoint, and so its tail, is shared by the whole row
-        x1 = (a + ne) / rt
-        t1 = _left_tail(x1)
-        for b, m in zip(bs.tolist(), cell_masses):
-            residual = abs(m - _gaussian_mass(x1, t1, (b + ne) / rt))
-            rows.append((n, a, b, residual, bound, residual < bound))
-    return rows
+    residual = np.abs(masses[which].reshape(b.shape) - g)
+    return ResidualTable(
+        n=spec.n, bound=bound, a=a, b=b, residual=residual, passed=residual < bound
+    )
 
 
 def mass_threshold_class(log2_masses, log2_eigs, delta: float):
@@ -593,8 +619,10 @@ class SortedSpectrumView:
     The class boundaries are the running sums of the exact multiplicities,
     taken from one itertools.accumulate and summed only as far as a query
     reaches: every query stays in the top of the spectrum, where the mass
-    is, so at n = 16384 the commands sum about a quarter of them.
-    total_dim is the sum of every multiplicity, with no list behind it.
+    is, so at n = 16384 the commands sum about a quarter of them. A query
+    finds the end of the spectrum as the last boundary, summed only when
+    the query reaches it. total_dim is the sum of every multiplicity, with
+    no list behind it, taken on first use: no query needs it.
 
     A spectrum has one view, `ClassSpectrum.view`, built on first use and
     shared by block dilution, the runner's target reader, the certificate
@@ -615,12 +643,15 @@ class SortedSpectrumView:
         self.counts = spec.exact_mults
         self.log2_eigs = spec.log2_eigs
         self.log2_masses = spec.log2_masses
-        self.total_dim = sum(self.counts)
         self.prefix_log2_mass = np.concatenate(
             ([NEG_INF], np.logaddexp2.accumulate(spec.log2_masses))
         )
         self._sums = itertools.accumulate(self.counts, initial=0)
         self._bounds = []
+
+    @cached_property
+    def total_dim(self) -> int:
+        return sum(self.counts)
 
     def bounds(self, c: int) -> list:
         """The class boundaries summed so far, extended first through entry c.
@@ -636,10 +667,8 @@ class SortedSpectrumView:
 
     def class_at(self, pos: int) -> int:
         """Index of the class holding position pos; num_classes once pos >= total_dim."""
-        if pos >= self.total_dim:
-            return self.log2_eigs.size
         b = self.bounds(0)
-        while b[-1] <= pos:
+        while b[-1] <= pos and len(b) <= self.log2_eigs.size:
             self.bounds(len(b))
         return bisect_right(b, pos) - 1
 
@@ -647,19 +676,17 @@ class SortedSpectrumView:
         """How many eigenvalues (with multiplicity) are >= 2^threshold."""
         below = self.log2_eigs < log2_threshold - 1e-9
         # classes may rise by up to CLASS_MERGE_BITS, so take the first class
-        # below the threshold rather than bisecting
-        if not below.any():
-            return self.total_dim
-        c = int(np.argmax(below))
+        # below the threshold rather than bisecting; with none below, all count
+        c = int(np.argmax(below)) if below.any() else below.size
         return self.bounds(c)[c]
 
     def log2_mass_of_prefix(self, dim: int) -> float:
         """log2 of the total mass of the top `dim` positions."""
         if dim <= 0:
             return NEG_INF
-        if dim >= self.total_dim:
-            return 0.0
         c = self.class_at(dim)
+        if c == self.log2_eigs.size:
+            return 0.0
         whole = self.prefix_log2_mass[c]
         part = dim - self.bounds(c)[c]
         if part == 0:
@@ -680,7 +707,7 @@ class SortedSpectrumView:
         if delta > 1.0 + 1e-9:
             raise ValidationError("delta exceeds total mass")
         c, acc, lcount = mass_threshold_class(self.log2_masses, self.log2_eigs, delta)
-        dim = self.total_dim if c == self.log2_eigs.size else self.bounds(c)[c]
+        dim = self.bounds(c)[c]
         if lcount == NEG_INF:
             # delta reached on a class boundary, or (within 1e-9 of 1) never
             return dim, acc, True

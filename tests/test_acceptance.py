@@ -88,9 +88,10 @@ def residual_scan():
         norm_scale = st.alpha**3
         for n in (100, 400, 1600, 6400):
             spec = tensor_power_spectrum(base, n)
-            ratios = [row[3] / row[4] for row in berry_esseen_grid(spec, *residual_grid(50))]
-            worst_plain = max(ratios)
-            worst_norm = max(ratio * norm_scale for ratio in ratios)
+            table = berry_esseen_grid(spec, *residual_grid(50))
+            ratios = table.residual / table.bound
+            worst_plain = float(ratios.max())
+            worst_norm = float((ratios * norm_scale).max())
             out[(p1, n)] = (worst_plain, worst_norm)
     return out
 

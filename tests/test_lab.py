@@ -17,7 +17,13 @@ import pytest
 from scipy.special import ndtri
 from scipy.stats import norm
 
-from entlab import ValidationError, berry_esseen_residual, min_dilution_dimension
+from entlab import (
+    SortedSpectrumView,
+    ValidationError,
+    berry_esseen_grid,
+    berry_esseen_residual,
+    min_dilution_dimension,
+)
 from entlab.lab import (
     ExperimentConfig,
     cmd_communication,
@@ -31,7 +37,7 @@ from entlab.lab import (
 )
 from entlab.lab.cli import main
 from entlab.lab import commands
-from entlab.lab.commands import probe_budget, write_spectrum_json
+from entlab.lab.commands import _fmt, probe_budget, residual_grid, write_spectrum_json
 from entlab.lab.config import _PARSERS
 from entlab.lab.spotcheck import read_certificate, residual_problems
 from entlab.locc import verify_theorem_chain
@@ -223,6 +229,25 @@ def test_cmd_spectrum_rows_rederive(tmp_path):
         # %.12g keeps 12 significant digits, so compare relatively
         assert abs(res.bound - float(row["bound"])) < 5e-12 * max(1.0, res.bound)
         assert row["pass"] == ("true" if res.passed else "false")
+
+
+@pytest.mark.parametrize(
+    "p, n_grid", [((0.75, 0.25), (8, 64)), ((0.4, 0.3, 0.2, 0.1), (6, 12))], ids=["d2", "d4"]
+)
+def test_residuals_csv_lines_are_fmt_of_the_table_rows(tmp_path, p, n_grid):
+    # the writer formats n, a and bound once per grid row and the other
+    # fields by one template per cell; every line must still be _fmt's text
+    config = ExperimentConfig(p=p, n_grid=n_grid, out=str(tmp_path))
+    cmd_spectrum(config)
+    want = ["n,a,b,residual,bound,pass"]
+    for n in n_grid:
+        t = berry_esseen_grid(tensor_power_spectrum(np.array(p), n), *residual_grid(50))
+        for i, a in enumerate(t.a.tolist()):
+            cells = zip(t.b[i].tolist(), t.residual[i].tolist(), t.passed[i].tolist())
+            want += [",".join(map(_fmt, (t.n, a, b, r, t.bound, ok))) for b, r, ok in cells]
+    lines = (tmp_path / "residuals.csv").read_bytes().decode().split("\n")
+    assert lines == want + [""]
+    assert len(want) == 1 + len(n_grid) * 50 * 50
 
 
 def test_cmd_inefficiency_rows_rederive(tmp_path):
@@ -525,6 +550,18 @@ def test_held_spectrum_hands_out_fresh_spectra(tmp_path, cleared_slot):
     # another base or largest n frees the held spectrum before building
     commands._power_spectrum(BaseSpectrum(base), 8, 12)
     assert commands._held is None
+
+
+def test_communication_at_n_16384_never_sums_total_dim(tmp_path, monkeypatch, cleared_slot):
+    # every query of the budget search and its certificate stays inside the
+    # spectrum, so none needs the sum of all 16,385 multiplicities
+    summed = []
+    monkeypatch.setattr(
+        SortedSpectrumView, "total_dim", property(lambda view: summed.append(view))
+    )
+    cmd_communication(tiny_config(tmp_path, n_grid=(16384,)))
+    assert summed == []
+    assert read_rows(tmp_path / "communication.csv")[0]["c_star"] == "535"
 
 
 def test_pipelines_in_one_process_write_the_bytes_of_cleared_runs(tmp_path, monkeypatch):

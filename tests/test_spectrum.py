@@ -32,6 +32,7 @@ from entlab.spectrum import (
     SortedSpectrumView,
     _binomials_exact,
     _class_starts,
+    gaussian_masses,
     mass_threshold_class,
 )
 from entlab.tolerances import CLASS_MERGE_BITS
@@ -228,6 +229,30 @@ def test_gaussian_cdf_values():
             gaussian_cdf(x1, x2)
 
 
+def test_gaussian_masses_equal_gaussian_cdf_bit_for_bit():
+    gen = np.random.default_rng(11)
+    edges = [-math.inf, -40.0, -8.5, -1.0, -1e-300, -0.0, 0.0, 1e-300, 0.5, 1.0, 8.5, 40.0]
+    xs = sorted([*edges, math.inf, *gen.normal(0.0, 3.0, 40).tolist()])
+    # every pair x1 <= x2 of the list, x1 = x2 included, as flat arrays
+    x1, x2 = np.array([(u, v) for i, u in enumerate(xs) for v in xs[i:]]).T
+    got = gaussian_masses(x1, x2)
+    want = np.array([gaussian_cdf(u, v) for u, v in zip(x1.tolist(), x2.tolist())])
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert (got == want).all() and not np.signbit(got).any()
+    # a column of left ends against a 2-D grid of right ends, as berry_esseen_grid calls it
+    lefts = np.array(edges)[:, None]
+    rights = lefts + np.array([0.0, 0.5, 1.0, 8.5, 80.0])
+    grid = gaussian_masses(lefts, rights)
+    assert grid.shape == rights.shape
+    for (i, j), g in np.ndenumerate(grid):
+        assert g == gaussian_cdf(edges[i], float(rights[i, j])), (i, j)
+    refused = [(math.nan, 0.0, "nan endpoint"), ([0.0], [0.5, math.nan], "nan endpoint")]
+    refused.append(([0.0, 1.0], [0.5, 0.5], "x1 <= x2"))
+    for bad1, bad2, msg in refused:
+        with pytest.raises(ValidationError, match=msg):
+            gaussian_masses(bad1, bad2)
+
+
 def test_berry_esseen_result_is_self_consistent():
     spec = tensor_power_spectrum(P_QUARTER, 64)
     st_ = spectrum_stats(P_QUARTER)
@@ -256,26 +281,36 @@ def test_residual_grid_rows_equal_per_cell_residuals(p, n):
     lefts, widths = residual_grid(50)
     assert widths[0] == 0.0
     # plus one row of windows wholly below the smallest class and one wholly
-    # above the largest, where the class slice is empty (hi <= lo)
+    # above the largest, where the class slice is empty (hi <= lo); rows
+    # with left edge +-0.0, and rows whose right edge x1 + w is exactly 0
     below = (spec.log2_eigs[-1] + n * st_.entropy) / scale - widths[-1] - 1.0
     above = (spec.log2_eigs[0] + n * st_.entropy) / scale + 1.0
-    lefts = np.concatenate(([below], lefts, [above]))
-    rows = berry_esseen_grid(spec, lefts, widths)
-    assert len(rows) == lefts.size * widths.size
-    cells = [(x1, w) for x1 in lefts for w in widths]
+    edges = [0.0, -0.0, *(-widths[[1, 7, 25]]).tolist()]
+    lefts = np.concatenate(([below], lefts, edges, [above]))
+    table = berry_esseen_grid(spec, lefts, widths)
+    assert table.n == n and type(table.n) is int
+    assert table.a.shape == lefts.shape and table.b.shape == (lefts.size, widths.size)
+    assert table.residual.shape == table.passed.shape == table.b.shape
+    assert table.passed.dtype == bool
     branches = set()
-    for row, (x1, w) in zip(rows, cells):
+    zero_ends = 0
+    for i, x1 in enumerate(lefts.tolist()):
         a = x1 * scale - n * st_.entropy
-        b = (x1 + w) * scale - n * st_.entropy
-        res = berry_esseen_residual(spec, a, b)
-        assert row == (n, a, b, res.residual, res.bound, res.passed)
-        assert type(row[5]) is bool
-        # the Gaussian mass's three cases: window right of 0, left of 0, or across it
-        z1, z2 = (a + n * st_.entropy) / scale, (b + n * st_.entropy) / scale
-        branches.add("right" if z1 >= 0.0 else "left" if z2 <= 0.0 else "across")
+        assert table.a[i] == a
+        for j, w in enumerate(widths.tolist()):
+            b = (x1 + w) * scale - n * st_.entropy
+            res = berry_esseen_residual(spec, a, b)
+            row = (table.b[i, j], table.residual[i, j], table.bound, table.passed[i, j])
+            assert row == (b, res.residual, res.bound, res.passed), (i, j)
+            # the Gaussian mass's three cases: window right of 0, left of 0, or across it
+            z1, z2 = (a + n * st_.entropy) / scale, (b + n * st_.entropy) / scale
+            branches.add("right" if z1 >= 0.0 else "left" if z2 <= 0.0 else "across")
+            zero_ends += z1 == 0.0 or z2 == 0.0
     assert branches == {"right", "left", "across"}
-    outside = rows[: widths.size] + rows[-widths.size :]
-    assert all(mu(spec, a, b) == 0.0 for _, a, b, *_ in outside)
+    # the +-0.0 rows start at 0, and each x1 = -w row ends there once
+    assert zero_ends >= 2 * widths.size + 3
+    for i in (0, -1):
+        assert all(mu(spec, float(table.a[i]), b) == 0.0 for b in table.b[i].tolist())
 
 
 def test_residual_grid_refuses_a_negative_width():
