@@ -104,7 +104,7 @@ class IRInfo:
     """Static facts extracted by validation."""
 
     reg_dims: dict  # party -> list of register dims (creation order)
-    ancillas: dict  # party -> list of (reg index, dim, state)
+    ancillas: dict  # party -> list of initial states (creation order)
     alphabet: dict  # label -> outcome count
     bases: dict  # label -> basis matrix (columns = vectors)
     sent_labels: set
@@ -143,7 +143,7 @@ class ProtocolIR:
                 if ins.dim < 1:
                     raise ValidationError(f"{where}: ancilla dim must be positive")
                 vec = _unit_vector(ins.state, ins.dim, where)
-                ancillas[ins.party].append((len(reg_dims[ins.party]), ins.dim, vec))
+                ancillas[ins.party].append(vec)
                 reg_dims[ins.party].append(ins.dim)
             elif isinstance(ins, ApplyUnitary):
                 _check_party(ins.party)
@@ -279,7 +279,7 @@ def simulate_dense(ir: ProtocolIR, input_state: PureBipartiteState) -> Simulatio
     info = ir.info
     if (input_state.dim_a, input_state.dim_b) != (ir.dim_a, ir.dim_b):
         raise ValidationError("input state does not match the program dimensions")
-    # (register, dim, state) per party in creation order, as validation froze them
+    # each party's ancilla states in creation order, as validation froze them
     ancillas = {p: iter(info.ancillas[p]) for p in PARTIES}
 
     # axes: A registers in creation order, then B registers
@@ -299,7 +299,7 @@ def simulate_dense(ir: ProtocolIR, input_state: PureBipartiteState) -> Simulatio
 
     for ins in ir.instructions:
         if isinstance(ins, AddAncilla):
-            _, _, vec = next(ancillas[ins.party])
+            vec = next(ancillas[ins.party])
             # insert the new axis at the end of the party's block
             insert_at = max(i for i, (p, _) in enumerate(axes) if p == ins.party) + 1
             reg_index = sum(1 for p, _ in axes if p == ins.party)

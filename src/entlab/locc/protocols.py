@@ -21,7 +21,16 @@ import numpy as np
 from ..errors import CapExceededError, ValidationError
 from ..logdomain import NEG_INF, log2_int, log2sumexp, log2sumexp_segments
 from ..spectrum import ClassSpectrum
-from ..tolerances import PROFILE_SUM_TOL, WEIGHTS_CAP
+from ..tolerances import WEIGHTS_CAP
+
+
+def _check_weights_cap(K: int, d: int):
+    """Refuse a shift family whose K outcomes of d weights each pass the cap."""
+    if K * d > WEIGHTS_CAP:
+        raise CapExceededError(
+            f"K = {K} outcomes of d = {d} weights each score {K * d} entries,"
+            f" past the cap of {WEIGHTS_CAP}"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,6 +53,7 @@ class StandardFormProtocol:
         m = self.m
         if m < 1 or x.size == 0 or x.size % m:
             raise ValidationError(f"{x.size} weights do not split into shifts of m = {m}")
+        _check_weights_cap(x.size // m, x.size)
         if x.min() < -1e-15:
             raise ValidationError("negative weight")
         if self.message_bits < 0:
@@ -73,20 +83,13 @@ class StandardFormProtocol:
 def build_shift_dilution(q) -> StandardFormProtocol:
     """Exact dilution of a d-dim maximally entangled pair into profile q.
 
-    Outcome k applies sqrt(q) cyclically shifted by k; the partner undoes
-    the shift. Every outcome has probability 1/d and zero output error.
+    The shift family's m = 1 case: outcome k applies sqrt(q) cyclically
+    shifted by k, and the partner undoes the shift. Every outcome has
+    probability 1/d and zero output error. The type checks q: with m = 1
+    its one residue class is the whole profile, which must sum to 1.
     """
     q = np.asarray(q, dtype=float).reshape(-1)
-    d = q.size
-    if d == 0:
-        raise ValidationError("empty profile")
-    if d * d > WEIGHTS_CAP:  # d outcomes of d weights each
-        raise CapExceededError(
-            f"shift dilution of d = {d} needs {d * d} weights, past the cap of {WEIGHTS_CAP}"
-        )
-    if q.min() < -1e-15 or abs(q.sum() - 1.0) > PROFILE_SUM_TOL:
-        raise ValidationError("profile must be a probability vector")
-    return StandardFormProtocol(np.clip(q, 0.0, None), 1, (d - 1).bit_length())
+    return StandardFormProtocol(q, 1, (q.size - 1).bit_length())
 
 
 @dataclass(frozen=True)
@@ -110,16 +113,11 @@ class BlockShiftFamily:
     target_error: float
 
     def materialize(self) -> StandardFormProtocol:
-        """The family as a shift protocol; refuses beyond the weights cap."""
-        if self.K * self.d_prime > WEIGHTS_CAP:
-            raise CapExceededError(
-                f"K = {self.K} outcomes on d' = {self.d_prime} positions score"
-                f" {self.K * self.d_prime} weights, past the cap of {WEIGHTS_CAP}"
-            )
+        """The family as a shift protocol; refuses beyond the weights cap
+        before it allocates anything."""
+        _check_weights_cap(self.K, self.d_prime)
         counts, log2_x = self.x_runs
-        vec = np.concatenate(
-            [np.full(int(cnt), float(np.exp2(lx))) for cnt, lx in zip(counts, log2_x)]
-        )
+        vec = np.repeat(np.exp2(log2_x), counts)
         return StandardFormProtocol(vec / vec.sum(), int(self.m), self.budget_c)
 
 

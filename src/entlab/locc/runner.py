@@ -26,7 +26,7 @@ from ..errors import CapExceededError, DegenerateSpectrumError, ValidationError
 from ..logdomain import NEG_INF, log2_int, log2sub, log2sumexp
 from ..qmath import SchmidtProfile
 from ..spectrum import ClassSpectrum
-from ..tolerances import DENSE_DIM_CAP, EQUALITY_TOL, WEIGHTS_CAP
+from ..tolerances import DENSE_DIM_CAP, EQUALITY_TOL
 from .protocols import BlockShiftFamily, StandardFormProtocol
 
 # below this probability an outcome cannot be scored meaningfully
@@ -78,7 +78,6 @@ class ProtocolRunReport:
     epsilon: float
     per_outcome: tuple
     n: int | None = None
-    success: bool = True
 
     def __post_init__(self):
         if self.c < 0 or self.c != int(self.c):
@@ -88,6 +87,11 @@ class ProtocolRunReport:
                 raise ValidationError("success probability exponent out of range")
             if not (0.0 <= self.epsilon <= 2.0 + EQUALITY_TOL):
                 raise ValidationError("error must lie in [0, 2]")
+
+    @property
+    def success(self) -> bool:
+        """Some outcome is good; a run without one has s = epsilon = inf."""
+        return self.s != math.inf
 
     @property
     def log2_d(self) -> float:
@@ -187,13 +191,11 @@ def _report(d: int, c: int, n, raw) -> ProtocolRunReport:
     if total_good <= 0.0:
         s = math.inf
         epsilon = math.inf
-        success = False
     else:
         s = max(0.0, -math.log2(min(1.0, total_good)))
         if s < 1e-12:  # roundoff dust from summing the outcome probabilities
             s = 0.0
         epsilon = max(o.error for o in outcomes if o.good)
-        success = True
     return ProtocolRunReport(
         d=d,
         c=c,
@@ -201,7 +203,6 @@ def _report(d: int, c: int, n, raw) -> ProtocolRunReport:
         epsilon=epsilon,
         per_outcome=outcomes,
         n=n,
-        success=success,
     )
 
 
@@ -322,13 +323,6 @@ def run_protocol(proto, target):
         report = _run_symbolic(proto, target)
         return report.per_outcome, report
     _require_diagonal(proto)
-    d = proto.dim_a
-    K = d // proto.m
-    if K * d > WEIGHTS_CAP:  # K outcomes of d weights each
-        raise CapExceededError(
-            f"K = {K} outcomes of d = {d} weights each score {K * d} entries,"
-            f" past the cap of {WEIGHTS_CAP}"
-        )
     report = _run_weights(proto, target)
     return report.per_outcome, report
 

@@ -18,7 +18,7 @@ import numpy as np
 from ..errors import CapExceededError, ValidationError
 from ..qmath import DensityMatrix, PureBipartiteState, operator_norm
 from ..tolerances import DENSE_DIM_CAP
-from .ir import PRUNE_PROB, Measure, ProtocolIR, embed_operator
+from .ir import PARTIES, PRUNE_PROB, Measure, ProtocolIR, embed_operator
 
 MIGRATION_GUARD = 1e-8
 
@@ -128,27 +128,28 @@ def standardize(ir: ProtocolIR, input_state: PureBipartiteState) -> Standardized
     if (input_state.dim_a, input_state.dim_b) != (ir.dim_a, ir.dim_b):
         raise ValidationError("input state does not match the program dimensions")
 
-    dims_a = list(info.reg_dims["A"])
-    dims_b = list(info.reg_dims["B"])
+    # per party: register dims, ancilla states and discards; each record
+    # that is never sent gets a register after the party's ancillas, in
+    # instruction order, starting in |0> and discarded at the end
+    reg_dims = {p: list(info.reg_dims[p]) for p in PARTIES}
+    anc_states = {p: list(info.ancillas[p]) for p in PARTIES}
+    discards = {p: list(info.discards[p]) for p in PARTIES}
     record_reg = {}
     for ins in ir.instructions:
         if isinstance(ins, Measure) and ins.label not in info.sent_labels:
-            dims = dims_a if ins.party == "A" else dims_b
-            record_reg[ins.label] = (ins.party, len(dims))
-            dims.append(info.alphabet[ins.label])
-    fa = math.prod(dims_a)
-    fb = math.prod(dims_b)
+            v = info.alphabet[ins.label]
+            rec = record_reg[ins.label] = len(reg_dims[ins.party])
+            reg_dims[ins.party].append(v)
+            ket0 = np.zeros(v, dtype=complex)
+            ket0[0] = 1.0
+            anc_states[ins.party].append(ket0)
+            discards[ins.party].append(rec)
+    fa = math.prod(reg_dims["A"])
+    fb = math.prod(reg_dims["B"])
     if fa * fb > DENSE_DIM_CAP:
         raise CapExceededError(f"total dimension exceeds {DENSE_DIM_CAP}")
 
-    anc_states_a = [vec for (_, _, vec) in info.ancillas["A"]]
-    anc_states_b = [vec for (_, _, vec) in info.ancillas["B"]]
-    for label, (party, _) in record_reg.items():
-        v = np.zeros(info.alphabet[label], dtype=complex)
-        v[0] = 1.0
-        (anc_states_a if party == "A" else anc_states_b).append(v)
-
-    chi0 = _with_ancillas(input_state, anc_states_a, anc_states_b)
+    chi0 = _with_ancillas(input_state, anc_states["A"], anc_states["B"])
 
     nodes = [
         _Node(chi0, np.eye(fa, dtype=complex), np.eye(fb, dtype=complex), {}, [])
@@ -167,14 +168,14 @@ def standardize(ir: ProtocolIR, input_state: PureBipartiteState) -> Standardized
         if kind == "AddAncilla" or kind == "Discard":
             continue
         if kind == "ApplyUnitary":
-            dims = dims_a if ins.party == "A" else dims_b
+            dims = reg_dims[ins.party]
             if ins.control is None:
                 full = embed_operator(ins.matrix, dims, ins.targets)
                 for node in nodes:
                     apply_local(node, ins.party, full)
             elif ins.control in record_reg:
                 # record never sent: read it coherently, sum_k |k><k| (x) U_k
-                _, rec = record_reg[ins.control]
+                rec = record_reg[ins.control]
                 sel = np.eye(len(ins.cases))
                 gate = sum(np.kron(np.diag(e), u) for e, u in zip(sel, ins.cases))
                 full = embed_operator(gate, dims, (rec,) + tuple(ins.targets))
@@ -185,13 +186,13 @@ def standardize(ir: ProtocolIR, input_state: PureBipartiteState) -> Standardized
                 for node in nodes:
                     apply_local(node, ins.party, fulls[node.values[ins.control]])
         elif kind == "Measure":
-            dims = dims_a if ins.party == "A" else dims_b
+            dims = reg_dims[ins.party]
             v = info.alphabet[ins.label]
             basis = info.bases[ins.label]
             projs = [np.outer(basis[:, o], basis[:, o].conj()) for o in range(v)]
             if ins.label not in info.sent_labels:
                 # keep coherent: rotate-and-copy into the record register
-                _, rec = record_reg[ins.label]
+                rec = record_reg[ins.label]
                 # np.roll(eye, o) maps |j> to |j+o mod v>, the shift to the o-th power
                 eye = np.eye(v)
                 gate = sum(np.kron(proj, np.roll(eye, o, axis=0)) for o, proj in enumerate(projs))
@@ -199,7 +200,7 @@ def standardize(ir: ProtocolIR, input_state: PureBipartiteState) -> Standardized
                 for node in nodes:
                     apply_local(node, ins.party, full)
             elif ins.party == "A":
-                fulls = [embed_operator(proj, dims_a, (ins.register,)) for proj in projs]
+                fulls = [embed_operator(proj, dims, (ins.register,)) for proj in projs]
                 grown = []
                 for node in nodes:
                     for o, full in enumerate(fulls):
@@ -217,7 +218,7 @@ def standardize(ir: ProtocolIR, input_state: PureBipartiteState) -> Standardized
                 # with an Alice measurement and a Bob unitary correction, both
                 # built in the branch's Schmidt basis chi = U diag(s) Vh and
                 # neither dividing by a singular value
-                bfulls = [embed_operator(proj, dims_b, (ins.register,)) for proj in projs]
+                bfulls = [embed_operator(proj, dims, (ins.register,)) for proj in projs]
                 grown = []
                 for node in nodes:
                     u, s, vh = np.linalg.svd(node.chi)
@@ -258,13 +259,6 @@ def standardize(ir: ProtocolIR, input_state: PureBipartiteState) -> Standardized
             for node in nodes:
                 node.message.append(node.values[ins.label])
 
-    discard_a = sorted(
-        set(info.discards["A"]) | {r for (p, r) in record_reg.values() if p == "A"}
-    )
-    discard_b = sorted(
-        set(info.discards["B"]) | {r for (p, r) in record_reg.values() if p == "B"}
-    )
-
     ops, corrections, messages = [], [], []
     for node in nodes:
         final = node.m_acc @ chi0 @ node.u_acc.T
@@ -282,12 +276,12 @@ def standardize(ir: ProtocolIR, input_state: PureBipartiteState) -> Standardized
         message_bits=info.message_bits,
         bob_corrections=tuple(corrections),
         messages=tuple(messages),
-        reg_dims_a=tuple(dims_a),
-        reg_dims_b=tuple(dims_b),
-        anc_states_a=tuple(anc_states_a),
-        anc_states_b=tuple(anc_states_b),
-        discard_a=tuple(discard_a),
-        discard_b=tuple(discard_b),
+        reg_dims_a=tuple(reg_dims["A"]),
+        reg_dims_b=tuple(reg_dims["B"]),
+        anc_states_a=tuple(anc_states["A"]),
+        anc_states_b=tuple(anc_states["B"]),
+        discard_a=tuple(discards["A"]),
+        discard_b=tuple(discards["B"]),
     )
 
 

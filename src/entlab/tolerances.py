@@ -22,6 +22,7 @@ CLASS_CAP_DEFAULT = 50_000_000
 # dense simulation refuses beyond this total Hilbert dimension
 DENSE_DIM_CAP = 2 ** 14
 
-# the weights path scores K outcomes of d weights each; a shift family
-# is refused (and a block family stays symbolic) beyond K*d entries
+# a run scores a shift family's K outcomes of d weights each: the family
+# refuses itself beyond K*d entries (protocols._check_weights_cap), and
+# build_block_dilution keeps a block family symbolic there
 WEIGHTS_CAP = 1_000_000

@@ -4,7 +4,7 @@ Everything here is recomputed from first principles: exact rational
 arithmetic where the inputs are rational, dense linear algebra otherwise.
 None of it calls back into entlab, so agreement is evidence rather than
 tautology. Some oracles must match the package bit for bit: the per-row
-class enumeration, the block-dilution split, the class-by-class walks
+class enumeration, the block-dilution split and its per-run expansion, the class-by-class walks
 for the mass threshold and the eigenvalue count, the eager class
 boundaries behind the spectrum view's position queries, the run walk over
 a spectrum target's sorted positions, and the piece list behind the
@@ -173,6 +173,16 @@ def binomial_sig_dim(num, den, n):
         cum += cnt * eig
         dims += cnt
     return dims
+
+
+def materialize_by_runs(x_runs):
+    """A block family's normalized weight vector, one np.full per run of
+    its (counts, log2 x) columns."""
+    counts, log2_x = x_runs
+    vec = np.concatenate(
+        [np.full(int(cnt), float(np.exp2(lx))) for cnt, lx in zip(counts, log2_x)]
+    )
+    return vec / vec.sum()
 
 
 def diagonal_kraus_dense(weights, perm):

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from entlab import (
 )
 from entlab.locc import (
     BlockShiftFamily,
+    ProtocolRunReport,
     StandardFormProtocol,
     StandardizedProgram,
     build_block_dilution,
@@ -41,6 +43,7 @@ from oracles import (
     completeness_defect,
     concentration_yield_by_class,
     diagonal_kraus_dense,
+    materialize_by_runs,
     profile_queries_by_pieces,
     sorted_target_by_runs,
     x_power_distance_by_pieces,
@@ -387,21 +390,82 @@ def test_succeed_or_flag_run_reports_s():
 
 
 def test_weights_cap_refusals_name_the_sizes_and_the_cap(quarter_spectra):
-    # the runner scores K outcomes of d weights each: d = 1000 shifts fill
-    # the cap exactly, d = 1001 pass it though d itself is far below it
+    # a run scores K outcomes of d weights each: the d = 1000 uniform shift
+    # fills the cap exactly and still scores, d = 1001 passes it though d
+    # itself is far below it. A hand-built shift family, the m = 1 shift
+    # dilution and a block family's materialization refuse with one text
     flat = np.full(1000, 1e-3)
-    assert run_protocol(StandardFormProtocol(flat, 1, 10), flat)[1].epsilon < 1e-12
+    assert run_protocol(build_shift_dilution(flat), flat)[1].epsilon < 1e-12
     flat = np.full(1001, 1.0 / 1001)
-    with pytest.raises(CapExceededError) as err:
-        run_protocol(StandardFormProtocol(flat, 1, 10), flat)
-    for part in ("K = 1001", "d = 1001", str(WEIGHTS_CAP)):
-        assert part in str(err.value)
     family, _ = build_block_dilution(quarter_spectra[64], 30, eps_target=0.1)
     assert isinstance(family, BlockShiftFamily)
-    with pytest.raises(CapExceededError) as err:
-        family.materialize()
-    for part in (f"K = {family.K}", f"d' = {family.d_prime}", str(WEIGHTS_CAP)):
-        assert part in str(err.value)
+    for make, K, d in (
+        (lambda: StandardFormProtocol(flat, 1, 10), 1001, 1001),
+        (lambda: build_shift_dilution(flat), 1001, 1001),
+        (family.materialize, family.K, family.d_prime),
+    ):
+        with pytest.raises(CapExceededError) as err:
+            make()
+        assert str(err.value) == (
+            f"K = {K} outcomes of d = {d} weights each score {K * d} entries,"
+            f" past the cap of {WEIGHTS_CAP}"
+        )
+
+
+def test_materialize_refuses_before_it_allocates(quarter_spectra):
+    # n = 64, c = 30: d' is about 2.1e18 positions, so a vector built
+    # before the check could not be held
+    family, _ = build_block_dilution(quarter_spectra[64], 30, eps_target=0.1)
+    assert family.d_prime > 1 << 60
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError):
+            family.materialize()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+# d = 2 up to n = 12, and d = 3 and 4 up to n = 8
+MATERIALIZE_GRID = (
+    ((0.75, 0.25), range(2, 13)),
+    ((0.5, 0.3, 0.2), range(2, 9)),
+    ((0.4, 0.3, 0.2, 0.1), range(2, 9)),
+)
+
+
+def test_materialize_equals_the_per_run_expansion(monkeypatch):
+    # every budget up to the clamp; the expansion is held to d' <= 2^17
+    # weights here, so the cap, which prices the runner's K*d' scoring, is
+    # lifted for it
+    families = 0
+    for p, ns in MATERIALIZE_GRID:
+        for n in ns:
+            spec = tensor_power_spectrum(np.array(p), n)
+            d1 = spec.view.sig_dim(1.0 - 0.1 * 0.1 / 8.0)[0]
+            for budget in range((d1 - 1).bit_length() + 1):
+                with monkeypatch.context() as mp:
+                    mp.setattr("entlab.locc.protocols.WEIGHTS_CAP", 0)
+                    family, _ = build_block_dilution(spec, budget, eps_target=0.1)
+                with monkeypatch.context() as mp:
+                    mp.setattr("entlab.locc.protocols.WEIGHTS_CAP", 1 << 40)
+                    got = family.materialize().x
+                want = materialize_by_runs(family.x_runs)
+                assert got.tobytes() == want.tobytes(), (p, n, budget)
+                families += 1
+    assert families == 231
+
+
+def test_success_is_read_from_s():
+    # s = inf is the one mark of a run without a good outcome
+    assert not ProtocolRunReport(d=2, c=1, s=math.inf, epsilon=math.inf, per_outcome=()).success
+    assert ProtocolRunReport(d=2, c=1, s=3.0, epsilon=0.0, per_outcome=()).success
+    assert "success" not in {f.name for f in dataclasses.fields(ProtocolRunReport)}
+    # no outcome has a finite error, so none is good
+    failed = _report(2, 1, None, [_scored(0, 0.5, math.inf), _scored(1, 0.5, math.inf)])
+    assert failed.s == math.inf and not failed.success
+    assert failed.to_doc()["success"] is False and failed.to_doc()["s"] is None
 
 
 def test_report_doc_records_one_run_on_one_pair(quarter_spectra):

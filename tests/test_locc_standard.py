@@ -1,5 +1,6 @@
 """Reduction of arbitrary programs to measure-send-correct form."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 
 from entlab import PureBipartiteState, ValidationError
 from entlab.locc import (
+    AddAncilla,
     ApplyUnitary,
+    Discard,
     Measure,
     ProtocolIR,
     Send,
@@ -148,3 +151,65 @@ def test_standard_form_probabilities_sum_to_one():
     st = PureBipartiteState(ir.dim_a, ir.dim_b, amp)
     out = run_standard_form(standardize(ir, st), st)
     assert abs(sum(p for p, _ in out.values()) - 1.0) < 1e-9
+
+
+def test_register_layout_of_a_hand_program():
+    """Each party's records that are never sent get registers after all of
+    its ancillas, in instruction order, start in |0> and are discarded."""
+    gen = np.random.default_rng(1901)
+    anc_a1, anc_a2, anc_b = random_pure(gen, 3), random_pure(gen, 2), random_pure(gen, 2)
+    ir = ProtocolIR(
+        2,
+        2,
+        (
+            AddAncilla("A", 3, anc_a1),
+            AddAncilla("B", 2, anc_b),
+            Measure("B", 0, "b0"),
+            Measure("A", 1, "a1", random_unitary(gen, 3)),
+            Measure("A", 0, "a0"),
+            Send("a0", "A", "B"),
+            ApplyUnitary("B", (1,), control="a0", cases=(np.eye(2), X)),
+            AddAncilla("A", 2, anc_a2),
+            Measure("A", 2, "a2"),
+            Discard("A", 1),
+            Discard("B", 1),
+        ),
+    )
+    sf = standardize(ir, PHI2)
+    assert sf.reg_dims_a == (2, 3, 2, 3, 2)
+    assert sf.reg_dims_b == (2, 2, 2)
+    assert sf.discard_a == (1, 3, 4)
+    assert sf.discard_b == (1, 2)
+    want_a = (anc_a1, anc_a2, np.eye(3)[0], np.eye(2)[0])
+    want_b = (anc_b, np.eye(2)[0])
+    for got, want in ((sf.anc_states_a, want_a), (sf.anc_states_b, want_b)):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+    assert sf.messages == ((0,), (1,)) and sf.message_bits == 1
+    _check_exact_reduction(ir, PHI2)
+
+
+# sha256 over the integer fields of 200 standardized random programs
+LAYOUT_SHA256 = "4c4ad6472084b44d5b05dc13edcb8d82ac2f3906e8078731ed11ebff5d80759c"
+
+
+def test_register_layout_of_random_programs():
+    gen = np.random.default_rng(505)
+    h = hashlib.sha256()
+    for _ in range(200):
+        ir = random_toy_ir(gen)
+        amp = random_pure(gen, ir.dim_a * ir.dim_b).reshape(ir.dim_a, ir.dim_b)
+        sf = standardize(ir, PureBipartiteState(ir.dim_a, ir.dim_b, amp))
+        fields = (
+            sf.reg_dims_a,
+            sf.reg_dims_b,
+            sf.discard_a,
+            sf.discard_b,
+            len(sf.anc_states_a),
+            len(sf.anc_states_b),
+            sf.messages,
+            sf.message_bits,
+        )
+        h.update(repr(fields).encode())
+    assert h.hexdigest() == LAYOUT_SHA256
