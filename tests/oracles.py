@@ -11,7 +11,10 @@ a spectrum target's sorted positions, and the piece list behind the
 certificate's profile queries. They share entlab's
 log-domain float helpers and rebuild everything else on their own. The
 write_spectrum_json_by_dump is the byte reference for the streamed spectrum
-writer.
+writer, and embed_operator_by_kron for the operator embedding. The
+branch-by-branch simulator keeps one amplitude tensor per branch and one
+np.tensordot per gate, outcome and output, against the package's stacked
+branches.
 """
 
 import itertools
@@ -502,3 +505,111 @@ def write_spectrum_json_by_dump(path, spec):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+def embed_operator_by_kron(op, dims, targets):
+    """op (x) I on the non-target registers by np.kron, then permuted into
+    register order."""
+    dims = list(dims)
+    targets = list(targets)
+    rest = [i for i in range(len(dims)) if i not in targets]
+    d_rest = math.prod(dims[i] for i in rest) if rest else 1
+    big = np.kron(np.asarray(op, dtype=complex), np.eye(d_rest, dtype=complex))
+    perm = targets + rest  # axis p of `big` carries register perm[p]
+    shape = [dims[i] for i in perm]
+    tens = big.reshape(shape + shape)
+    order = [perm.index(i) for i in range(len(dims))]
+    k = len(dims)
+    tens = tens.transpose(order + [k + o for o in order])
+    d = math.prod(dims)
+    return np.ascontiguousarray(tens.reshape(d, d))
+
+
+def simulate_by_branch(ir, input_state, prune_prob=1e-13):
+    """Branch-by-branch dense run of a two-party program.
+
+    One amplitude tensor per branch, one np.tensordot per gate, outcome and
+    output. Returns (records, message, prob, rho) per branch in
+    branch-major, outcome-minor order; rho is a plain array.
+    """
+    ancillas = {
+        p: [
+            np.asarray(ins.state, dtype=complex).reshape(-1)
+            for ins in ir.instructions
+            if type(ins).__name__ == "AddAncilla" and ins.party == p
+        ]
+        for p in ("A", "B")
+    }
+    ancillas = {p: iter(v) for p, v in ancillas.items()}
+    axes = [("A", 0), ("B", 0)]
+    dims = [ir.dim_a, ir.dim_b]
+
+    def axis_of(party, reg):
+        return axes.index((party, reg))
+
+    # branch = [amp, records, message]
+    branches = [[np.asarray(input_state.amp).reshape(ir.dim_a, ir.dim_b), [], []]]
+    discards = []
+    for ins in ir.instructions:
+        kind = type(ins).__name__
+        if kind == "AddAncilla":
+            vec = next(ancillas[ins.party])
+            insert_at = max(i for i, (p, _) in enumerate(axes) if p == ins.party) + 1
+            reg_index = sum(1 for p, _ in axes if p == ins.party)
+            axes.insert(insert_at, (ins.party, reg_index))
+            dims.insert(insert_at, ins.dim)
+            for br in branches:
+                br[0] = np.moveaxis(np.multiply.outer(br[0], vec), -1, insert_at)
+        elif kind == "ApplyUnitary":
+            tg_axes = [axis_of(ins.party, t) for t in ins.targets]
+            tg_dims = [dims[a] for a in tg_axes]
+            for br in branches:
+                if ins.control is None:
+                    u = np.asarray(ins.matrix, dtype=complex)
+                else:
+                    val = dict(br[1])[ins.control]
+                    u = np.asarray(ins.cases[val], dtype=complex)
+                op = u.reshape(tg_dims + tg_dims)
+                moved = np.tensordot(op, br[0], axes=(list(range(len(tg_axes), 2 * len(tg_axes))), tg_axes))
+                br[0] = np.moveaxis(moved, list(range(len(tg_axes))), tg_axes)
+        elif kind == "Measure":
+            ax = axis_of(ins.party, ins.register)
+            dim = dims[ax]
+            basis = np.eye(dim, dtype=complex) if ins.basis is None else np.asarray(ins.basis, dtype=complex)
+            grown = []
+            for amp, records, message in branches:
+                for o in range(dim):
+                    vec = basis[:, o]
+                    coef = np.tensordot(vec.conj(), amp, axes=([0], [ax]))
+                    p = float(np.vdot(coef, coef).real)
+                    if p <= prune_prob:
+                        continue
+                    post = np.moveaxis(np.multiply.outer(coef, vec), -1, ax)
+                    grown.append([post, records + [(ins.label, o)], list(message)])
+            branches = grown
+        elif kind == "Send":
+            for br in branches:
+                br[2].append(dict(br[1])[ins.label])
+        elif kind == "Discard":
+            discards.append((ins.party, ins.register))
+
+    disc_axes = sorted(axis_of(p, r) for p, r in discards)
+    d_kept = math.prod(d for i, d in enumerate(dims) if i not in disc_axes)
+    out = []
+    for amp, records, message in branches:
+        p = float(np.vdot(amp, amp).real)
+        if p <= prune_prob:
+            continue
+        rho = np.tensordot(amp, amp.conj(), axes=(disc_axes, disc_axes))
+        out.append((tuple(records), tuple(message), p, rho.reshape(d_kept, d_kept) / p))
+    return out
+
+
+def group_by_message_by_branch(branches):
+    """{message: (prob, rho)}: each branch's output weighted by its
+    probability and summed, one branch at a time."""
+    acc = {}
+    for _, message, prob, rho in branches:
+        p, mat = acc.get(message, (0.0, 0.0))
+        acc[message] = (p + prob, mat + prob * rho)
+    return {msg: (p, mat / p) for msg, (p, mat) in acc.items()}

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from entlab import PureBipartiteState, ValidationError
+from entlab import CapExceededError, PureBipartiteState, ValidationError
 from entlab.locc import (
     AddAncilla,
     ApplyUnitary,
@@ -20,6 +20,12 @@ from entlab.locc import (
     simulate_dense,
 )
 from entlab.sampling import random_pure
+from oracles import (
+    dense_trace_distance,
+    embed_operator_by_kron,
+    group_by_message_by_branch,
+    simulate_by_branch,
+)
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 PHI2 = PureBipartiteState(2, 2, np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2))
@@ -180,3 +186,64 @@ def test_random_toy_ir_is_seed_deterministic():
     gb = group_by_message(simulate_dense(b, st))
     tv, worst = compare_ensembles(ga, gb)
     assert tv < 1e-12 and worst < 1e-12
+
+
+def _programs(seed, count):
+    gen = np.random.default_rng(seed)
+    for _ in range(count):
+        ir = random_toy_ir(gen, max_dim=4, rounds=3)
+        amp = random_pure(gen, ir.dim_a * ir.dim_b).reshape(ir.dim_a, ir.dim_b)
+        yield ir, PureBipartiteState(ir.dim_a, ir.dim_b, amp)
+
+
+@pytest.mark.parametrize("seed, count", [(505, 200), (59, 100)])
+def test_simulator_matches_the_branch_by_branch_oracle(seed, count):
+    """Same branches in the same order, each output and each message's
+    mixture within 1e-12 of one tensordot per branch and outcome."""
+    for ir, st in _programs(seed, count):
+        res = simulate_dense(ir, st)
+        want = simulate_by_branch(ir, st)
+        assert [(b.records, b.message) for b in res.branches] == [w[:2] for w in want]
+        for br, (_, _, prob, rho) in zip(res.branches, want):
+            assert abs(br.prob - prob) <= 1e-12
+            assert np.abs(br.output.mat - rho).max() <= 1e-12
+        got = group_by_message(res)
+        ref = group_by_message_by_branch(want)
+        assert set(got) == set(ref)
+        tv = sum(abs(got[m][0] - ref[m][0]) for m in ref)
+        worst = max(dense_trace_distance(got[m][1].mat, ref[m][1]) for m in ref)
+        assert tv < 1e-12 and worst < 1e-12
+
+
+def test_simulator_refusals():
+    ket0 = np.zeros(2**13)
+    ket0[0] = 1.0
+    big = ProtocolIR(2, 2, (AddAncilla("A", 2**13, ket0),))
+    with pytest.raises(CapExceededError, match="total dimension exceeds"):
+        simulate_dense(big, PHI2)
+    with pytest.raises(ValidationError, match="input state does not match"):
+        simulate_dense(correction_ir(), PureBipartiteState(2, 3, np.eye(2, 3).reshape(-1) / math.sqrt(2)))
+    # an input and an ancilla each 0.9e-10 off unit norm pass validation,
+    # but together the branches carry 1 + 1.8e-10
+    scale = math.sqrt(1.0 + 0.9e-10)
+    st = PureBipartiteState(2, 2, scale * PHI2.amp)
+    ir = ProtocolIR(2, 2, (AddAncilla("B", 2, scale * np.array([1.0, 0.0])), Measure("A", 0, "m")))
+    with pytest.raises(ValidationError, match="branch probabilities sum to"):
+        simulate_dense(ir, st)
+
+
+def test_embed_operator_equals_the_kron_embedding_bytewise():
+    gen = np.random.default_rng(2601)
+    for case in range(300):
+        dims = [int(d) for d in gen.integers(1, 5, size=gen.integers(1, 5))]
+        k = int(gen.integers(1, len(dims) + 1))
+        targets = tuple(int(t) for t in gen.permutation(len(dims))[:k])
+        dt = math.prod(dims[t] for t in targets)
+        op = gen.normal(size=(dt, dt))
+        if case % 2:
+            op = op + 1j * gen.normal(size=(dt, dt))
+        got = embed_operator(op, dims, targets)
+        want = embed_operator_by_kron(op, dims, targets)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()

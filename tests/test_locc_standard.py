@@ -14,6 +14,7 @@ from entlab.locc import (
     Measure,
     ProtocolIR,
     Send,
+    StandardizedProgram,
     build_shift_dilution,
     compare_ensembles,
     group_by_message,
@@ -213,3 +214,69 @@ def test_register_layout_of_random_programs():
         )
         h.update(repr(fields).encode())
     assert h.hexdigest() == LAYOUT_SHA256
+
+
+def _program(alice_ops, corrections, messages, bits=1, dim=2):
+    return StandardizedProgram(
+        dim_a=dim,
+        dim_b=dim,
+        alice_ops=tuple(alice_ops),
+        message_bits=bits,
+        bob_corrections=tuple(corrections),
+        messages=tuple(messages),
+        reg_dims_a=(dim,),
+        reg_dims_b=(dim,),
+    )
+
+
+def test_standardized_program_refusals():
+    eye = np.eye(2, dtype=complex)
+    with pytest.raises(ValidationError, match="empty measurement"):
+        _program((), (), ())
+    with pytest.raises(ValidationError, match="operator dimension mismatch"):
+        _program((eye, np.eye(3)), (eye, eye), ((0,), (1,)))
+    with pytest.raises(ValidationError, match="completeness defect"):
+        _program((eye, eye), (eye, eye), ((0,), (1,)))
+    with pytest.raises(ValidationError, match="correction dimension mismatch"):
+        _program((eye,), (np.eye(3),), ((0,),))
+    with pytest.raises(ValidationError, match="correction not unitary"):
+        _program((eye,), (2.0 * eye,), ((0,),))
+
+
+@pytest.mark.parametrize("defect, ok", [(0.9e-10, True), (1.1e-10, False)])
+def test_standardized_program_defect_thresholds(defect, ok):
+    """sqrt(1 + x) I has Gram defect x: 1e-10 is the largest accepted,
+    for the measurement's completeness and for each correction alike."""
+    eye = np.eye(2, dtype=complex)
+    off = math.sqrt(1.0 + defect) * eye
+    half = math.sqrt(0.5) * eye
+    cases = (
+        (((off,), (eye,), ((0,),)), "completeness defect"),
+        (((half, half), (eye, off), ((0,), (1,))), "correction not unitary"),
+    )
+    for args, text in cases:
+        if ok:
+            _program(*args)
+        else:
+            with pytest.raises(ValidationError, match=text):
+                _program(*args)
+
+
+def test_run_standard_form_merges_outcomes_that_share_a_message():
+    """Outcomes 0 and 1 both send (0,): one entry with their summed
+    probability and probability-weighted mixture."""
+    gen = np.random.default_rng(2602)
+    projs = [np.diag(e).astype(complex) for e in np.eye(3)]
+    corrections = [random_unitary(gen, 3) for _ in range(3)]
+    messages = ((0,), (0,), (1,))
+    proto = _program(projs, corrections, messages, bits=2, dim=3)
+    st = PureBipartiteState(3, 3, random_pure(gen, 9))
+    out = run_standard_form(proto, st)
+    assert list(out) == [(0,), (1,)]
+    chi = st.as_matrix()
+    for msg, ks in (((0,), (0, 1)), ((1,), (2,))):
+        vecs = [(projs[k] @ chi @ corrections[k].T).reshape(-1) for k in ks]
+        p = sum(float(np.vdot(v, v).real) for v in vecs)
+        rho = sum(np.outer(v, v.conj()) for v in vecs) / p
+        assert abs(out[msg][0] - p) < 1e-12
+        assert np.abs(out[msg][1].mat - rho).max() < 1e-12
