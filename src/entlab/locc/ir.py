@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -238,24 +239,33 @@ def embed_operator(op: np.ndarray, dims, targets) -> np.ndarray:
     dims = list(dims)
     targets = list(targets)
     rest = [i for i in range(len(dims)) if i not in targets]
-    d_rest = math.prod(dims[i] for i in rest) if rest else 1
-    big = np.kron(np.asarray(op, dtype=complex), np.eye(d_rest, dtype=complex))
-    perm = targets + rest  # axis p of `big` carries register perm[p]
-    shape = [dims[i] for i in perm]
-    tens = big.reshape(shape + shape)
-    order = [perm.index(i) for i in range(len(dims))]
-    k = len(dims)
-    tens = tens.transpose(order + [k + o for o in order])
+    tg_dims = [dims[i] for i in targets]
+    rest_dims = [dims[i] for i in rest]
+    d_rest = math.prod(rest_dims)
+    # op[i, j] I[k, l] with each index split into its registers' axes: the
+    # entries of np.kron(op, I), which one transpose puts in register order
+    outer = np.multiply.outer(np.asarray(op, dtype=complex), np.eye(d_rest, dtype=complex))
+    outer = outer.reshape(tg_dims + tg_dims + rest_dims + rest_dims)
+    kt, kr = len(targets), len(rest)
+    row = [targets.index(i) if i in targets else 2 * kt + rest.index(i) for i in range(len(dims))]
+    col = [a + kt if a < kt else a + kr for a in row]
     d = math.prod(dims)
-    return np.ascontiguousarray(tens.reshape(d, d))
+    return np.ascontiguousarray(outer.transpose(row + col).reshape(d, d))
 
 
 @dataclass(frozen=True)
 class SimBranch:
+    """One branch of a run; `factor` is its normalized amplitude as a
+    (kept x discarded) matrix, and `output` is built from it on first read."""
+
     records: tuple  # ((label, value), ...) in measurement order
     message: tuple  # sent values in send order
     prob: float
-    output: DensityMatrix
+    factor: np.ndarray
+
+    @cached_property
+    def output(self) -> DensityMatrix:
+        return DensityMatrix(self.factor @ self.factor.conj().T)
 
 
 @dataclass(frozen=True)
@@ -263,39 +273,35 @@ class SimulationResult:
     branches: tuple
 
 
-class _Live:
-    """One branch of the simulation: amplitude tensor plus classical data."""
-
-    __slots__ = ("amp", "records", "message")
-
-    def __init__(self, amp, records, message):
-        self.amp = amp
-        self.records = records
-        self.message = message
-
-
 def simulate_dense(ir: ProtocolIR, input_state: PureBipartiteState) -> SimulationResult:
-    """Exhaustive branch-by-branch run of the program on a pure input."""
+    """Exhaustive dense run of the program on a pure input.
+
+    All live branches are one amplitude array whose leading axis is the
+    branch, and their records one int array with a column per measurement;
+    branches stay in branch-major, outcome-minor order.
+    """
     info = ir.info
     if (input_state.dim_a, input_state.dim_b) != (ir.dim_a, ir.dim_b):
         raise ValidationError("input state does not match the program dimensions")
     # each party's ancilla states in creation order, as validation froze them
     ancillas = {p: iter(info.ancillas[p]) for p in PARTIES}
 
-    # axes: A registers in creation order, then B registers
+    # register axes after the branch axis: A registers in creation order,
+    # then B registers
     axes = [("A", 0), ("B", 0)]
-    dims = [ir.dim_a, ir.dim_b]
 
     def axis_of(party, reg):
-        return axes.index((party, reg))
+        return 1 + axes.index((party, reg))
 
-    def check_cap():
+    def check_cap(dims):
         if math.prod(dims) > DENSE_DIM_CAP:
             raise CapExceededError(f"total dimension exceeds {DENSE_DIM_CAP}")
 
-    check_cap()
-    amp0 = input_state.amp.reshape(ir.dim_a, ir.dim_b)
-    branches = [_Live(amp0, [], [])]
+    check_cap([ir.dim_a, ir.dim_b])
+    amp = input_state.amp.reshape(1, ir.dim_a, ir.dim_b)
+    labels = []  # measured labels, one column of `records` each
+    records = np.zeros((1, 0), dtype=np.intp)
+    sent = []  # columns of `records` in send order
 
     for ins in ir.instructions:
         if isinstance(ins, AddAncilla):
@@ -304,64 +310,57 @@ def simulate_dense(ir: ProtocolIR, input_state: PureBipartiteState) -> Simulatio
             insert_at = max(i for i, (p, _) in enumerate(axes) if p == ins.party) + 1
             reg_index = sum(1 for p, _ in axes if p == ins.party)
             axes.insert(insert_at, (ins.party, reg_index))
-            dims.insert(insert_at, ins.dim)
-            check_cap()
-            for br in branches:
-                br.amp = np.moveaxis(np.multiply.outer(br.amp, vec), -1, insert_at)
+            check_cap(amp.shape[1:] + (ins.dim,))
+            amp = np.moveaxis(np.multiply.outer(amp, vec), -1, 1 + insert_at)
         elif isinstance(ins, ApplyUnitary):
-            tg_axes = [axis_of(ins.party, t) for t in ins.targets]
-            tg_dims = [dims[a] for a in tg_axes]
-            dt = math.prod(tg_dims)
-            for br in branches:
-                if ins.control is None:
-                    u = np.asarray(ins.matrix, dtype=complex)
-                else:
-                    val = dict(br.records)[ins.control]
-                    u = np.asarray(ins.cases[val], dtype=complex)
-                op = u.reshape(tg_dims + tg_dims)
-                moved = np.tensordot(op, br.amp, axes=(list(range(len(tg_axes), 2 * len(tg_axes))), tg_axes))
-                br.amp = np.moveaxis(moved, list(range(len(tg_axes))), tg_axes)
+            tg = [axis_of(ins.party, t) for t in ins.targets]
+            front = list(range(1, 1 + len(tg)))
+            moved = np.moveaxis(amp, tg, front)
+            dt = math.prod(moved.shape[1 : 1 + len(tg)])
+            if ins.control is None:
+                u = np.asarray(ins.matrix, dtype=complex)
+            else:
+                # each branch's case, selected by its record
+                u = np.asarray(ins.cases, dtype=complex)[records[:, labels.index(ins.control)]]
+            moved = (u @ moved.reshape(len(amp), dt, -1)).reshape(moved.shape)
+            amp = np.moveaxis(moved, front, tg)
         elif isinstance(ins, Measure):
             ax = axis_of(ins.party, ins.register)
-            dim = dims[ax]
-            basis = np.eye(dim, dtype=complex) if ins.basis is None else np.asarray(ins.basis, dtype=complex)
-            grown = []
-            for br in branches:
-                for o in range(dim):
-                    vec = basis[:, o]
-                    coef = np.tensordot(vec.conj(), br.amp, axes=([0], [ax]))
-                    p = float(np.vdot(coef, coef).real)
-                    if p <= PRUNE_PROB:
-                        continue
-                    post = np.moveaxis(np.multiply.outer(coef, vec), -1, ax)
-                    grown.append(_Live(post, br.records + [(ins.label, o)], list(br.message)))
-            branches = grown
+            basis = info.bases[ins.label]
+            dim = basis.shape[0]
+            moved = np.moveaxis(amp, ax, 1)
+            # coef[b, o] = <basis_o| on the register, for every branch b
+            coef = basis.conj().T @ moved.reshape(len(amp), dim, -1)
+            keep = ((coef.real**2 + coef.imag**2).sum(axis=2) > PRUNE_PROB).reshape(-1)
+            # post[b, o] = coef[b, o] (x) basis_o, the register back in place
+            post = coef[:, :, None, :] * basis.T[None, :, :, None]
+            post = post.reshape((-1,) + moved.shape[1:])[keep]
+            amp = np.moveaxis(post, 1, ax)
+            outcomes = np.tile(np.arange(dim), len(records))
+            records = np.column_stack((np.repeat(records, dim, axis=0), outcomes))[keep]
+            labels.append(ins.label)
         elif isinstance(ins, Send):
-            for br in branches:
-                br.message.append(dict(br.records)[ins.label])
+            sent.append(labels.index(ins.label))
         elif isinstance(ins, Discard):
             pass  # applied at the end; validation bans later use
 
-    disc_axes = sorted(
-        axis_of(p, r) for p in PARTIES for r in info.discards[p]
-    )
-    d_kept = math.prod(d for i, d in enumerate(dims) if i not in disc_axes)
-
-    out = []
-    for br in branches:
-        p = float(np.vdot(br.amp, br.amp).real)
-        if p <= PRUNE_PROB:
-            continue
-        rho = np.tensordot(br.amp, br.amp.conj(), axes=(disc_axes, disc_axes))
-        rho = rho.reshape(d_kept, d_kept) / p
-        out.append(
-            SimBranch(
-                records=tuple(br.records),
-                message=tuple(br.message),
-                prob=p,
-                output=DensityMatrix(rho),
-            )
+    disc = sorted(axis_of(p, r) for p in PARTIES for r in info.discards[p])
+    kept = [a for a in range(1, amp.ndim) if a not in disc]
+    d_kept = math.prod(amp.shape[a] for a in kept)
+    amp = amp.transpose([0] + kept + disc).reshape(len(amp), d_kept, -1)
+    probs = (amp.real**2 + amp.imag**2).sum(axis=(1, 2))
+    keep = probs > PRUNE_PROB
+    factors = amp[keep] / np.sqrt(probs[keep])[:, None, None]
+    factors.setflags(write=False)
+    out = [
+        SimBranch(
+            records=tuple(zip(labels, rec)),
+            message=tuple(rec[i] for i in sent),
+            prob=p,
+            factor=f,
         )
+        for rec, p, f in zip(records[keep].tolist(), probs[keep].tolist(), factors)
+    ]
     total = sum(b.prob for b in out)
     if abs(total - 1.0) > 1e-10:
         raise ValidationError(f"branch probabilities sum to {total}")
@@ -369,14 +368,20 @@ def simulate_dense(ir: ProtocolIR, input_state: PureBipartiteState) -> Simulatio
 
 
 def group_by_message(result: SimulationResult) -> dict:
-    """Collapse branches sharing a message into (prob, mixed state)."""
-    acc = {}
+    """Collapse branches sharing a message into (prob, mixed state).
+
+    A message's state is F F^dagger / P, where F puts sqrt(p_b) A_b of its
+    branches side by side (A_b the normalized factor) and P sums the p_b.
+    """
+    groups = {}
     for br in result.branches:
-        p, mat = acc.get(br.message, (0.0, 0.0))
-        acc[br.message] = (p + br.prob, mat + br.prob * br.output.mat)
-    return {
-        msg: (p, DensityMatrix(mat / p)) for msg, (p, mat) in acc.items()
-    }
+        groups.setdefault(br.message, []).append(br)
+    out = {}
+    for msg, brs in groups.items():
+        p = sum(br.prob for br in brs)
+        f = np.concatenate([math.sqrt(br.prob) * br.factor for br in brs], axis=1)
+        out[msg] = (p, DensityMatrix(f @ f.conj().T / p))
+    return out
 
 
 def compare_ensembles(a: dict, b: dict):

@@ -71,20 +71,19 @@ class StandardizedProgram:
             raise ValidationError("one message and one partner correction per outcome")
         fa = self.full_dim_a
         fb = self.full_dim_b
-        acc = np.zeros((fa, fa), dtype=complex)
-        for op in ops:
-            if op.shape != (fa, fa):
-                raise ValidationError("operator dimension mismatch")
-            acc += op.conj().T @ op
-        defect = operator_norm(acc - np.eye(fa))
+        if any(op.shape != (fa, fa) for op in ops):
+            raise ValidationError("operator dimension mismatch")
+        # the operators stacked as one (K fa) x fa matrix V: V^dagger V = sum_k M_k^dagger M_k
+        stacked = np.concatenate(ops)
+        defect = operator_norm(stacked.conj().T @ stacked - np.eye(fa))
         if defect > 1e-10:
             raise ValidationError(f"completeness defect {defect}")
-        for u in self.bob_corrections:
-            u = np.asarray(u)
-            if u.shape != (fb, fb):
-                raise ValidationError("correction dimension mismatch")
-            if operator_norm(u.conj().T @ u - np.eye(fb)) > 1e-10:
-                raise ValidationError("correction not unitary")
+        us = [np.asarray(u) for u in self.bob_corrections]
+        if any(u.shape != (fb, fb) for u in us):
+            raise ValidationError("correction dimension mismatch")
+        us = np.stack(us)
+        if operator_norm(us.conj().transpose(0, 2, 1) @ us - np.eye(fb)) > 1e-10:
+            raise ValidationError("correction not unitary")
 
     @property
     def full_dim_a(self) -> int:
@@ -294,28 +293,28 @@ def run_standard_form(proto: StandardizedProgram, input_state: PureBipartiteStat
     if not isinstance(proto, StandardizedProgram):
         raise ValidationError("run_standard_form checks a StandardizedProgram only")
     chi = _with_ancillas(input_state, proto.anc_states_a, proto.anc_states_b)
-
+    # every outcome's amplitude M_k chi U_k^T at once, then split into the
+    # kept and the discarded registers
+    res = np.stack(proto.alice_ops) @ chi @ np.stack(proto.bob_corrections).transpose(0, 2, 1)
     dims = list(proto.reg_dims_a) + list(proto.reg_dims_b)
     na = len(proto.reg_dims_a)
-    disc_axes = sorted(
-        list(proto.discard_a) + [na + r for r in proto.discard_b]
-    )
-    d_kept = math.prod(d for i, d in enumerate(dims) if i not in disc_axes)
+    disc = sorted(list(proto.discard_a) + [na + r for r in proto.discard_b])
+    kept = [i for i in range(len(dims)) if i not in disc]
+    d_kept = math.prod(dims[i] for i in kept)
+    amps = res.reshape([len(res)] + dims).transpose([0] + [1 + i for i in kept + disc])
+    amps = amps.reshape(len(res), d_kept, -1)
+    probs = (amps.real**2 + amps.imag**2).sum(axis=(1, 2)).tolist()
 
+    # outcomes that share a message are merged before their one validation
+    groups = {}
+    for k, msg in enumerate(proto.messages):
+        if probs[k] > PRUNE_PROB:
+            groups.setdefault(msg, []).append(k)
     out = {}
-    for m_k, u_k, msg in zip(proto.alice_ops, proto.bob_corrections, proto.messages):
-        res = m_k @ chi @ np.asarray(u_k).T
-        p = float(np.vdot(res, res).real)
-        if p <= PRUNE_PROB:
-            continue
-        amp = res.reshape(dims)
-        rho = np.tensordot(amp, amp.conj(), axes=(disc_axes, disc_axes))
-        rho = rho.reshape(d_kept, d_kept) / p
-        if msg in out:
-            p0, r0 = out[msg]
-            out[msg] = (p0 + p, DensityMatrix((p0 * r0.mat + p * rho) / (p0 + p)))
-        else:
-            out[msg] = (p, DensityMatrix(rho))
+    for msg, ks in groups.items():
+        p = sum(probs[k] for k in ks)
+        f = np.concatenate(amps[ks], axis=1)
+        out[msg] = (p, DensityMatrix(f @ f.conj().T / p))
     total = sum(p for p, _ in out.values())
     if abs(total - 1.0) > 1e-9:
         raise ValidationError(f"outcome probabilities sum to {total}")

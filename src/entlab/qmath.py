@@ -145,11 +145,11 @@ def trace_distance_witness(rho: DensityMatrix, sigma: DensityMatrix):
 
 
 def operator_norm(a) -> float:
-    """Largest singular value."""
+    """Largest singular value; of a stack of matrices, the largest of any."""
     arr = _as_complex(a)
     if arr.size == 0:
         return 0.0
-    return float(np.linalg.svd(arr, compute_uv=False)[0])
+    return float(np.linalg.svd(arr, compute_uv=False).max())
 
 
 def schmidt_decompose(psi: PureBipartiteState):
