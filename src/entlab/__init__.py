@@ -17,6 +17,7 @@ from .qmath import (
     SchmidtProfile,
     epsilon_rank,
     fidelity,
+    marginal_trace_distance,
     nearest_product_extension,
     operator_norm,
     partial_trace,

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from ..errors import CapExceededError, ValidationError
-from ..qmath import DensityMatrix, PureBipartiteState, _as_complex
+from ..qmath import DensityMatrix, PureBipartiteState, _as_complex, marginal_trace_distance
 from ..tolerances import DENSE_DIM_CAP, VALIDITY_TOL
 
 PARTIES = ("A", "B")
@@ -368,10 +368,10 @@ def simulate_dense(ir: ProtocolIR, input_state: PureBipartiteState) -> Simulatio
 
 
 def group_by_message(result: SimulationResult) -> dict:
-    """Collapse branches sharing a message into (prob, mixed state).
+    """Collapse branches sharing a message into (prob, purification).
 
-    A message's state is F F^dagger / P, where F puts sqrt(p_b) A_b of its
-    branches side by side (A_b the normalized factor) and P sums the p_b.
+    The purification is F / sqrt(P) on (kept, width): F puts sqrt(p_b) A_b of
+    the branches side by side (A_b the normalized factor), P sums the p_b.
     """
     groups = {}
     for br in result.branches:
@@ -379,19 +379,18 @@ def group_by_message(result: SimulationResult) -> dict:
     out = {}
     for msg, brs in groups.items():
         p = sum(br.prob for br in brs)
-        f = np.concatenate([math.sqrt(br.prob) * br.factor for br in brs], axis=1)
-        out[msg] = (p, DensityMatrix(f @ f.conj().T / p))
+        f = np.concatenate([math.sqrt(br.prob / p) * br.factor for br in brs], axis=1)
+        out[msg] = (p, PureBipartiteState(*f.shape, f))
     return out
 
 
 def compare_ensembles(a: dict, b: dict):
     """Total probability discrepancy and worst per-message trace distance.
 
-    Inputs map message tuples to (prob, DensityMatrix). A message present on
+    Inputs map message tuples to (prob, purification), compared by
+    marginal_trace_distance of their kept marginals. A message present on
     one side only contributes its probability to the first component.
     """
-    from ..qmath import trace_distance
-
     tv = 0.0
     worst = 0.0
     for msg in set(a) | set(b):
@@ -399,7 +398,7 @@ def compare_ensembles(a: dict, b: dict):
         pb, rb = b.get(msg, (0.0, None))
         tv += abs(pa - pb)
         if ra is not None and rb is not None:
-            worst = max(worst, trace_distance(ra, rb))
+            worst = max(worst, marginal_trace_distance(ra, rb))
     return tv, worst
 
 

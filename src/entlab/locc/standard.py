@@ -16,11 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import CapExceededError, ValidationError
-from ..qmath import DensityMatrix, PureBipartiteState, operator_norm
+from ..qmath import PureBipartiteState, operator_norm
 from ..tolerances import DENSE_DIM_CAP
 from .ir import PARTIES, PRUNE_PROB, Measure, ProtocolIR, embed_operator
 
 MIGRATION_GUARD = 1e-8
+
+
+def _refuse_defect(a, text: str):
+    # a Frobenius norm bounds the operator norm, so only one past 1e-10 pays for the SVD
+    if np.linalg.norm(a) > 1e-10 and (defect := operator_norm(a)) > 1e-10:
+        raise ValidationError(text.format(defect))
 
 
 @dataclass(frozen=True)
@@ -75,15 +81,12 @@ class StandardizedProgram:
             raise ValidationError("operator dimension mismatch")
         # the operators stacked as one (K fa) x fa matrix V: V^dagger V = sum_k M_k^dagger M_k
         stacked = np.concatenate(ops)
-        defect = operator_norm(stacked.conj().T @ stacked - np.eye(fa))
-        if defect > 1e-10:
-            raise ValidationError(f"completeness defect {defect}")
+        _refuse_defect(stacked.conj().T @ stacked - np.eye(fa), "completeness defect {}")
         us = [np.asarray(u) for u in self.bob_corrections]
         if any(u.shape != (fb, fb) for u in us):
             raise ValidationError("correction dimension mismatch")
         us = np.stack(us)
-        if operator_norm(us.conj().transpose(0, 2, 1) @ us - np.eye(fb)) > 1e-10:
-            raise ValidationError("correction not unitary")
+        _refuse_defect(us.conj().transpose(0, 2, 1) @ us - np.eye(fb), "correction not unitary")
 
     @property
     def full_dim_a(self) -> int:
@@ -285,10 +288,12 @@ def standardize(ir: ProtocolIR, input_state: PureBipartiteState) -> Standardized
 
 
 def run_standard_form(proto: StandardizedProgram, input_state: PureBipartiteState) -> dict:
-    """Ensemble {message: (prob, output density)} of the reduced protocol.
+    """Ensemble {message: (prob, purification)} of the reduced protocol.
 
-    Exists to cross-check standardize against the branch-tree simulator;
-    a shift family is scored with run_protocol instead.
+    The purification puts the (kept x discarded) amplitudes M_k chi U_k^T of
+    the message's outcomes side by side, divided by sqrt(P). Exists to
+    cross-check standardize against the branch-tree simulator; a shift
+    family is scored with run_protocol instead.
     """
     if not isinstance(proto, StandardizedProgram):
         raise ValidationError("run_standard_form checks a StandardizedProgram only")
@@ -305,7 +310,7 @@ def run_standard_form(proto: StandardizedProgram, input_state: PureBipartiteStat
     amps = amps.reshape(len(res), d_kept, -1)
     probs = (amps.real**2 + amps.imag**2).sum(axis=(1, 2)).tolist()
 
-    # outcomes that share a message are merged before their one validation
+    # outcomes that share a message are merged into one purification
     groups = {}
     for k, msg in enumerate(proto.messages):
         if probs[k] > PRUNE_PROB:
@@ -313,8 +318,8 @@ def run_standard_form(proto: StandardizedProgram, input_state: PureBipartiteStat
     out = {}
     for msg, ks in groups.items():
         p = sum(probs[k] for k in ks)
-        f = np.concatenate(amps[ks], axis=1)
-        out[msg] = (p, DensityMatrix(f @ f.conj().T / p))
+        f = np.concatenate(amps[ks], axis=1) / math.sqrt(p)
+        out[msg] = (p, PureBipartiteState(*f.shape, f))
     total = sum(p for p, _ in out.values())
     if abs(total - 1.0) > 1e-9:
         raise ValidationError(f"outcome probabilities sum to {total}")

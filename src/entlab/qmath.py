@@ -23,7 +23,7 @@ def _sym(a: np.ndarray) -> np.ndarray:
 
 def _as_complex(a) -> np.ndarray:
     arr = np.asarray(a, dtype=complex)
-    if not np.all(np.isfinite(arr.view(float))):
+    if not np.isfinite(arr).all():
         raise ValidationError("non-finite entries")
     return arr
 
@@ -127,6 +127,20 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     # stored matrices are exactly Hermitian, and so is their difference
     w = np.linalg.eigvalsh(rho.mat - sigma.mat)
     return float(np.abs(w).sum())
+
+
+def marginal_trace_distance(psi: PureBipartiteState, phi: PureBipartiteState) -> float:
+    """Tr|Tr_B psi - Tr_B phi| from one QR [F_psi, F_phi] = Q [R_psi, R_phi]: the
+    difference is Q (R_psi R_psi^dagger - R_phi R_phi^dagger) Q^dagger."""
+    if psi.dim_a != phi.dim_a:
+        raise ValidationError("dimension mismatch")
+    fa, fb = psi.as_matrix(), phi.as_matrix()
+    if np.array_equal(fa, fb):
+        return 0.0
+    r = np.linalg.qr(np.concatenate((fa, fb), axis=1), mode="r")
+    ra, rb = r[:, : psi.dim_b], r[:, psi.dim_b :]
+    # eigvalsh reads one triangle, so roundoff asymmetry needs no _sym
+    return float(np.abs(np.linalg.eigvalsh(ra @ ra.conj().T - rb @ rb.conj().T)).sum())
 
 
 def trace_distance_witness(rho: DensityMatrix, sigma: DensityMatrix):

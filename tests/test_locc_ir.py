@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from entlab import CapExceededError, PureBipartiteState, ValidationError
+from entlab import CapExceededError, PureBipartiteState, ValidationError, partial_trace
 from entlab.locc import (
     AddAncilla,
     ApplyUnitary,
@@ -19,7 +19,7 @@ from entlab.locc import (
     random_toy_ir,
     simulate_dense,
 )
-from entlab.sampling import random_pure
+from entlab.sampling import random_pure, random_unitary
 from oracles import (
     dense_trace_distance,
     embed_operator_by_kron,
@@ -211,8 +211,26 @@ def test_simulator_matches_the_branch_by_branch_oracle(seed, count):
         ref = group_by_message_by_branch(want)
         assert set(got) == set(ref)
         tv = sum(abs(got[m][0] - ref[m][0]) for m in ref)
-        worst = max(dense_trace_distance(got[m][1].mat, ref[m][1]) for m in ref)
+        worst = max(dense_trace_distance(partial_trace(got[m][1], "B").mat, ref[m][1]) for m in ref)
         assert tv < 1e-12 and worst < 1e-12
+
+
+def test_transposed_and_adjoint_unitaries_are_accepted():
+    """A gate given as U^dagger and a basis given as U^T (non-contiguous
+    views) validate and run as their contiguous copies do; a nan in the
+    imaginary part of such a view is refused."""
+    u = random_unitary(np.random.default_rng(2715), 2)
+    views = (ApplyUnitary("A", (0,), matrix=u.conj().T), Measure("A", 0, "m", basis=u.T))
+    copies = (ApplyUnitary("A", (0,), matrix=u.conj().T.copy()), Measure("A", 0, "m", basis=u.T.copy()))
+    got = simulate_dense(ProtocolIR(2, 2, views), PHI2).branches
+    want = simulate_dense(ProtocolIR(2, 2, copies), PHI2).branches
+    assert [b.prob for b in got] == [b.prob for b in want]
+    assert all(np.array_equal(a.factor, b.factor) for a, b in zip(got, want))
+    bad = u.copy()
+    bad[0, 1] = complex(0.0, float("nan"))
+    for ins in (ApplyUnitary("A", (0,), matrix=bad.T), Measure("A", 0, "m", basis=bad.T)):
+        with pytest.raises(ValidationError, match="non-finite entries"):
+            ProtocolIR(2, 2, (ins,))
 
 
 def test_simulator_refusals():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from entlab import PureBipartiteState, ValidationError
+from entlab import PureBipartiteState, ValidationError, partial_trace
 from entlab.locc import (
     AddAncilla,
     ApplyUnitary,
@@ -262,6 +262,30 @@ def test_standardized_program_defect_thresholds(defect, ok):
                 _program(*args)
 
 
+def test_standardized_program_gate_is_the_operator_norm():
+    """Six equal defects of 0.5e-10 have Frobenius norm 1.22e-10 but
+    operator norm 0.5e-10, so they pass; a refusal of six 2e-10 defects
+    reports the operator norm 2e-10, not the Frobenius norm 4.9e-10."""
+    k = 6
+    eye = np.eye(k, dtype=complex)
+    half = math.sqrt(0.5) * eye
+    for defect, ok in ((0.5e-10, True), (2e-10, False)):
+        off = math.sqrt(1.0 + defect) * eye
+        cases = (
+            (((off,), (eye,), ((0,),)), "completeness defect"),
+            (((half, half), (eye, off), ((0,), (1,))), "correction not unitary"),
+        )
+        assert math.sqrt(k) * defect > 1e-10
+        for args, text in cases:
+            if ok:
+                _program(*args, dim=k)
+            else:
+                with pytest.raises(ValidationError, match=text) as err:
+                    _program(*args, dim=k)
+                if text == "completeness defect":
+                    assert abs(float(str(err.value).rsplit(" ", 1)[1]) - defect) < 1e-15
+
+
 def test_run_standard_form_merges_outcomes_that_share_a_message():
     """Outcomes 0 and 1 both send (0,): one entry with their summed
     probability and probability-weighted mixture."""
@@ -279,4 +303,4 @@ def test_run_standard_form_merges_outcomes_that_share_a_message():
         p = sum(float(np.vdot(v, v).real) for v in vecs)
         rho = sum(np.outer(v, v.conj()) for v in vecs) / p
         assert abs(out[msg][0] - p) < 1e-12
-        assert np.abs(out[msg][1].mat - rho).max() < 1e-12
+        assert np.abs(partial_trace(out[msg][1], "B").mat - rho).max() < 1e-12

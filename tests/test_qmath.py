@@ -14,6 +14,7 @@ from entlab import (
     ValidationError,
     epsilon_rank,
     fidelity,
+    marginal_trace_distance,
     nearest_product_extension,
     operator_norm,
     partial_trace,
@@ -221,6 +222,57 @@ def test_product_extension_rejects_vacuous_hypothesis():
     psi = PureBipartiteState(2, 2, np.array([0.0, 0.0, 1.0, 0.0]))
     with pytest.raises(ValidationError):
         nearest_product_extension(psi, np.array([1.0, 0.0]))
+
+
+def _thin_state(gen, d, w, rank):
+    """A pure state on d x w whose coefficient matrix has the given rank."""
+    f = random_pure(gen, d * rank).reshape(d, rank) @ random_pure(gen, rank * w).reshape(rank, w)
+    return PureBipartiteState(d, w, f / np.linalg.norm(f))
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_marginal_trace_distance_matches_the_dense_marginals(d):
+    """Tall, square and wide factors, full rank and rank-deficient."""
+    gen = np.random.default_rng(2700 + d)
+    for wa in range(1, 16):
+        for wb in (wa, 16 - wa):
+            pairs = [(random_bipartite_pure(gen, d, wa), random_bipartite_pure(gen, d, wb))]
+            if min(d, wa, wb) > 1:
+                rank = int(gen.integers(1, min(d, wa, wb)))
+                pairs.append((_thin_state(gen, d, wa, rank), _thin_state(gen, d, wb, rank)))
+            for psi, phi in pairs:
+                want = trace_distance(partial_trace(psi, "B"), partial_trace(phi, "B"))
+                assert abs(marginal_trace_distance(psi, phi) - want) <= 1e-12
+
+
+def test_marginal_trace_distance_of_identical_inputs_and_mismatches():
+    gen = np.random.default_rng(2713)
+    psi = random_bipartite_pure(gen, 5, 3)
+    assert marginal_trace_distance(psi, psi) == 0.0
+    twin = PureBipartiteState(5, 3, psi.amp.copy())
+    assert marginal_trace_distance(psi, twin) == 0.0
+    with pytest.raises(ValidationError, match="dimension mismatch"):
+        marginal_trace_distance(psi, random_bipartite_pure(gen, 4, 3))
+
+
+def test_non_contiguous_inputs_are_accepted():
+    """Transposed and strided arrays validate as their contiguous copies do."""
+    gen = np.random.default_rng(2714)
+    rho = random_density(gen, 3).mat
+    assert np.array_equal(DensityMatrix(rho.T).mat, DensityMatrix(rho.T.copy()).mat)
+    amp = random_pure(gen, 4).reshape(2, 2)
+    assert np.array_equal(PureBipartiteState(2, 2, amp.T).amp, amp.T.reshape(-1))
+    a = gen.normal(size=(3, 6)) + 1j * gen.normal(size=(3, 6))
+    assert operator_norm(a[:, ::2]) == operator_norm(a[:, ::2].copy())
+    bad = np.eye(2, dtype=complex)
+    bad[0, 1] = complex(0.0, float("nan"))
+    for arr in (bad.T, bad[:, ::-1]):
+        with pytest.raises(ValidationError, match="non-finite entries"):
+            DensityMatrix(arr)
+        with pytest.raises(ValidationError, match="non-finite entries"):
+            operator_norm(arr)
+    with pytest.raises(ValidationError, match="non-finite entries"):
+        PureBipartiteState(2, 2, bad.T)
 
 
 def test_density_matrix_validation():
