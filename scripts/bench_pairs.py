@@ -7,12 +7,14 @@ Usage, from the repository root:
         --change "what the change does" --workload protocols --pairs 10
 
 Each pair runs perfbench/run.py once on the parent revision and once on the
-working tree, on the same workload, seed and duration. The parent runs from
-a `git archive` export of --parent in a temporary directory, so it uses the
-parent's own perfbench and BENCHMARK.json. Pair i (counted from 1) runs the
-parent first when i is odd and the change first when i is even, so a drift
-of the host over the session falls on both sides alike. The file is
-rewritten after every pair; a stopped session leaves the pairs it finished.
+working tree, on the same workload, with seed 1 and BENCHMARK.json's
+run_seconds on both sides. The parent runs from a `git archive` export of
+--parent in a temporary directory, so it uses the parent's own perfbench
+and BENCHMARK.json. Pair i (counted from 1) runs the parent first when i is
+odd and the change first when i is even, so a drift of the host over the
+session falls on both sides alike. After the pairs, one --trace 1 run per
+side and workload records the per-layer metrics of entlab.locc. The file
+is rewritten after every run; a stopped session leaves what it finished.
 Uses the standard library only.
 """
 
@@ -30,6 +32,8 @@ import tarfile
 import tempfile
 
 METRICS = ("run_cal", "peak_rss_mb", "setup_s")
+SEED = 1
+TRACED_PREFIX = "locc."
 RUN_TIMEOUT_S = 600  # perfbench/run.py ends its own run within 180 s
 
 
@@ -55,11 +59,11 @@ def summarize(pairs: list) -> dict:
     return out
 
 
-def run_once(root: str, workload: str, seed: int, seconds: float, trace: int = 0):
+def run_once(root: str, workload: str, seconds: float, trace: int = 0):
     """One perfbench/run.py run in `root`; returns (metadata, result)."""
     cmd = [
         sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
+        "--seed", str(SEED), "--seconds", f"{seconds:g}", "--trace", str(trace),
     ]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     lines = proc.stdout.strip().splitlines()
@@ -76,6 +80,13 @@ def pair_row(meta: dict, result: dict) -> dict:
     return row
 
 
+def host(meta: dict) -> str:
+    """The host line of a run's metadata."""
+    versions = meta["versions"]
+    return (f"{meta['nproc']}-core {platform.system()} host, Python {versions['python']}, "
+            f"numpy {versions['numpy']}, OPENBLAS_NUM_THREADS=1 (set by perfbench/run.py)")
+
+
 def export_rev(rev: str, dest: str):
     """The committed files of `rev`, unpacked into dest."""
     tar = subprocess.run(["git", "archive", "--format=tar", rev], capture_output=True, check=True).stdout
@@ -90,12 +101,6 @@ def main() -> int:
     ap.add_argument("--change", required=True, help="one line on what the change does")
     ap.add_argument("--workload", action="append", required=True, help="repeat for several")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=20.0)
-    ap.add_argument("--host", default=f"{os.cpu_count()}-core {platform.system()} host, Python {platform.python_version()}")
-    ap.add_argument("--traced", action="append", default=[], metavar="PREFIX",
-                    help="after the pairs, one --trace 1 run per side and workload; keep the "
-                         "per-layer metrics whose names start with PREFIX (repeatable)")
     args = ap.parse_args()
     root = os.getcwd()
     if not os.path.isfile(os.path.join(root, "perfbench", "run.py")):
@@ -104,14 +109,15 @@ def main() -> int:
     if args.pairs < 1:
         print("bench_pairs: --pairs must be at least 1", file=sys.stderr)
         return 2
+    with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:
+        seconds = json.load(fh)["run_seconds"]
 
     path = os.path.join(root, f"BENCH_{args.label}.json")
     doc = {
         "label": args.label,
         "change": args.change,
-        "host": args.host,
-        "command": f"python3 perfbench/run.py --workload <w> --seed {args.seed} "
-                   f"--seconds {args.seconds:g} --trace 0",
+        "host": None,
+        "command": f"python3 perfbench/run.py --workload <w> --seed {SEED} --seconds {seconds:g} --trace 0",
         "order": "pair i runs the parent first when i is odd, the change first when i is even",
         "parent_rev": subprocess.run(["git", "rev-parse", args.parent], capture_output=True,
                                      text=True, check=True).stdout.strip(),
@@ -132,18 +138,19 @@ def main() -> int:
                 order = ("parent", "change") if i % 2 else ("change", "parent")
                 pair = {}
                 for side in order:
-                    meta, result = run_once(sides[side], workload, args.seed, args.seconds)
+                    meta, result = run_once(sides[side], workload, seconds)
                     pair[side] = pair_row(meta, result)
+                    doc["host"] = host(meta)
                     doc.setdefault("src_entlab_lines", {})[side] = meta["src_entlab_lines"]
                 entry["pairs"].append({side: pair[side] for side in ("parent", "change")})
                 entry["summary"] = summarize(entry["pairs"])
                 write()
                 print(f"{workload} pair {i}: " + json.dumps(entry["pairs"][-1]), flush=True)
-            for side in ("parent", "change") if args.traced else ():
-                _, result = run_once(sides[side], workload, args.seed, args.seconds, trace=1)
+            for side in ("parent", "change"):
+                _, result = run_once(sides[side], workload, seconds, trace=1)
                 doc.setdefault("traced", {})[f"{workload}_{side}"] = {
                     name: round(m["value"], 4) for name, m in result["metrics"].items()
-                    if name.startswith(tuple(args.traced))
+                    if name.startswith(TRACED_PREFIX)
                 }
                 write()
     return 0

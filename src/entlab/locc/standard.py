@@ -24,8 +24,9 @@ MIGRATION_GUARD = 1e-8
 
 
 def _refuse_defect(a, text: str):
-    # a Frobenius norm bounds the operator norm, so only one past 1e-10 pays for the SVD
-    if np.linalg.norm(a) > 1e-10 and (defect := operator_norm(a)) > 1e-10:
+    # a Frobenius norm bounds the operator norm, so only one past 1e-10 pays for the SVD;
+    # `not <=` sends a nan norm on to operator_norm, which refuses it as non-finite
+    if not np.linalg.norm(a) <= 1e-10 and (defect := operator_norm(a)) > 1e-10:
         raise ValidationError(text.format(defect))
 
 

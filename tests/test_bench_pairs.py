@@ -64,6 +64,13 @@ def test_summary_reproduces_the_checked_in_files(name):
         assert bench_pairs.summarize(entry["pairs"]) == entry["summary"]
 
 
+def test_host_line_comes_from_the_run_metadata():
+    meta = {"nproc": 2, "versions": {"python": "3.11.7", "numpy": "2.4.6", "scipy": "1.0"}}
+    line = _bench_pairs().host(meta)
+    assert line.startswith("2-core ") and "Python 3.11.7, numpy 2.4.6," in line
+    assert line.endswith("OPENBLAS_NUM_THREADS=1 (set by perfbench/run.py)")
+
+
 def test_pair_row_reads_the_run_output():
     meta = {"digest": "5313db40aa", "src_entlab_lines": 4100}
     result = {

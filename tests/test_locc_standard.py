@@ -286,6 +286,19 @@ def test_standardized_program_gate_is_the_operator_norm():
                     assert abs(float(str(err.value).rsplit(" ", 1)[1]) - defect) < 1e-15
 
 
+@pytest.mark.parametrize("nan", [float("nan"), complex(0.0, float("nan"))])
+def test_standardized_program_refuses_non_finite_defects(nan):
+    """A nan in an operator or a correction makes its defect nan, which
+    is refused as non-finite, not passed as small."""
+    eye = np.eye(2, dtype=complex)
+    bad = eye.copy()
+    bad[0, 1] = nan
+    half = math.sqrt(0.5) * eye
+    for args in (((bad,), (eye,), ((0,),)), ((half, half), (eye, bad), ((0,), (1,)))):
+        with pytest.raises(ValidationError, match="non-finite entries"):
+            _program(*args)
+
+
 def test_run_standard_form_merges_outcomes_that_share_a_message():
     """Outcomes 0 and 1 both send (0,): one entry with their summed
     probability and probability-weighted mixture."""
