@@ -13,8 +13,10 @@ run_seconds on both sides. The parent runs from a `git archive` export of
 and BENCHMARK.json. Pair i (counted from 1) runs the parent first when i is
 odd and the change first when i is even, so a drift of the host over the
 session falls on both sides alike. After the pairs, one --trace 1 run per
-side and workload records the per-layer metrics of entlab.locc. The file
-is rewritten after every run; a stopped session leaves what it finished.
+side and workload records every per-layer metric BENCHMARK.json declares
+(spectrum.tensor_power_spectrum.calls and useful_ratio among them). The
+file is rewritten after every run, so an interrupted script leaves the
+pairs it finished.
 Uses the standard library only.
 """
 
@@ -33,7 +35,6 @@ import tempfile
 
 METRICS = ("run_cal", "peak_rss_mb", "setup_s")
 SEED = 1
-TRACED_PREFIX = "locc."
 RUN_TIMEOUT_S = 600  # perfbench/run.py ends its own run within 180 s
 
 
@@ -78,6 +79,11 @@ def pair_row(meta: dict, result: dict) -> dict:
     row["failed"] = result["failed"]
     row["digest"] = digest[:8] if isinstance(digest, str) else digest
     return row
+
+
+def traced_row(result: dict) -> dict:
+    """Every per-layer metric of a --trace 1 run, rounded to 4 decimals."""
+    return {name: round(m["value"], 4) for name, m in result["metrics"].items()}
 
 
 def host(meta: dict) -> str:
@@ -148,10 +154,7 @@ def main() -> int:
                 print(f"{workload} pair {i}: " + json.dumps(entry["pairs"][-1]), flush=True)
             for side in ("parent", "change"):
                 _, result = run_once(sides[side], workload, seconds, trace=1)
-                doc.setdefault("traced", {})[f"{workload}_{side}"] = {
-                    name: round(m["value"], 4) for name, m in result["metrics"].items()
-                    if name.startswith(TRACED_PREFIX)
-                }
+                doc.setdefault("traced", {})[f"{workload}_{side}"] = traced_row(result)
                 write()
     return 0
 

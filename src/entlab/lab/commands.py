@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from copy import copy
 from dataclasses import replace
 
 import numpy as np
@@ -29,6 +30,7 @@ from ..spectrum import (
     BaseSpectrum,
     ClassSpectrum,
     berry_esseen_grid,
+    exact_prefix,
     gaussian_quantile,
     spectrum_stats,
     tensor_power_spectrum,
@@ -131,33 +133,57 @@ def write_spectrum_json(path: str, spec) -> str:
     return path
 
 
-# the spectrum _power_spectrum holds: the largest n of the last grid a command walked
-_held: ClassSpectrum | None = None
+# the spectra _power_spectrum holds: ((base probs, grid), the n it holds, {n: spectrum})
+_held = None
 
 
-def _power_spectrum(base: BaseSpectrum, n: int, largest: int) -> ClassSpectrum:
-    """tensor_power_spectrum(base, n) for a command whose grid ends at n = largest.
+def _held_ns(d: int, grid: tuple) -> set:
+    """The n of grid whose spectra _power_spectrum holds.
 
-    The spectrum at the largest n, the costliest to build, is built once
-    per process and held for the next command that walks a grid of the
-    same base and largest n. Each command walks its grid in ascending
-    order, so its memory peak already falls at the largest n, where that
-    spectrum is alive anyway: holding it between commands keeps the peak
-    where it was. At most one spectrum is held; it is freed before
-    anything is built for another grid or base. The caller gets a fresh
-    ClassSpectrum on the held arrays, so the view it sums and caches is
+    The largest n, and below it each n from the top down while the class
+    counts of the smaller ones held sum to at most the largest's: the held
+    smaller spectra never outweigh the largest, and a dense grid rebuilds
+    its lowest n on every walk.
+    """
+    room = math.comb(grid[-1] + d - 1, d - 1)
+    held = {grid[-1]}
+    for n in reversed(grid[:-1]):
+        room -= math.comb(n + d - 1, d - 1)
+        if room < 0:
+            break
+        held.add(n)
+    return held
+
+
+def _power_spectrum(base: BaseSpectrum, n: int, grid: tuple) -> ClassSpectrum:
+    """tensor_power_spectrum(base, n) for a command that walks grid.
+
+    The spectra of one grid are built once per process and held for every
+    command that walks the same base and grid; another base or grid frees
+    them all before anything is built. The first call on a grid builds its
+    largest n, so the costliest build peaks while nothing else is held.
+    The smaller n are held while their class counts fit (_held_ns) and
+    rebuilt on each call otherwise. A held spectrum keeps its exact
+    multiplicities only where the mass is (spectrum.exact_prefix): at d = 2
+    that is under half of them, so every spectrum of a grid held weighs
+    less than the one largest spectrum a command built in full. The caller
+    gets a fresh ClassSpectrum on the held arrays, with a prefix of its
+    own, so the view it sums and any multiplicities a query completes are
     freed with it, not kept with the held spectrum.
     """
     global _held
-    if _held is not None and not (
-        _held.n == largest and np.array_equal(_held.base_probs, base.probs)
-    ):
-        _held = None
-    if n != largest:
+    key = (tuple(base.probs.tolist()), tuple(grid))
+    if _held is None or _held[0] != key:
+        _held = None  # free the last grid's spectra before building
+        largest = exact_prefix(tensor_power_spectrum(base, grid[-1]))
+        _held = (key, _held_ns(base.dim, grid), {grid[-1]: largest})
+    _, held_ns, held = _held
+    if n not in held_ns:
         return tensor_power_spectrum(base, n)
-    if _held is None:
-        _held = tensor_power_spectrum(base, n)
-    return replace(_held)
+    if n not in held:
+        held[n] = exact_prefix(tensor_power_spectrum(base, n))
+    spec = held[n]
+    return replace(spec, exact_mults=copy(spec.exact_mults))
 
 
 def residual_grid(cells: int):
@@ -179,10 +205,10 @@ def cmd_spectrum(config: ExperimentConfig) -> tuple:
     written = []
     tables = []
     for n in config.n_grid:
-        spec = _power_spectrum(base, n, config.n_grid[-1])
+        spec = _power_spectrum(base, n, config.n_grid)
         tables.append(berry_esseen_grid(spec, *residual_grid(config.grid_cells)))
         written.append(write_spectrum_json(os.path.join(out, f"spectrum_n{n}.json"), spec))
-        del spec  # only the held largest outlives its row: the peak stays at the largest n
+        del spec  # frees this row's view, and the spectrum unless _power_spectrum holds it
     # one block per grid row: n, a and bound are the same along it
     blocks = (
         (t.n, a, b, residual, t.bound, passed)
@@ -212,13 +238,13 @@ def cmd_inefficiency(config: ExperimentConfig) -> tuple:
     def spectra():
         # each spectrum gives its inefficiency row, then feeds the growth fit
         for n in config.n_grid:
-            spec = _power_spectrum(base, n, config.n_grid[-1])
+            spec = _power_spectrum(base, n, config.n_grid)
             st = spec.stats
             md = min_dilution_dimension(spec, config.eps_reference)
             ne, lo = n * st.entropy, md.lower_log2
             rows.append((n, ne, lo, md.upper_log2, lo - ne, st.alpha * math.sqrt(n)))
             yield spec
-            del spec  # only the held largest outlives its row: the peak stays at the largest n
+            del spec  # frees this row's view, and the spectrum unless _power_spectrum holds it
 
     fit = growth_fit(spectra(), config.delta)
     written = [
@@ -342,7 +368,7 @@ def cmd_communication(config: ExperimentConfig) -> tuple:
     sweep_rows = []
     docs = []
     for n in config.n_grid:
-        spec = _power_spectrum(base, n, config.n_grid[-1])
+        spec = _power_spectrum(base, n, config.n_grid)
         budget, outcomes, report = find_min_budget(spec, n, config.epsilon)
         good = next(o for o in outcomes if o.good)
         cert = verify_theorem_chain(good, spec, report)
@@ -360,7 +386,7 @@ def cmd_communication(config: ExperimentConfig) -> tuple:
             "consistent": cert.consistent,
         }
         docs.append((n, doc))
-        del spec  # only the held largest outlives its row: the peak stays at the largest n
+        del spec  # frees this row's view, and the spectrum unless _power_spectrum holds it
     # no certificate is written unless every n has run
     written = [_write_json(os.path.join(cert_dir, f"cert_n{n}.json"), doc) for n, doc in docs]
     written.append(
@@ -388,11 +414,11 @@ def cmd_concentration(config: ExperimentConfig) -> tuple:
 
     rows = []
     for n in config.n_grid:
-        spec = _power_spectrum(base, n, config.n_grid[-1])
+        spec = _power_spectrum(base, n, config.n_grid)
         res = concentrate(spec)
         ne = n * spec.stats.entropy
         rows.append((n, ne, res.expected_yield, res.deficit, res.deficit / math.sqrt(n)))
-        del spec  # only the held largest outlives its row: the peak stays at the largest n
+        del spec  # frees this row's view, and the spectrum unless _power_spectrum holds it
     path = _write_csv(
         os.path.join(out, "concentration.csv"),
         ("n", "nE", "expected_yield", "deficit", "deficit_over_sqrt_n"),

@@ -35,7 +35,8 @@ def _unit_vector(v, dim: int, what: str) -> np.ndarray:
 
 
 def _check_unitary(m, dim: int, what: str) -> np.ndarray:
-    arr = _as_complex(m)
+    # a copy, so freezing it leaves the caller's own array writable
+    arr = _as_complex(m).copy(order="K")
     if arr.shape != (dim, dim):
         raise ValidationError(f"{what}: shape {arr.shape} != ({dim}, {dim})")
     defect = np.abs(arr.conj().T @ arr - np.eye(dim)).max()

@@ -160,8 +160,9 @@ def growth_fit(spectra, delta: float) -> GrowthFit:
     spectra is an iterable of ClassSpectrum powers of one base, in strictly
     ascending n; each is read once as it arrives and not kept, so a
     generator keeps one spectrum alive at a time besides any it holds
-    itself (cmd_inefficiency's holds the grid's largest, which sets the
-    peak anyway). Also reports, per n, whether the excess
+    itself (cmd_inefficiency's holds the grid's spectra, whose exact
+    multiplicities are cut to where the mass is). Also reports, per n,
+    whether the excess
     clears log2(REFERENCE_FLOOR_COEFF) + alpha sqrt(n), and the measured
     per-n coefficient C(n) = S / 2^(nE + alpha sqrt n).
     """

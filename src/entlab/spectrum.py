@@ -12,7 +12,8 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -34,6 +35,9 @@ LN2 = math.log(2.0)
 # counts compositions of n, before equal eigenvalues merge into classes
 EXACT_MULT_MAX_N = 20_000
 EXACT_MULT_MAX_CLASSES = 200_000
+# a held spectrum keeps exact multiplicities through the class where its
+# float prefix mass reaches 1 - HELD_TAIL_MASS (see exact_prefix)
+HELD_TAIL_MASS = 2.0**-50
 
 
 @dataclass(frozen=True)
@@ -186,8 +190,9 @@ class ClassSpectrum:
     """Merged multiplicity classes of a tensor power, sorted by descending eigenvalue.
 
     log2_masses[i] = log2_mults[i] + log2_eigs[i], every entry finite; the
-    exact_mults tuple is present when big-int multiplicities were affordable
-    (see module constants).
+    exact_mults sequence of ints is present when big-int multiplicities were
+    affordable (see module constants). tensor_power_spectrum gives a tuple;
+    a held spectrum may carry an ExactPrefix, which reads the same.
     """
 
     n: int
@@ -195,7 +200,7 @@ class ClassSpectrum:
     log2_eigs: np.ndarray
     log2_mults: np.ndarray
     log2_masses: np.ndarray
-    exact_mults: tuple | None = None
+    exact_mults: Sequence | None = None
 
     def __post_init__(self):
         for name in ("base_probs", "log2_eigs", "log2_mults", "log2_masses"):
@@ -297,6 +302,65 @@ def tensor_power_spectrum(p: BaseSpectrum | np.ndarray, n: int) -> ClassSpectrum
         log2_masses=masses,
         exact_mults=exact,
     )
+
+
+class ExactPrefix(Sequence):
+    """The exact multiplicities of a spectrum, held as a prefix that completes on demand.
+
+    `kept` holds the multiplicities of the first classes; len is the
+    spectrum's class count. Reading an index past `kept`, or iterating past
+    it, rebuilds the spectrum with tensor_power_spectrum(base, n) once and
+    keeps all of its multiplicities, so every read gives the int a fresh
+    spectrum holds. copy.copy gives a prefix of its own on the same `kept`
+    tuple, so a completion stays with the copy that made it.
+    """
+
+    def __init__(self, kept: tuple, base: np.ndarray, n: int, size: int):
+        self.kept = kept
+        self._base = base
+        self._n = n
+        self._size = size
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, i):
+        kept = self.kept
+        if not isinstance(i, slice) and 0 <= i < len(kept):
+            return kept[i]
+        return self._complete()[i]
+
+    def __iter__(self):
+        kept = self.kept
+        yield from kept
+        if len(kept) < self._size:
+            yield from itertools.islice(self._complete(), len(kept), None)
+
+    def _complete(self) -> tuple:
+        if len(self.kept) < self._size:
+            self.kept = tensor_power_spectrum(self._base, self._n).exact_mults
+        return self.kept
+
+
+def exact_prefix(spec: ClassSpectrum) -> ClassSpectrum:
+    """spec with its exact multiplicities kept only where the mass is.
+
+    The multiplicities are kept through the first class where the float
+    prefix mass (mass_threshold_class's cumsum) reaches 1 - HELD_TAIL_MASS,
+    in an ExactPrefix that rebuilds the rest when a read passes them; sig_dim
+    at any delta <= 1 stops at or before that class. A spectrum whose
+    multiplicities are not a tuple (none, or a prefix already), or whose
+    prefix mass reaches that only at its last class or never, is returned
+    as it is.
+    """
+    exact = spec.exact_mults
+    if not isinstance(exact, tuple):
+        return spec
+    hit = np.flatnonzero(_prefix_masses(spec.log2_masses) >= 1.0 - HELD_TAIL_MASS)
+    keep = int(hit[0]) + 1 if hit.size else len(exact)
+    if keep >= len(exact):
+        return spec
+    return replace(spec, exact_mults=ExactPrefix(exact[:keep], spec.base_probs, spec.n, len(exact)))
 
 
 def _class_slices(asc: np.ndarray, a, b):
@@ -586,6 +650,11 @@ def berry_esseen_grid(spec: ClassSpectrum, lefts, widths) -> ResidualTable:
     )
 
 
+def _prefix_masses(log2_masses) -> np.ndarray:
+    """The float prefix masses of classes: one sequential np.cumsum."""
+    return np.cumsum(np.exp2(np.asarray(log2_masses, dtype=float)))
+
+
 def mass_threshold_class(log2_masses, log2_eigs, delta: float):
     """Find the class where the descending prefix mass first reaches delta.
 
@@ -597,7 +666,7 @@ def mass_threshold_class(log2_masses, log2_eigs, delta: float):
     The prefix masses are one sequential np.cumsum of the class masses, so
     acc carries the bits of a class-by-class running sum.
     """
-    cs = np.cumsum(np.exp2(np.asarray(log2_masses, dtype=float)))
+    cs = _prefix_masses(log2_masses)
     hit = cs >= delta - 1e-15
     if not hit.any():
         return cs.size, float(cs[-1]) if cs.size else 0.0, NEG_INF
@@ -623,6 +692,11 @@ class SortedSpectrumView:
     finds the end of the spectrum as the last boundary, summed only when
     the query reaches it. total_dim is the sum of every multiplicity, with
     no list behind it, taken on first use: no query needs it.
+
+    The counts are read in order, so they may be an ExactPrefix (a held
+    spectrum's): its kept classes are the top of the spectrum, and a query
+    that reads past them completes the counts first, so every answer is the
+    one a freshly built spectrum gives.
 
     A spectrum has one view, `ClassSpectrum.view`, built on first use and
     shared by block dilution, the runner's target reader, the certificate

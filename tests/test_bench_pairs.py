@@ -88,3 +88,22 @@ def test_pair_row_reads_the_run_output():
         "failed": 0,
         "digest": "5313db40",
     }
+
+
+def test_traced_row_keeps_every_per_layer_metric():
+    # the spectrum layers sit outside entlab.locc and must be recorded too
+    result = {
+        "failed": 0,
+        "metrics": {
+            "spectrum.tensor_power_spectrum.calls": {"value": 4, "unit": "count"},
+            "spectrum.tensor_power_spectrum.useful_ratio": {"value": 1.0, "unit": "ratio"},
+            "locc.runner.run_protocol.self_s": {"value": 0.123456, "unit": "s"},
+            "trace.overhead_s": {"value": 0.01, "unit": "s"},
+        },
+    }
+    assert _bench_pairs().traced_row(result) == {
+        "spectrum.tensor_power_spectrum.calls": 4,
+        "spectrum.tensor_power_spectrum.useful_ratio": 1.0,
+        "locc.runner.run_protocol.self_s": 0.1235,
+        "trace.overhead_s": 0.01,
+    }

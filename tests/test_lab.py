@@ -41,7 +41,7 @@ from entlab.lab.commands import _fmt, probe_budget, residual_grid, write_spectru
 from entlab.lab.config import _PARSERS
 from entlab.lab.spotcheck import read_certificate, residual_problems
 from entlab.locc import verify_theorem_chain
-from entlab.spectrum import BaseSpectrum, gaussian_quantile, tensor_power_spectrum
+from entlab.spectrum import BaseSpectrum, ExactPrefix, gaussian_quantile, tensor_power_spectrum
 from oracles import write_spectrum_json_by_dump
 
 P_QUARTER = np.array([0.75, 0.25])
@@ -517,11 +517,12 @@ def test_outputs_are_deterministic(tmp_path):
 
 @pytest.fixture
 def cleared_slot(monkeypatch):
-    """The commands' held spectrum, emptied for this test and restored after it."""
+    """The commands' held spectra, emptied for this test and restored after it."""
     monkeypatch.setattr(commands, "_held", None)
 
 
-def test_pipeline_builds_the_largest_spectrum_once(tmp_path, monkeypatch, cleared_slot):
+def _counting_builds(monkeypatch):
+    """The n of every spectrum the commands build, in build order."""
     built = []
 
     def counting(base, n):
@@ -529,27 +530,68 @@ def test_pipeline_builds_the_largest_spectrum_once(tmp_path, monkeypatch, cleare
         return tensor_power_spectrum(base, n)
 
     monkeypatch.setattr(commands, "tensor_power_spectrum", counting)
+    return built
+
+
+def test_pipeline_builds_each_grid_spectrum_once_largest_first(tmp_path, monkeypatch, cleared_slot):
+    built = _counting_builds(monkeypatch)
     _run_everything(tiny_config(tmp_path, n_grid=(8, 16, 32)))
-    assert sorted(built) == [8] * 4 + [16] * 4 + [32]
-    # a second pipeline on the same grid builds only the smaller n again
+    assert built == [32, 8, 16]
+    # a second pipeline on the same grid builds nothing
     built.clear()
     _run_everything(tiny_config(tmp_path, n_grid=(8, 16, 32)))
-    assert sorted(built) == [8] * 4 + [16] * 4
+    assert built == []
 
 
-def test_held_spectrum_hands_out_fresh_spectra(tmp_path, cleared_slot):
-    _run_everything(tiny_config(tmp_path))
-    held = commands._held
-    assert held.n == 16 and "view" not in vars(held)
-    base = held.base_probs
-    spec = commands._power_spectrum(BaseSpectrum(base), 16, 16)
-    assert spec is not held and "view" not in vars(spec)
-    assert spec.log2_masses is held.log2_masses and spec.exact_mults is held.exact_mults
-    assert spec.view.total_dim == 2**16
-    assert "view" not in vars(held)
-    # another base or largest n frees the held spectrum before building
-    commands._power_spectrum(BaseSpectrum(base), 8, 12)
-    assert commands._held is None
+def test_held_spectra_hand_out_fresh_spectra(tmp_path, cleared_slot):
+    _run_everything(tiny_config(tmp_path, n_grid=(8, 16, 256)))
+    key, held_ns, held = commands._held
+    assert held_ns == set(held) == {8, 16, 256}
+    big = held[256]
+    assert isinstance(big.exact_mults, ExactPrefix) and "view" not in vars(big)
+    spec = commands._power_spectrum(BaseSpectrum(big.base_probs), 256, (8, 16, 256))
+    assert spec is not big and "view" not in vars(spec)
+    assert spec.log2_masses is big.log2_masses
+    assert spec.exact_mults is not big.exact_mults and spec.exact_mults.kept is big.exact_mults.kept
+    # a query past the prefix completes the caller's counts, not the held ones
+    assert spec.view.total_dim == 2**256
+    assert len(spec.exact_mults.kept) == 257 > len(big.exact_mults.kept)
+    assert "view" not in vars(big)
+    # another grid of the same base drops every held spectrum and builds its
+    # largest n first
+    small = held[8]
+    commands._power_spectrum(BaseSpectrum(big.base_probs), 8, (8, 12))
+    _, _, now = commands._held
+    assert list(now) == [12, 8] and now[8] is not small
+
+
+def test_dilution_d2_grid_reads_only_kept_multiplicities(tmp_path, monkeypatch, cleared_slot):
+    # every query of the four commands on the benchmark's d = 2 grid stays in
+    # the prefix each held spectrum keeps, so nothing is rebuilt
+    completed = []
+    monkeypatch.setattr(ExactPrefix, "_complete", lambda prefix: completed.append(prefix))
+    built = _counting_builds(monkeypatch)
+    grid = (1024, 4096, 8192, 16384)
+    _run_everything(tiny_config(tmp_path, n_grid=grid))
+    assert completed == [] and built == [16384, 1024, 4096, 8192]
+    assert all(isinstance(spec.exact_mults, ExactPrefix) for spec in commands._held[2].values())
+
+
+def test_dense_grid_holds_a_bounded_set_and_writes_the_same_bytes(
+    tmp_path, monkeypatch, cleared_slot
+):
+    grid = tuple(range(16, 1025, 16))
+    built = _counting_builds(monkeypatch)
+    _run_everything(tiny_config(tmp_path / "held", n_grid=grid))
+    # the held smaller spectra hold no more classes than the largest
+    _, held_ns, held = commands._held
+    assert set(held) == held_ns == {1008, 1024}
+    assert built.count(1024) == built.count(1008) == 1 and built.count(16) == 4
+    monkeypatch.setattr(
+        commands, "_power_spectrum", lambda base, n, grid: tensor_power_spectrum(base, n)
+    )
+    _run_everything(tiny_config(tmp_path / "built", n_grid=grid))
+    _same_tree(tmp_path / "held", tmp_path / "built")
 
 
 def test_communication_at_n_16384_never_sums_total_dim(tmp_path, monkeypatch, cleared_slot):
@@ -564,10 +606,10 @@ def test_communication_at_n_16384_never_sums_total_dim(tmp_path, monkeypatch, cl
     assert read_rows(tmp_path / "communication.csv")[0]["c_star"] == "535"
 
 
-def test_pipelines_in_one_process_write_the_bytes_of_cleared_runs(tmp_path, monkeypatch):
-    # each pipeline finds held the spectrum of another base at its largest
-    # n, of the same base and largest n on another grid, or of another
-    # largest n of the same base
+def test_pipelines_in_one_process_write_the_bytes_of_unheld_runs(tmp_path, monkeypatch):
+    # each pipeline finds held the spectra of another base's grid, of
+    # another grid of the same base and largest n, or of another largest n
+    # of the same base; each must write what fresh builds write
     configs = [
         ((0.75, 0.25), (4, 8)),
         ((0.5, 0.3, 0.2), (4, 8)),
@@ -576,8 +618,10 @@ def test_pipelines_in_one_process_write_the_bytes_of_cleared_runs(tmp_path, monk
     ]
     for i, (p, n_grid) in enumerate(configs):
         _run_everything(ExperimentConfig(p=p, n_grid=n_grid, out=str(tmp_path / f"seq{i}")))
+    monkeypatch.setattr(
+        commands, "_power_spectrum", lambda base, n, grid: tensor_power_spectrum(base, n)
+    )
     for i, (p, n_grid) in enumerate(configs):
-        monkeypatch.setattr(commands, "_held", None)
         _run_everything(ExperimentConfig(p=p, n_grid=n_grid, out=str(tmp_path / f"new{i}")))
         _same_tree(tmp_path / f"seq{i}", tmp_path / f"new{i}")
 

@@ -233,6 +233,20 @@ def test_transposed_and_adjoint_unitaries_are_accepted():
             ProtocolIR(2, 2, (ins,))
 
 
+def test_validation_leaves_the_callers_arrays_writable():
+    """A gate's matrix and a measurement's basis stay the caller's to
+    change; the basis the program keeps is its own read-only copy."""
+    u = random_unitary(np.random.default_rng(2716), 2)
+    b = random_unitary(np.random.default_rng(2717), 2)
+    ir = ProtocolIR(2, 2, (ApplyUnitary("A", (0,), matrix=u), Measure("A", 0, "m", basis=b)))
+    u[0, 0] = 1
+    b[0, 0] = 1
+    kept = ir.info.bases["m"]
+    assert not kept.flags.writeable and kept[0, 0] != 1
+    with pytest.raises(ValueError, match="read-only"):
+        kept[0, 0] = 1
+
+
 def test_simulator_refusals():
     ket0 = np.zeros(2**13)
     ket0[0] = 1.0

@@ -1,5 +1,6 @@
 """Tensor-power class spectrum checks against exact rational oracles."""
 
+import copy
 import dataclasses
 import gc
 import math
@@ -29,9 +30,11 @@ from entlab import spectrum as spectrum_module
 from entlab.sigsub import min_dilution_dimension, sig_dim
 from entlab.spectrum import (
     ClassSpectrum,
+    ExactPrefix,
     SortedSpectrumView,
     _binomials_exact,
     _class_starts,
+    exact_prefix,
     gaussian_masses,
     mass_threshold_class,
 )
@@ -530,6 +533,66 @@ def test_commands_sum_the_class_boundaries_only_as_far_as_they_reach():
     summed = len(spec.view.bounds(0))
     assert c_star == 535
     assert summed <= 0.3 * (spec.num_classes + 1), summed
+
+
+def _fresh_copy(held):
+    """A spectrum on held's arrays with an uncompleted prefix of its own."""
+    copied = dataclasses.replace(held, exact_mults=copy.copy(held.exact_mults))
+    assert len(copied.exact_mults.kept) < copied.num_classes
+    return copied
+
+
+HELD_QUERIES = {
+    "sig_dim(1.0)": lambda view, spec: view.sig_dim(1.0),
+    "count below the smallest eigenvalue": lambda view, spec: view.count_eigs_at_least(
+        float(spec.log2_eigs[-1]) - 1.0
+    ),
+    "class_at(total_dim - 1)": lambda view, spec: view.class_at(len(spec.base_probs) ** spec.n - 1),
+    "log2_mass_of_prefix(total_dim)": lambda view, spec: view.log2_mass_of_prefix(
+        len(spec.base_probs) ** spec.n
+    ),
+    "bounds(num_classes)": lambda view, spec: list(view.bounds(spec.num_classes)),
+    "total_dim": lambda view, spec: view.total_dim,
+}
+
+
+@pytest.mark.parametrize("p, n", [((0.75, 0.25), 4096), ((0.5, 0.3, 0.2), 100)])
+@pytest.mark.parametrize("query", HELD_QUERIES)
+def test_held_prefix_answers_as_a_fresh_spectrum(p, n, query):
+    fresh = tensor_power_spectrum(np.array(p), n)
+    held = exact_prefix(fresh)
+    assert isinstance(held.exact_mults, ExactPrefix)
+    assert held.log2_masses is fresh.log2_masses
+    ask = HELD_QUERIES[query]
+    spec = _fresh_copy(held)
+    assert ask(spec.view, spec) == ask(fresh.view, fresh)
+    assert fresh.view.total_dim == len(p) ** n
+    # sig_dim stays in the kept prefix; every other query reads past it
+    completed = len(spec.exact_mults.kept) == spec.num_classes
+    assert completed == (query != "sig_dim(1.0)")
+    # the completion stays with the copy that read past the prefix
+    assert len(held.exact_mults.kept) < held.num_classes
+
+
+def test_exact_prefix_reads_as_the_full_tuple():
+    fresh = tensor_power_spectrum(P_QUARTER, 256)
+    held = exact_prefix(fresh)
+    kept = held.exact_mults.kept
+    # kept through the first class where the float prefix mass reaches 1 - 2^-50
+    cs = np.cumsum(np.exp2(fresh.log2_masses))
+    assert cs[len(kept) - 1] >= 1.0 - 2.0**-50 > cs[len(kept) - 2]
+    assert kept == fresh.exact_mults[: len(kept)]
+    assert len(held.exact_mults) == fresh.num_classes
+    assert tuple(_fresh_copy(held).exact_mults) == fresh.exact_mults
+    assert _fresh_copy(held).exact_mults[-1] == 1
+    assert _fresh_copy(held).exact_mults[1:3] == fresh.exact_mults[1:3]
+    # a held spectrum, a log-only one and one whose mass reaches 1 - 2^-50
+    # only at its last class are left as they are
+    assert exact_prefix(held) is held
+    logs_only = dataclasses.replace(fresh, exact_mults=None)
+    assert exact_prefix(logs_only) is logs_only
+    two = tensor_power_spectrum(P_QUARTER, 2)
+    assert exact_prefix(two) is two
 
 
 @st.composite
