@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 validation error, 3 cap exceeded, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from ..errors import EntlabError
@@ -26,6 +27,8 @@ _COMMANDS = {
 }
 
 
+# built once per process: every main() call parses with the same parser
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entlab",

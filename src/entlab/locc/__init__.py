@@ -10,7 +10,6 @@ from .ir import (
     SimBranch,
     SimulationResult,
     compare_ensembles,
-    embed_operator,
     group_by_message,
     random_toy_ir,
     simulate_dense,
@@ -53,7 +52,6 @@ __all__ = [
     "build_shift_dilution",
     "compare_ensembles",
     "concentrate",
-    "embed_operator",
     "group_by_message",
     "random_toy_ir",
     "run_protocol",

@@ -24,7 +24,8 @@ PRUNE_PROB = 1e-13
 
 
 def _unit_vector(v, dim: int, what: str) -> np.ndarray:
-    arr = _as_complex(v).reshape(-1)
+    # a copy, so a later change to the caller's array cannot reach the program
+    arr = _as_complex(v).reshape(-1).copy()
     if arr.size != dim:
         raise ValidationError(f"{what}: length {arr.size} != dim {dim}")
     n2 = float(np.vdot(arr, arr).real)
@@ -35,7 +36,8 @@ def _unit_vector(v, dim: int, what: str) -> np.ndarray:
 
 
 def _check_unitary(m, dim: int, what: str) -> np.ndarray:
-    # a copy, so freezing it leaves the caller's own array writable
+    # a copy, so freezing it leaves the caller's own array writable and a
+    # later change to that array cannot reach the program
     arr = _as_complex(m).copy(order="K")
     if arr.shape != (dim, dim):
         raise ValidationError(f"{what}: shape {arr.shape} != ({dim}, {dim})")
@@ -109,6 +111,7 @@ class IRInfo:
     ancillas: dict  # party -> list of initial states (creation order)
     alphabet: dict  # label -> outcome count
     bases: dict  # label -> basis matrix (columns = vectors)
+    gates: dict  # instruction position -> matrix, or its cases stacked (outcome, dt, dt)
     sent_labels: set
     discards: dict  # party -> sorted list of register indices
     message_bits: int
@@ -135,7 +138,7 @@ class ProtocolIR:
         measured = set()  # (party, reg)
         discarded = set()
         knows = {"A": set(), "B": set()}
-        alphabet, bases = {}, {}
+        alphabet, bases, gates = {}, {}, {}
         sent_labels = set()
         bits = 0
         for pos, ins in enumerate(self.instructions):
@@ -163,7 +166,7 @@ class ProtocolIR:
                 if ins.control is None:
                     if ins.matrix is None or ins.cases is not None:
                         raise ValidationError(f"{where}: uncontrolled gate needs matrix only")
-                    _check_unitary(ins.matrix, dt, where)
+                    gates[pos] = _check_unitary(ins.matrix, dt, where)
                 else:
                     if ins.cases is None or ins.matrix is not None:
                         raise ValidationError(f"{where}: controlled gate needs cases only")
@@ -175,8 +178,9 @@ class ProtocolIR:
                         )
                     if len(ins.cases) != alphabet[ins.control]:
                         raise ValidationError(f"{where}: need one case per outcome")
-                    for u in ins.cases:
-                        _check_unitary(u, dt, where)
+                    cases = np.stack([_check_unitary(u, dt, where) for u in ins.cases])
+                    cases.setflags(write=False)
+                    gates[pos] = cases
             elif isinstance(ins, Measure):
                 _check_party(ins.party)
                 r = ins.register
@@ -222,6 +226,7 @@ class ProtocolIR:
             ancillas=ancillas,
             alphabet=alphabet,
             bases=bases,
+            gates=gates,
             sent_labels=sent_labels,
             discards=discards,
             message_bits=bits,
@@ -231,27 +236,36 @@ class ProtocolIR:
         return self.info.message_bits
 
 
-def embed_operator(op: np.ndarray, dims, targets) -> np.ndarray:
-    """Extend an operator on the target registers to the full product space.
+def apply_on_axes(op: np.ndarray, amp: np.ndarray, axes) -> np.ndarray:
+    """op applied to the listed axes of amp, every other axis alike.
 
-    `dims` lists all register dimensions in order; `targets` are the
-    register indices the operator acts on, matching its tensor factor order.
+    op is a (dt, dt) matrix on the listed axes' product in their listed
+    order, or a stack (len(amp), dt, dt) with one matrix per index of amp's
+    leading axis, which is then not listed. Listed axes that are not
+    already adjacent and in order are first moved together to the place of
+    the smallest (a copy); the amplitude is then viewed as (d_pre, dt, rest)
+    around them and multiplied once, and the axes are moved back.
     """
-    dims = list(dims)
-    targets = list(targets)
-    rest = [i for i in range(len(dims)) if i not in targets]
-    tg_dims = [dims[i] for i in targets]
-    rest_dims = [dims[i] for i in rest]
-    d_rest = math.prod(rest_dims)
-    # op[i, j] I[k, l] with each index split into its registers' axes: the
-    # entries of np.kron(op, I), which one transpose puts in register order
-    outer = np.multiply.outer(np.asarray(op, dtype=complex), np.eye(d_rest, dtype=complex))
-    outer = outer.reshape(tg_dims + tg_dims + rest_dims + rest_dims)
-    kt, kr = len(targets), len(rest)
-    row = [targets.index(i) if i in targets else 2 * kt + rest.index(i) for i in range(len(dims))]
-    col = [a + kt if a < kt else a + kr for a in row]
-    d = math.prod(dims)
-    return np.ascontiguousarray(outer.transpose(row + col).reshape(d, d))
+    axes = list(axes)
+    lo = min(axes)
+    hi = lo + len(axes)
+    order = None
+    moved = amp
+    if axes != list(range(lo, hi)):
+        # the other axes keep their order, with the listed block at lo
+        order = [a for a in range(amp.ndim) if a not in axes]
+        order[lo:lo] = axes
+        moved = amp.transpose(order)
+    shape = moved.shape
+    dt, rest = math.prod(shape[lo:hi]), math.prod(shape[hi:])
+    if op.ndim == 3:
+        out = op[:, None] @ moved.reshape(len(amp), -1, dt, rest)
+    elif rest == 1:
+        out = moved.reshape(-1, dt) @ op.T
+    else:
+        out = op @ moved.reshape(-1, dt, rest)
+    out = out.reshape(shape)
+    return out if order is None else out.transpose(np.argsort(order))
 
 
 @dataclass(frozen=True)
@@ -304,7 +318,7 @@ def simulate_dense(ir: ProtocolIR, input_state: PureBipartiteState) -> Simulatio
     records = np.zeros((1, 0), dtype=np.intp)
     sent = []  # columns of `records` in send order
 
-    for ins in ir.instructions:
+    for pos, ins in enumerate(ir.instructions):
         if isinstance(ins, AddAncilla):
             vec = next(ancillas[ins.party])
             # insert the new axis at the end of the party's block
@@ -314,17 +328,12 @@ def simulate_dense(ir: ProtocolIR, input_state: PureBipartiteState) -> Simulatio
             check_cap(amp.shape[1:] + (ins.dim,))
             amp = np.moveaxis(np.multiply.outer(amp, vec), -1, 1 + insert_at)
         elif isinstance(ins, ApplyUnitary):
-            tg = [axis_of(ins.party, t) for t in ins.targets]
-            front = list(range(1, 1 + len(tg)))
-            moved = np.moveaxis(amp, tg, front)
-            dt = math.prod(moved.shape[1 : 1 + len(tg)])
-            if ins.control is None:
-                u = np.asarray(ins.matrix, dtype=complex)
-            else:
+            # the gate as validation froze it
+            u = info.gates[pos]
+            if ins.control is not None:
                 # each branch's case, selected by its record
-                u = np.asarray(ins.cases, dtype=complex)[records[:, labels.index(ins.control)]]
-            moved = (u @ moved.reshape(len(amp), dt, -1)).reshape(moved.shape)
-            amp = np.moveaxis(moved, front, tg)
+                u = u[records[:, labels.index(ins.control)]]
+            amp = apply_on_axes(u, amp, [axis_of(ins.party, t) for t in ins.targets])
         elif isinstance(ins, Measure):
             ax = axis_of(ins.party, ins.register)
             basis = info.bases[ins.label]

@@ -18,7 +18,7 @@ import numpy as np
 from ..errors import CapExceededError, ValidationError
 from ..qmath import PureBipartiteState, operator_norm
 from ..tolerances import DENSE_DIM_CAP
-from .ir import PARTIES, PRUNE_PROB, Measure, ProtocolIR, embed_operator
+from .ir import PARTIES, PRUNE_PROB, Measure, ProtocolIR, apply_on_axes
 
 MIGRATION_GUARD = 1e-8
 
@@ -80,9 +80,12 @@ class StandardizedProgram:
         fb = self.full_dim_b
         if any(op.shape != (fa, fa) for op in ops):
             raise ValidationError("operator dimension mismatch")
-        # the operators stacked as one (K fa) x fa matrix V: V^dagger V = sum_k M_k^dagger M_k
-        stacked = np.concatenate(ops)
-        _refuse_defect(stacked.conj().T @ stacked - np.eye(fa), "completeness defect {}")
+        # sum_k M_k^dagger M_k one operator at a time, with no stacked copy
+        gram = np.zeros((fa, fa), dtype=complex)
+        for op in ops:
+            gram += op.conj().T @ op
+        gram.flat[:: fa + 1] -= 1.0
+        _refuse_defect(gram, "completeness defect {}")
         us = [np.asarray(u) for u in self.bob_corrections]
         if any(u.shape != (fb, fb) for u in us):
             raise ValidationError("correction dimension mismatch")
@@ -119,6 +122,18 @@ class _Node:
         self.message = message
 
 
+def _on_rows(op, mat, dims, targets):
+    # op on registers `targets` of mat's row index, whose registers are `dims`
+    out = apply_on_axes(op, mat.reshape(*dims, -1), targets)
+    return out.reshape(mat.shape)
+
+
+def _on_cols(op, mat, dims, targets):
+    # op on registers `targets` of mat's column index: mat @ embedded(op).T
+    out = apply_on_axes(op, mat.reshape(-1, *dims), [1 + t for t in targets])
+    return out.reshape(mat.shape)
+
+
 def standardize(ir: ProtocolIR, input_state: PureBipartiteState) -> StandardizedProgram:
     """Rewrite a program into the measure-message-correct shape.
 
@@ -126,6 +141,11 @@ def standardize(ir: ProtocolIR, input_state: PureBipartiteState) -> Standardized
     exactly (up to roundoff) and uses the same total message bit count.
     Programs that would act on a measured register are already rejected by
     the IR validator; inputs must be pure and match the declared dims.
+    Every gate acts on its register axes of each node's amplitude and
+    accumulated operators, so the only operators on Alice's whole register
+    block are the accumulated ones it returns; on Bob's side a migration
+    also forms each outcome's correction factor, which the returned
+    correction accumulates.
     """
     info = ir.info
     if (input_state.dim_a, input_state.dim_b) != (ir.dim_a, ir.dim_b):
@@ -158,58 +178,61 @@ def standardize(ir: ProtocolIR, input_state: PureBipartiteState) -> Standardized
         _Node(chi0, np.eye(fa, dtype=complex), np.eye(fb, dtype=complex), {}, [])
     ]
 
-    def apply_local(node, party, full_op):
+    def apply_local(node, party, op, targets):
+        # Alice's op acts on chi's rows and on M, Bob's on chi's columns and on U
         if party == "A":
-            node.chi = full_op @ node.chi
-            node.m_acc = full_op @ node.m_acc
+            node.chi = _on_rows(op, node.chi, reg_dims["A"], targets)
+            node.m_acc = _on_rows(op, node.m_acc, reg_dims["A"], targets)
         else:
-            node.chi = node.chi @ full_op.T
-            node.u_acc = full_op @ node.u_acc
+            node.chi = _on_cols(op, node.chi, reg_dims["B"], targets)
+            node.u_acc = _on_rows(op, node.u_acc, reg_dims["B"], targets)
 
-    for ins in ir.instructions:
+    for pos, ins in enumerate(ir.instructions):
         kind = type(ins).__name__
         if kind == "AddAncilla" or kind == "Discard":
             continue
         if kind == "ApplyUnitary":
-            dims = reg_dims[ins.party]
+            # the gate as validation froze it: a matrix, or the cases stacked
+            gate = info.gates[pos]
             if ins.control is None:
-                full = embed_operator(ins.matrix, dims, ins.targets)
                 for node in nodes:
-                    apply_local(node, ins.party, full)
+                    apply_local(node, ins.party, gate, ins.targets)
             elif ins.control in record_reg:
-                # record never sent: read it coherently, sum_k |k><k| (x) U_k
-                rec = record_reg[ins.control]
-                sel = np.eye(len(ins.cases))
-                gate = sum(np.kron(np.diag(e), u) for e, u in zip(sel, ins.cases))
-                full = embed_operator(gate, dims, (rec,) + tuple(ins.targets))
+                # record never sent: read it coherently, sum_k |k><k| (x) U_k,
+                # block diagonal with U_k in block (k, k)
+                v, dt = gate.shape[:2]
+                block = np.zeros((v, dt, v, dt), dtype=complex)
+                block[np.arange(v), :, np.arange(v), :] = gate
+                block = block.reshape(v * dt, v * dt)
+                targets = (record_reg[ins.control],) + tuple(ins.targets)
                 for node in nodes:
-                    apply_local(node, ins.party, full)
+                    apply_local(node, ins.party, block, targets)
             else:
-                fulls = [embed_operator(case, dims, ins.targets) for case in ins.cases]
                 for node in nodes:
-                    apply_local(node, ins.party, fulls[node.values[ins.control]])
+                    apply_local(node, ins.party, gate[node.values[ins.control]], ins.targets)
         elif kind == "Measure":
             dims = reg_dims[ins.party]
             v = info.alphabet[ins.label]
             basis = info.bases[ins.label]
-            projs = [np.outer(basis[:, o], basis[:, o].conj()) for o in range(v)]
+            # projs[o] = |b_o><b_o|
+            projs = basis.T[:, :, None] * basis.conj().T[:, None, :]
             if ins.label not in info.sent_labels:
-                # keep coherent: rotate-and-copy into the record register
-                rec = record_reg[ins.label]
-                # np.roll(eye, o) maps |j> to |j+o mod v>, the shift to the o-th power
-                eye = np.eye(v)
-                gate = sum(np.kron(proj, np.roll(eye, o, axis=0)) for o, proj in enumerate(projs))
-                full = embed_operator(gate, dims, (ins.register, rec))
+                # keep coherent: rotate-and-copy into the record register with
+                # sum_o P_o (x) S^o, S the shift |j> -> |j+1 mod v>; entry
+                # (i, j'; i', j) is P_o[i, i'] for o = j' - j mod v
+                shift = (np.arange(v)[:, None] - np.arange(v)) % v
+                gate = projs[shift].transpose(2, 0, 3, 1).reshape(v * v, v * v)
+                targets = (ins.register, record_reg[ins.label])
                 for node in nodes:
-                    apply_local(node, ins.party, full)
+                    apply_local(node, ins.party, gate, targets)
             elif ins.party == "A":
-                fulls = [embed_operator(proj, dims, (ins.register,)) for proj in projs]
+                targets = (ins.register,)
                 grown = []
                 for node in nodes:
-                    for o, full in enumerate(fulls):
+                    for o, proj in enumerate(projs):
                         child = _Node(
-                            full @ node.chi,
-                            full @ node.m_acc,
+                            _on_rows(proj, node.chi, dims, targets),
+                            _on_rows(proj, node.m_acc, dims, targets),
                             node.u_acc,
                             {**node.values, ins.label: o},
                             list(node.message),
@@ -220,27 +243,38 @@ def standardize(ir: ProtocolIR, input_state: PureBipartiteState) -> Standardized
                 # Bob measured and will send: realize the same branch states
                 # with an Alice measurement and a Bob unitary correction, both
                 # built in the branch's Schmidt basis chi = U diag(s) Vh and
-                # neither dividing by a singular value
-                bfulls = [embed_operator(proj, dims, (ins.register,)) for proj in projs]
+                # neither dividing by a singular value. Only U's first r
+                # columns are needed, and Vh in full
+                targets = (ins.register,)
                 grown = []
                 for node in nodes:
-                    u, s, vh = np.linalg.svd(node.chi)
+                    u, s, vh = np.linalg.svd(node.chi, full_matrices=fa < fb)
                     r = s.size
-                    ur, rest = u[:, :r], u[:, r:]
-                    for o, bfull in enumerate(bfulls):
+                    ur = u[:, :r]
+                    # U_r^dagger chi and U_r^dagger M_acc, shared by every outcome
+                    ur_h = ur.conj().T
+                    low_chi, low_m = ur_h @ node.chi, ur_h @ node.m_acc
+                    for o, proj in enumerate(projs):
                         # y = U_r diag(s) t, and C = t t^dagger sums to 1 over o
-                        y = node.chi @ bfull.T
-                        t = vh[:r] @ bfull.T
+                        y = _on_cols(proj, node.chi, dims, targets)
+                        t = _on_cols(proj, vh[:r], dims, targets)
                         pt, st, qh = np.linalg.svd(t)
                         c_half = (pt * st) @ pt.conj().T
                         # polar factor of diag(s) C^1/2: M = U_r x C^1/2 U_r^dagger
-                        # gives M chi the Alice marginal diag(s) C diag(s) of y
+                        # gives M chi the Alice marginal diag(s) C diag(s) of y;
+                        # outcome 0 also keeps the complement of U_r, so
+                        # M = 1 + U_r (x C^1/2 - 1) U_r^dagger there
                         ua, _, va = np.linalg.svd(s[:, None] * c_half)
                         x = ua @ va
-                        m_o = ur @ (x @ c_half) @ ur.conj().T
+                        a = x @ c_half
                         if o == 0:
-                            m_o = m_o + rest @ rest.conj().T
-                        g = m_o @ node.chi
+                            a = a - np.eye(r)
+                        # M chi and M M_acc through M's rank-r factor
+                        g = ur @ (a @ low_chi)
+                        m_acc = ur @ (a @ low_m)
+                        if o == 0:
+                            g += node.chi
+                            m_acc += node.m_acc
                         # x C^1/2 diag(s) x pt = diag(s) pt diag(st), so g @ w_t = y
                         w = np.eye(fb, dtype=complex)
                         w[:r, :r] = x @ pt
@@ -251,7 +285,7 @@ def standardize(ir: ProtocolIR, input_state: PureBipartiteState) -> Standardized
                             raise ValidationError(f"migration drift {drift}")
                         child = _Node(
                             y,
-                            m_o @ node.m_acc,
+                            m_acc,
                             w_t.T @ node.u_acc,
                             {**node.values, ins.label: o},
                             list(node.message),
@@ -299,17 +333,18 @@ def run_standard_form(proto: StandardizedProgram, input_state: PureBipartiteStat
     if not isinstance(proto, StandardizedProgram):
         raise ValidationError("run_standard_form checks a StandardizedProgram only")
     chi = _with_ancillas(input_state, proto.anc_states_a, proto.anc_states_b)
-    # every outcome's amplitude M_k chi U_k^T at once, then split into the
-    # kept and the discarded registers
-    res = np.stack(proto.alice_ops) @ chi @ np.stack(proto.bob_corrections).transpose(0, 2, 1)
     dims = list(proto.reg_dims_a) + list(proto.reg_dims_b)
     na = len(proto.reg_dims_a)
     disc = sorted(list(proto.discard_a) + [na + r for r in proto.discard_b])
     kept = [i for i in range(len(dims)) if i not in disc]
     d_kept = math.prod(dims[i] for i in kept)
-    amps = res.reshape([len(res)] + dims).transpose([0] + [1 + i for i in kept + disc])
-    amps = amps.reshape(len(res), d_kept, -1)
-    probs = (amps.real**2 + amps.imag**2).sum(axis=(1, 2)).tolist()
+    # each outcome's amplitude M_k (chi U_k^T), one operator at a time, split
+    # into the kept and the discarded registers
+    amps = [
+        (m @ (chi @ np.asarray(u).T)).reshape(dims).transpose(kept + disc).reshape(d_kept, -1)
+        for m, u in zip(proto.alice_ops, proto.bob_corrections)
+    ]
+    probs = [float(np.vdot(a, a).real) for a in amps]
 
     # outcomes that share a message are merged into one purification
     groups = {}
@@ -319,7 +354,7 @@ def run_standard_form(proto: StandardizedProgram, input_state: PureBipartiteStat
     out = {}
     for msg, ks in groups.items():
         p = sum(probs[k] for k in ks)
-        f = np.concatenate(amps[ks], axis=1) / math.sqrt(p)
+        f = np.concatenate([amps[k] for k in ks], axis=1) / math.sqrt(p)
         out[msg] = (p, PureBipartiteState(*f.shape, f))
     total = sum(p for p, _ in out.values())
     if abs(total - 1.0) > 1e-9:

@@ -11,7 +11,10 @@ a spectrum target's sorted positions, and the piece list behind the
 certificate's profile queries. They share entlab's
 log-domain float helpers and rebuild everything else on their own. The
 write_spectrum_json_by_dump is the byte reference for the streamed spectrum
-writer, and embed_operator_by_kron for the operator embedding. The
+writer, and embed_operator_by_kron, an operator on some registers
+extended to the whole product space by np.kron, is the reference for the
+register-axis helper locc.ir.apply_on_axes (the package forms no such
+full-space operator itself). The
 branch-by-branch simulator keeps one amplitude tensor per branch and one
 np.tensordot per gate, outcome and output, against the package's stacked
 branches.

@@ -35,6 +35,7 @@ from entlab.lab import (
     parse_config_file,
     spot_check_outputs,
 )
+from entlab.lab import cli
 from entlab.lab.cli import main
 from entlab.lab import commands
 from entlab.lab.commands import _fmt, probe_budget, residual_grid, write_spectrum_json
@@ -794,6 +795,21 @@ def test_cli_spectrum_roundtrip(tmp_path, capsys):
     printed = capsys.readouterr().out.strip().splitlines()
     assert any(line.endswith("residuals.csv") for line in printed)
     assert (tmp_path / "cli" / "spectrum_n8.json").exists()
+
+
+def test_cli_builds_one_parser_per_process(tmp_path, capsys):
+    """main() calls in one process share one parser, and a call after
+    another with other flags writes the bytes its first call, on a freshly
+    built parser, wrote."""
+    cli._build_parser.cache_clear()
+    args = ["spectrum", "--n-grid", "8", "--p", "0.75,0.25", "--out"]
+    assert main(args + [str(tmp_path / "first")]) == 0
+    other = ["spectrum", "--n-grid", "6", "--p", "0.5,0.3,0.2", "--delta", "0.2"]
+    assert main(other + ["--out", str(tmp_path / "other")]) == 0
+    assert main(args + [str(tmp_path / "again")]) == 0
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    _same_tree(tmp_path / "first", tmp_path / "again")
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -14,11 +14,11 @@ from entlab.locc import (
     ProtocolIR,
     Send,
     compare_ensembles,
-    embed_operator,
     group_by_message,
     random_toy_ir,
     simulate_dense,
 )
+from entlab.locc.ir import apply_on_axes
 from entlab.sampling import random_pure, random_unitary
 from oracles import (
     dense_trace_distance,
@@ -136,10 +136,10 @@ def test_simulate_rejects_mismatched_input():
 def test_embed_operator_matches_kron():
     dims = (2, 3)
     a = np.arange(4, dtype=complex).reshape(2, 2)
-    big = embed_operator(a, dims, (0,))
+    big = embed_operator_by_kron(a, dims, (0,))
     assert np.abs(big - np.kron(a, np.eye(3))).max() < 1e-12
     b = np.arange(9, dtype=complex).reshape(3, 3)
-    big = embed_operator(b, dims, (1,))
+    big = embed_operator_by_kron(b, dims, (1,))
     assert np.abs(big - np.kron(np.eye(2), b)).max() < 1e-12
 
 
@@ -155,7 +155,7 @@ def test_embed_operator_reorders_targets():
         dtype=complex,
     )
     # control on register 1, target register 0
-    swapped = embed_operator(cnot, dims, (1, 0))
+    swapped = embed_operator_by_kron(cnot, dims, (1, 0))
     perm = np.zeros((4, 4), dtype=complex)
     # basis order |r0 r1>: amplitudes map 01->11, 11->01
     perm[0, 0] = perm[2, 2] = 1.0
@@ -264,9 +264,10 @@ def test_simulator_refusals():
         simulate_dense(ir, st)
 
 
-def test_embed_operator_equals_the_kron_embedding_bytewise():
-    gen = np.random.default_rng(2601)
-    for case in range(300):
+def _axes_cases(seed, count):
+    # dims 1-4 on 1-4 registers, targets in any order and any positions
+    gen = np.random.default_rng(seed)
+    for case in range(count):
         dims = [int(d) for d in gen.integers(1, 5, size=gen.integers(1, 5))]
         k = int(gen.integers(1, len(dims) + 1))
         targets = tuple(int(t) for t in gen.permutation(len(dims))[:k])
@@ -274,8 +275,33 @@ def test_embed_operator_equals_the_kron_embedding_bytewise():
         op = gen.normal(size=(dt, dt))
         if case % 2:
             op = op + 1j * gen.normal(size=(dt, dt))
-        got = embed_operator(op, dims, targets)
-        want = embed_operator_by_kron(op, dims, targets)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.flags.c_contiguous
-        assert got.tobytes() == want.tobytes()
+        yield gen, dims, targets, op
+
+
+def test_apply_on_axes_matches_the_kron_embedding():
+    """On a matrix's rows (Alice's side, E @ mat) and on its columns (Bob's
+    side, mat @ E^T), with E the oracle's kron embedding of the operator."""
+    for gen, dims, targets, op in _axes_cases(2601, 300):
+        d = math.prod(dims)
+        embedded = embed_operator_by_kron(op, dims, targets)
+        cols = int(gen.integers(1, 4))
+        mat = gen.normal(size=(d, cols)) + 1j * gen.normal(size=(d, cols))
+        got = apply_on_axes(op, mat.reshape(*dims, cols), targets).reshape(d, cols)
+        assert np.abs(got - embedded @ mat).max() < 1e-12
+        mat = mat.T.copy()
+        got = apply_on_axes(op, mat.reshape(cols, *dims), [1 + t for t in targets])
+        assert np.abs(got.reshape(cols, d) - mat @ embedded.T).max() < 1e-12
+
+
+def test_apply_on_axes_applies_a_stack_per_leading_index():
+    """A stack of operators acts as its own operator on each index of the
+    leading axis, as a controlled gate acts on each branch."""
+    for gen, dims, targets, op in _axes_cases(2602, 200):
+        d = math.prod(dims)
+        batch = int(gen.integers(1, 4))
+        ops = np.stack([op] + [gen.normal(size=op.shape) for _ in range(batch - 1)])
+        amp = gen.normal(size=(batch, d)) + 1j * gen.normal(size=(batch, d))
+        got = apply_on_axes(ops, amp.reshape(batch, *dims), [1 + t for t in targets])
+        for b in range(batch):
+            want = embed_operator_by_kron(ops[b], dims, targets) @ amp[b]
+            assert np.abs(got[b].reshape(d) - want).max() < 1e-12

@@ -1,7 +1,11 @@
 """Reduction of arbitrary programs to measure-send-correct form."""
 
+import dataclasses
 import hashlib
+import importlib.util
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -286,6 +290,20 @@ def test_standardized_program_gate_is_the_operator_norm():
                     assert abs(float(str(err.value).rsplit(" ", 1)[1]) - defect) < 1e-15
 
 
+@pytest.mark.parametrize("defect, ok", [(0.9e-10, True), (1.1e-10, False)])
+def test_completeness_summed_over_several_operators_keeps_its_threshold(defect, ok):
+    """Three operators sqrt((1 + x) / 3) I, summed one at a time, have
+    Gram defect x: accepted at 0.9e-10, refused at 1.1e-10."""
+    op = math.sqrt((1.0 + defect) / 3.0) * np.eye(3, dtype=complex)
+    args = ((op, op, op), (np.eye(3),) * 3, ((0,), (1,), (2,)))
+    if ok:
+        _program(*args, bits=2, dim=3)
+    else:
+        with pytest.raises(ValidationError, match="completeness defect") as err:
+            _program(*args, bits=2, dim=3)
+        assert abs(float(str(err.value).rsplit(" ", 1)[1]) - defect) < 1e-15
+
+
 @pytest.mark.parametrize("nan", [float("nan"), complex(0.0, float("nan"))])
 def test_standardized_program_refuses_non_finite_defects(nan):
     """A nan in an operator or a correction makes its defect nan, which
@@ -317,3 +335,93 @@ def test_run_standard_form_merges_outcomes_that_share_a_message():
         rho = sum(np.outer(v, v.conj()) for v in vecs) / p
         assert abs(out[msg][0] - p) < 1e-12
         assert np.abs(partial_trace(out[msg][1], "B").mat - rho).max() < 1e-12
+
+
+def test_changing_the_callers_arrays_after_construction_changes_no_result():
+    """The simulator and the reduction run the gates, cases and ancilla
+    states validation checked, not the caller's arrays, which the caller
+    may change afterwards."""
+    gen = np.random.default_rng(2901)
+    u = np.eye(2, dtype=complex)
+    case = random_unitary(gen, 2)
+    anc = random_pure(gen, 2)
+    ir = ProtocolIR(
+        2,
+        2,
+        (
+            AddAncilla("A", 2, anc),
+            ApplyUnitary("A", (0,), matrix=u),
+            Measure("A", 1, "k"),
+            ApplyUnitary("A", (0,), control="k", cases=(case, np.eye(2))),
+            Measure("A", 0, "m"),
+            Send("m", "A", "B"),
+            ApplyUnitary("B", (0,), control="m", cases=(np.eye(2), X)),
+        ),
+    )
+    st = PureBipartiteState(2, 2, random_pure(gen, 4))
+
+    def results():
+        sim = group_by_message(simulate_dense(ir, st))
+        return sim, run_standard_form(standardize(ir, st), st)
+
+    sim, std = results()
+    u[0, 0] = 5.0
+    case[:] = 3.0
+    anc[:] = 2.0
+    sim2, std2 = results()
+    for a, b in ((sim, sim2), (std, std2)):
+        assert compare_ensembles(a, b) == (0.0, 0.0)
+
+
+def _traced(fn, *args):
+    # fn's result, the bytes it still holds when it returns and its traced peak
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, current, peak
+
+
+def test_standard_form_memory_on_the_batterys_largest_program():
+    """Battery program 81 (seed 505; K = 12 outcomes on fa = 144) sets the
+    benchmark battery's peak memory. standardize peaks at under twice the
+    operators it returns, and run_standard_form allocates under 1 MB beyond
+    what it returns; the ensemble still matches the simulator's."""
+    programs = np.random.default_rng(505)
+    for _ in range(82):
+        ir = random_toy_ir(programs, max_dim=4, rounds=3)
+    amp = random_pure(np.random.default_rng(1), ir.dim_a * ir.dim_b)
+    st = PureBipartiteState(ir.dim_a, ir.dim_b, amp)
+    sf, _, peak = _traced(standardize, ir, st)
+    assert (len(sf.alice_ops), sf.full_dim_a) == (12, 144)
+    assert peak <= 2 * sum(m.nbytes for m in sf.alice_ops)
+    ens, current, peak = _traced(run_standard_form, sf, st)
+    assert peak - current <= 2**20
+    tv, worst = compare_ensembles(ens, group_by_message(simulate_dense(ir, st)))
+    assert tv < 1e-9 and worst < 1e-9
+
+
+def _sweep_script():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "standard_form_sweep.py")
+    spec = importlib.util.spec_from_file_location("standard_form_sweep", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_standard_form_sweep_script_finds_a_broken_reduction(monkeypatch):
+    """The sweep passes its first 20 programs, and fails them once Bob's
+    corrections are dropped from every standardized program."""
+    sweep = _sweep_script()
+    assert sweep.sweep(20)[2] == []
+    real = sweep.standardize
+
+    def without_corrections(ir, st):
+        sf = real(ir, st)
+        eye = np.eye(sf.full_dim_b)
+        return dataclasses.replace(sf, bob_corrections=(eye,) * len(sf.alice_ops))
+
+    monkeypatch.setattr(sweep, "standardize", without_corrections)
+    assert sweep.sweep(20)[2]
