@@ -15,11 +15,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import ne, sub
 
 import numpy as np
 
 from ..errors import CapExceededError, ValidationError
-from ..logdomain import NEG_INF, log2_int, log2sumexp, log2sumexp_segments
+from ..logdomain import NEG_INF, log2_int, log2_ints, log2sumexp, log2sumexp_segments
 from ..spectrum import ClassSpectrum
 from ..tolerances import WEIGHTS_CAP
 
@@ -130,13 +132,17 @@ def build_block_dilution(spec: ClassSpectrum, budget_c: int, eps_target: float =
     alone stays well inside the error target; flattening the blocks adds
     the rest. predicted_error is exact for the construction (not a bound).
 
-    The split walks the kept prefix block by block: the classes that end
-    inside the current block are taken in one step, with their whole-class
-    terms read from the spectrum's arrays, and only a class that reaches a
-    block end pays for a big-int divmod. The Python work grows with the
-    number of such classes, not with the length of the prefix. Each
-    straddled block's mass and overlap terms are summed by one grouped
-    log-sum-exp per probe, with the bits of one log2sumexp per block.
+    The split runs on per-boundary arrays. The kept prefix's class
+    boundaries past the first block are divided by m in one pass; a class
+    reaches a block end exactly when its two quotients differ, and only
+    such a class pays for big ints: its head, whole blocks and tail, whose
+    log2 lengths log2_ints takes in one pass. A whole class inside a block
+    reads log2_mults and log2_eigs. Segment starts, the position-ordered
+    units and the merge of equal neighbouring log2 x are numpy, and every
+    term is formed and summed in position order, so the runs and the error
+    are bit for bit those of a piece-by-piece split. Each straddled block's
+    mass and overlap terms are summed by one grouped log-sum-exp per probe,
+    with the bits of one log2sumexp per block.
     """
     if not 0.0 < eps_target < 2.0:
         raise ValidationError("error target must lie in (0, 2)")
@@ -152,78 +158,90 @@ def build_block_dilution(spec: ClassSpectrum, budget_c: int, eps_target: float =
     d_prime = K * m
     lt = view.log2_mass_of_prefix(d_prime)
 
-    # class pieces covering [0, d_prime): class c is [bounds[c], bounds[c+1]),
-    # and one -inf piece zero-pads past the spectrum. A whole class c puts
-    # log2 count + e = log2_mults[c] + e into its block's mass and
-    # log2_mults[c] + e/2 into the overlap.
+    # Class pieces covering [0, d_prime): piece i is [bounds[i], bounds[i+1]),
+    # class i, and one -inf piece zero-pads past the spectrum. Each end is
+    # divided by m once, (q, r) per boundary; the quotients may pass int64,
+    # so they are compared as python ints. Piece i reaches a block end (cuts)
+    # exactly when q[i + 1] != q[i], and only such pieces pay for big ints:
+    # a head m - r[i] closing block q[i] (0 when r[i] = 0), whole blocks
+    # `inner`, and a tail r[i + 1] opening block q[i + 1].
     k = view.class_at(d_prime - 1) + 1
     bounds = view.bounds(k - 1)[:k] + [d_prime]
-    eigs = view.log2_eigs[:k].tolist() + [NEG_INF]
-    mass_terms = (spec.log2_mults[:k] + view.log2_eigs[:k]).tolist()
-    root_terms = (spec.log2_mults[:k] + 0.5 * view.log2_eigs[:k]).tolist()
+    e = view.log2_eigs[:k]
+    if e.size < k:
+        e = np.append(e, NEG_INF)
+    # a boundary below m is its own residue in block 0: only the rest divide
+    j0 = bisect_left(bounds, m)
+    q, r = zip(*map(divmod, bounds[j0:], repeat(m)))
+    cuts = np.zeros(k, dtype=bool)
+    cuts[j0 - 1] = True
+    cuts[j0:] = np.fromiter(map(ne, q[1:], q), bool, k - j0)
+    r = bounds[:j0] + list(r)
+    cut = np.flatnonzero(cuts)
+    lo, hi = cut.tolist(), (cut + 1).tolist()
+    tails = list(map(r.__getitem__, hi))
+    heads = [m - x if x else 0 for x in map(r.__getitem__, lo)]
+    del q, r  # of the residues, only the cut pieces' heads and tails stay
+    inner = list(
+        map(sub, map(sub, map(sub, map(bounds.__getitem__, hi), map(bounds.__getitem__, lo)), heads), tails)
+    )
 
-    # The walk stands at (q0, r0) = divmod(start, m). Classes that end
-    # strictly inside block q0 (one bisect) form one straddled event; a
-    # piece reaching (q1, r1) = divmod(end, m) straddles block q0 with its
-    # head and q1 with its tail, covering whole blocks between. Events are
-    # (segment, or None for whole blocks, length, log2 eigenvalue) in
-    # position order. A straddled block's (mass, overlap) terms are one
-    # contiguous segment of mass_flat and root_flat, opened where the walk
-    # enters the block (r0 = 0 there), so both are summed in one call each.
-    events = []
-    mass_flat, root_flat, starts = [], [], []
-    overlap_terms = []
-    q0, r0 = 0, 0
-    i, last = 0, len(bounds) - 1
-    while i < last:
-        lim = (q0 + 1) * m
-        if bounds[i + 1] < lim:
-            j = bisect_left(bounds, lim, i + 2) - 1
-            length = bounds[j] - bounds[i]
-            if not r0:
-                starts.append(len(mass_flat))
-            mass_flat.extend(mass_terms[i:j])
-            root_flat.extend(root_terms[i:j])
-            events.append((len(starts) - 1, length, None))
-            r0 += length
-            i = j
-            continue
-        q1, r1 = divmod(bounds[i + 1], m)
-        e = eigs[i]
-        head = m - r0 if r0 else 0
-        if head:
-            lc = log2_int(head)
-            mass_flat.append(lc + e)
-            root_flat.append(lc + 0.5 * e)
-            events.append((len(starts) - 1, head, None))
-        inner = bounds[i + 1] - bounds[i] - head - r1
-        if inner:
-            overlap_terms.append(log2_int(inner) + e)
-            events.append((None, inner, e))
-        if r1:
-            lc = log2_int(r1)
-            starts.append(len(mass_flat))
-            mass_flat.append(lc + e)
-            root_flat.append(lc + 0.5 * e)
-            events.append((len(starts) - 1, r1, None))
-        q0, r0 = q1, r1
-        i += 1
-    block_log2_mass = log2sumexp_segments(mass_flat, starts)
+    # Each piece has three slots in position order: its first part (the
+    # whole class, or the head), its whole blocks and its tail, with log2 of
+    # their lengths in slot_l2 (-inf for an empty slot). A piece that cuts
+    # no block end is a whole class inside one block: log2_mults[i].
+    slot_l2 = np.full((k, 3), NEG_INF)
+    whole_l2 = spec.log2_mults[:k]
+    slot_l2[: whole_l2.size, 0] = whole_l2
+    slot_l2[cut] = log2_ints(heads + inner + tails).reshape(3, -1).T
+    present = slot_l2 != NEG_INF
+    mass = slot_l2 + e[:, None]
+    root = slot_l2 + 0.5 * e[:, None]
 
-    # position-ordered output runs, and the straddled blocks' overlaps
-    # after the whole blocks' terms
+    # Straddled blocks: the first parts and tails, in position order. A tail
+    # opens its block's segment, and so does a whole class on a block start
+    # (the piece before it ends there, with an empty tail); the terms of one
+    # segment are one straddled block's. The mass and overlap sums run in
+    # one grouped call, the overlap segments shifted past the mass terms.
+    opens = np.zeros((k, 3), dtype=bool)
+    opens[:, 0] = ~cuts & np.append(True, cuts[:-1] & ~present[:-1, 2])
+    opens[:, 2] = present[:, 2]
+    flat = present.copy()
+    flat[:, 1] = False
+    flat = flat.ravel()
+    opens = opens.ravel()[flat]
+    starts = np.flatnonzero(opens)
+    nflat, nseg = int(opens.size), int(starts.size)
+    sums = log2sumexp_segments(
+        np.concatenate((mass.ravel()[flat], root.ravel()[flat])),
+        np.concatenate((starts, starts + nflat)),
+    )
+    block_log2_mass = np.array(sums[:nseg])
+    block_log2_root = np.array(sums[nseg:])
     lm = log2_int(m)
-    block_lx = [b - lm - lt for b in block_log2_mass]
-    x_runs = []
-    for seg, length, e in events:
-        lx = e - lt if seg is None else block_lx[seg]
-        if x_runs and x_runs[-1][1] == lx:
-            x_runs[-1] = (x_runs[-1][0] + length, lx)
-        else:
-            x_runs.append((length, lx))
-    overlap_terms.extend(
-        0.5 * (b - lm) + r
-        for b, r in zip(block_log2_mass, log2sumexp_segments(root_flat, starts))
+    block_lx = block_log2_mass - lm - lt
+
+    # Position-ordered units: a straddled block (m positions, its segment's
+    # lx) or a piece's whole blocks (inner positions, e - lt); the slots of
+    # one block give one unit. Neighbouring units of equal lx merge into
+    # one run.
+    has_inner = present[:, 1]
+    seg = np.full(3 * k, -1)
+    seg[flat] = np.cumsum(opens) - 1
+    seg = seg[present.ravel()]
+    seg = seg[(seg < 0) | (seg != np.append(-2, seg[:-1]))]
+    in_seg = seg >= 0
+    unit_lx = np.empty(seg.size)
+    unit_lx[in_seg] = block_lx[seg[in_seg]]
+    unit_lx[~in_seg] = e[has_inner] - lt
+    unit_count = np.empty(seg.size, dtype=object)
+    unit_count[in_seg] = m
+    unit_count[~in_seg] = list(compress(inner, has_inner[cut].tolist()))
+    run = np.flatnonzero(np.append(True, unit_lx[1:] != unit_lx[:-1]))
+    x_runs = (tuple(np.add.reduceat(unit_count, run).tolist()), tuple(unit_lx[run].tolist()))
+    # the whole blocks' overlaps in position order, then the straddled blocks'
+    overlap_terms = np.concatenate(
+        (mass[has_inner, 1], 0.5 * (block_log2_mass - lm) + block_log2_root)
     )
 
     if m == 1:
@@ -241,7 +259,7 @@ def build_block_dilution(spec: ClassSpectrum, budget_c: int, eps_target: float =
         K=K,
         m=m,
         d_prime=d_prime,
-        x_runs=tuple(zip(*x_runs)),
+        x_runs=x_runs,
         target_error=target_error,
     )
     if K * d_prime <= WEIGHTS_CAP:

@@ -7,8 +7,8 @@ log2 x) over the target's sorted positions: a shift family
 (StandardFormProtocol) gives runs of length 1, a block family too large
 to materialize gives its symbolic runs. run_protocol_dense is the
 full-matrix oracle for the diagonal path. The certificate checker reads
-three profile queries in one walk that cuts the outcome's runs at the
-class boundaries as it goes, and re-derives the communication lower
+three profile queries off the outcome's runs cut at the class boundaries,
+on arrays, and re-derives the communication lower
 bound from them and the recorded quantities, flagging each inequality
 separately. Reports and certificates hand their fields out as plain
 documents (to_doc), with non-finite numbers as None; writing them as
@@ -18,12 +18,15 @@ JSON is the caller's job.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import sub
 
 import numpy as np
 
 from ..errors import CapExceededError, DegenerateSpectrumError, ValidationError
-from ..logdomain import NEG_INF, log2_int, log2sub, log2sumexp
+from ..logdomain import NEG_INF, log2_int, log2_ints, log2sub, log2sub_arrays, log2sumexp
 from ..qmath import SchmidtProfile
 from ..spectrum import ClassSpectrum
 from ..tolerances import DENSE_DIM_CAP, EQUALITY_TOL
@@ -455,32 +458,60 @@ class TheoremChainCertificate:
 
 def _profile_queries(x_runs, view, n1: int):
     """(Tr P1 x, ||x - target||_1, log2 max x) of output runs (counts,
-    log2 x), with P1 onto the first n1 sorted positions. The runs are cut
-    at the class boundaries as the walk goes, positions past the spectrum
-    at target -inf, and both sums take their terms in position order."""
-    eigs = view.log2_eigs
-    prefix, dist = [], []
-    c = pos = 0
-    for cnt, lx in zip(*x_runs):
-        end = pos + cnt
-        while pos < end:
-            if c < len(eigs):
-                bound = view.bounds(c + 1)[c + 1]
-                stop, e = min(end, bound), eigs[c]
-                if stop == bound:
-                    c += 1
-            else:
-                stop, e = end, NEG_INF
-            if pos < n1:
-                prefix.append(log2_int(min(stop, n1) - pos) + lx)
-            hi, lo = (lx, e) if lx >= e else (e, lx)
-            if hi != NEG_INF:
-                dist.append(log2_int(stop - pos) + log2sub(hi, lo))
-            pos = stop
-    dist.append(_log2_mass_past(view, pos))  # tail last: the summation order is part of the output
+    log2 x), with P1 onto the first n1 sorted positions.
+
+    The runs are cut at the class boundaries by one stable sort that merges
+    the class starts inside the runs with the run ends, a class start
+    before an equal run end. Piece t lies between cut points t - 1 and t;
+    its class and run count the class starts and run ends before it, and
+    positions past the spectrum are a class of target -inf. A class lying
+    wholly inside a run has log2 length log2_mults[c], log2_int of its
+    count; only a piece at a run edge pays for a big-int subtraction (an
+    empty piece, where a run ends on a class start, has log2 length -inf
+    and adds nothing). Both sums take their terms in position order, the
+    distance's tail last.
+    """
+    counts, log2_x = x_runs
+    lx = np.asarray(log2_x, dtype=float)
+    ends = list(accumulate(counts))
+    end = ends[-1]
+    c_end = view.class_at(end - 1)
+    bounds = view.bounds(c_end)
+    eigs = view.log2_eigs[: c_end + 1]
+    if eigs.size == c_end:
+        eigs = np.append(eigs, NEG_INF)
+    cuts = bounds[1 : c_end + 1] + ends
+    order = np.array(sorted(range(len(cuts)), key=cuts.__getitem__), dtype=np.intp)
+    at_end = order >= c_end
+    cls = np.cumsum(~at_end) - ~at_end
+    run = np.cumsum(at_end) - at_end
+    edge = at_end.copy()
+    edge[1:] |= at_end[:-1]
+    l2len = np.empty(order.size)
+    l2len[~edge] = view.log2_mults[cls[~edge]]
+    te = np.flatnonzero(edge)
+    pos = cuts + [0]  # pos[-1] is 0, the start of piece 0
+    prev = np.append(-1, order[:-1])
+    l2len[te] = log2_ints(
+        list(map(sub, map(pos.__getitem__, order[te].tolist()), map(pos.__getitem__, prev[te].tolist())))
+    )
+    lx_p = lx[run]
+    e_p = eigs[cls]
+    hi, lo = np.maximum(lx_p, e_p), np.minimum(lx_p, e_p)
+    live = hi != NEG_INF
+    dist = np.append(l2len[live] + log2sub_arrays(hi[live], lo[live]), _log2_mass_past(view, end))
+
+    # pieces 0..t1-1 end at or before n1; piece t1 may start before it
+    n_run = bisect_right(ends, n1)
+    n_cls = bisect_right(bounds, n1, 1, c_end + 1) - 1
+    t1 = n_run + n_cls
+    prefix = (l2len[:t1] + lx_p[:t1]).tolist()
+    start = max(ends[n_run - 1] if n_run else 0, bounds[n_cls])
+    if t1 < order.size and start < n1:
+        prefix.append(log2_int(n1 - start) + lx[n_run])
     trpi_x = float(np.exp2(log2sumexp(prefix)))
     d_reduced = float(np.exp2(log2sumexp(dist)))
-    return trpi_x, d_reduced, float(np.max(x_runs[1]))
+    return trpi_x, d_reduced, float(np.max(lx))
 
 
 def verify_theorem_chain(

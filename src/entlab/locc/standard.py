@@ -89,8 +89,11 @@ class StandardizedProgram:
         us = [np.asarray(u) for u in self.bob_corrections]
         if any(u.shape != (fb, fb) for u in us):
             raise ValidationError("correction dimension mismatch")
-        us = np.stack(us)
-        _refuse_defect(us.conj().transpose(0, 2, 1) @ us - np.eye(fb), "correction not unitary")
+        # u^dagger u - 1 one correction at a time, as for the Gram above
+        for u in us:
+            defect = u.conj().T @ u
+            defect.flat[:: fb + 1] -= 1.0
+            _refuse_defect(defect, "correction not unitary")
 
     @property
     def full_dim_a(self) -> int:

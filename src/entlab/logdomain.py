@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 import sys
 from contextlib import contextmanager
+from itertools import compress
+from operator import rshift
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 NEG_INF = -math.inf
 
@@ -29,6 +30,25 @@ def log2_int(x: int) -> float:
         return math.log2(x)
     s = bl - 53
     return math.log2(x >> s) + s
+
+
+def log2_ints(xs) -> np.ndarray:
+    """log2_int of every nonnegative python int of xs, bit for bit, as an array.
+
+    Each nonzero int is shifted down to its top 53 bits, as log2_int
+    shifts it, math.log2 runs over the shifted ints in one map, and the
+    shifts are added as floats, the addition log2_int makes. Zeros give
+    -inf.
+    """
+    xs = xs if isinstance(xs, list) else list(xs)
+    bits = np.fromiter(map(int.bit_length, xs), np.int64, len(xs))
+    shift = np.maximum(bits - 53, 0)
+    live = bits > 0
+    if not live.all():
+        out = np.full(len(xs), NEG_INF)
+        out[live] = log2_ints(list(compress(xs, live.tolist())))
+        return out
+    return np.fromiter(map(math.log2, map(rshift, xs, shift.tolist())), float, len(xs)) + shift
 
 
 @contextmanager
@@ -73,6 +93,29 @@ def log2sub(a: float, b: float) -> float:
     return a + math.log2(-math.expm1(d * math.log(2.0)))
 
 
+def log2sub_arrays(a, b) -> np.ndarray:
+    """log2sub(a[i], b[i]) over two 1-D arrays, bit for bit; needs a >= b.
+
+    The differences and their products with log(2) are numpy's IEEE
+    arithmetic; math.expm1 and math.log2, the functions log2sub calls, run
+    in one map each, so no numpy transcendental changes a bit. A pair with
+    b = -inf gives a and one with a = b gives -inf, as log2sub does.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if (b > a).any():
+        raise ValueError("log2sub needs a >= b")
+    with np.errstate(invalid="ignore"):  # -inf - -inf
+        d = b - a
+    # pairs log2sub answers without a log: b = -inf, or a = b (d = 0 or nan)
+    direct = (b == NEG_INF) | ~(d < 0.0)
+    scaled = np.where(direct, -1.0, d) * math.log(2.0)
+    gaps = map(math.log2, map(float.__neg__, map(math.expm1, scaled.tolist())))
+    out = a + np.fromiter(gaps, float, a.size)
+    out[direct] = np.where(b == NEG_INF, a, NEG_INF)[direct]
+    return out
+
+
 def log2sumexp(values) -> float:
     """log2 of a sum of 2^v terms over a list or array; empty input gives -inf."""
     arr = np.asarray(values, dtype=float)
@@ -98,7 +141,7 @@ def log2sumexp_windows(values, starts, lengths) -> list:
     this). A length only one window has is summed as its 1-D slice, which
     costs no gather.
     """
-    arr = np.asarray(values, dtype=float)
+    arr = np.ascontiguousarray(values, dtype=float)
     first = np.asarray(starts, dtype=np.intp)
     size = np.asarray(lengths, dtype=np.intp)
     if first.ndim != 1 or first.shape != size.shape:
@@ -134,14 +177,17 @@ def log2sumexp_windows(values, starts, lengths) -> list:
             sums[i] = np.exp2(seg - m).sum()
             continue
         idx = order[g0:g1]
-        rows = sliding_window_view(arr, length)[first[idx]]
+        # every window of this length, as a strided view on arr; gathering
+        # its rows copies them into one C-contiguous array
+        windows = np.ndarray((arr.size - length + 1, length), float, arr, 0, (8, 8))
+        rows = windows[first[idx]]
         maxes[idx] = m = rows.max(axis=1)
         sums[idx] = np.exp2(rows - m[:, None]).sum(axis=1)
     # m + log2(1.0) is m + 0.0, so only sums other than 1.0 need a log,
-    # and it is math.log2, the log log2sumexp takes
+    # and it is math.log2, the log log2sumexp takes, mapped over them
     out = maxes + 0.0
     rest = np.flatnonzero(sums != 1.0)
-    out[rest] = [m + math.log2(s) for m, s in zip(maxes[rest].tolist(), sums[rest].tolist())]
+    out[rest] = maxes[rest] + np.fromiter(map(math.log2, sums[rest].tolist()), float, rest.size)
     return out.tolist()
 
 

@@ -23,6 +23,7 @@ from .logdomain import (
     NEG_INF,
     ceil_exp2,
     log2_int,
+    log2_ints,
     log2sumexp,
     log2sumexp_segments,
     log2sumexp_windows,
@@ -278,7 +279,7 @@ def tensor_power_spectrum(p: BaseSpectrum | np.ndarray, n: int) -> ClassSpectrum
                 sums = _summed_multinomials(n, ks, order, starts)
             exact = tuple(sums.tolist())
             # exact integers define the float log to the last ulp
-            mults = np.asarray([log2_int(c) for c in exact], dtype=float)
+            mults = log2_ints(exact)
         else:
             exact = None
             # the one scipy import: no other path needs it at start-up
@@ -716,6 +717,7 @@ class SortedSpectrumView:
             )
         self.counts = spec.exact_mults
         self.log2_eigs = spec.log2_eigs
+        self.log2_mults = spec.log2_mults
         self.log2_masses = spec.log2_masses
         self.prefix_log2_mass = np.concatenate(
             ([NEG_INF], np.logaddexp2.accumulate(spec.log2_masses))
@@ -739,11 +741,32 @@ class SortedSpectrumView:
             b.extend(itertools.islice(self._sums, c + 1 - len(b)))
         return b
 
+    @cached_property
+    def prefix_log2_dim(self) -> np.ndarray:
+        """Float log2 of every class boundary, entry 0 -inf: the accumulated
+        log2_mults, near the exact boundaries but not exact."""
+        return np.concatenate(([NEG_INF], np.logaddexp2.accumulate(self.log2_mults)))
+
     def class_at(self, pos: int) -> int:
-        """Index of the class holding position pos; num_classes once pos >= total_dim."""
+        """Index of the class holding position pos; num_classes once pos >= total_dim.
+
+        A position past the boundaries summed so far guesses its class from
+        prefix_log2_dim, low by a margin of four ulps of log2 pos per class,
+        wider than their accumulated roundoff, so the guess's boundary is at
+        most pos. One extend sums through the boundary after the guess, and
+        the answer is reached from there a class at a time: no boundary more
+        than one past the answer is summed. The guess is one class low or
+        exact unless classes narrower than that margin sit near pos.
+        """
         b = self.bounds(0)
-        while b[-1] <= pos and len(b) <= self.log2_eigs.size:
-            self.bounds(len(b))
+        nc = self.log2_eigs.size
+        if b[-1] <= pos and len(b) <= nc:
+            lp = log2_int(pos)
+            margin = (nc + 1) * (abs(lp) + 1.0) * 2.0**-50
+            guess = int(np.searchsorted(self.prefix_log2_dim, lp - margin, side="right")) - 1
+            self.bounds(guess + 1)
+            while b[-1] <= pos and len(b) <= nc:
+                self.bounds(len(b))
         return bisect_right(b, pos) - 1
 
     def count_eigs_at_least(self, log2_threshold: float) -> int:

@@ -41,6 +41,7 @@ from entlab.lab import commands
 from entlab.lab.commands import _fmt, probe_budget, residual_grid, write_spectrum_json
 from entlab.lab.config import _PARSERS
 from entlab.lab.spotcheck import read_certificate, residual_problems
+from entlab.logdomain import log2_int
 from entlab.locc import verify_theorem_chain
 from entlab.spectrum import BaseSpectrum, ExactPrefix, gaussian_quantile, tensor_power_spectrum
 from oracles import write_spectrum_json_by_dump
@@ -564,6 +565,24 @@ def test_held_spectra_hand_out_fresh_spectra(tmp_path, cleared_slot):
     commands._power_spectrum(BaseSpectrum(big.base_probs), 8, (8, 12))
     _, _, now = commands._held
     assert list(now) == [12, 8] and now[8] is not small
+
+
+@pytest.mark.parametrize(
+    "p, n",
+    [((0.75, 0.25), 4096), ((0.75, 0.25), 16384), ((0.5, 0.3, 0.2), 100), ((0.4, 0.3, 0.2, 0.1), 100)],
+)
+def test_log2_mults_are_the_log2_int_of_every_kept_multiplicity(p, n, cleared_slot):
+    # the block builder and the certificate read a whole class's log2
+    # length from log2_mults in place of log2_int of its exact count
+    fresh = tensor_power_spectrum(np.array(p), n)
+    held = commands._power_spectrum(BaseSpectrum(np.array(p)), n, (n,))
+    # a held spectrum keeps its multiplicities where the mass is (at d = 2
+    # under half of them), all of them when that is the whole spectrum
+    kept = getattr(held.exact_mults, "kept", held.exact_mults)
+    assert len(p) > 2 or len(kept) < held.num_classes / 2
+    for spec, counts in ((fresh, fresh.exact_mults), (held, kept)):
+        want = [log2_int(c) for c in counts]
+        assert spec.log2_mults[: len(counts)].tolist() == want, (p, n)
 
 
 def test_dilution_d2_grid_reads_only_kept_multiplicities(tmp_path, monkeypatch, cleared_slot):

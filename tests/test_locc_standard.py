@@ -247,6 +247,26 @@ def test_standardized_program_refusals():
         _program((eye,), (2.0 * eye,), ((0,),))
 
 
+def test_corrections_are_checked_one_at_a_time():
+    """K = 8 identity corrections on a 128-dim Bob block hold 2.1 MB; their
+    unitarity check takes them one at a time, with no stacked copy, and
+    peaks at under 1.5 times that."""
+    k, fb = 8, 128
+    corrections = tuple(np.eye(fb, dtype=complex) for _ in range(k))
+    alice = tuple(math.sqrt(1.0 / k) * np.eye(2, dtype=complex) for _ in range(k))
+    messages = tuple((i,) for i in range(k))
+    tracemalloc.start()
+    try:
+        StandardizedProgram(
+            dim_a=2, dim_b=fb, alice_ops=alice, message_bits=3, bob_corrections=corrections,
+            messages=messages, reg_dims_a=(2,), reg_dims_b=(fb,),
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * sum(u.nbytes for u in corrections), peak
+
+
 @pytest.mark.parametrize("defect, ok", [(0.9e-10, True), (1.1e-10, False)])
 def test_standardized_program_defect_thresholds(defect, ok):
     """sqrt(1 + x) I has Gram defect x: 1e-10 is the largest accepted,

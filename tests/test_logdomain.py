@@ -1,7 +1,8 @@
-"""The grouped log-sum-exp against the per-window one, bit for bit, and
-the numpy behaviour it relies on."""
+"""The grouped log-sum-exp and the array log2_int and log2sub against
+their per-item forms, bit for bit, and the numpy behaviour they rely on."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -11,6 +12,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from entlab.logdomain import (
     NEG_INF,
+    log2_int,
+    log2_ints,
+    log2sub,
+    log2sub_arrays,
     log2sumexp,
     log2sumexp_segments,
     log2sumexp_windows,
@@ -191,3 +196,32 @@ def test_segments_refuse_decreasing_starts():
     # np.maximum.reduceat gave wrong maxima for such starts, silently
     with pytest.raises(ValueError, match="length -2"):
         log2sumexp_segments([-1.0, -2.0, -3.0], [2, 0])
+
+
+def test_log2_ints_equal_log2_int_bit_for_bit():
+    # every bit length from 0 to 600 and past 2^1024, with the ints just
+    # below, at and above 2^53 where the shift starts
+    gen = random.Random(41)
+    xs = [0, 1, 2, 3, 2**53 - 1, 2**53, 2**53 + 1, 2**54 - 1, 3**5000, 0]
+    xs += [gen.getrandbits(b) for b in range(601) for _ in range(8)]
+    got = log2_ints(xs)
+    want = [log2_int(x) for x in xs]
+    assert got.tolist() == want
+    assert np.signbit(got).tolist() == np.signbit(want).tolist()
+    assert log2_ints([]).tolist() == [] and log2_ints(iter([0])).tolist() == [NEG_INF]
+
+
+def test_log2sub_arrays_equal_log2sub_bit_for_bit():
+    rng = np.random.default_rng(43)
+    a = rng.uniform(-1100.0, 10.0, 20_000)
+    # gaps from 1e-15 to 60 bits, so expm1's cancellation and its far
+    # tail both show, plus b = -inf, b = a and a = b = -inf
+    b = a - 10.0 ** rng.uniform(-15.0, np.log10(60.0), a.size)
+    b[::97] = NEG_INF
+    b[1::89] = a[1::89]
+    a[2::101] = b[2::101] = NEG_INF
+    got = log2sub_arrays(a, b).tolist()
+    assert got == [log2sub(x, y) for x, y in zip(a.tolist(), b.tolist())]
+    assert log2sub_arrays([], []).tolist() == []
+    with pytest.raises(ValueError, match="a >= b"):
+        log2sub_arrays([0.0, -1.0], [-1.0, 0.0])

@@ -523,6 +523,34 @@ def test_lazy_view_equals_the_eager_boundaries_in_any_query_order(p, n):
         assert view.total_dim == eager.total_dim and type(view.total_dim) is int
 
 
+@pytest.mark.parametrize("p,n", [*VIEW_ORACLE_CASES, ((0.4, 0.3, 0.2, 0.1), 100)])
+def test_class_at_sums_at_most_one_boundary_past_its_answer(p, n):
+    # on a fresh view the boundary list never holds an entry more than one
+    # past class_at's answer. At d = 2, inside the kept prefix of a
+    # 0.1-error dilution, where the commands query, the float guess is
+    # exact or one class low: one read, one extend and at most one step.
+    # Where classes are narrower than the floats' roundoff (near the end of
+    # a d = 2 spectrum, and among the d = 3 and 4 classes) it may step
+    # further
+    spec = tensor_power_spectrum(np.array(p), n)
+    eager = EagerSpectrumView(spec)
+    ncl = spec.num_classes
+    kept = eager.sig_dim(1.0 - 0.1 * 0.1 / 8.0)[0]
+    step = max(1, ncl // 150)
+    dims = {0, 1, kept - 1, kept, eager.total_dim - 1, eager.total_dim, 2 * eager.total_dim}
+    dims |= {eager.bounds[c] + s for c in range(0, ncl + 1, step) for s in (-1, 0, 1)}
+    for pos in sorted(d for d in dims if d >= 0):
+        view = SortedSpectrumView(spec)
+        calls = []
+        summing = view.bounds
+        view.bounds = lambda c: calls.append(c) or summing(c)
+        got = view.class_at(pos)
+        assert got == eager.class_at(pos), (p, n, pos)
+        summed = len(summing(0))
+        assert summed == min(got + 2, ncl + 1), (p, n, pos, summed)
+        assert len(p) > 2 or pos > kept or len(calls) <= 3, (p, n, pos, calls)
+
+
 def test_commands_sum_the_class_boundaries_only_as_far_as_they_reach():
     # the budget search, its certificate and the dimension window all stay
     # in the top of the spectrum: 4,323 of 16,386 boundaries at n = 16384
