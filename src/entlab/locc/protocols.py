@@ -216,8 +216,8 @@ def build_block_dilution(spec: ClassSpectrum, budget_c: int, eps_target: float =
         np.concatenate((mass.ravel()[flat], root.ravel()[flat])),
         np.concatenate((starts, starts + nflat)),
     )
-    block_log2_mass = np.array(sums[:nseg])
-    block_log2_root = np.array(sums[nseg:])
+    block_log2_mass = sums[:nseg]
+    block_log2_root = sums[nseg:]
     lm = log2_int(m)
     block_lx = block_log2_mass - lm - lt
 

@@ -126,8 +126,8 @@ def log2sumexp(values) -> float:
     return m + math.log2(float(np.exp2(arr - m).sum()))
 
 
-def log2sumexp_windows(values, starts, lengths) -> list:
-    """log2sumexp of every window values[s:s + l], bit for bit, grouped by length.
+def log2sumexp_windows(values, starts, lengths) -> np.ndarray:
+    """log2sumexp of every window values[s:s + l], bit for bit, grouped by length, as an array.
 
     Window i starts at starts[i] and holds lengths[i] terms; windows may
     overlap and come in any order. A window of length 0 gives -inf, like
@@ -139,7 +139,7 @@ def log2sumexp_windows(values, starts, lengths) -> list:
     elementwise, and numpy sums each row of a C-contiguous array with the
     pairwise loop it uses for a 1-D sum (tests/test_logdomain.py pins
     this). A length only one window has is summed as its 1-D slice, which
-    costs no gather.
+    costs no gather, and windows of one term are that term, with no sum.
     """
     arr = np.ascontiguousarray(values, dtype=float)
     first = np.asarray(starts, dtype=np.intp)
@@ -154,7 +154,7 @@ def log2sumexp_windows(values, starts, lengths) -> list:
             f"does not lie within the {arr.size} values"
         )
     if first.size == 0:
-        return []
+        return np.empty(0)
     live = arr != NEG_INF
     if not live.all():
         kept = np.concatenate(([0], np.cumsum(live)))
@@ -177,6 +177,10 @@ def log2sumexp_windows(values, starts, lengths) -> list:
             sums[i] = np.exp2(seg - m).sum()
             continue
         idx = order[g0:g1]
+        if length == 1:
+            # a lone term v gives v + log2(1.0), the bits out takes below
+            maxes[idx] = arr[first[idx]]
+            continue
         # every window of this length, as a strided view on arr; gathering
         # its rows copies them into one C-contiguous array
         windows = np.ndarray((arr.size - length + 1, length), float, arr, 0, (8, 8))
@@ -188,14 +192,15 @@ def log2sumexp_windows(values, starts, lengths) -> list:
     out = maxes + 0.0
     rest = np.flatnonzero(sums != 1.0)
     out[rest] = maxes[rest] + np.fromiter(map(math.log2, sums[rest].tolist()), float, rest.size)
-    return out.tolist()
+    return out
 
 
-def log2sumexp_segments(flat, starts) -> list:
+def log2sumexp_segments(flat, starts) -> np.ndarray:
     """log2sumexp_windows over the segments of flat that starts opens.
 
     Segment i is flat[starts[i]:starts[i + 1]] (the last one runs to the
-    end); decreasing starts raise ValueError, and no starts give [].
+    end); decreasing starts raise ValueError, and no starts give an empty
+    array.
     """
     first = np.asarray(starts, dtype=np.intp)
     return log2sumexp_windows(flat, first, np.diff(first, append=len(flat)))

@@ -36,6 +36,12 @@ LN2 = math.log(2.0)
 # counts compositions of n, before equal eigenvalues merge into classes
 EXACT_MULT_MAX_N = 20_000
 EXACT_MULT_MAX_CLASSES = 200_000
+# d >= 3 compositions are enumerated in blocks of whole k_1 runs of at
+# most this many rows (one run longer than this is a block of its own):
+# n <= 179 at d = 3 and n <= 44 at d = 4 stay one block, and summing a
+# block's exact multinomials (2.5 MB traced at d = 4, n = 100) stays below
+# the sort of all log2 eigenvalues, which sets the build's peak (4.4 MB)
+COMPOSITION_BLOCK_ROWS = 1 << 14
 # a held spectrum keeps exact multiplicities through the class where its
 # float prefix mass reaches 1 - HELD_TAIL_MASS (see exact_prefix)
 HELD_TAIL_MASS = 2.0**-50
@@ -99,21 +105,95 @@ def spectrum_stats(p: BaseSpectrum | np.ndarray) -> SpectrumStats:
     return SpectrumStats(entropy=e, alpha=alpha, beta=beta, degenerate=degenerate)
 
 
-def _compositions(n: int, d: int) -> np.ndarray:
-    """All (k_1..k_d) with sum n as the rows of an int32 array, lexicographic.
+def _next_parts(rem: np.ndarray):
+    """(owner, k): each row with rem r still to place becomes r + 1 rows,
+    rows of owner i taking the next coordinate k = 0..rem[i]."""
+    counts = rem + 1
+    owner = np.repeat(np.arange(rem.size), counts)
+    k = (np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]).astype(np.int32)
+    return owner, k
 
-    Built one coordinate at a time: a row with r still to place becomes
-    r + 1 rows whose next coordinate runs 0..r.
+
+def _compositions(n: int, d: int, k1s: range) -> np.ndarray:
+    """The (k_1..k_d) with sum n and k_1 in k1s, as int32 rows, lexicographic.
+
+    Built one coordinate at a time from the k_1 column (_next_parts).
     """
-    cols = []
-    rem = np.array([n], dtype=np.int32)
-    for _ in range(d - 1):
-        counts = rem + 1
-        owner = np.repeat(np.arange(rem.size), counts)
-        k = (np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]).astype(np.int32)
+    k = np.arange(k1s.start, k1s.stop, dtype=np.int32)
+    cols = [k]
+    rem = n - k
+    for _ in range(d - 2):
+        owner, k = _next_parts(rem)
         cols = [c[owner] for c in cols] + [k]
         rem = rem[owner] - k
     return np.stack(cols + [rem], axis=1)
+
+
+def _multinomials(n: int, d: int, k1s: range, pascal: np.ndarray, perm: np.ndarray):
+    """The exact multinomials of _compositions(n, d, k1s)[perm], as objects.
+
+    A row's is the product of C(r_i, k_i) over its first d - 1 coordinates,
+    r_i what is left of n before coordinate i, read from the Pascal table
+    pascal[r, k]. Products are formed one coordinate at a time, as the rows
+    are, so a prefix shared by many rows is multiplied once; perm reorders
+    the last coordinate's indices, so the products come out in its order.
+    """
+    k = np.arange(k1s.start, k1s.stop)
+    out = pascal[n, k]
+    rem = n - k
+    for level in range(d - 2):
+        owner, k = _next_parts(rem)
+        rem = rem[owner]
+        if level == d - 3:
+            owner, k, rem = owner[perm], k[perm], rem[perm]
+        out = out[owner] * pascal[rem, k]
+        rem -= k
+    return out
+
+
+def _k1_blocks(n: int, d: int):
+    """The compositions of n into d >= 3 parts in blocks of whole k_1 runs.
+
+    Yields (rows, k1s) in lexicographic order: the block holds the
+    compositions with k_1 in the range k1s, which are the slice rows of the
+    whole order. The run of k_1 has C(n - k_1 + d - 2, d - 2) rows; a
+    block takes runs while its rows stay within COMPOSITION_BLOCK_ROWS, and
+    at least one run.
+    """
+    lo = k1 = 0
+    while k1 <= n:
+        end, size = k1 + 1, math.comb(n - k1 + d - 2, d - 2)
+        while end <= n and size + math.comb(n - end + d - 2, d - 2) <= COMPOSITION_BLOCK_ROWS:
+            size += math.comb(n - end + d - 2, d - 2)
+            end += 1
+        yield slice(lo, lo + size), range(k1, end)
+        lo += size
+        k1 = end
+
+
+def _row_logs(n: int, d: int, logs: np.ndarray, with_mults: bool):
+    """log2 eigenvalue, and log2 multiplicity when with_mults, of every composition.
+
+    Rows follow the lexicographic order, one _k1_blocks block at a time;
+    a block's eigenvalues are its rows' float copy times logs, and its
+    multiplicities the gammaln form, so a row's bits do not depend on its
+    block. The multiplicities are None without with_mults.
+    """
+    size = math.comb(n + d - 1, d - 1)
+    eigs = np.empty(size)
+    mults = None
+    if with_mults:
+        # only the log-only paths import scipy: no other needs it at start-up
+        from scipy.special import gammaln
+
+        mults = np.empty(size)
+        top = gammaln(n + 1)
+    for rows, k1s in _k1_blocks(n, d):
+        block = _compositions(n, d, k1s)
+        eigs[rows] = block.astype(float) @ logs
+        if with_mults:
+            mults[rows] = (top - gammaln(block + 1).sum(axis=1)) / LN2
+    return eigs, mults
 
 
 def _binomials_exact(n: int) -> list[int]:
@@ -131,36 +211,28 @@ def _binomials_exact(n: int) -> list[int]:
     return half + half[(n - 1) // 2 :: -1]
 
 
-def _summed_multinomials(n: int, ks: np.ndarray, order: np.ndarray, starts: np.ndarray):
+def _summed_multinomials(n: int, d: int, cls: np.ndarray, num_classes: int):
     """Exact multiplicity of each merged class, as an object array of ints.
 
-    ks are the lexicographic compositions of n; the rows of class c are
-    order[starts[c]:starts[c + 1]], the last class running to the end.
-    Each k_1 owns one run of rows. The run's multinomials, products of
-    C(r_i, k_i) over the first d - 1 coordinates (r_i what is left of n
-    before coordinate i) read from one Pascal table, are added into their
-    classes before the next run is formed, so they are never all held at
-    once.
+    cls[i] is the class of composition i in lexicographic order. The
+    multinomials are formed one _k1_blocks block at a time from one Pascal
+    table (_multinomials), sorted by class and summed per class with
+    np.add.reduceat before the next block is formed, so they are never all
+    held at once and the rows themselves are never formed.
     """
-    first = np.zeros(order.size, dtype=bool)
-    first[starts] = True
-    cls = np.empty(order.size, dtype=np.intp)
-    cls[order] = np.cumsum(first) - 1
     pascal = np.zeros((n + 1, n + 1), dtype=object)
     pascal[:, 0] = 1
     for r in range(1, n + 1):
         pascal[r, 1:] = pascal[r - 1, 1:] + pascal[r - 1, :-1]
-    sums = np.zeros(starts.size, dtype=object)
-    bounds = np.searchsorted(ks[:, 0], np.arange(n + 2))
-    for k1 in range(n + 1):
-        lo, hi = int(bounds[k1]), int(bounds[k1 + 1])
-        block = ks[lo:hi]
-        rem = n - k1
-        out = np.full(hi - lo, pascal[n, k1], dtype=object)
-        for i in range(1, ks.shape[1] - 1):
-            out *= pascal[rem, block[:, i]]
-            rem = rem - block[:, i]
-        np.add.at(sums, cls[lo:hi], out)
+    sums = np.zeros(num_classes, dtype=object)
+    for rows, k1s in _k1_blocks(n, d):
+        ids = cls[rows]
+        # the sums are exact ints, so the order they are added in is free
+        # and the sort need not be stable
+        by_class = np.argsort(ids)
+        ids = ids[by_class]
+        heads = np.flatnonzero(np.append(True, ids[1:] != ids[:-1]))
+        sums[ids[heads]] += np.add.reduceat(_multinomials(n, d, k1s, pascal, by_class), heads)
     return sums
 
 
@@ -249,9 +321,12 @@ def tensor_power_spectrum(p: BaseSpectrum | np.ndarray, n: int) -> ClassSpectrum
     if n < 1:
         raise ValidationError("n must be >= 1")
     d = p.dim
-    n_classes = math.comb(n + d - 1, d - 1)
-    if n_classes > CLASS_CAP_DEFAULT:
-        raise CapExceededError(f"{n_classes} classes exceed the cap {CLASS_CAP_DEFAULT}")
+    n_rows = math.comb(n + d - 1, d - 1)
+    if n_rows > CLASS_CAP_DEFAULT:
+        raise CapExceededError(
+            f"{n_rows} compositions of n = {n} into d = {d} parts exceed "
+            f"CLASS_CAP_DEFAULT = {CLASS_CAP_DEFAULT}"
+        )
 
     if d == 1:
         eigs = np.array([0.0])
@@ -259,37 +334,43 @@ def tensor_power_spectrum(p: BaseSpectrum | np.ndarray, n: int) -> ClassSpectrum
         exact = (1,)
     else:
         logs = np.log2(p.probs)
+        keep_exact = n <= EXACT_MULT_MAX_N and n_rows <= EXACT_MULT_MAX_CLASSES
         if d == 2:
             ks = np.arange(n + 1)
             # base probs are sorted descending, so k = count of the smaller one
             eigs = (n - ks) * logs[0] + ks * logs[1]
         else:
-            ks = _compositions(n, d)
-            eigs = ks.astype(float) @ logs
+            eigs, row_mults = _row_logs(n, d, logs, not keep_exact)
         order = np.argsort(-eigs, kind="stable")
-        e = eigs[order]
-        starts = _class_starts(e)
-        eigs = e[starts]
-        if n <= EXACT_MULT_MAX_N and n_classes <= EXACT_MULT_MAX_CLASSES:
+        eigs = eigs[order]
+        starts = _class_starts(eigs)
+        eigs = eigs[starts]
+        if keep_exact:
             if d == 2:
                 # a one-row class keeps its binomial object, no copy
                 rows = np.array(_binomials_exact(n), dtype=object)[order]
                 sums = np.add.reduceat(rows, starts)
             else:
-                sums = _summed_multinomials(n, ks, order, starts)
+                # int32 class ids: the exact path stops at 200,000 rows
+                cls = np.empty(n_rows, dtype=np.int32)
+                cls[order] = np.repeat(
+                    np.arange(starts.size, dtype=np.int32), np.diff(starts, append=n_rows)
+                )
+                del order
+                sums = _summed_multinomials(n, d, cls, starts.size)
             exact = tuple(sums.tolist())
             # exact integers define the float log to the last ulp
             mults = log2_ints(exact)
         else:
             exact = None
-            # the one scipy import: no other path needs it at start-up
-            from scipy.special import gammaln
-
             if d == 2:
+                # only the log-only paths import scipy: no other needs it at start-up
+                from scipy.special import gammaln
+
                 row_mults = (gammaln(n + 1) - gammaln(ks + 1) - gammaln(n - ks + 1)) / LN2
-            else:
-                row_mults = (gammaln(n + 1) - gammaln(ks + 1).sum(axis=1)) / LN2
-            mults = np.array(log2sumexp_segments(row_mults[order], starts))
+            row_mults = row_mults[order]
+            del order
+            mults = log2sumexp_segments(row_mults, starts)
     masses = mults + eigs
     # classes are a partition, so the mass defect is pure float roundoff;
     # renormalizing in log domain keeps the unit-total invariant exact

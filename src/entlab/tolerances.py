@@ -16,7 +16,8 @@ RANK_REL_TOL = 1e-9
 # two classes whose log2-eigenvalues differ by less than this are merged
 CLASS_MERGE_BITS = 1e-12
 
-# composition enumeration refuses beyond this many classes
+# tensor_power_spectrum refuses beyond this many compositions C(n + d - 1, d - 1),
+# counted before equal eigenvalues merge into classes
 CLASS_CAP_DEFAULT = 50_000_000
 
 # dense simulation refuses beyond this total Hilbert dimension

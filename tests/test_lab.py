@@ -43,6 +43,7 @@ from entlab.lab.config import _PARSERS
 from entlab.lab.spotcheck import read_certificate, residual_problems
 from entlab.logdomain import log2_int
 from entlab.locc import verify_theorem_chain
+from entlab import spectrum as spectrum_module
 from entlab.spectrum import BaseSpectrum, ExactPrefix, gaussian_quantile, tensor_power_spectrum
 from oracles import write_spectrum_json_by_dump
 
@@ -985,6 +986,17 @@ def test_every_residual_row_rederives_with_endpoints_on_eigenvalues(tmp_path, n)
     assert residual_problems(config, [moved], lambda _: spec) == [
         f"residuals.csv row not re-derivable: {moved}"
     ]
+
+
+def test_composition_cap_names_compositions_n_d_and_the_cap(tmp_path, capsys, monkeypatch):
+    # the cap counts compositions before they merge into classes: C(22, 2)
+    # = 231 compositions of n = 20 into 3 parts, merged into 21 classes
+    monkeypatch.setattr(spectrum_module, "CLASS_CAP_DEFAULT", 230)
+    argv = ["communication", "--p", "0.5,0.25,0.25", "--n-grid", "20"]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == (
+        "error: 231 compositions of n = 20 into d = 3 parts exceed CLASS_CAP_DEFAULT = 230\n"
+    )
 
 
 def test_communication_past_exact_multiplicities_exits_3(tmp_path, capsys):

@@ -58,7 +58,7 @@ def _flatten(segments):
 def test_segments_equal_the_per_segment_log2sumexp(segments):
     flat, starts = _flatten(segments)
     want = [log2sumexp(seg) for seg in segments]
-    assert log2sumexp_segments(flat, starts) == want
+    assert log2sumexp_segments(flat, starts).tolist() == want
 
 
 def test_segment_lengths_across_the_sequential_sum_boundary():
@@ -68,11 +68,11 @@ def test_segment_lengths_across_the_sequential_sum_boundary():
         for size in list(range(1, 21)) * 30
     ]
     flat, starts = _flatten(segments)
-    assert log2sumexp_segments(flat, starts) == [log2sumexp(seg) for seg in segments]
-    assert log2sumexp_segments([], []) == []
+    assert log2sumexp_segments(flat, starts).tolist() == [log2sumexp(seg) for seg in segments]
+    assert log2sumexp_segments([], []).tolist() == []
     # one segment, short enough for the vector sum and too long for it
     for one in (segments[4], segments[12]):
-        assert log2sumexp_segments(one, [0]) == [log2sumexp(one)]
+        assert log2sumexp_segments(one, [0]).tolist() == [log2sumexp(one)]
 
 
 def test_numpy_sums_short_float64_arrays_left_to_right():
@@ -129,7 +129,7 @@ def test_windows_take_the_log_of_math_log2():
     apart = np.flatnonzero(np.log2(sums) != [math.log2(x) for x in sums.tolist()])
     assert apart.size  # the sample tells the two logs apart
     flat = windows[apart].ravel()
-    got = log2sumexp_windows(flat, 5 * np.arange(apart.size), np.full(apart.size, 5))
+    got = log2sumexp_windows(flat, 5 * np.arange(apart.size), np.full(apart.size, 5)).tolist()
     maxes = windows[apart].max(axis=1).tolist()
     assert got == [m + math.log2(x) for m, x in zip(maxes, sums[apart].tolist())]
     assert got != [m + float(np.log2(x)) for m, x in zip(maxes, sums[apart].tolist())]
@@ -169,17 +169,29 @@ def window_lists(draw):
 def test_windows_equal_the_per_window_log2sumexp(windows):
     values, starts, lengths = windows
     want = [log2sumexp(values[s : s + n]) for s, n in zip(starts, lengths)]
-    assert log2sumexp_windows(values, starts, lengths) == want
+    assert log2sumexp_windows(values, starts, lengths).tolist() == want
 
 
 def test_windows_of_length_zero_or_only_neg_inf_give_neg_inf():
     values = [NEG_INF, -1.0, NEG_INF, NEG_INF, -2.5, -0.5]
     starts, lengths = [0, 2, 0, 1, 5, 3, 6], [1, 2, 6, 4, 1, 0, 0]
-    got = log2sumexp_windows(values, starts, lengths)
+    got = log2sumexp_windows(values, starts, lengths).tolist()
     assert got == [log2sumexp(values[s : s + n]) for s, n in zip(starts, lengths)]
     assert got[:2] == got[-2:] == [NEG_INF, NEG_INF]
-    assert log2sumexp_windows([], [], []) == []
-    assert log2sumexp_windows([], [0], [0]) == [NEG_INF]
+    assert log2sumexp_windows([], [], []).tolist() == []
+    assert log2sumexp_windows([], [0], [0]).tolist() == [NEG_INF]
+
+
+def test_windows_of_one_term_are_that_term():
+    # one-term windows skip the sum; log2sumexp([v]) is v + log2(1.0), so
+    # -0.0 gives 0.0 and a lone -inf term gives -inf
+    values = [-0.0, -3.25, NEG_INF, -1e-300, -1074.5, -2.0]
+    starts = [0, 1, 2, 3, 4, 5, 1, 0]
+    lengths = [1, 1, 1, 1, 1, 1, 2, 0]
+    got = log2sumexp_windows(values, starts, lengths).tolist()
+    assert got == [log2sumexp(values[s : s + n]) for s, n in zip(starts, lengths)]
+    assert math.copysign(1.0, got[0]) == 1.0
+    assert got[:6] == [0.0, -3.25, NEG_INF, -1e-300, -1074.5, -2.0]
 
 
 @pytest.mark.parametrize(

@@ -183,18 +183,44 @@ def test_class_starts_follow_the_anchored_rule():
 
 
 def test_d4_build_stays_small_in_memory():
-    # the compositions are enumerated as arrays and their multinomials are
-    # summed one k_1-block at a time, never all held at once (peak 1.5 MB;
-    # 3.4 MB with one Python tuple per composition)
+    # the compositions are enumerated, and their multinomials summed into
+    # classes, one block of k_1 runs at a time, so no array of all
+    # compositions is held (peaks 1.8 MB at n = 50 and 4.4 MB at n = 100,
+    # where the sort of all log2 eigenvalues sets the peak; with one int32
+    # array of all compositions and its float copy, 1.4 MB and 10.2 MB)
     p = np.array([0.4, 0.3, 0.2, 0.1])
-    gc.collect()
-    tracemalloc.start()
-    try:
-        tensor_power_spectrum(p, 50)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2.5e6, peak
+    for n, limit in ((50, 2.5e6), (100, 7e6)):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            tensor_power_spectrum(p, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, (n, peak)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "log_only"])
+@pytest.mark.parametrize(
+    "p, n",
+    [((4 / 7, 2 / 7, 1 / 7), 30), ((0.4, 0.3, 0.2, 0.1), 14), ((0.3, 0.3, 0.2, 0.1, 0.1), 9)],
+)
+def test_composition_blocks_give_the_one_block_bits(p, n, exact, monkeypatch):
+    # blocks of whole k_1 runs: a row cap of 5 makes every run longer than
+    # that a block of its own and groups the short tail runs
+    if not exact:
+        monkeypatch.setattr(spectrum_module, "EXACT_MULT_MAX_CLASSES", 0)
+    monkeypatch.setattr(spectrum_module, "COMPOSITION_BLOCK_ROWS", 10**9)
+    one = tensor_power_spectrum(np.array(p), n)
+    monkeypatch.setattr(spectrum_module, "COMPOSITION_BLOCK_ROWS", 5)
+    blocks = list(spectrum_module._k1_blocks(n, len(p)))
+    assert len(blocks) > n // 2
+    assert blocks[-1][0].stop == math.comb(n + len(p) - 1, len(p) - 1)
+    many = tensor_power_spectrum(np.array(p), n)
+    assert (one.exact_mults is None) == (not exact)
+    assert many.exact_mults == one.exact_mults
+    for name in ("log2_eigs", "log2_mults", "log2_masses"):
+        assert getattr(many, name).tobytes() == getattr(one, name).tobytes(), name
 
 
 def test_spectrum_mass_normalization_large_n():
