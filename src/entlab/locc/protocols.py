@@ -21,7 +21,7 @@ from operator import ne, sub
 import numpy as np
 
 from ..errors import CapExceededError, ValidationError
-from ..logdomain import NEG_INF, log2_int, log2_ints, log2sumexp, log2sumexp_segments
+from ..logdomain import NEG_INF, log2_int, log2_ints, log2sumexp, log2sumexp_windows
 from ..spectrum import ClassSpectrum
 from ..tolerances import WEIGHTS_CAP
 
@@ -212,10 +212,9 @@ def build_block_dilution(spec: ClassSpectrum, budget_c: int, eps_target: float =
     opens = opens.ravel()[flat]
     starts = np.flatnonzero(opens)
     nflat, nseg = int(opens.size), int(starts.size)
-    sums = log2sumexp_segments(
-        np.concatenate((mass.ravel()[flat], root.ravel()[flat])),
-        np.concatenate((starts, starts + nflat)),
-    )
+    starts = np.concatenate((starts, starts + nflat))
+    terms = np.concatenate((mass.ravel()[flat], root.ravel()[flat]))
+    sums = log2sumexp_windows(terms, starts, np.diff(starts, append=terms.size))
     block_log2_mass = sums[:nseg]
     block_log2_root = sums[nseg:]
     lm = log2_int(m)

@@ -193,14 +193,3 @@ def log2sumexp_windows(values, starts, lengths) -> np.ndarray:
     rest = np.flatnonzero(sums != 1.0)
     out[rest] = maxes[rest] + np.fromiter(map(math.log2, sums[rest].tolist()), float, rest.size)
     return out
-
-
-def log2sumexp_segments(flat, starts) -> np.ndarray:
-    """log2sumexp_windows over the segments of flat that starts opens.
-
-    Segment i is flat[starts[i]:starts[i + 1]] (the last one runs to the
-    end); decreasing starts raise ValueError, and no starts give an empty
-    array.
-    """
-    first = np.asarray(starts, dtype=np.intp)
-    return log2sumexp_windows(flat, first, np.diff(first, append=len(flat)))

@@ -25,7 +25,6 @@ from .logdomain import (
     log2_int,
     log2_ints,
     log2sumexp,
-    log2sumexp_segments,
     log2sumexp_windows,
 )
 from .tolerances import CLASS_CAP_DEFAULT, CLASS_MERGE_BITS, PROFILE_SUM_TOL
@@ -129,23 +128,21 @@ def _compositions(n: int, d: int, k1s: range) -> np.ndarray:
     return np.stack(cols + [rem], axis=1)
 
 
-def _multinomials(n: int, d: int, k1s: range, pascal: np.ndarray, perm: np.ndarray):
-    """The exact multinomials of _compositions(n, d, k1s)[perm], as objects.
+def _multinomials(n: int, d: int, k1s: range, pascal: np.ndarray):
+    """The exact multinomials of _compositions(n, d, k1s), as objects.
 
     A row's is the product of C(r_i, k_i) over its first d - 1 coordinates,
     r_i what is left of n before coordinate i, read from the Pascal table
-    pascal[r, k]. Products are formed one coordinate at a time, as the rows
-    are, so a prefix shared by many rows is multiplied once; perm reorders
-    the last coordinate's indices, so the products come out in its order.
+    pascal[r, k]. Products are formed one coordinate at a time, in walk
+    order as the rows are, so a prefix shared by many rows is multiplied
+    once.
     """
     k = np.arange(k1s.start, k1s.stop)
     out = pascal[n, k]
     rem = n - k
-    for level in range(d - 2):
+    for _ in range(d - 2):
         owner, k = _next_parts(rem)
         rem = rem[owner]
-        if level == d - 3:
-            owner, k, rem = owner[perm], k[perm], rem[perm]
         out = out[owner] * pascal[rem, k]
         rem -= k
     return out
@@ -215,10 +212,10 @@ def _summed_multinomials(n: int, d: int, cls: np.ndarray, num_classes: int):
     """Exact multiplicity of each merged class, as an object array of ints.
 
     cls[i] is the class of composition i in lexicographic order. The
-    multinomials are formed one _k1_blocks block at a time from one Pascal
-    table (_multinomials), sorted by class and summed per class with
-    np.add.reduceat before the next block is formed, so they are never all
-    held at once and the rows themselves are never formed.
+    multinomials are formed in walk order, one _k1_blocks block at a time
+    from one Pascal table (_multinomials), gathered by class and summed per
+    class with np.add.reduceat before the next block is formed, so they are
+    never all held at once and the rows themselves are never formed.
     """
     pascal = np.zeros((n + 1, n + 1), dtype=object)
     pascal[:, 0] = 1
@@ -232,7 +229,7 @@ def _summed_multinomials(n: int, d: int, cls: np.ndarray, num_classes: int):
         by_class = np.argsort(ids)
         ids = ids[by_class]
         heads = np.flatnonzero(np.append(True, ids[1:] != ids[:-1]))
-        sums[ids[heads]] += np.add.reduceat(_multinomials(n, d, k1s, pascal, by_class), heads)
+        sums[ids[heads]] += np.add.reduceat(_multinomials(n, d, k1s, pascal)[by_class], heads)
     return sums
 
 
@@ -370,7 +367,7 @@ def tensor_power_spectrum(p: BaseSpectrum | np.ndarray, n: int) -> ClassSpectrum
                 row_mults = (gammaln(n + 1) - gammaln(ks + 1) - gammaln(n - ks + 1)) / LN2
             row_mults = row_mults[order]
             del order
-            mults = log2sumexp_segments(row_mults, starts)
+            mults = log2sumexp_windows(row_mults, starts, np.diff(starts, append=n_rows))
     masses = mults + eigs
     # classes are a partition, so the mass defect is pure float roundoff;
     # renormalizing in log domain keeps the unit-total invariant exact

@@ -17,7 +17,6 @@ from entlab.logdomain import (
     log2sub,
     log2sub_arrays,
     log2sumexp,
-    log2sumexp_segments,
     log2sumexp_windows,
 )
 
@@ -43,11 +42,12 @@ def segment_lists(draw):
 
 
 def _flatten(segments):
+    """The terms of segments end to end, with each segment's start and length."""
     flat, starts = [], []
     for seg in segments:
         starts.append(len(flat))
         flat.extend(seg)
-    return flat, starts
+    return flat, starts, np.diff(starts, append=len(flat))
 
 
 @given(segment_lists())
@@ -56,9 +56,9 @@ def _flatten(segments):
 @example([[-1100.0] * 7 + [0.0] + [-1100.0] * 12])
 @settings(max_examples=60, deadline=None)
 def test_segments_equal_the_per_segment_log2sumexp(segments):
-    flat, starts = _flatten(segments)
+    flat, starts, lengths = _flatten(segments)
     want = [log2sumexp(seg) for seg in segments]
-    assert log2sumexp_segments(flat, starts).tolist() == want
+    assert log2sumexp_windows(flat, starts, lengths).tolist() == want
 
 
 def test_segment_lengths_across_the_sequential_sum_boundary():
@@ -67,12 +67,13 @@ def test_segment_lengths_across_the_sequential_sum_boundary():
         (rng.uniform(-60.0, 0.0, size) * rng.uniform(0.0, 1.0)).tolist()
         for size in list(range(1, 21)) * 30
     ]
-    flat, starts = _flatten(segments)
-    assert log2sumexp_segments(flat, starts).tolist() == [log2sumexp(seg) for seg in segments]
-    assert log2sumexp_segments([], []).tolist() == []
+    flat, starts, lengths = _flatten(segments)
+    want = [log2sumexp(seg) for seg in segments]
+    assert log2sumexp_windows(flat, starts, lengths).tolist() == want
+    assert log2sumexp_windows(*_flatten([])).tolist() == []
     # one segment, short enough for the vector sum and too long for it
     for one in (segments[4], segments[12]):
-        assert log2sumexp_segments(one, [0]).tolist() == [log2sumexp(one)]
+        assert log2sumexp_windows(*_flatten([one])).tolist() == [log2sumexp(one)]
 
 
 def test_numpy_sums_short_float64_arrays_left_to_right():
@@ -206,8 +207,9 @@ def test_windows_outside_the_values_are_refused(start, length):
 
 def test_segments_refuse_decreasing_starts():
     # np.maximum.reduceat gave wrong maxima for such starts, silently
+    starts = [2, 0]
     with pytest.raises(ValueError, match="length -2"):
-        log2sumexp_segments([-1.0, -2.0, -3.0], [2, 0])
+        log2sumexp_windows([-1.0, -2.0, -3.0], starts, np.diff(starts, append=3))
 
 
 def test_log2_ints_equal_log2_int_bit_for_bit():

@@ -46,6 +46,7 @@ from oracles import (
     count_eigs_at_least_by_walk,
     enumerate_product_masses,
     mass_threshold_class_by_walk,
+    multinomial,
     norm_cdf,
 )
 
@@ -221,6 +222,15 @@ def test_composition_blocks_give_the_one_block_bits(p, n, exact, monkeypatch):
     assert many.exact_mults == one.exact_mults
     for name in ("log2_eigs", "log2_mults", "log2_masses"):
         assert getattr(many, name).tobytes() == getattr(one, name).tobytes(), name
+    if exact:
+        # each block's products pair with its rows in walk order
+        pascal = np.array(
+            [[math.comb(r, k) for k in range(n + 1)] for r in range(n + 1)], dtype=object
+        )
+        for _, k1s in blocks:
+            rows = spectrum_module._compositions(n, len(p), k1s)
+            got = spectrum_module._multinomials(n, len(p), k1s, pascal).tolist()
+            assert got == [multinomial(n, row.tolist()) for row in rows]
 
 
 def test_spectrum_mass_normalization_large_n():
