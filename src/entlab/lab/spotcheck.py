@@ -1,7 +1,8 @@
 """Self-test: the reduced pipeline plus CSV re-derivation.
 
 `spot_check_outputs` re-derives sampled rows of every CSV a config's
-commands wrote, through the operations that produced them. `run_selftest`
+commands wrote, and the run and certificate documents of the sampled
+c*(n), through the operations that produced them. `run_selftest`
 runs all four commands on a reduced grid into a temporary directory and
 spot-checks what they wrote. Hand values and randomized oracles live in the
 test suite.
@@ -18,7 +19,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..locc import concentrate
+from ..locc import concentrate, verify_theorem_chain
 from ..logdomain import exact_int_digits
 from ..sigsub import min_dilution_dimension
 from ..spectrum import BaseSpectrum, berry_esseen_residual, grid_windows, tensor_power_spectrum
@@ -120,14 +121,19 @@ def spot_check_outputs(config: ExperimentConfig) -> list:
     for row in _sample(rows, k=4):
         n, c_star = int(row[0]), int(row[1])
         spec = spec_of(n)
-        ok = probe_budget(spec, c_star, config.epsilon)[0]
-        if ok and c_star > 0:
-            ok = not probe_budget(spec, c_star - 1, config.epsilon)[0]
+        meets, _, outcomes, report = probe_budget(spec, c_star, config.epsilon)
+        ok = meets and (c_star == 0 or not probe_budget(spec, c_star - 1, config.epsilon)[0])
         if not (ok and _approx(spec.stats.alpha * math.sqrt(n), float(row[2]))):
             bad.append(f"communication.csv row not minimal or wrong: {row}")
         doc = read_certificate(config.out, n)
         if doc["c_star"] != c_star or not doc["consistent"]:
             bad.append(f"certificate at n={n} inconsistent with table")
+        elif meets:
+            cert = verify_theorem_chain(next(o for o in outcomes if o.good), spec, report)
+            redone = {"run": report.to_doc(), "certificate": cert.to_doc()}
+            with exact_int_digits():  # the documents' exact ints, as read_certificate reads them
+                if json.loads(json.dumps(redone)) != {k: doc[k] for k in redone}:
+                    bad.append(f"certificate at n={n} not re-derivable")
 
     path = os.path.join(config.out, "concentration.csv")
     _, rows = _read_csv(path)

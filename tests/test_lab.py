@@ -673,10 +673,10 @@ RECORDED_OUTPUTS = {
         "spectrum_n256.json": "81591c3e0c31c2d6ba9a27414a6fb4dcef031da2255208ede4eae060d8cfa536",
         "spectrum_n64.json": "b46bd47c9e7eb46ec0b8ccbab7471f5ad36f9a8e125e65d03ce9aadb64ae1137",
         "certificates/cert_n256.json": (
-            "e2a45440613699ce3599f38c9ecfb899c9e6d64e62b008db96d4d500dee5572d"
+            "f6e64b73828bb08612e72642dd38e3c13fe6e7d4218084ff7a79684dbc408cb9"
         ),
         "certificates/cert_n64.json": (
-            "4c42f868ed2abc828d34c45167ffd9630ea1d8bad6e3e8af59a66d53a061c7b1"
+            "b4278ade0468085b18515eaf6a5e5a45e4d5ab1ac9cdc67d410d7e5dd86f5c6c"
         ),
     },
     ((0.4, 0.3, 0.2, 0.1), (25,)): {
@@ -688,7 +688,7 @@ RECORDED_OUTPUTS = {
         "residuals.csv": "180d7c81b20d952e8a42b9d30666c0ccde2da1c38ef73f9e94dcd2f11b82a268",
         "spectrum_n25.json": "0805a6a9758fb2631348811fb2b2b9c42d7855fc7dc11437941423c86ef9e2ad",
         "certificates/cert_n25.json": (
-            "96058b8ea6ef0e0cc187e3a99aa57a961566171ab63f55d390eee73b7f486d8c"
+            "50b7379b7f8945129df2f44ccfedfaeb91bfe8b6e6768030852df218908424d6"
         ),
     },
     # n <= 8 at d = 3: every c* outcome is scored on its materialized weights
@@ -706,22 +706,22 @@ RECORDED_OUTPUTS = {
         "spectrum_n6.json": "616427ff456ebfd03688aaeea3bb1a1a3ada2cd343a1a5adae6c950dbb022560",
         "spectrum_n8.json": "18f44969e843808d31a4fe8f69bd12510d5ae86bfe5121a9677adab16fd96c23",
         "certificates/cert_n2.json": (
-            "4944319dcdfdc9dc095a38f2260f4ca8df58a06ea89ad6d3e09f76762a4a2ca9"
+            "212dfc17528c476f94fb4b7d2f827e17734c4db3c7f4c642a3cd9a7c9e991086"
         ),
         "certificates/cert_n3.json": (
-            "59bca37b469a674456ea903bada3f2e5b959b7c910c1347ea535273c3a6bf180"
+            "ad226dbeb68e10f5bc34391ed28bdd699de377abe44d510dc8bf223ef86aed35"
         ),
         "certificates/cert_n4.json": (
-            "0c0c87df022f1c671675535af782869d3779b4224e84efd21bc49c35fc050e33"
+            "eee4b0f74d2de4895360385f9ccede76c764914e817745b7926f01b25ea0439d"
         ),
         "certificates/cert_n5.json": (
-            "b1d9be0718ccace7afb5e3f8bc4aef9f5eea56ef117ae7b448c8ebac876917c4"
+            "aa92384a194d1bf43e8d52c0fb3697ae2ed9521bfe2aac6ea517407ea5dbcf10"
         ),
         "certificates/cert_n6.json": (
-            "9561dc4704af5bd1f4e8215e4dadc30e87aab9da58b56a6644f58104b59207c2"
+            "d3fdf4668681fbc7337068f64339b71919545a402b4728b9ff145219efd4d585"
         ),
         "certificates/cert_n8.json": (
-            "4ba76cd7d50cb36aec4f34482705bb295c2e96e4b07871b7f5ccaaac2491ab35"
+            "d3a50504dfa60450f9dfbe189e7b660b1d4736a9655329c078e7adc1b7ec425a"
         ),
     },
     # n <= 9 at d = 2: every c* outcome is scored on its materialized weights
@@ -738,19 +738,19 @@ RECORDED_OUTPUTS = {
         "spectrum_n6.json": "17d4b5a095ff40f73e285216f2d9315c300afccd4a4b8098c13d7c677d3b6ec9",
         "spectrum_n9.json": "d694d86e3a19d1bfe8b3cb15d741e685c888c082b193b516375c0a2b567419e3",
         "certificates/cert_n2.json": (
-            "e09582cab903f38661299d0ceba679181d4334d4f3c946a749853ae8c535d5b1"
+            "8391e4c75cfbc294163d327159b423c34e2f1389a0c5d73d3cf531e628d3d98b"
         ),
         "certificates/cert_n3.json": (
-            "81863426b317d8ce5c90de3902761d4f4dc8aabd8c4ce87bdd059f08cc5e1690"
+            "d35b2f0867a94cb843840c41b94f2ef808005d0fc20f1ff2e45c98da6ef83509"
         ),
         "certificates/cert_n5.json": (
-            "21609e33438383c2f8c10fd141850646a5cfada74ee95f7dd6e187802f853a4e"
+            "3076c4816d044d754789424f5f747eb7fa18069aee642cdd2f40b41b922c1ceb"
         ),
         "certificates/cert_n6.json": (
-            "97ee99d9ee988b9f0546d04d8592761664bdac6ba633849a82ecad874c8e861b"
+            "6b9f61de82b56f618da80907ce629dd3243e3fa29a2a91fd18754008d2abd985"
         ),
         "certificates/cert_n9.json": (
-            "5687c9cbba53dcc4bec286d82386447c0d2d8d373cd69031ed5f5dd4db7b8a3f"
+            "5d3f3ecd80da10eda32b7be558cda3b781c238ef7e2006214c26a14deb3d69d1"
         ),
     },
 }
@@ -909,9 +909,17 @@ def test_spot_check_names_each_corrupted_csv(tmp_path):
             writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
             writer.writeheader()
             writer.writerows(rows)
+    # one certificate field at the first n, one run field at the last
+    for n, part, key in ((8, "certificate", "trpi_x"), (16, "run", "epsilon")):
+        path = tmp_path / "o" / "certificates" / f"cert_n{n}.json"
+        doc = json.loads(path.read_text())
+        doc[part][key] += 0.5
+        path.write_text(json.dumps(doc))
     problems = spot_check_outputs(config)
     for name in ("residuals.csv", "inefficiency.csv", "communication.csv", "concentration.csv"):
         assert any(msg.startswith(name) for msg in problems), name
+    for n in (8, 16):
+        assert f"certificate at n={n} not re-derivable" in problems, n
 
 
 def test_communication_writes_exact_ints_past_the_str_digit_limit(tmp_path):
@@ -955,17 +963,52 @@ def test_run_report_and_certificate_docs_past_the_str_digit_limit(tmp_path):
     assert back["run"]["d"] == report.d and back["certificate"]["n1"] == cert.n1
 
 
-def test_theorem_chain_bound_past_the_double_range_is_inf_without_a_warning():
+def test_theorem_chain_bound_past_the_double_range_is_checked_without_a_warning():
     # at n = 17500 with every class kept, log2 of the bound n1 * ||x|| is
-    # past 1024: the bound is inf, written as null, and exp2 is not asked
+    # past 1024: the bound is compared in log2, and exp2 is not asked
     spec = tensor_power_spectrum(P_QUARTER, 17500)
     _, _, outcomes, report = probe_budget(spec, 10**6, 0.1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         cert = verify_theorem_chain(next(o for o in outcomes if o.good), spec, report)
+    assert cert.log2_n1 + cert.log2_x_norm > 1024
     assert cert.consistent and cert.trpi_x_bound_ok
-    assert cert.trpi_x_bound == math.inf
-    assert cert.to_doc()["trpi_x_bound"] is None
+
+
+# the certificate's keys: every quantity the chain computes on a
+# Schmidt-diagonal run, its verdicts, the two reference parameters and
+# the aggregate
+CERTIFICATE_KEYS = {
+    "n", "c", "s", "log2_d", "error", "log2_prob", "entropy", "alpha", "beta",
+    "n_threshold", "n_past_threshold", "n1", "log2_n1", "bound_n1_ok", "trp1_rho",
+    "trp1_quarter_ok", "trp1_delta_rho_ok", "margin_quarter_ok", "log2_x_norm",
+    "xnorm_pd_ok", "xnorm_cc_ok", "prob_qualifies", "trpi_x", "trpi_x_bound_ok",
+    "witness_lower", "d_reduced", "witness_ok", "dp_ok", "implied_c_plus_s",
+    "implied_ok", "log2_capture_const", "delta_rho", "delta_gamma", "consistent",
+}
+
+# the verdicts consistent() ands: eight always, the last two past n_threshold
+CORE_FLAGS = (
+    "prob_qualifies", "bound_n1_ok", "xnorm_pd_ok", "xnorm_cc_ok", "trpi_x_bound_ok",
+    "witness_ok", "dp_ok", "implied_ok", "trp1_quarter_ok", "margin_quarter_ok",
+)
+
+
+def test_certificate_publishes_the_computed_fields_and_ands_each_verdict():
+    # at n = 16384, ||x|| = 2^-13019.75 underflows a double; its log2 is
+    # what the certificate publishes
+    spec = tensor_power_spectrum(P_QUARTER, 16384)
+    c_star, outcomes, report = find_min_budget(spec, 16384, 0.1)
+    good = next(o for o in outcomes if o.good)
+    cert = verify_theorem_chain(good, spec, report)
+    assert c_star == 535 and cert.consistent and cert.n_past_threshold
+    assert set(cert.to_doc()) == CERTIFICATE_KEYS
+    assert math.isfinite(cert.log2_x_norm) and 2.0**cert.log2_x_norm == 0.0
+    assert cert.log2_x_norm == float(np.max(good.x_runs[1]))
+    for flag in CORE_FLAGS:
+        assert getattr(cert, flag) and not replace(cert, **{flag: False}).consistent, flag
+    flipped = replace(cert, trp1_delta_rho_ok=not cert.trp1_delta_rho_ok)
+    assert flipped.consistent
 
 
 @pytest.mark.parametrize("n", [4096, 16384])
