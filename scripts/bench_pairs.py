@@ -12,11 +12,13 @@ run_seconds on both sides. The parent runs from a `git archive` export of
 --parent in a temporary directory, so it uses the parent's own perfbench
 and BENCHMARK.json. Pair i (counted from 1) runs the parent first when i is
 odd and the change first when i is even, so a drift of the host over the
-session falls on both sides alike. After the pairs, one --trace 1 run per
-side and workload records every per-layer metric BENCHMARK.json declares
-(spectrum.tensor_power_spectrum.calls and useful_ratio among them). The
-file is rewritten after every run, so an interrupted script leaves the
-pairs it finished.
+session falls on both sides alike. After the pairs, TRACE_RUNS --trace 1
+runs per side and workload, alternating sides, record every per-layer
+metric BENCHMARK.json declares (spectrum.tensor_power_spectrum.calls and
+useful_ratio among them), written as each metric's median and its min and
+max over those runs, so a per-layer change can be told from run-to-run
+noise. The file is rewritten after every run, so an interrupted script
+leaves the pairs it finished.
 Uses the standard library only.
 """
 
@@ -36,6 +38,7 @@ import tempfile
 METRICS = ("run_cal", "peak_rss_mb", "setup_s")
 SEED = 1
 RUN_TIMEOUT_S = 600  # perfbench/run.py ends its own run within 180 s
+TRACE_RUNS = 3  # traced runs per side and workload
 
 
 def summarize(pairs: list) -> dict:
@@ -84,6 +87,16 @@ def pair_row(meta: dict, result: dict) -> dict:
 def traced_row(result: dict) -> dict:
     """Every per-layer metric of a --trace 1 run, rounded to 4 decimals."""
     return {name: round(m["value"], 4) for name, m in result["metrics"].items()}
+
+
+def traced_summary(rows: list) -> dict:
+    """Per per-layer metric of traced_row rows: the median, and the min and
+    max, over the runs."""
+    out = {}
+    for name in rows[0]:
+        xs = [row[name] for row in rows]
+        out[name] = {"median": round(statistics.median(xs), 4), "min": min(xs), "max": max(xs)}
+    return out
 
 
 def host(meta: dict) -> str:
@@ -152,10 +165,13 @@ def main() -> int:
                 entry["summary"] = summarize(entry["pairs"])
                 write()
                 print(f"{workload} pair {i}: " + json.dumps(entry["pairs"][-1]), flush=True)
-            for side in ("parent", "change"):
-                _, result = run_once(sides[side], workload, seconds, trace=1)
-                doc.setdefault("traced", {})[f"{workload}_{side}"] = traced_row(result)
-                write()
+            traced = {"parent": [], "change": []}
+            for i in range(1, TRACE_RUNS + 1):
+                for side in ("parent", "change") if i % 2 else ("change", "parent"):
+                    _, result = run_once(sides[side], workload, seconds, trace=1)
+                    traced[side].append(traced_row(result))
+                    doc.setdefault("traced", {})[f"{workload}_{side}"] = traced_summary(traced[side])
+                    write()
     return 0
 
 

@@ -14,7 +14,10 @@ lifted). Each build's runs and predicted error must equal
 tests/oracles.block_dilution_by_pieces, and the certificate's profile
 queries over its runs (at the certificate's projector, at 0 and past the
 runs) must equal tests/oracles.profile_queries_by_pieces, float for float.
-None of these bases or n is in the test suite. The script exits 1 on any
+The builds and queries run on the spectrum tensor_power_spectrum returns,
+which holds its exact boundaries through its mass cut; the oracles read
+every multiplicity, from a whole build of the same spectrum. None of these
+bases or n is in the test suite. The script exits 1 on any
 inequality or raise, and prints the case count, the failures and the wall
 time.
 """
@@ -33,6 +36,7 @@ from entlab import tensor_power_spectrum  # noqa: E402
 from entlab.lab.commands import find_min_budget  # noqa: E402
 from entlab.locc import protocols  # noqa: E402
 from entlab.locc.runner import _profile_queries  # noqa: E402
+from entlab.spectrum import _build_spectrum  # noqa: E402
 from oracles import block_dilution_by_pieces, profile_queries_by_pieces  # noqa: E402
 
 CASES = (
@@ -56,13 +60,14 @@ def merged_runs(runs):
     return tuple(zip(*merged))
 
 
-def check(spec, budget, eps):
-    """The failures of one build, as strings."""
+def check(spec, whole, budget, eps):
+    """The failures of one build of spec, as strings; the oracles read
+    whole, the same spectrum holding every exact boundary."""
     family, predicted = protocols.build_block_dilution(spec, budget, eps_target=eps)
     view = spec.view
     d1 = view.sig_dim(1.0 - eps * eps / 8.0)[0]
     runs, _, error = block_dilution_by_pieces(
-        spec.exact_mults, spec.log2_eigs, spec.log2_masses, d1, budget
+        tuple(whole.exact_mults), spec.log2_eigs, spec.log2_masses, d1, budget
     )
     where = f"p = {tuple(spec.base_probs.tolist())}, n = {spec.n}, eps = {eps}, c = {budget}"
     failures = []
@@ -73,7 +78,7 @@ def check(spec, budget, eps):
     cert_n1 = view.count_eigs_at_least(-spec.n * spec.stats.entropy)
     for n1 in (cert_n1, 0, sum(family.x_runs[0]) + 1):
         got = _profile_queries(family.x_runs, view, n1)
-        want = profile_queries_by_pieces(family.x_runs, spec, n1)
+        want = profile_queries_by_pieces(family.x_runs, whole, n1)
         if got != want:
             failures.append(f"{where}, n1 = {n1}: profile queries {got}, oracle {want}")
     return failures
@@ -86,6 +91,7 @@ def sweep():
     for p, ns in CASES:
         for n in ns:
             spec = tensor_power_spectrum(np.array(p), n)
+            whole = _build_spectrum(np.array(p), n, whole=True)
             for eps in EPSILONS:
                 try:
                     c_star = find_min_budget(spec, n, eps)[0]
@@ -93,7 +99,7 @@ def sweep():
                     budgets = {0, clamp, *(b for b in range(c_star - 2, c_star + 3) if b >= 0)}
                     for budget in sorted(budgets):
                         builds += 1
-                        failures += check(spec, budget, eps)
+                        failures += check(spec, whole, budget, eps)
                 except Exception as exc:  # noqa: BLE001 - a raising case is a failure
                     failures.append(f"p = {p}, n = {n}, eps = {eps}: raised {type(exc).__name__}: {exc}")
     return builds, failures

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from copy import copy
 from dataclasses import replace
 
 import numpy as np
@@ -30,7 +29,6 @@ from ..spectrum import (
     BaseSpectrum,
     ClassSpectrum,
     berry_esseen_grid,
-    exact_prefix,
     gaussian_quantile,
     spectrum_stats,
     tensor_power_spectrum,
@@ -158,32 +156,31 @@ def _held_ns(d: int, grid: tuple) -> set:
 def _power_spectrum(base: BaseSpectrum, n: int, grid: tuple) -> ClassSpectrum:
     """tensor_power_spectrum(base, n) for a command that walks grid.
 
-    The spectra of one grid are built once per process and held for every
-    command that walks the same base and grid; another base or grid frees
-    them all before anything is built. The first call on a grid builds its
-    largest n, so the costliest build peaks while nothing else is held.
-    The smaller n are held while their class counts fit (_held_ns) and
-    rebuilt on each call otherwise. A held spectrum keeps its exact
-    multiplicities only where the mass is (spectrum.exact_prefix): at d = 2
-    that is under half of them, so every spectrum of a grid held weighs
-    less than the one largest spectrum a command built in full. The caller
-    gets a fresh ClassSpectrum on the held arrays, with a prefix of its
-    own, so the view it sums and any multiplicities a query completes are
-    freed with it, not kept with the held spectrum.
+    The spectra of one grid are built once per process and held, as
+    tensor_power_spectrum returns them, for every command that walks the
+    same base and grid; another base or grid frees them all before anything
+    is built. The first call on a grid builds its largest n, so the
+    costliest build peaks while nothing else is held. The smaller n are held
+    while their class counts fit (_held_ns) and rebuilt on each call
+    otherwise. A spectrum holds its exact class boundaries, its one exact
+    representation, only through its mass cut (spectrum.ExactPrefix): at
+    d = 2 that is under half of them. The caller gets a fresh ClassSpectrum
+    on the held arrays and boundaries, so its view, and any boundaries a
+    query completes past the cut, are freed with it and not kept with the
+    held spectrum.
     """
     global _held
     key = (tuple(base.probs.tolist()), tuple(grid))
     if _held is None or _held[0] != key:
         _held = None  # free the last grid's spectra before building
-        largest = exact_prefix(tensor_power_spectrum(base, grid[-1]))
+        largest = tensor_power_spectrum(base, grid[-1])
         _held = (key, _held_ns(base.dim, grid), {grid[-1]: largest})
     _, held_ns, held = _held
     if n not in held_ns:
         return tensor_power_spectrum(base, n)
     if n not in held:
-        held[n] = exact_prefix(tensor_power_spectrum(base, n))
-    spec = held[n]
-    return replace(spec, exact_mults=copy(spec.exact_mults))
+        held[n] = tensor_power_spectrum(base, n)
+    return replace(held[n])
 
 
 def residual_grid(cells: int):

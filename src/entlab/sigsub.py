@@ -49,7 +49,7 @@ def _sig_from_sorted_probs(probs: np.ndarray, delta: float) -> SigQueryResult:
 def _sig_from_class_spectrum(spec: ClassSpectrum, delta: float) -> SigQueryResult:
     if delta > 1.0 + 1e-9:
         raise ValidationError(f"delta {delta} exceeds total mass")
-    if spec.exact_mults is not None:
+    if spec.exact_bounds is not None:
         dim, ach, take_exact = spec.view.sig_dim(delta)
         return SigQueryResult(
             delta=delta,

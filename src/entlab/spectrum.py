@@ -13,8 +13,9 @@ import itertools
 import math
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
+from operator import sub
 
 import numpy as np
 
@@ -41,9 +42,12 @@ EXACT_MULT_MAX_CLASSES = 200_000
 # block's exact multinomials (2.5 MB traced at d = 4, n = 100) stays below
 # the sort of all log2 eigenvalues, which sets the build's peak (4.4 MB)
 COMPOSITION_BLOCK_ROWS = 1 << 14
-# a held spectrum keeps exact multiplicities through the class where its
-# float prefix mass reaches 1 - HELD_TAIL_MASS (see exact_prefix)
-HELD_TAIL_MASS = 2.0**-50
+# a spectrum holds its exact class boundaries through its last class of
+# float mass at least HELD_TAIL_MASS: a later class adds under half an ulp
+# to a prefix mass past 1/2, so no prefix-mass query stops beyond it. The
+# d = 2 build streams them to 2^STREAM_TAIL_BITS, a margin for renormalizing
+HELD_TAIL_MASS = 2.0**-54
+STREAM_TAIL_BITS = -60.0
 
 
 @dataclass(frozen=True)
@@ -193,19 +197,38 @@ def _row_logs(n: int, d: int, logs: np.ndarray, with_mults: bool):
     return eigs, mults
 
 
-def _binomials_exact(n: int) -> list[int]:
-    """The row C(n, 0..n) of exact ints, n >= 1.
+def _binomial_classes(n: int, starts: np.ndarray, eigs: np.ndarray, whole: bool):
+    """(boundaries, log2 multiplicities) of the d = 2 classes, in one pass.
 
-    The row is symmetric, so only C(n, k) for k <= n/2 is computed, by the
-    multiplicative recurrence; the same int object then sits at k and at
-    n - k.
+    At d = 2 the eigenvalues fall with k, so class c holds C(n, k) for k
+    in [starts[c], starts[c + 1]). The row is formed by the multiplicative
+    recurrence, and each class's count is taken log2_int of as it is formed.
+    Boundaries are appended until, past the mode, a class's mass falls
+    below 2^STREAM_TAIL_BITS, or to the end when whole. When no classes
+    merge, the row stops there or at n/2 if later, and the remaining log2
+    multiplicities mirror the first ones: C(n, k) = C(n, n - k).
     """
-    half = [1]
-    c = 1
-    for k in range(n // 2):
-        c = c * (n - k) // (k + 1)
-        half.append(c)
-    return half + half[(n - 1) // 2 :: -1]
+    merged = starts.size <= n
+    ends = np.append(starts[1:], n + 1).tolist()
+    mults, bounds, c = [], [0], 1
+    grow, seen = True, False
+    for lo, hi, e in zip(starts.tolist(), ends, eigs.tolist()):
+        if not (grow or merged or lo <= n // 2):
+            mults += mults[n - lo :: -1]
+            break
+        s = c
+        c = c * (n - lo) // (lo + 1)
+        if hi > lo + 1:
+            for k in range(lo + 1, hi):
+                s += c
+                c = c * (n - k) // (k + 1)
+        mults.append(log2_int(s))
+        if grow:
+            bounds.append(bounds[-1] + s)
+            heavy = mults[-1] + e >= STREAM_TAIL_BITS
+            seen |= heavy
+            grow = whole or heavy or not seen
+    return bounds, np.array(mults)
 
 
 def _summed_multinomials(n: int, d: int, cls: np.ndarray, num_classes: int):
@@ -259,10 +282,14 @@ def _class_starts(e: np.ndarray) -> np.ndarray:
 class ClassSpectrum:
     """Merged multiplicity classes of a tensor power, sorted by descending eigenvalue.
 
-    log2_masses[i] = log2_mults[i] + log2_eigs[i], every entry finite; the
-    exact_mults sequence of ints is present when big-int multiplicities were
-    affordable (see module constants). tensor_power_spectrum gives a tuple;
-    a held spectrum may carry an ExactPrefix, which reads the same.
+    log2_masses[i] = log2_mults[i] + log2_eigs[i], every entry finite. The
+    one exact representation is exact_bounds, the class boundaries B_0 = 0,
+    B_1, ..., B_num_classes as big ints, present when they are affordable
+    (see module constants). It is an ExactPrefix: tensor_power_spectrum
+    holds the boundaries only through its last class of float mass at least
+    HELD_TAIL_MASS, and they complete on demand past it; any other sequence
+    given is held whole. exact_mults reads the multiplicities as their
+    neighbouring differences.
     """
 
     n: int
@@ -270,7 +297,7 @@ class ClassSpectrum:
     log2_eigs: np.ndarray
     log2_mults: np.ndarray
     log2_masses: np.ndarray
-    exact_mults: Sequence | None = None
+    exact_bounds: Sequence | None = None
 
     def __post_init__(self):
         for name in ("base_probs", "log2_eigs", "log2_mults", "log2_masses"):
@@ -293,12 +320,20 @@ class ClassSpectrum:
         gap = np.abs(self.log2_masses - (self.log2_mults + self.log2_eigs))
         if gap.size and gap.max() > 1e-10 * np.maximum(1.0, np.abs(self.log2_masses)).max():
             raise ValidationError("mass != mult * eig in some class")
-        if self.exact_mults is not None and len(self.exact_mults) != self.log2_eigs.size:
-            raise ValidationError("exact_mults length mismatch")
+        b = self.exact_bounds
+        if b is not None and len(b) != self.log2_eigs.size + 1:
+            raise ValidationError("exact_bounds length mismatch")
+        if b is not None and not isinstance(b, ExactPrefix):
+            object.__setattr__(self, "exact_bounds", ExactPrefix(list(b), len(b)))
 
     @property
     def num_classes(self) -> int:
         return int(self.log2_eigs.size)
+
+    @property
+    def exact_mults(self) -> Sequence | None:
+        """The exact multiplicities, read in place from exact_bounds; None without them."""
+        return None if self.exact_bounds is None else _Differences(self.exact_bounds)
 
     @cached_property
     def stats(self) -> SpectrumStats:
@@ -312,7 +347,13 @@ class ClassSpectrum:
 
 
 def tensor_power_spectrum(p: BaseSpectrum | np.ndarray, n: int) -> ClassSpectrum:
-    """Exact class spectrum of the n-fold tensor power of diag(p)."""
+    """Exact class spectrum of the n-fold tensor power of diag(p), its exact
+    class boundaries held only through its mass cut (ExactPrefix)."""
+    return _build_spectrum(p, n, whole=False)
+
+
+def _build_spectrum(p: BaseSpectrum | np.ndarray, n: int, whole: bool) -> ClassSpectrum:
+    """tensor_power_spectrum, holding every exact boundary when whole."""
     if not isinstance(p, BaseSpectrum):
         p = BaseSpectrum(p)
     if n < 1:
@@ -328,38 +369,40 @@ def tensor_power_spectrum(p: BaseSpectrum | np.ndarray, n: int) -> ClassSpectrum
     if d == 1:
         eigs = np.array([0.0])
         mults = np.array([0.0])
-        exact = (1,)
+        bounds = [0, 1]
     else:
         logs = np.log2(p.probs)
         keep_exact = n <= EXACT_MULT_MAX_N and n_rows <= EXACT_MULT_MAX_CLASSES
         if d == 2:
-            ks = np.arange(n + 1)
-            # base probs are sorted descending, so k = count of the smaller one
+            # base probs are sorted descending, so k = count of the smaller
+            # one, and the eigenvalues fall with k: k is the sorted order
+            ks = order = np.arange(n + 1)
             eigs = (n - ks) * logs[0] + ks * logs[1]
         else:
             eigs, row_mults = _row_logs(n, d, logs, not keep_exact)
-        order = np.argsort(-eigs, kind="stable")
-        eigs = eigs[order]
+            order = np.argsort(-eigs, kind="stable")
+            eigs = eigs[order]
         starts = _class_starts(eigs)
         eigs = eigs[starts]
-        if keep_exact:
-            if d == 2:
-                # a one-row class keeps its binomial object, no copy
-                rows = np.array(_binomials_exact(n), dtype=object)[order]
-                sums = np.add.reduceat(rows, starts)
-            else:
-                # int32 class ids: the exact path stops at 200,000 rows
-                cls = np.empty(n_rows, dtype=np.int32)
-                cls[order] = np.repeat(
-                    np.arange(starts.size, dtype=np.int32), np.diff(starts, append=n_rows)
-                )
-                del order
-                sums = _summed_multinomials(n, d, cls, starts.size)
-            exact = tuple(sums.tolist())
+        if keep_exact and d == 2:
+            bounds, mults = _binomial_classes(n, starts, eigs, whole)
+        elif keep_exact:
+            # int32 class ids: the exact path stops at 200,000 rows
+            cls = np.empty(n_rows, dtype=np.int32)
+            cls[order] = np.repeat(
+                np.arange(starts.size, dtype=np.int32), np.diff(starts, append=n_rows)
+            )
+            del order
+            bounds = _summed_multinomials(n, d, cls, starts.size).tolist()
             # exact integers define the float log to the last ulp
-            mults = log2_ints(exact)
+            mults = log2_ints(bounds)
+            # the counts become boundaries in place, each count released as
+            # its boundary replaces it
+            bounds.insert(0, 0)
+            for i in range(2, len(bounds)):
+                bounds[i] += bounds[i - 1]
         else:
-            exact = None
+            bounds = None
             if d == 2:
                 # only the log-only paths import scipy: no other needs it at start-up
                 from scipy.special import gammaln
@@ -373,73 +416,82 @@ def tensor_power_spectrum(p: BaseSpectrum | np.ndarray, n: int) -> ClassSpectrum
     # renormalizing in log domain keeps the unit-total invariant exact
     total = log2sumexp(masses)
     masses = masses - total
+    if bounds is not None:
+        if not whole:
+            del bounds[np.flatnonzero(np.exp2(masses) >= HELD_TAIL_MASS)[-1] + 2 :]
+        bounds = ExactPrefix(
+            bounds, eigs.size + 1, lambda: _build_spectrum(p, n, whole=True).exact_bounds.kept
+        )
     return ClassSpectrum(
         n=n,
         base_probs=p.probs,
         log2_eigs=eigs,
         log2_mults=mults,
         log2_masses=masses,
-        exact_mults=exact,
+        exact_bounds=bounds,
     )
 
 
 class ExactPrefix(Sequence):
-    """The exact multiplicities of a spectrum, held as a prefix that completes on demand.
+    """The exact class boundaries B_0 = 0, B_{c + 1} = B_c + the multiplicity
+    of class c, held through the spectrum's mass cut; len is the class
+    count plus one.
 
-    `kept` holds the multiplicities of the first classes; len is the
-    spectrum's class count. Reading an index past `kept`, or iterating past
-    it, rebuilds the spectrum with tensor_power_spectrum(base, n) once and
-    keeps all of its multiplicities, so every read gives the int a fresh
-    spectrum holds. copy.copy gives a prefix of its own on the same `kept`
-    tuple, so a completion stays with the copy that made it.
+    `kept`, a list, holds them through the end of the last class whose
+    float mass is at least HELD_TAIL_MASS, or all of them. A read inside
+    `kept`, a slice too, comes from it. complete() rebuilds every boundary
+    with rebuild() and returns them without keeping them, so a held
+    spectrum never grows; a read past `kept` takes it, once per read (an
+    iteration once).
     """
 
-    def __init__(self, kept: tuple, base: np.ndarray, n: int, size: int):
-        self.kept = kept
-        self._base = base
-        self._n = n
-        self._size = size
+    def __init__(self, kept: list, size: int, rebuild=None):
+        self.kept, self._size, self._rebuild = kept, size, rebuild
 
     def __len__(self) -> int:
         return self._size
 
     def __getitem__(self, i):
+        r = range(self._size)[i]
         kept = self.kept
-        if not isinstance(i, slice) and 0 <= i < len(kept):
-            return kept[i]
-        return self._complete()[i]
+        if isinstance(r, int):
+            return kept[r] if r < len(kept) else self.complete()[r]
+        src = kept if not r or max(r[0], r[-1]) < len(kept) else self.complete()
+        return [src[j] for j in r]
 
     def __iter__(self):
-        kept = self.kept
-        yield from kept
-        if len(kept) < self._size:
-            yield from itertools.islice(self._complete(), len(kept), None)
+        return itertools.chain(self.kept, self._past_kept())
 
-    def _complete(self) -> tuple:
-        if len(self.kept) < self._size:
-            self.kept = tensor_power_spectrum(self._base, self._n).exact_mults
-        return self.kept
+    def _past_kept(self):
+        yield from itertools.islice(self.complete(), len(self.kept), None)
+
+    def complete(self) -> list:
+        """Every boundary: `kept` when it holds them all, else a fresh list."""
+        return self.kept if len(self.kept) == self._size else self._rebuild()
 
 
-def exact_prefix(spec: ClassSpectrum) -> ClassSpectrum:
-    """spec with its exact multiplicities kept only where the mass is.
+class _Differences(Sequence):
+    """The neighbouring differences b[i + 1] - b[i] of a sequence b, read in place."""
 
-    The multiplicities are kept through the first class where the float
-    prefix mass (mass_threshold_class's cumsum) reaches 1 - HELD_TAIL_MASS,
-    in an ExactPrefix that rebuilds the rest when a read passes them; sig_dim
-    at any delta <= 1 stops at or before that class. A spectrum whose
-    multiplicities are not a tuple (none, or a prefix already), or whose
-    prefix mass reaches that only at its last class or never, is returned
-    as it is.
-    """
-    exact = spec.exact_mults
-    if not isinstance(exact, tuple):
-        return spec
-    hit = np.flatnonzero(_prefix_masses(spec.log2_masses) >= 1.0 - HELD_TAIL_MASS)
-    keep = int(hit[0]) + 1 if hit.size else len(exact)
-    if keep >= len(exact):
-        return spec
-    return replace(spec, exact_mults=ExactPrefix(exact[:keep], spec.base_probs, spec.n, len(exact)))
+    def __init__(self, b: Sequence):
+        self._b = b
+
+    def __len__(self) -> int:
+        return len(self._b) - 1
+
+    def __getitem__(self, i):
+        r = range(len(self))[i]
+        if isinstance(r, int):
+            return self[r : r + 1][0]
+        if r.step != 1:
+            return tuple(self[j] for j in r)
+        b = self._b[r.start : r.stop + 1]
+        return tuple(map(sub, b[1:], b[:-1]))
+
+    def __iter__(self):
+        lo, hi = itertools.tee(self._b)
+        next(hi, None)
+        return map(sub, hi, lo)
 
 
 def _class_slices(asc: np.ndarray, a, b):
@@ -760,22 +812,16 @@ class SortedSpectrumView:
     """Big-int position calculus over a sorted class spectrum.
 
     Exposes the spectrum as one long nonincreasing eigenvalue sequence:
-    class c occupies positions [bounds(c)[c], bounds(c + 1)[c + 1]).
-    Requires exact multiplicities; positions at n = 4096 are 3000-bit
-    integers.
+    class c occupies positions [B_c, B_{c + 1}) of the spectrum's exact
+    boundaries. Requires them; positions at n = 4096 are 3000-bit integers.
 
-    The class boundaries are the running sums of the exact multiplicities,
-    taken from one itertools.accumulate and summed only as far as a query
-    reaches: every query stays in the top of the spectrum, where the mass
-    is, so at n = 16384 the commands sum about a quarter of them. A query
-    finds the end of the spectrum as the last boundary, summed only when
-    the query reaches it. total_dim is the sum of every multiplicity, with
-    no list behind it, taken on first use: no query needs it.
-
-    The counts are read in order, so they may be an ExactPrefix (a held
-    spectrum's): its kept classes are the top of the spectrum, and a query
-    that reads past them completes the counts first, so every answer is the
-    one a freshly built spectrum gives.
+    The view reads the boundaries the spectrum holds, through its mass cut
+    (ExactPrefix), in place. Every query the commands make stays there, in
+    the top of the spectrum: at d = 2, n = 16384 about a quarter of the
+    classes. A query past them (the end of the spectrum, a count below its
+    smallest eigenvalues) completes every boundary into a list of the
+    view's own, so the spectrum never grows and every answer is a whole
+    build's.
 
     A spectrum has one view, `ClassSpectrum.view`, built on first use and
     shared by block dilution, the runner's target reader, the certificate
@@ -785,7 +831,7 @@ class SortedSpectrumView:
     """
 
     def __init__(self, spec: ClassSpectrum):
-        if spec.exact_mults is None:
+        if spec.exact_bounds is None:
             d = len(spec.base_probs)
             compositions = math.comb(spec.n + d - 1, d - 1)
             raise CapExceededError(
@@ -793,58 +839,35 @@ class SortedSpectrumView:
                 f"n <= {EXACT_MULT_MAX_N} and at most {EXACT_MULT_MAX_CLASSES} compositions; "
                 f"this spectrum has n = {spec.n} and {compositions} compositions"
             )
-        self.counts = spec.exact_mults
+        self._held = spec.exact_bounds
+        self._bounds = self._held.kept
         self.log2_eigs = spec.log2_eigs
         self.log2_mults = spec.log2_mults
         self.log2_masses = spec.log2_masses
         self.prefix_log2_mass = np.concatenate(
             ([NEG_INF], np.logaddexp2.accumulate(spec.log2_masses))
         )
-        self._sums = itertools.accumulate(self.counts, initial=0)
-        self._bounds = []
-
-    @cached_property
-    def total_dim(self) -> int:
-        return sum(self.counts)
 
     def bounds(self, c: int) -> list:
-        """The class boundaries summed so far, extended first through entry c.
+        """The exact class boundaries, a list that holds entry c.
 
-        Entry i is the first position of class i; entry num_classes is
-        total_dim, and c past it sums every boundary. The list is the
-        view's own, so callers only read it.
+        Entry i is the first position of class i, and entry num_classes
+        the total dimension; c past it gives every boundary. The list is
+        the spectrum's held one while c stays inside it, and otherwise
+        every boundary, completed once into the view's own list; callers
+        only read it.
         """
         b = self._bounds
-        if len(b) <= c:
-            b.extend(itertools.islice(self._sums, c + 1 - len(b)))
+        if len(b) <= c and len(b) < len(self._held):
+            b = self._bounds = self._held.complete()
         return b
 
-    @cached_property
-    def prefix_log2_dim(self) -> np.ndarray:
-        """Float log2 of every class boundary, entry 0 -inf: the accumulated
-        log2_mults, near the exact boundaries but not exact."""
-        return np.concatenate(([NEG_INF], np.logaddexp2.accumulate(self.log2_mults)))
-
     def class_at(self, pos: int) -> int:
-        """Index of the class holding position pos; num_classes once pos >= total_dim.
-
-        A position past the boundaries summed so far guesses its class from
-        prefix_log2_dim, low by a margin of four ulps of log2 pos per class,
-        wider than their accumulated roundoff, so the guess's boundary is at
-        most pos. One extend sums through the boundary after the guess, and
-        the answer is reached from there a class at a time: no boundary more
-        than one past the answer is summed. The guess is one class low or
-        exact unless classes narrower than that margin sit near pos.
-        """
+        """Index of the class holding position pos; num_classes once pos
+        reaches the total dimension."""
         b = self.bounds(0)
-        nc = self.log2_eigs.size
-        if b[-1] <= pos and len(b) <= nc:
-            lp = log2_int(pos)
-            margin = (nc + 1) * (abs(lp) + 1.0) * 2.0**-50
-            guess = int(np.searchsorted(self.prefix_log2_dim, lp - margin, side="right")) - 1
-            self.bounds(guess + 1)
-            while b[-1] <= pos and len(b) <= nc:
-                self.bounds(len(b))
+        if b[-1] <= pos:
+            b = self.bounds(len(b))
         return bisect_right(b, pos) - 1
 
     def count_eigs_at_least(self, log2_threshold: float) -> int:
@@ -882,11 +905,11 @@ class SortedSpectrumView:
         if delta > 1.0 + 1e-9:
             raise ValidationError("delta exceeds total mass")
         c, acc, lcount = mass_threshold_class(self.log2_masses, self.log2_eigs, delta)
-        dim = self.bounds(c)[c]
         if lcount == NEG_INF:
-            # delta reached on a class boundary, or (within 1e-9 of 1) never
-            return dim, acc, True
+            # delta (within 1e-9 of 1) is never reached: every position
+            return self.bounds(c)[c], acc, True
+        b = self.bounds(c + 1)
         e = self.log2_eigs[c]
-        pc = max(1, min(self.counts[c], ceil_exp2(lcount)))
+        pc = max(1, min(b[c + 1] - b[c], ceil_exp2(lcount)))
         ach = acc + float(np.exp2(log2_int(pc) + e))
-        return dim + pc, ach, (pc <= 2**40 and e > -49.0)
+        return b[c] + pc, ach, (pc <= 2**40 and e > -49.0)

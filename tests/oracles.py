@@ -331,7 +331,7 @@ def sorted_target_by_runs(spec, need):
     time; a run's probability is written as one scalar exp2, and the linear
     tail sums log2(count) + log2 eig over the runs past need.
     """
-    counts = spec.exact_mults
+    counts = tuple(spec.exact_mults)
     cum = list(itertools.accumulate(counts, initial=0))
     total = cum[-1]
 
@@ -373,7 +373,7 @@ class EagerSpectrumView:
     the eigenvalues above a threshold."""
 
     def __init__(self, spec):
-        self.counts = spec.exact_mults
+        self.counts = tuple(spec.exact_mults)
         self.log2_eigs = spec.log2_eigs
         self.log2_masses = spec.log2_masses
         self.bounds = list(itertools.accumulate(self.counts, initial=0))
@@ -416,7 +416,7 @@ def target_pieces_by_cut(x_runs, spec):
     positions past the spectrum at -inf, and log2 of the target mass past
     the runs.
     """
-    bounds = list(itertools.accumulate(spec.exact_mults, initial=0))
+    bounds = list(spec.exact_bounds)
     eigs = spec.log2_eigs
     pieces = []
     c = pos = 0

@@ -107,3 +107,20 @@ def test_traced_row_keeps_every_per_layer_metric():
         "locc.runner.run_protocol.self_s": 0.1235,
         "trace.overhead_s": 0.01,
     }
+
+
+def test_traced_summary_gives_each_metric_its_median_and_range():
+    bench_pairs = _bench_pairs()
+    assert bench_pairs.TRACE_RUNS == 3
+    rows = [
+        {"locc.runner.run_protocol.self_s": 0.0452, "spectrum.tensor_power_spectrum.calls": 4},
+        {"locc.runner.run_protocol.self_s": 0.035, "spectrum.tensor_power_spectrum.calls": 4},
+        {"locc.runner.run_protocol.self_s": 0.0398, "spectrum.tensor_power_spectrum.calls": 4},
+    ]
+    assert bench_pairs.traced_summary(rows) == {
+        "locc.runner.run_protocol.self_s": {"median": 0.0398, "min": 0.035, "max": 0.0452},
+        "spectrum.tensor_power_spectrum.calls": {"median": 4, "min": 4, "max": 4},
+    }
+    # an even count takes the mean of the middle two, rounded as the rows are
+    two = bench_pairs.traced_summary(rows[:2])["locc.runner.run_protocol.self_s"]
+    assert two == {"median": 0.0401, "min": 0.035, "max": 0.0452}

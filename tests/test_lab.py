@@ -18,7 +18,6 @@ from scipy.special import ndtri
 from scipy.stats import norm
 
 from entlab import (
-    SortedSpectrumView,
     ValidationError,
     berry_esseen_grid,
     berry_esseen_residual,
@@ -551,15 +550,16 @@ def test_held_spectra_hand_out_fresh_spectra(tmp_path, cleared_slot):
     key, held_ns, held = commands._held
     assert held_ns == set(held) == {8, 16, 256}
     big = held[256]
-    assert isinstance(big.exact_mults, ExactPrefix) and "view" not in vars(big)
+    assert isinstance(big.exact_bounds, ExactPrefix) and "view" not in vars(big)
+    kept = big.exact_bounds.kept
     spec = commands._power_spectrum(BaseSpectrum(big.base_probs), 256, (8, 16, 256))
     assert spec is not big and "view" not in vars(spec)
-    assert spec.log2_masses is big.log2_masses
-    assert spec.exact_mults is not big.exact_mults and spec.exact_mults.kept is big.exact_mults.kept
-    # a query past the prefix completes the caller's counts, not the held ones
-    assert spec.view.total_dim == 2**256
-    assert len(spec.exact_mults.kept) == 257 > len(big.exact_mults.kept)
-    assert "view" not in vars(big)
+    assert spec.log2_masses is big.log2_masses and spec.exact_bounds is big.exact_bounds
+    # a query past the held boundaries completes into the caller's view, and
+    # the held spectrum keeps only what it held
+    assert spec.view.bounds(spec.num_classes)[-1] == 2**256
+    assert len(spec.view.bounds(0)) == 258 > len(kept)
+    assert big.exact_bounds.kept is kept and "view" not in vars(big)
     # another grid of the same base drops every held spectrum and builds its
     # largest n first
     small = held[8]
@@ -575,27 +575,32 @@ def test_held_spectra_hand_out_fresh_spectra(tmp_path, cleared_slot):
 def test_log2_mults_are_the_log2_int_of_every_kept_multiplicity(p, n, cleared_slot):
     # the block builder and the certificate read a whole class's log2
     # length from log2_mults in place of log2_int of its exact count
-    fresh = tensor_power_spectrum(np.array(p), n)
     held = commands._power_spectrum(BaseSpectrum(np.array(p)), n, (n,))
-    # a held spectrum keeps its multiplicities where the mass is (at d = 2
-    # under half of them), all of them when that is the whole spectrum
-    kept = getattr(held.exact_mults, "kept", held.exact_mults)
+    # a held spectrum keeps its boundaries where the mass is (at d = 2 under
+    # half of them), all of them when that is the whole spectrum
+    kept = held.exact_bounds.kept
     assert len(p) > 2 or len(kept) < held.num_classes / 2
-    for spec, counts in ((fresh, fresh.exact_mults), (held, kept)):
-        want = [log2_int(c) for c in counts]
-        assert spec.log2_mults[: len(counts)].tolist() == want, (p, n)
+    counts = held.exact_mults[: len(kept) - 1]
+    assert held.log2_mults[: len(counts)].tolist() == [log2_int(c) for c in counts], (p, n)
 
 
 def test_dilution_d2_grid_reads_only_kept_multiplicities(tmp_path, monkeypatch, cleared_slot):
-    # every query of the four commands on the benchmark's d = 2 grid stays in
-    # the prefix each held spectrum keeps, so nothing is rebuilt
+    # every query of the four commands on the benchmark's d = 2 grid, and on
+    # its reference and classes_d4 grids, stays in the boundaries each held
+    # spectrum keeps, so nothing is completed or rebuilt
     completed = []
-    monkeypatch.setattr(ExactPrefix, "_complete", lambda prefix: completed.append(prefix))
+    monkeypatch.setattr(ExactPrefix, "complete", lambda prefix: completed.append(prefix))
     built = _counting_builds(monkeypatch)
-    grid = (1024, 4096, 8192, 16384)
-    _run_everything(tiny_config(tmp_path, n_grid=grid))
-    assert completed == [] and built == [16384, 1024, 4096, 8192]
-    assert all(isinstance(spec.exact_mults, ExactPrefix) for spec in commands._held[2].values())
+    for p, grid in (
+        ((0.75, 0.25), (1024, 4096, 8192, 16384)),
+        ((0.75, 0.25), (64, 256, 1024, 4096)),
+        ((0.4, 0.3, 0.2, 0.1), (25, 50, 100)),
+    ):
+        built.clear()
+        _run_everything(tiny_config(tmp_path / str(grid[0]), p=p, n_grid=grid))
+        assert completed == [] and built == [grid[-1], *grid[:-1]], grid
+        held = commands._held[2].values()
+        assert all(len(spec.exact_bounds.kept) <= spec.num_classes for spec in held), grid
 
 
 def test_dense_grid_holds_a_bounded_set_and_writes_the_same_bytes(
@@ -617,13 +622,12 @@ def test_dense_grid_holds_a_bounded_set_and_writes_the_same_bytes(
 
 def test_communication_at_n_16384_never_sums_total_dim(tmp_path, monkeypatch, cleared_slot):
     # every query of the budget search and its certificate stays inside the
-    # spectrum, so none needs the sum of all 16,385 multiplicities
-    summed = []
-    monkeypatch.setattr(
-        SortedSpectrumView, "total_dim", property(lambda view: summed.append(view))
-    )
+    # boundaries the spectrum holds, so none completes them to the last one,
+    # the sum of all 16,385 multiplicities
+    completed = []
+    monkeypatch.setattr(ExactPrefix, "complete", lambda prefix: completed.append(prefix))
     cmd_communication(tiny_config(tmp_path, n_grid=(16384,)))
-    assert summed == []
+    assert completed == []
     assert read_rows(tmp_path / "communication.csv")[0]["c_star"] == "535"
 
 

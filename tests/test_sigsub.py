@@ -85,7 +85,7 @@ def test_log_only_walker_matches_exact_walker():
     # the same dimension and mass, and the log-only one must not publish an int
     for n in (8, 200, 4096, 20000):
         spec = tensor_power_spectrum(P_QUARTER, n)
-        logs_only = dataclasses.replace(spec, exact_mults=None)
+        logs_only = dataclasses.replace(spec, exact_bounds=None)
         for delta in (0.5, 0.95, 0.99, 0.999999):
             exact = sig_dim(spec, delta)
             approx = sig_dim(logs_only, delta)

@@ -25,6 +25,7 @@ from entlab import (
     tensor_power_spectrum,
 )
 from entlab.lab.commands import find_min_budget, residual_grid
+from entlab.logdomain import log2_int
 from entlab.locc import verify_theorem_chain
 from entlab import spectrum as spectrum_module
 from entlab.sigsub import min_dilution_dimension, sig_dim
@@ -32,9 +33,8 @@ from entlab.spectrum import (
     ClassSpectrum,
     ExactPrefix,
     SortedSpectrumView,
-    _binomials_exact,
+    _build_spectrum,
     _class_starts,
-    exact_prefix,
     gaussian_masses,
     mass_threshold_class,
 )
@@ -152,7 +152,7 @@ def test_class_arrays_equal_the_per_row_oracle_bitwise(p, ns, exact, monkeypatch
         assert spec.log2_eigs.tobytes() == eigs.tobytes(), n
         assert spec.log2_mults.tobytes() == mults.tobytes(), n
         assert spec.log2_masses.tobytes() == masses.tobytes(), n
-        assert spec.exact_mults == counts, n
+        assert (spec.exact_mults and tuple(spec.exact_mults)) == counts, n
 
 
 def test_log_only_merge_equals_the_per_class_log2sumexp_loop():
@@ -219,7 +219,8 @@ def test_composition_blocks_give_the_one_block_bits(p, n, exact, monkeypatch):
     assert blocks[-1][0].stop == math.comb(n + len(p) - 1, len(p) - 1)
     many = tensor_power_spectrum(np.array(p), n)
     assert (one.exact_mults is None) == (not exact)
-    assert many.exact_mults == one.exact_mults
+    assert exact or many.exact_mults is None
+    assert not exact or tuple(many.exact_mults) == tuple(one.exact_mults)
     for name in ("log2_eigs", "log2_mults", "log2_masses"):
         assert getattr(many, name).tobytes() == getattr(one, name).tobytes(), name
     if exact:
@@ -382,7 +383,7 @@ def test_berry_esseen_known_violation_is_reported():
 def test_sorted_view_position_calculus():
     spec = tensor_power_spectrum(P_QUARTER, 8)
     view = SortedSpectrumView(spec)
-    assert view.total_dim == 2**8
+    assert view.bounds(spec.num_classes)[-1] == 2**8
     # count at a threshold between the second and third class values
     thr = float(spec.log2_eigs[1] + spec.log2_eigs[2]) / 2.0
     want = int(spec.exact_mults[0] + spec.exact_mults[1])
@@ -391,10 +392,17 @@ def test_sorted_view_position_calculus():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 17, 18, 1000, 1001])
 def test_binomial_row_is_exact_and_mirrored(n):
-    row = _binomials_exact(n)
-    assert row == [math.comb(n, k) for k in range(n + 1)]
-    # one int object serves k and n - k
-    assert all(row[k] is row[n - k] for k in range(n + 1))
+    # the d = 2 build forms each class's C(n, k) once, by the recurrence,
+    # and past the row's formed part its log2 multiplicities mirror the
+    # first ones
+    whole = _build_spectrum(P_QUARTER, n, whole=True)
+    row = [math.comb(n, k) for k in range(n + 1)]
+    assert tuple(whole.exact_mults) == tuple(row)
+    assert whole.log2_mults.tolist() == [log2_int(c) for c in row]
+    assert whole.log2_mults.tobytes() == whole.log2_mults[::-1].tobytes()
+    spec = tensor_power_spectrum(P_QUARTER, n)
+    assert spec.log2_mults.tobytes() == whole.log2_mults.tobytes()
+    assert spec.exact_bounds.kept == whole.exact_bounds.kept[: len(spec.exact_bounds.kept)]
 
 
 # (p, n): d = 2 exact and log-only, d = 3 and d = 4 exact
@@ -447,7 +455,7 @@ def test_count_eigs_at_least_stops_at_the_first_class_below():
         log2_eigs=np.array([-2.0, -2.0 + 5e-13]),
         log2_mults=np.array([1.0, 1.0]),
         log2_masses=np.array([-1.0, -1.0 + 5e-13]),
-        exact_mults=(2, 2),
+        exact_bounds=(0, 2, 4),
     )
     for t in (-2.0 + 2.5e-13 + 1e-9, -3.0, -1.0):
         want = count_eigs_at_least_by_walk(spec.exact_mults, spec.log2_eigs, t)
@@ -474,7 +482,9 @@ def test_one_view_serves_search_certificate_and_sig_dim(monkeypatch):
     assert spec.view is spec.view
     # the direct constructor still builds a separate, equivalent view
     direct = SortedSpectrumView(spec)
-    assert direct is not spec.view and direct.total_dim == spec.view.total_dim
+    # both read the boundaries the spectrum holds, in place
+    assert direct is not spec.view and direct.bounds(0) is spec.view.bounds(0)
+    assert direct.bounds(0) is spec.exact_bounds.kept
     assert direct.sig_dim(0.95) == spec.view.sig_dim(0.95)
 
 
@@ -529,8 +539,25 @@ VIEW_ORACLE_CASES = [
 ]
 
 
+def _memo_complete(monkeypatch):
+    """Make ExactPrefix.complete rebuild each spectrum's boundaries once per
+    test and hand out copies; returns the list of prefixes it was called on."""
+    complete = ExactPrefix.complete
+    calls, done = [], {}
+
+    def memo(prefix):
+        calls.append(prefix)
+        if id(prefix) not in done:
+            done[id(prefix)] = complete(prefix)
+        return list(done[id(prefix)])
+
+    monkeypatch.setattr(ExactPrefix, "complete", memo)
+    return calls
+
+
 @pytest.mark.parametrize("p,n", VIEW_ORACLE_CASES)
-def test_lazy_view_equals_the_eager_boundaries_in_any_query_order(p, n):
+def test_lazy_view_equals_the_eager_boundaries_in_any_query_order(p, n, monkeypatch):
+    _memo_complete(monkeypatch)
     spec = tensor_power_spectrum(np.array(p), n)
     d = len(p)
     if d > 2:
@@ -556,54 +583,48 @@ def test_lazy_view_equals_the_eager_boundaries_in_any_query_order(p, n):
             assert got == want, (p, n, order, name, arg)
             for g, w in zip(got, want) if name == "sig_dim" else [(got, want)]:
                 assert type(g) is type(w), (p, n, order, name, arg)
-        assert view.total_dim == eager.total_dim and type(view.total_dim) is int
+        total = view.bounds(spec.num_classes)[-1]
+        assert total == eager.total_dim and type(total) is int
 
 
 @pytest.mark.parametrize("p,n", [*VIEW_ORACLE_CASES, ((0.4, 0.3, 0.2, 0.1), 100)])
-def test_class_at_sums_at_most_one_boundary_past_its_answer(p, n):
-    # on a fresh view the boundary list never holds an entry more than one
-    # past class_at's answer. At d = 2, inside the kept prefix of a
-    # 0.1-error dilution, where the commands query, the float guess is
-    # exact or one class low: one read, one extend and at most one step.
-    # Where classes are narrower than the floats' roundoff (near the end of
-    # a d = 2 spectrum, and among the d = 3 and 4 classes) it may step
-    # further
+def test_class_at_reads_the_held_boundaries_and_completes_only_past_them(p, n, monkeypatch):
+    # on a fresh view, class_at reads the boundaries the spectrum holds in
+    # place; only a position past them completes every boundary, once,
+    # into the view's own list
     spec = tensor_power_spectrum(np.array(p), n)
     eager = EagerSpectrumView(spec)
+    held = spec.exact_bounds.kept
     ncl = spec.num_classes
     kept = eager.sig_dim(1.0 - 0.1 * 0.1 / 8.0)[0]
     step = max(1, ncl // 150)
     dims = {0, 1, kept - 1, kept, eager.total_dim - 1, eager.total_dim, 2 * eager.total_dim}
     dims |= {eager.bounds[c] + s for c in range(0, ncl + 1, step) for s in (-1, 0, 1)}
+    completions = _memo_complete(monkeypatch)
     for pos in sorted(d for d in dims if d >= 0):
+        completions.clear()
         view = SortedSpectrumView(spec)
-        calls = []
-        summing = view.bounds
-        view.bounds = lambda c: calls.append(c) or summing(c)
         got = view.class_at(pos)
         assert got == eager.class_at(pos), (p, n, pos)
-        summed = len(summing(0))
-        assert summed == min(got + 2, ncl + 1), (p, n, pos, summed)
-        assert len(p) > 2 or pos > kept or len(calls) <= 3, (p, n, pos, calls)
+        past = pos >= held[-1] and len(held) <= ncl
+        assert len(completions) == past, (p, n, pos)
+        assert (view.bounds(0) is held) == (not past), (p, n, pos)
+        assert view.bounds(0) == eager.bounds[: len(view.bounds(0))]
+    assert spec.exact_bounds.kept is held and len(held) <= ncl + 1
 
 
 def test_commands_sum_the_class_boundaries_only_as_far_as_they_reach():
     # the budget search, its certificate and the dimension window all stay
-    # in the top of the spectrum: 4,323 of 16,386 boundaries at n = 16384
+    # in the top of the spectrum, inside the boundaries a spectrum holds:
+    # 4,592 of 16,386 at n = 16384
     spec = tensor_power_spectrum(P_QUARTER, 16384)
     c_star, outcomes, report = find_min_budget(spec, 16384, 0.1)
     assert verify_theorem_chain(next(o for o in outcomes if o.good), spec, report).consistent
     min_dilution_dimension(spec, 0.01)
-    summed = len(spec.view.bounds(0))
+    held = spec.view.bounds(0)
     assert c_star == 535
-    assert summed <= 0.3 * (spec.num_classes + 1), summed
-
-
-def _fresh_copy(held):
-    """A spectrum on held's arrays with an uncompleted prefix of its own."""
-    copied = dataclasses.replace(held, exact_mults=copy.copy(held.exact_mults))
-    assert len(copied.exact_mults.kept) < copied.num_classes
-    return copied
+    assert held is spec.exact_bounds.kept
+    assert len(held) <= 0.3 * (spec.num_classes + 1), len(held)
 
 
 HELD_QUERIES = {
@@ -616,47 +637,119 @@ HELD_QUERIES = {
         len(spec.base_probs) ** spec.n
     ),
     "bounds(num_classes)": lambda view, spec: list(view.bounds(spec.num_classes)),
-    "total_dim": lambda view, spec: view.total_dim,
+    "total_dim": lambda view, spec: view.bounds(spec.num_classes)[-1],
 }
 
 
 @pytest.mark.parametrize("p, n", [((0.75, 0.25), 4096), ((0.5, 0.3, 0.2), 100)])
 @pytest.mark.parametrize("query", HELD_QUERIES)
 def test_held_prefix_answers_as_a_fresh_spectrum(p, n, query):
-    fresh = tensor_power_spectrum(np.array(p), n)
-    held = exact_prefix(fresh)
-    assert isinstance(held.exact_mults, ExactPrefix)
-    assert held.log2_masses is fresh.log2_masses
+    # a spectrum holds its boundaries through its mass cut; every answer
+    # equals that of a whole build, which holds all of them
+    spec = tensor_power_spectrum(np.array(p), n)
+    whole = _build_spectrum(np.array(p), n, whole=True)
+    held = spec.exact_bounds.kept
+    assert len(held) < spec.num_classes + 1 == len(whole.exact_bounds.kept)
     ask = HELD_QUERIES[query]
-    spec = _fresh_copy(held)
-    assert ask(spec.view, spec) == ask(fresh.view, fresh)
-    assert fresh.view.total_dim == len(p) ** n
-    # sig_dim stays in the kept prefix; every other query reads past it
-    completed = len(spec.exact_mults.kept) == spec.num_classes
+    assert ask(spec.view, spec) == ask(whole.view, whole)
+    assert whole.view.bounds(spec.num_classes)[-1] == len(p) ** n
+    # sig_dim stays in the held boundaries; every other query reads past
+    # them and completes into the view's own list
+    completed = spec.view.bounds(0) is not held
     assert completed == (query != "sig_dim(1.0)")
-    # the completion stays with the copy that read past the prefix
-    assert len(held.exact_mults.kept) < held.num_classes
+    assert len(spec.view.bounds(0)) == (spec.num_classes + 1 if completed else len(held))
+    # the spectrum keeps only what it held
+    assert spec.exact_bounds.kept is held and len(held) < spec.num_classes + 1
 
 
 def test_exact_prefix_reads_as_the_full_tuple():
-    fresh = tensor_power_spectrum(P_QUARTER, 256)
-    held = exact_prefix(fresh)
-    kept = held.exact_mults.kept
-    # kept through the first class where the float prefix mass reaches 1 - 2^-50
-    cs = np.cumsum(np.exp2(fresh.log2_masses))
-    assert cs[len(kept) - 1] >= 1.0 - 2.0**-50 > cs[len(kept) - 2]
-    assert kept == fresh.exact_mults[: len(kept)]
-    assert len(held.exact_mults) == fresh.num_classes
-    assert tuple(_fresh_copy(held).exact_mults) == fresh.exact_mults
-    assert _fresh_copy(held).exact_mults[-1] == 1
-    assert _fresh_copy(held).exact_mults[1:3] == fresh.exact_mults[1:3]
-    # a held spectrum, a log-only one and one whose mass reaches 1 - 2^-50
-    # only at its last class are left as they are
-    assert exact_prefix(held) is held
-    logs_only = dataclasses.replace(fresh, exact_mults=None)
-    assert exact_prefix(logs_only) is logs_only
-    two = tensor_power_spectrum(P_QUARTER, 2)
-    assert exact_prefix(two) is two
+    spec = tensor_power_spectrum(P_QUARTER, 256)
+    whole = _build_spectrum(P_QUARTER, 256, whole=True)
+    kept = spec.exact_bounds.kept
+    assert kept == whole.exact_bounds.kept[: len(kept)]
+    assert len(spec.exact_bounds) == len(whole.exact_bounds) == spec.num_classes + 1
+    assert len(spec.exact_mults) == spec.num_classes
+    assert tuple(spec.exact_mults) == tuple(whole.exact_mults)
+    assert list(spec.exact_bounds) == whole.exact_bounds.kept
+    assert spec.exact_mults[-1] == 1 and spec.exact_bounds[-1] == 2**256
+    assert spec.exact_mults[-3:] == (math.comb(256, 2), 256, 1)
+    assert spec.exact_mults[::128] == (1, math.comb(256, 128), 1)
+    # a spectrum given plain boundaries holds them whole
+    given = dataclasses.replace(spec, exact_bounds=tuple(whole.exact_bounds.kept))
+    assert isinstance(given.exact_bounds, ExactPrefix)
+    assert given.exact_bounds.kept == whole.exact_bounds.kept
+    assert given.exact_bounds.complete() is given.exact_bounds.kept
+    logs_only = dataclasses.replace(spec, exact_bounds=None)
+    assert logs_only.exact_mults is None
+    with pytest.raises(ValidationError, match="exact_bounds length"):
+        dataclasses.replace(spec, exact_bounds=kept)
+
+
+def test_slices_inside_the_cut_read_without_completing(monkeypatch):
+    spec = tensor_power_spectrum(P_QUARTER, 4096)
+    kept = spec.exact_bounds.kept
+    whole = _build_spectrum(P_QUARTER, 4096, whole=True).exact_bounds.kept
+    class Completed(Exception):
+        pass
+
+    def refuse(prefix):
+        raise Completed
+
+    monkeypatch.setattr(ExactPrefix, "complete", refuse)
+    end = len(kept)
+    assert spec.exact_bounds[:end] == whole[:end]
+    assert spec.exact_bounds[end - 1] == whole[end - 1]
+    assert spec.exact_bounds[end - 1 : 5 : -7] == whole[end - 1 : 5 : -7]
+    assert spec.exact_mults[: end - 1] == tuple(b - a for a, b in zip(whole, whole[1 : end]))
+    assert spec.exact_mults[end - 2] == whole[end - 1] - whole[end - 2]
+    assert spec.exact_mults[10:200:3] == tuple(whole[k + 1] - whole[k] for k in range(10, 200, 3))
+    # a read past them completes
+    with pytest.raises(Completed):
+        spec.exact_bounds[end]
+    with pytest.raises(Completed):
+        spec.exact_mults[end - 1 :]
+
+
+@pytest.mark.parametrize(
+    "p, ns",
+    [
+        ((0.75, 0.25), (1, 2, 40, 64, 1000, 4096, 20000)),
+        ((0.9, 0.1), (64, 2000)),
+        # the cut falls past n/2, where the row goes on past its half
+        ((0.52, 0.48), (5000,)),
+        ((0.5, 0.5), (8,)),
+        ((0.5, 0.3, 0.2), (9, 100, 300)),
+        ((0.4, 0.3, 0.2, 0.1), (8, 50, 100)),
+    ],
+)
+def test_held_boundaries_stop_at_the_last_class_of_mass_at_least_2_to_the_minus_54(p, ns):
+    # past that class each class adds under half an ulp to a prefix mass
+    # past 1/2, so the prefix masses stop changing there
+    for n in ns:
+        spec = tensor_power_spectrum(np.array(p), n)
+        whole = _build_spectrum(np.array(p), n, whole=True)
+        assert whole.log2_masses.tobytes() == spec.log2_masses.tobytes()
+        heavy = np.flatnonzero(np.exp2(whole.log2_masses) >= 2.0**-54)
+        kept = spec.exact_bounds.kept
+        assert len(kept) == heavy[-1] + 2, (p, n)
+        assert kept == whole.exact_bounds.kept[: len(kept)], (p, n)
+        cs = np.cumsum(np.exp2(whole.log2_masses))
+        assert (cs[heavy[-1] :] == cs[-1]).all(), (p, n)
+
+
+def test_d2_build_stays_small_in_memory():
+    # the binomial recurrence runs once and holds no row: the build keeps
+    # the boundaries through the mass cut (about 5.9 MB of big ints at
+    # n = 16384) and peaks at 8.2 MB traced; with the whole row formed, an
+    # object array of it and every class count summed, it peaked at 15.2 MB
+    gc.collect()
+    tracemalloc.start()
+    try:
+        tensor_power_spectrum(P_QUARTER, 16384)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 11e6, peak
 
 
 @st.composite
