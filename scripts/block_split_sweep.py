@@ -9,8 +9,8 @@ For p = (0.6, 0.4) and (0.9, 0.1) at n = 256, 2048 and 8192, p = (0.5,
 0.3, 0.2) at n = 60 and 150, and p = (0.4, 0.3, 0.2, 0.1) at n = 40 and
 80, each at error targets 0.02, 0.1 and 0.5, the script finds c* with
 find_min_budget and builds the block dilution at budgets 0, c* - 2 to
-c* + 2 and the clamp, always as the symbolic family (the weights cap
-lifted). Each build's runs and predicted error must equal
+c* + 2 and the clamp, as the symbolic family build_block_family returns.
+Each build's runs and predicted error must equal
 tests/oracles.block_dilution_by_pieces, and the certificate's profile
 queries over its runs (at the certificate's projector, at 0 and past the
 runs) must equal tests/oracles.profile_queries_by_pieces, float for float.
@@ -34,7 +34,7 @@ import numpy as np  # noqa: E402
 
 from entlab import tensor_power_spectrum  # noqa: E402
 from entlab.lab.commands import find_min_budget  # noqa: E402
-from entlab.locc import protocols  # noqa: E402
+from entlab.locc import build_block_family  # noqa: E402
 from entlab.locc.runner import _profile_queries  # noqa: E402
 from entlab.spectrum import _build_spectrum  # noqa: E402
 from oracles import block_dilution_by_pieces, profile_queries_by_pieces  # noqa: E402
@@ -63,7 +63,7 @@ def merged_runs(runs):
 def check(spec, whole, budget, eps):
     """The failures of one build of spec, as strings; the oracles read
     whole, the same spectrum holding every exact boundary."""
-    family, predicted = protocols.build_block_dilution(spec, budget, eps_target=eps)
+    family = build_block_family(spec, budget, eps_target=eps)
     view = spec.view
     d1 = view.sig_dim(1.0 - eps * eps / 8.0)[0]
     runs, _, error = block_dilution_by_pieces(
@@ -73,8 +73,8 @@ def check(spec, whole, budget, eps):
     failures = []
     if family.x_runs != merged_runs(runs):
         failures.append(f"{where}: runs differ from the oracle's")
-    if not family.target_error == predicted == error:
-        failures.append(f"{where}: error {family.target_error} / {predicted}, oracle {error}")
+    if family.target_error != error:
+        failures.append(f"{where}: error {family.target_error}, oracle {error}")
     cert_n1 = view.count_eigs_at_least(-spec.n * spec.stats.entropy)
     for n1 in (cert_n1, 0, sum(family.x_runs[0]) + 1):
         got = _profile_queries(family.x_runs, view, n1)
@@ -86,7 +86,6 @@ def check(spec, whole, budget, eps):
 
 def sweep():
     """(builds checked, failures) over every case."""
-    protocols.WEIGHTS_CAP = 0  # every build stays the symbolic family
     builds, failures = 0, []
     for p, ns in CASES:
         for n in ns:

@@ -5,9 +5,10 @@ dimension Schmidt profile exactly, at ceil(log2 d) message bits. Block
 dilution targets tensor-power profiles under a message budget: the
 significant prefix of the sorted spectrum is cut into 2^budget equal
 blocks, each flattened to its average, and only the block offset is
-communicated. Small instances materialize to a standard-form protocol;
-large ones stay symbolic as run columns (count, log2 x) over the sorted
-spectrum, the form the runner gives every diagonal outcome.
+communicated. A block family is built symbolically, as one outcome of
+multiplicity K with its profile as run columns (count, log2 x) over the
+sorted spectrum, and materializes to a standard-form protocol only where
+the dense oracle can check it (d' <= DENSE_SIDE).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from ..errors import CapExceededError, ValidationError
 from ..logdomain import NEG_INF, log2_int, log2_ints, log2sumexp, log2sumexp_windows
 from ..spectrum import ClassSpectrum
-from ..tolerances import WEIGHTS_CAP
+from ..tolerances import DENSE_SIDE, WEIGHTS_CAP
 
 
 def _check_weights_cap(K: int, d: int):
@@ -124,13 +125,22 @@ class BlockShiftFamily:
 
 
 def build_block_dilution(spec: ClassSpectrum, budget_c: int, eps_target: float = 0.1):
-    """Block dilution of spec's power profile under a message budget.
+    """(protocol, predicted_error) of build_block_family: the family
+    materialized to a StandardFormProtocol where its d' positions fit the
+    dense oracle (d' <= DENSE_SIDE), the symbolic family everywhere else."""
+    family = build_block_family(spec, budget_c, eps_target)
+    proto = family.materialize() if family.d_prime <= DENSE_SIDE else family
+    return proto, family.target_error
 
-    Returns (protocol, predicted_error): a StandardFormProtocol when the
-    instance fits the dense weights cap, otherwise the symbolic family.
+
+def build_block_family(spec: ClassSpectrum, budget_c: int, eps_target: float = 0.1):
+    """Block dilution of spec's power profile under a message budget, as
+    the symbolic BlockShiftFamily.
+
     The kept prefix holds mass 1 - eps_target^2/8 so that the truncation
     alone stays well inside the error target; flattening the blocks adds
-    the rest. predicted_error is exact for the construction (not a bound).
+    the rest. The family's target_error, the predicted error, is exact for
+    the construction (not a bound).
 
     The split runs on per-boundary arrays. The kept prefix's class
     boundaries past the first block are divided by m in one pass; a class
@@ -252,15 +262,4 @@ def build_block_dilution(spec: ClassSpectrum, budget_c: int, eps_target: float =
         f_sq = min(1.0, float(np.exp2(2.0 * l_f)))
         target_error = 2.0 * math.sqrt(max(0.0, 1.0 - f_sq))
 
-    family = BlockShiftFamily(
-        spec,
-        budget_c=budget_c,
-        K=K,
-        m=m,
-        d_prime=d_prime,
-        x_runs=x_runs,
-        target_error=target_error,
-    )
-    if K * d_prime <= WEIGHTS_CAP:
-        return family.materialize(), target_error
-    return family, target_error
+    return BlockShiftFamily(spec, budget_c, K, m, d_prime, x_runs, target_error)

@@ -4,15 +4,14 @@ run_protocol feeds a maximally entangled pair through a Schmidt-diagonal
 protocol and scores every outcome against the target profile. Every
 outcome carries its output profile in one form, run columns (count,
 log2 x) over the target's sorted positions: a shift family
-(StandardFormProtocol) gives runs of length 1, a block family too large
-to materialize gives its symbolic runs. run_protocol_dense is the
-full-matrix oracle for the diagonal path. The certificate checker reads
+(StandardFormProtocol) gives runs of length 1, a symbolic block family
+gives its runs for one outcome of multiplicity K. run_protocol_dense is
+the full-matrix oracle for the diagonal path. The certificate checker reads
 three profile queries off the outcome's runs cut at the class boundaries,
-on arrays, and re-derives the communication lower
-bound from them and the recorded quantities, flagging each inequality
-separately. Reports and certificates hand their fields out as plain
-documents (to_doc), with non-finite numbers as None; writing them as
-JSON is the caller's job.
+on arrays, and re-derives the communication lower bound from them and the
+recorded quantities, flagging each inequality separately. Reports and
+certificates hand their fields out as plain documents (to_doc), with
+non-finite numbers as None; writing them as JSON is the caller's job.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from ..errors import CapExceededError, DegenerateSpectrumError, ValidationError
 from ..logdomain import NEG_INF, log2_int, log2_ints, log2sub, log2sub_arrays, log2sumexp
 from ..qmath import SchmidtProfile
 from ..spectrum import ClassSpectrum
-from ..tolerances import DENSE_DIM_CAP, EQUALITY_TOL
+from ..tolerances import DENSE_DIM_CAP, DENSE_SIDE, EQUALITY_TOL
 from .protocols import BlockShiftFamily, StandardFormProtocol
 
 # below this probability an outcome cannot be scored meaningfully
@@ -251,10 +250,9 @@ def _run_weights(proto: StandardFormProtocol, target):
 def _run_dense(proto: StandardFormProtocol, target):
     """Full-matrix run of a diagonal protocol, zero-padded to the target length."""
     d = proto.dim_a
-    side = math.isqrt(DENSE_DIM_CAP)
-    tprof, _, log2_tail = _sorted_target(target, max(d, side))
-    if d > side or log2_tail > NEG_INF:
-        raise CapExceededError(f"dense dimension exceeds {DENSE_DIM_CAP} ({side} per side)")
+    tprof, _, log2_tail = _sorted_target(target, max(d, DENSE_SIDE))
+    if d > DENSE_SIDE or log2_tail > NEG_INF:
+        raise CapExceededError(f"dense dimension exceeds {DENSE_DIM_CAP} ({DENSE_SIDE} per side)")
     dd = max(d, int(np.flatnonzero(tprof)[-1]) + 1)
     phi_vec = np.diag(np.sqrt(tprof[:dd])).astype(complex).reshape(-1)
     chi0 = np.zeros((dd, dd), dtype=complex)

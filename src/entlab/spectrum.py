@@ -832,13 +832,12 @@ class SortedSpectrumView:
 
     def __init__(self, spec: ClassSpectrum):
         if spec.exact_bounds is None:
-            d = len(spec.base_probs)
-            compositions = math.comb(spec.n + d - 1, d - 1)
-            raise CapExceededError(
-                f"block dilution and its certificate need exact multiplicities, kept only for "
-                f"n <= {EXACT_MULT_MAX_N} and at most {EXACT_MULT_MAX_CLASSES} compositions; "
-                f"this spectrum has n = {spec.n} and {compositions} compositions"
-            )
+            n, d = spec.n, len(spec.base_probs)
+            past = f"n = {n} passes EXACT_MULT_MAX_N = {EXACT_MULT_MAX_N}"
+            if n <= EXACT_MULT_MAX_N:
+                cap, rows = EXACT_MULT_MAX_CLASSES, math.comb(n + d - 1, d - 1)
+                past = f"{rows} compositions of n = {n} pass EXACT_MULT_MAX_CLASSES = {cap}"
+            raise CapExceededError(f"block dilution and its certificate need exact multiplicities: {past}")
         self._held = spec.exact_bounds
         self._bounds = self._held.kept
         self.log2_eigs = spec.log2_eigs

@@ -23,7 +23,9 @@ CLASS_CAP_DEFAULT = 50_000_000
 # dense simulation refuses beyond this total Hilbert dimension
 DENSE_DIM_CAP = 2 ** 14
 
+# the dense diagonal oracle holds a d x d pair state, so d is at most this
+DENSE_SIDE = int(DENSE_DIM_CAP ** 0.5)
+
 # a run scores a shift family's K outcomes of d weights each: the family
-# refuses itself beyond K*d entries (protocols._check_weights_cap), and
-# build_block_dilution keeps a block family symbolic there
+# refuses itself beyond K*d entries (protocols._check_weights_cap)
 WEIGHTS_CAP = 1_000_000

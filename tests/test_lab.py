@@ -695,7 +695,9 @@ RECORDED_OUTPUTS = {
             "50b7379b7f8945129df2f44ccfedfaeb91bfe8b6e6768030852df218908424d6"
         ),
     },
-    # n <= 8 at d = 3: every c* outcome is scored on its materialized weights
+    # n <= 8 at d = 3: the c* families of n <= 4 (d' <= 128) are scored on
+    # their materialized weights, those of n = 5, 6 and 8 as one symbolic
+    # outcome of multiplicity K
     ((0.5, 0.3, 0.2), (2, 3, 4, 5, 6, 8)): {
         "communication.csv": "86be81be6870af386ba081c056270daba54b26413972dab7f3e8bb5eedcedee7",
         "concentration.csv": "7460e115a40f27d0033b10cb70cf8126de3b2ae8c47bb4712ade7b4505db0d0c",
@@ -719,16 +721,18 @@ RECORDED_OUTPUTS = {
             "eee4b0f74d2de4895360385f9ccede76c764914e817745b7926f01b25ea0439d"
         ),
         "certificates/cert_n5.json": (
-            "aa92384a194d1bf43e8d52c0fb3697ae2ed9521bfe2aac6ea517407ea5dbcf10"
+            "dd15bab0aa06b2518006cef6627402bf463efd58f91899e476d80b3819446818"
         ),
         "certificates/cert_n6.json": (
-            "d3fdf4668681fbc7337068f64339b71919545a402b4728b9ff145219efd4d585"
+            "d5ebf7a6126febec162e401d257596680b932afa2ccb60c3ce6b763d20c8941d"
         ),
         "certificates/cert_n8.json": (
-            "d3a50504dfa60450f9dfbe189e7b660b1d4736a9655329c078e7adc1b7ec425a"
+            "5a9473a510e69a5beabcf654b15aaef5570fd04f6beb599e86e5f35a662d088d"
         ),
     },
-    # n <= 9 at d = 2: every c* outcome is scored on its materialized weights
+    # n <= 9 at d = 2: the c* families of n <= 6 (d' <= 128) are scored on
+    # their materialized weights, that of n = 9 as one symbolic outcome of
+    # multiplicity K
     ((0.75, 0.25), (2, 3, 5, 6, 9)): {
         "communication.csv": "0fd71bfcf3cc20831cad686552f8ce2e1ebe5d56c11b78b808561493408e0f99",
         "concentration.csv": "9f2f54a362d74e1011ff9da36e86a771948c0293bc11ed45d4385d6ac763d4ac",
@@ -754,7 +758,7 @@ RECORDED_OUTPUTS = {
             "6b9f61de82b56f618da80907ce629dd3243e3fa29a2a91fd18754008d2abd985"
         ),
         "certificates/cert_n9.json": (
-            "5d3f3ecd80da10eda32b7be558cda3b781c238ef7e2006214c26a14deb3d69d1"
+            "9f6a4c4fe735acb8ecb9730a674f197db57610698e03ef7af627c09a49eaa41e"
         ),
     },
 }
@@ -1047,13 +1051,14 @@ def test_composition_cap_names_compositions_n_d_and_the_cap(tmp_path, capsys, mo
 
 
 def test_communication_past_exact_multiplicities_exits_3(tmp_path, capsys):
+    # the message names the cap it passes, by the constant's name
     code = main(["communication", "--n-grid", "30000", "--out", str(tmp_path / "o")])
     assert code == 3
     err = capsys.readouterr().err
-    assert "20000" in err and "n = 30000" in err
+    assert "EXACT_MULT_MAX_N = 20000" in err and "n = 30000" in err
     # the composition limit counts compositions before they merge into
     # classes: C(113, 3) = 234,136 here, merged into 12,321 classes
     argv = ["communication", "--p", "0.4,0.3,0.2,0.1", "--n-grid", "110"]
     assert main(argv + ["--out", str(tmp_path / "o4")]) == 3
     err = capsys.readouterr().err
-    assert "200000" in err and "n = 110" in err and "234136" in err
+    assert "EXACT_MULT_MAX_CLASSES = 200000" in err and "n = 110" in err and "234136" in err

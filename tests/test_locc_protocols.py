@@ -23,6 +23,7 @@ from entlab.locc import (
     StandardFormProtocol,
     StandardizedProgram,
     build_block_dilution,
+    build_block_family,
     build_shift_dilution,
     concentrate,
     run_protocol,
@@ -36,7 +37,7 @@ from entlab.locc.runner import (
     _scored,
     _sorted_target,
 )
-from entlab.tolerances import WEIGHTS_CAP
+from entlab.tolerances import DENSE_SIDE, WEIGHTS_CAP
 from oracles import (
     block_dilution_by_pieces,
     completeness_defect,
@@ -239,6 +240,29 @@ def test_dense_oracle_refuses_a_target_past_its_cap():
         run_protocol_dense(proto, proto.dim_a, spec, n=8)
 
 
+def test_block_dilution_materializes_exactly_what_the_dense_oracle_holds():
+    # a StandardFormProtocol exactly when d' fits one side of the dense
+    # oracle, the same weights the family materializes to; the symbolic
+    # family otherwise, with the same predicted error
+    assert DENSE_SIDE == 128
+    kinds = set()
+    for n in range(2, 13):
+        spec = tensor_power_spectrum(P_QUARTER, n)
+        for c in range(n + 1):
+            proto, predicted = build_block_dilution(spec, c, eps_target=0.1)
+            family = build_block_family(spec, c, eps_target=0.1)
+            assert predicted == family.target_error, (n, c)
+            dense = family.d_prime <= 128
+            if dense:
+                assert isinstance(proto, StandardFormProtocol), (n, c)
+                assert proto.x.tobytes() == family.materialize().x.tobytes(), (n, c)
+            else:
+                assert isinstance(proto, BlockShiftFamily), (n, c)
+                assert proto.x_runs == family.x_runs, (n, c)
+            kinds.add(dense)
+    assert kinds == {True, False}
+
+
 def test_block_dilution_full_budget_is_exact():
     spec = tensor_power_spectrum(P_QUARTER, 2)
     proto, terr = build_block_dilution(spec, 2, eps_target=0.1)
@@ -270,13 +294,11 @@ def whole_spectrum(p, n):
     return _build_spectrum(np.asarray(p, dtype=float), n, whole=True)
 
 
-def assert_split_matches_oracle(monkeypatch, spec, budget, eps):
+def assert_split_matches_oracle(spec, budget, eps):
     """Check one build against the per-piece oracle; returns (the returned
     protocol, the symbolic family)."""
     proto, predicted = build_block_dilution(spec, budget, eps_target=eps)
-    with monkeypatch.context() as mp:
-        mp.setattr("entlab.locc.protocols.WEIGHTS_CAP", 0)
-        family, _ = build_block_dilution(spec, budget, eps_target=eps)
+    family = build_block_family(spec, budget, eps_target=eps)
     d1 = spec.view.sig_dim(1.0 - eps * eps / 8.0)[0]
     runs, tail, error = block_dilution_by_pieces(
         spec.exact_mults, spec.log2_eigs, spec.log2_masses, d1, budget
@@ -306,38 +328,37 @@ def assert_split_matches_oracle(monkeypatch, spec, budget, eps):
     return proto, family
 
 
-def test_block_split_matches_the_per_piece_oracle(monkeypatch):
+def test_block_split_matches_the_per_piece_oracle():
     kinds = set()
     for n, c_star in C_STAR_QUARTER.items():
         spec = whole_spectrum(P_QUARTER, n)
         clamp = (spec.view.sig_dim(1.0 - 0.1 * 0.1 / 8.0)[0] - 1).bit_length()
         for budget in sorted({0, 1, c_star - 1, c_star, c_star + 1, clamp, clamp + 5}):
-            proto, _ = assert_split_matches_oracle(monkeypatch, spec, budget, 0.1)
+            proto, _ = assert_split_matches_oracle(spec, budget, 0.1)
             kinds.add(type(proto).__name__)
-    assert kinds == {"StandardFormProtocol", "BlockShiftFamily"}
     for (p, n), c_star in C_STAR_SHORT_RUNS.items():
         spec = whole_spectrum(np.array(p), n)
         for budget in (c_star - 1, c_star, c_star + 1):
-            assert_split_matches_oracle(monkeypatch, spec, budget, 0.1)
+            assert_split_matches_oracle(spec, budget, 0.1)
     for p, ns in (((0.5, 0.3, 0.2), (2, 5, 9, 14)), ((0.4, 0.3, 0.2, 0.1), (3, 6, 10))):
         for n in ns:
             spec = whole_spectrum(np.array(p), n)
             for budget in range(0, 2 * n + 3):
                 for eps in (0.05, 0.3):
-                    assert_split_matches_oracle(monkeypatch, spec, budget, eps)
+                    proto, _ = assert_split_matches_oracle(spec, budget, eps)
+                    kinds.add(type(proto).__name__)
+    assert kinds == {"StandardFormProtocol", "BlockShiftFamily"}
 
 
 @pytest.mark.parametrize(
     "p, n, budget, ends_on_a_block_end, zero_pad",
     [((0.75, 0.25), 5, 4, True, False), ((0.5, 0.3, 0.2), 5, 3, False, True)],
 )
-def test_block_split_edge_cases_match_the_oracle(
-    monkeypatch, p, n, budget, ends_on_a_block_end, zero_pad
-):
+def test_block_split_edge_cases_match_the_oracle(p, n, budget, ends_on_a_block_end, zero_pad):
     # a class that ends exactly on an inner block end (r1 = 0) of blocks
     # longer than one position, and the zero-pad piece past the spectrum
     spec = whole_spectrum(np.array(p), n)
-    _, family = assert_split_matches_oracle(monkeypatch, spec, budget, 0.1)
+    _, family = assert_split_matches_oracle(spec, budget, 0.1)
     cum = list(itertools.accumulate(spec.exact_mults, initial=0))
     inner = [b for b in cum[1:-1] if b < family.d_prime]
     assert family.m > 1
@@ -353,22 +374,20 @@ PROFILE_QUERY_GRID = (
 )
 
 
-def block_family_profiles(monkeypatch, spec, eps):
+def block_family_profiles(spec, eps):
     """(kind, output runs) of the block family at every budget up to the
     clamp: the symbolic family's, and the materialized protocol's good
     outcome's wherever the family has at most 2^14 weights."""
     d1 = spec.view.sig_dim(1.0 - eps * eps / 8.0)[0]
     for budget in range((d1 - 1).bit_length() + 1):
-        with monkeypatch.context() as mp:
-            mp.setattr("entlab.locc.protocols.WEIGHTS_CAP", 0)
-            family, _ = build_block_dilution(spec, budget, eps_target=eps)
+        family = build_block_family(spec, budget, eps_target=eps)
         yield "symbolic", family.x_runs
         if family.K * family.d_prime <= 1 << 14:
             outcomes, _ = run_protocol(family.materialize(), spec)
             yield "materialized", next(o for o in outcomes if o.good).x_runs
 
 
-def test_profile_queries_equal_the_piece_list_oracle(monkeypatch):
+def test_profile_queries_equal_the_piece_list_oracle():
     # n1 at the certificate's projector, at 0, and past the runs
     kinds = {"symbolic": 0, "materialized": 0}
     for p, ns in PROFILE_QUERY_GRID:
@@ -376,7 +395,7 @@ def test_profile_queries_equal_the_piece_list_oracle(monkeypatch):
             spec = whole_spectrum(np.array(p), n)
             view = spec.view
             cert_n1 = view.count_eigs_at_least(-n * spec.stats.entropy)
-            for kind, x_runs in block_family_profiles(monkeypatch, spec, 0.1):
+            for kind, x_runs in block_family_profiles(spec, 0.1):
                 kinds[kind] += 1
                 for n1 in (cert_n1, 0, sum(x_runs[0]) + 1):
                     got = _profile_queries(x_runs, view, n1)
@@ -451,9 +470,7 @@ def test_materialize_equals_the_per_run_expansion(monkeypatch):
             spec = tensor_power_spectrum(np.array(p), n)
             d1 = spec.view.sig_dim(1.0 - 0.1 * 0.1 / 8.0)[0]
             for budget in range((d1 - 1).bit_length() + 1):
-                with monkeypatch.context() as mp:
-                    mp.setattr("entlab.locc.protocols.WEIGHTS_CAP", 0)
-                    family, _ = build_block_dilution(spec, budget, eps_target=0.1)
+                family = build_block_family(spec, budget, eps_target=0.1)
                 with monkeypatch.context() as mp:
                     mp.setattr("entlab.locc.protocols.WEIGHTS_CAP", 1 << 40)
                     got = family.materialize().x
@@ -645,33 +662,48 @@ def test_symbolic_run_refuses_a_foreign_target(quarter_spectra):
             run_protocol(family, target)
 
 
-def test_weight_vector_outcomes_are_runs_of_length_one(monkeypatch):
-    # every (n, c) that materializes at p = (3/4, 1/4), scored once on its
-    # weight vector and once as the symbolic family it was built from
-    pairs = 0
-    for n in range(2, 13):
-        spec = tensor_power_spectrum(P_QUARTER, n)
-        for c in range(n + 1):
-            proto, _ = build_block_dilution(spec, c, eps_target=0.1)
-            if not isinstance(proto, StandardFormProtocol):
-                continue
-            with monkeypatch.context() as mp:
-                mp.setattr("entlab.locc.protocols.WEIGHTS_CAP", 0)
-                family, _ = build_block_dilution(spec, c, eps_target=0.1)
-            pairs += 1
-            outs_w, rep_w = run_protocol(proto, spec)
-            outs_s, rep_s = run_protocol(family, spec)
-            assert abs(rep_w.epsilon - rep_s.epsilon) <= 1e-12
-            good_w = next(o for o in outs_w if o.good)
-            cert_w = verify_theorem_chain(good_w, spec, rep_w)
-            cert_s = verify_theorem_chain(outs_s[0], spec, rep_s)
-            for field in dataclasses.fields(cert_w):
-                a, b = getattr(cert_w, field.name), getattr(cert_s, field.name)
-                if isinstance(a, bool):
-                    assert a == b, (n, c, field.name)
-                else:
-                    assert a == b or abs(a - b) <= 1e-12, (n, c, field.name, a, b)
+def weights_and_runs_agree(spec, c, eps) -> bool:
+    """Score the block family at budget c once on its materialized weight
+    vector and once as the symbolic family: the run epsilon and every
+    certificate field agree within 1e-12. Checks nothing and returns False
+    where the weights pass WEIGHTS_CAP."""
+    family = build_block_family(spec, c, eps_target=eps)
+    if family.K * family.d_prime > WEIGHTS_CAP:
+        return False
+    where = (tuple(spec.base_probs.tolist()), spec.n, c, eps)
+    outs_w, rep_w = run_protocol(family.materialize(), spec)
+    outs_s, rep_s = run_protocol(family, spec)
+    assert abs(rep_w.epsilon - rep_s.epsilon) <= 1e-12, where
+    good_w = next(o for o in outs_w if o.good)
+    cert_w = verify_theorem_chain(good_w, spec, rep_w)
+    cert_s = verify_theorem_chain(outs_s[0], spec, rep_s)
+    for field in dataclasses.fields(cert_w):
+        a, b = getattr(cert_w, field.name), getattr(cert_s, field.name)
+        if isinstance(a, bool):
+            assert a == b, (*where, field.name)
+        else:
+            assert a == b or abs(a - b) <= 1e-12, (*where, field.name, a, b)
+    return True
+
+
+def test_weight_vector_outcomes_are_runs_of_length_one():
+    # every (n, c) whose weights fit the cap at p = (3/4, 1/4), and at one
+    # d = 3 and one d = 4 base to n = 6 at three error targets, scored once
+    # on its weight vector and once as the symbolic family it was built from
+    pairs = sum(
+        weights_and_runs_agree(tensor_power_spectrum(P_QUARTER, n), c, 0.1)
+        for n in range(2, 13)
+        for c in range(n + 1)
+    )
     assert pairs == 80
+    for p, want in (((0.5, 0.3, 0.2), 114), ((0.4, 0.3, 0.2, 0.1), 118)):
+        pairs = 0
+        for n in range(2, 7):
+            spec = tensor_power_spectrum(np.array(p), n)
+            for eps in (0.02, 0.1, 0.5):
+                clamp = (spec.view.sig_dim(1.0 - eps * eps / 8.0)[0] - 1).bit_length()
+                pairs += sum(weights_and_runs_agree(spec, c, eps) for c in range(clamp + 1))
+        assert pairs == want, p
 
 
 def test_certificate_refuses_a_dense_oracle_outcome():
