@@ -37,7 +37,11 @@ from entlab.lab.commands import find_min_budget  # noqa: E402
 from entlab.locc import build_block_family  # noqa: E402
 from entlab.locc.runner import _profile_queries  # noqa: E402
 from entlab.spectrum import _build_spectrum  # noqa: E402
-from oracles import block_dilution_by_pieces, profile_queries_by_pieces  # noqa: E402
+from oracles import (  # noqa: E402
+    block_dilution_by_pieces,
+    exact_bounds_and_counts,
+    profile_queries_by_pieces,
+)
 
 CASES = (
     ((0.6, 0.4), (256, 2048, 8192)),
@@ -60,14 +64,15 @@ def merged_runs(runs):
     return tuple(zip(*merged))
 
 
-def check(spec, whole, budget, eps):
+def check(spec, whole, counts, budget, eps):
     """The failures of one build of spec, as strings; the oracles read
-    whole, the same spectrum holding every exact boundary."""
+    whole, the same spectrum holding every exact boundary, and its exact
+    class counts."""
     family = build_block_family(spec, budget, eps_target=eps)
     view = spec.view
     d1 = view.sig_dim(1.0 - eps * eps / 8.0)[0]
     runs, _, error = block_dilution_by_pieces(
-        tuple(whole.exact_mults), spec.log2_eigs, spec.log2_masses, d1, budget
+        counts, spec.log2_eigs, spec.log2_masses, d1, budget
     )
     where = f"p = {tuple(spec.base_probs.tolist())}, n = {spec.n}, eps = {eps}, c = {budget}"
     failures = []
@@ -91,6 +96,7 @@ def sweep():
         for n in ns:
             spec = tensor_power_spectrum(np.array(p), n)
             whole = _build_spectrum(np.array(p), n, whole=True)
+            counts = exact_bounds_and_counts(whole)[1]
             for eps in EPSILONS:
                 try:
                     c_star = find_min_budget(spec, n, eps)[0]
@@ -98,7 +104,7 @@ def sweep():
                     budgets = {0, clamp, *(b for b in range(c_star - 2, c_star + 3) if b >= 0)}
                     for budget in sorted(budgets):
                         builds += 1
-                        failures += check(spec, whole, budget, eps)
+                        failures += check(spec, whole, counts, budget, eps)
                 except Exception as exc:  # noqa: BLE001 - a raising case is a failure
                     failures.append(f"p = {p}, n = {n}, eps = {eps}: raised {type(exc).__name__}: {exc}")
     return builds, failures

@@ -5,7 +5,7 @@ Submodules:
   spectrum  exact tensor-power class spectra and normal approximation
   sigsub    significant-subspace dimensions and growth fits
   locc      protocol IR, standard form, dilution builders, certificates
-  sampling  seeded random states and spectra for property tests
+  sampling  seeded random states and unitaries for random protocol programs
   lab       experiment configs, commands, and the CLI
 """
 
@@ -21,9 +21,7 @@ from .qmath import (
     nearest_product_extension,
     operator_norm,
     partial_trace,
-    schmidt_decompose,
     trace_distance,
-    trace_distance_witness,
 )
 from .sigsub import (
     GrowthFit,

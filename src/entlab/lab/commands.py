@@ -163,11 +163,11 @@ def _power_spectrum(base: BaseSpectrum, n: int, grid: tuple) -> ClassSpectrum:
     costliest build peaks while nothing else is held. The smaller n are held
     while their class counts fit (_held_ns) and rebuilt on each call
     otherwise. A spectrum holds its exact class boundaries, its one exact
-    representation, only through its mass cut (spectrum.ExactPrefix): at
-    d = 2 that is under half of them. The caller gets a fresh ClassSpectrum
-    on the held arrays and boundaries, so its view, and any boundaries a
-    query completes past the cut, are freed with it and not kept with the
-    held spectrum.
+    representation, as one list through its mass cut: at d = 2 that is
+    under half of them. The caller gets a fresh ClassSpectrum on the held
+    arrays and list, so its view, and the whole list the view completes
+    when a query reads past the cut, are freed with it and not kept with
+    the held spectrum.
     """
     global _held
     key = (tuple(base.probs.tolist()), tuple(grid))

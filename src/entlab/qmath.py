@@ -1,6 +1,6 @@
 """Dense finite-dimensional state calculus.
 
-Distances, fidelity, Schmidt decomposition, partial traces, and the
+Distances, fidelity, Schmidt profiles, partial traces, and the
 nearest-product-extension construction for almost-pure reduced states.
 Pure states stay amplitude vectors until an operation needs a density matrix.
 """
@@ -143,38 +143,12 @@ def marginal_trace_distance(psi: PureBipartiteState, phi: PureBipartiteState) ->
     return float(np.abs(np.linalg.eigvalsh(ra @ ra.conj().T - rb @ rb.conj().T)).sum())
 
 
-def trace_distance_witness(rho: DensityMatrix, sigma: DensityMatrix):
-    """The maximizing projector P and 2 Tr P(rho - sigma).
-
-    P spans the positive eigenvectors of the difference; the returned value
-    equals trace_distance within EQUALITY_TOL.
-    """
-    if rho.dim != sigma.dim:
-        raise ValidationError("dimension mismatch")
-    w, v = np.linalg.eigh(rho.mat - sigma.mat)  # exactly Hermitian, as above
-    pos = v[:, w > 0]
-    proj = pos @ pos.conj().T
-    value = 2.0 * float(np.trace(proj @ (rho.mat - sigma.mat)).real)
-    return value, proj
-
-
 def operator_norm(a) -> float:
     """Largest singular value; of a stack of matrices, the largest of any."""
     arr = _as_complex(a)
     if arr.size == 0:
         return 0.0
     return float(np.linalg.svd(arr, compute_uv=False).max())
-
-
-def schmidt_decompose(psi: PureBipartiteState):
-    """Profile plus local bases: F = basis_a @ diag(sqrt(probs)) @ basis_b."""
-    f = psi.as_matrix()
-    u, s, vh = np.linalg.svd(f, full_matrices=False)
-    probs = np.clip(s, 0.0, None) ** 2
-    # svd returns singular values sorted nonincreasing already
-    total = probs.sum()
-    profile = SchmidtProfile(probs / total)
-    return profile, u, vh
 
 
 def partial_trace(state, traced: str, dims: tuple[int, int] | None = None) -> DensityMatrix:

@@ -3,19 +3,16 @@
 A base spectrum (p_1..p_d) lifts to the spectrum of its n-th tensor power:
 one class per composition (k_1..k_d) of n, eigenvalue prod p_i^{k_i} with
 multiplicity n!/(k_1!..k_d!). Everything is carried in log2 (bits); exact
-big-int multiplicities ride along when they are cheap, because dimension
+big-int class boundaries ride along when they are cheap, because dimension
 counts routinely exceed 2^53.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from bisect import bisect_right
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from operator import sub
 
 import numpy as np
 
@@ -283,13 +280,13 @@ class ClassSpectrum:
     """Merged multiplicity classes of a tensor power, sorted by descending eigenvalue.
 
     log2_masses[i] = log2_mults[i] + log2_eigs[i], every entry finite. The
-    one exact representation is exact_bounds, the class boundaries B_0 = 0,
-    B_1, ..., B_num_classes as big ints, present when they are affordable
-    (see module constants). It is an ExactPrefix: tensor_power_spectrum
-    holds the boundaries only through its last class of float mass at least
-    HELD_TAIL_MASS, and they complete on demand past it; any other sequence
-    given is held whole. exact_mults reads the multiplicities as their
-    neighbouring differences.
+    one exact representation is exact_bounds, a list of the class
+    boundaries B_0 = 0, B_1, ..., as big ints, present when they are
+    affordable (see module constants). It holds either all of them, through
+    B_num_classes, or exactly those through the end of the last class of
+    float mass at least HELD_TAIL_MASS, as tensor_power_spectrum builds
+    it; any other length is refused. Only SortedSpectrumView reads past a
+    held list, by completing it once per view.
     """
 
     n: int
@@ -297,7 +294,7 @@ class ClassSpectrum:
     log2_eigs: np.ndarray
     log2_mults: np.ndarray
     log2_masses: np.ndarray
-    exact_bounds: Sequence | None = None
+    exact_bounds: list | None = None
 
     def __post_init__(self):
         for name in ("base_probs", "log2_eigs", "log2_mults", "log2_masses"):
@@ -321,19 +318,15 @@ class ClassSpectrum:
         if gap.size and gap.max() > 1e-10 * np.maximum(1.0, np.abs(self.log2_masses)).max():
             raise ValidationError("mass != mult * eig in some class")
         b = self.exact_bounds
-        if b is not None and len(b) != self.log2_eigs.size + 1:
+        full = b is None or len(b) == self.num_classes + 1
+        if not full and len(b) != _held_length(self.log2_masses):
             raise ValidationError("exact_bounds length mismatch")
-        if b is not None and not isinstance(b, ExactPrefix):
-            object.__setattr__(self, "exact_bounds", ExactPrefix(list(b), len(b)))
+        if b is not None and not isinstance(b, list):
+            object.__setattr__(self, "exact_bounds", list(b))
 
     @property
     def num_classes(self) -> int:
         return int(self.log2_eigs.size)
-
-    @property
-    def exact_mults(self) -> Sequence | None:
-        """The exact multiplicities, read in place from exact_bounds; None without them."""
-        return None if self.exact_bounds is None else _Differences(self.exact_bounds)
 
     @cached_property
     def stats(self) -> SpectrumStats:
@@ -348,8 +341,14 @@ class ClassSpectrum:
 
 def tensor_power_spectrum(p: BaseSpectrum | np.ndarray, n: int) -> ClassSpectrum:
     """Exact class spectrum of the n-fold tensor power of diag(p), its exact
-    class boundaries held only through its mass cut (ExactPrefix)."""
+    class boundaries held only through its mass cut (_held_length)."""
     return _build_spectrum(p, n, whole=False)
+
+
+def _held_length(log2_masses: np.ndarray) -> int:
+    """How many boundaries a spectrum holds: B_0 through the end of its
+    last class of float mass at least HELD_TAIL_MASS."""
+    return int(np.flatnonzero(np.exp2(log2_masses) >= HELD_TAIL_MASS)[-1]) + 2
 
 
 def _build_spectrum(p: BaseSpectrum | np.ndarray, n: int, whole: bool) -> ClassSpectrum:
@@ -416,12 +415,8 @@ def _build_spectrum(p: BaseSpectrum | np.ndarray, n: int, whole: bool) -> ClassS
     # renormalizing in log domain keeps the unit-total invariant exact
     total = log2sumexp(masses)
     masses = masses - total
-    if bounds is not None:
-        if not whole:
-            del bounds[np.flatnonzero(np.exp2(masses) >= HELD_TAIL_MASS)[-1] + 2 :]
-        bounds = ExactPrefix(
-            bounds, eigs.size + 1, lambda: _build_spectrum(p, n, whole=True).exact_bounds.kept
-        )
+    if bounds is not None and not whole:
+        del bounds[_held_length(masses) :]
     return ClassSpectrum(
         n=n,
         base_probs=p.probs,
@@ -432,66 +427,15 @@ def _build_spectrum(p: BaseSpectrum | np.ndarray, n: int, whole: bool) -> ClassS
     )
 
 
-class ExactPrefix(Sequence):
-    """The exact class boundaries B_0 = 0, B_{c + 1} = B_c + the multiplicity
-    of class c, held through the spectrum's mass cut; len is the class
-    count plus one.
-
-    `kept`, a list, holds them through the end of the last class whose
-    float mass is at least HELD_TAIL_MASS, or all of them. A read inside
-    `kept`, a slice too, comes from it. complete() rebuilds every boundary
-    with rebuild() and returns them without keeping them, so a held
-    spectrum never grows; a read past `kept` takes it, once per read (an
-    iteration once).
-    """
-
-    def __init__(self, kept: list, size: int, rebuild=None):
-        self.kept, self._size, self._rebuild = kept, size, rebuild
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __getitem__(self, i):
-        r = range(self._size)[i]
-        kept = self.kept
-        if isinstance(r, int):
-            return kept[r] if r < len(kept) else self.complete()[r]
-        src = kept if not r or max(r[0], r[-1]) < len(kept) else self.complete()
-        return [src[j] for j in r]
-
-    def __iter__(self):
-        return itertools.chain(self.kept, self._past_kept())
-
-    def _past_kept(self):
-        yield from itertools.islice(self.complete(), len(self.kept), None)
-
-    def complete(self) -> list:
-        """Every boundary: `kept` when it holds them all, else a fresh list."""
-        return self.kept if len(self.kept) == self._size else self._rebuild()
-
-
-class _Differences(Sequence):
-    """The neighbouring differences b[i + 1] - b[i] of a sequence b, read in place."""
-
-    def __init__(self, b: Sequence):
-        self._b = b
-
-    def __len__(self) -> int:
-        return len(self._b) - 1
-
-    def __getitem__(self, i):
-        r = range(len(self))[i]
-        if isinstance(r, int):
-            return self[r : r + 1][0]
-        if r.step != 1:
-            return tuple(self[j] for j in r)
-        b = self._b[r.start : r.stop + 1]
-        return tuple(map(sub, b[1:], b[:-1]))
-
-    def __iter__(self):
-        lo, hi = itertools.tee(self._b)
-        next(hi, None)
-        return map(sub, hi, lo)
+def _complete_bounds(probs: np.ndarray, n: int, held: list, num_classes: int) -> list:
+    """Every exact class boundary of the n-fold power of probs, from one
+    whole build; they must number num_classes + 1 and begin with held."""
+    whole = _build_spectrum(probs, n, whole=True).exact_bounds
+    if len(whole) != num_classes + 1 or whole[: len(held)] != held:
+        raise ValidationError(
+            f"exact_bounds of n = {n} do not begin a whole build of {num_classes} classes"
+        )
+    return whole
 
 
 def _class_slices(asc: np.ndarray, a, b):
@@ -815,13 +759,13 @@ class SortedSpectrumView:
     class c occupies positions [B_c, B_{c + 1}) of the spectrum's exact
     boundaries. Requires them; positions at n = 4096 are 3000-bit integers.
 
-    The view reads the boundaries the spectrum holds, through its mass cut
-    (ExactPrefix), in place. Every query the commands make stays there, in
-    the top of the spectrum: at d = 2, n = 16384 about a quarter of the
+    The view reads the boundaries the spectrum holds, through its mass cut,
+    in place. Every query of the benchmark's workloads stays there, in the
+    top of the spectrum: at d = 2, n = 16384 about a quarter of the
     classes. A query past them (the end of the spectrum, a count below its
-    smallest eigenvalues) completes every boundary into a list of the
-    view's own, so the spectrum never grows and every answer is a whole
-    build's.
+    smallest eigenvalues) completes every boundary once, by a whole build
+    (_complete_bounds), into a list of the view's own, so the spectrum
+    never grows and every answer is a whole build's.
 
     A spectrum has one view, `ClassSpectrum.view`, built on first use and
     shared by block dilution, the runner's target reader, the certificate
@@ -838,8 +782,8 @@ class SortedSpectrumView:
                 cap, rows = EXACT_MULT_MAX_CLASSES, math.comb(n + d - 1, d - 1)
                 past = f"{rows} compositions of n = {n} pass EXACT_MULT_MAX_CLASSES = {cap}"
             raise CapExceededError(f"block dilution and its certificate need exact multiplicities: {past}")
-        self._held = spec.exact_bounds
-        self._bounds = self._held.kept
+        self._bounds = spec.exact_bounds
+        self._probs, self._n = spec.base_probs, spec.n
         self.log2_eigs = spec.log2_eigs
         self.log2_mults = spec.log2_mults
         self.log2_masses = spec.log2_masses
@@ -857,8 +801,9 @@ class SortedSpectrumView:
         only read it.
         """
         b = self._bounds
-        if len(b) <= c and len(b) < len(self._held):
-            b = self._bounds = self._held.complete()
+        ncl = self.log2_eigs.size
+        if len(b) <= min(c, ncl):
+            b = self._bounds = _complete_bounds(self._probs, self._n, b, ncl)
         return b
 
     def class_at(self, pos: int) -> int:

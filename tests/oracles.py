@@ -9,7 +9,9 @@ for the mass threshold and the eigenvalue count, the eager class
 boundaries behind the spectrum view's position queries, the run walk over
 a spectrum target's sorted positions, and the piece list behind the
 certificate's profile queries. They share entlab's
-log-domain float helpers and rebuild everything else on their own. The
+log-domain float helpers, read a spectrum's exact class boundaries whole
+through a fresh SortedSpectrumView (exact_bounds_and_counts), and rebuild
+everything else on their own. The
 write_spectrum_json_by_dump is the byte reference for the streamed spectrum
 writer, and embed_operator_by_kron, an operator on some registers
 extended to the whole product space by np.kron, is the reference for the
@@ -23,6 +25,7 @@ branches.
 import itertools
 import json
 import math
+import operator
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -30,7 +33,16 @@ import numpy as np
 from scipy.special import gammaln
 
 from entlab.logdomain import NEG_INF, ceil_exp2, log2_int, log2sub, log2sumexp
+from entlab.spectrum import SortedSpectrumView
 from entlab.tolerances import CLASS_MERGE_BITS
+
+
+def exact_bounds_and_counts(spec):
+    """(bounds, counts): every exact class boundary of spec, read through a
+    fresh SortedSpectrumView, so spec.view stays untouched, and the class
+    multiplicities as their neighbouring differences, a tuple."""
+    bounds = SortedSpectrumView(spec).bounds(spec.num_classes)
+    return bounds, tuple(map(operator.sub, bounds[1:], bounds))
 
 
 def enumerate_product_masses(p_fracs, n):
@@ -91,7 +103,7 @@ def class_spectrum_by_rows(probs, n, exact):
     probs is the base sorted descending. Every composition of n is one row;
     the rows are sorted by descending log2 eigenvalue and merged by
     anchored_class_starts. Returns (log2_eigs, log2_mults, log2_masses,
-    exact_mults), exact_mults None unless exact.
+    counts), the exact class counts None unless exact.
     """
     logs = np.log2(np.asarray(probs, dtype=float))
     ks = np.asarray(list(compositions(n, logs.size)), dtype=float)
@@ -228,6 +240,26 @@ def pure_trace_distance(u, v):
     return 2.0 * math.sqrt(max(0.0, 1.0 - ov))
 
 
+def trace_distance_witness(rho, sigma):
+    """(2 Tr P(rho - sigma), P) for the projector P onto the positive
+    eigenvectors of the difference of two DensityMatrix states: the trace
+    distance by its maximizing projector."""
+    diff = rho.mat - sigma.mat
+    w, v = np.linalg.eigh(diff)
+    pos = v[:, w > 0]
+    proj = pos @ pos.conj().T
+    return 2.0 * float(np.trace(proj @ diff).real), proj
+
+
+def schmidt_decompose(psi):
+    """(probs, basis_a, basis_b) of a PureBipartiteState by one SVD of its
+    amplitude matrix F = basis_a @ diag(sqrt(probs)) @ basis_b, probs
+    nonincreasing and normalized."""
+    u, s, vh = np.linalg.svd(psi.as_matrix(), full_matrices=False)
+    probs = s**2
+    return probs / probs.sum(), u, vh
+
+
 def block_dilution_by_pieces(counts, log2_eigs, log2_masses, d1, budget_c):
     """Block dilution of a sorted class spectrum, split piece by piece.
 
@@ -331,8 +363,7 @@ def sorted_target_by_runs(spec, need):
     time; a run's probability is written as one scalar exp2, and the linear
     tail sums log2(count) + log2 eig over the runs past need.
     """
-    counts = tuple(spec.exact_mults)
-    cum = list(itertools.accumulate(counts, initial=0))
+    cum, counts = exact_bounds_and_counts(spec)
     total = cum[-1]
 
     def runs(lo, hi):
@@ -368,15 +399,14 @@ def sorted_target_by_runs(spec, need):
 
 class EagerSpectrumView:
     """The position queries of SortedSpectrumView over every class
-    boundary, summed up front by one itertools.accumulate of the exact
-    multiplicities. The class walks above find sig_dim's class and count
-    the eigenvalues above a threshold."""
+    boundary, read up front by exact_bounds_and_counts. The class walks
+    above find sig_dim's class and count the eigenvalues above a
+    threshold."""
 
     def __init__(self, spec):
-        self.counts = tuple(spec.exact_mults)
+        self.bounds, self.counts = exact_bounds_and_counts(spec)
         self.log2_eigs = spec.log2_eigs
         self.log2_masses = spec.log2_masses
-        self.bounds = list(itertools.accumulate(self.counts, initial=0))
         self.total_dim = self.bounds[-1]
         self.prefix = np.concatenate(([NEG_INF], np.logaddexp2.accumulate(spec.log2_masses)))
 
@@ -416,7 +446,7 @@ def target_pieces_by_cut(x_runs, spec):
     positions past the spectrum at -inf, and log2 of the target mass past
     the runs.
     """
-    bounds = list(spec.exact_bounds)
+    bounds = exact_bounds_and_counts(spec)[0]
     eigs = spec.log2_eigs
     pieces = []
     c = pos = 0

@@ -131,4 +131,4 @@ def test_classes_d4_inputs_keep_their_class_counts():
     for n in workload["config"]["n_grid"]:
         spec = tensor_power_spectrum(p, n)
         assert spec.num_classes == workload["classes"][n], n
-        assert spec.exact_mults is not None, n
+        assert spec.exact_bounds is not None, n

@@ -43,7 +43,7 @@ from entlab.lab.spotcheck import read_certificate, residual_problems
 from entlab.logdomain import log2_int
 from entlab.locc import verify_theorem_chain
 from entlab import spectrum as spectrum_module
-from entlab.spectrum import BaseSpectrum, ExactPrefix, gaussian_quantile, tensor_power_spectrum
+from entlab.spectrum import BaseSpectrum, gaussian_quantile, tensor_power_spectrum
 from oracles import write_spectrum_json_by_dump
 
 P_QUARTER = np.array([0.75, 0.25])
@@ -339,7 +339,7 @@ def test_cli_import_loads_no_heavy_scipy_module():
     loaded = _scipy_modules_after(
         "import sys\n"
         "from entlab.spectrum import EXACT_MULT_MAX_N, tensor_power_spectrum\n"
-        "assert tensor_power_spectrum([0.75, 0.25], EXACT_MULT_MAX_N + 1).exact_mults is None"
+        "assert tensor_power_spectrum([0.75, 0.25], EXACT_MULT_MAX_N + 1).exact_bounds is None"
     )
     assert "scipy.special" in loaded
 
@@ -550,8 +550,8 @@ def test_held_spectra_hand_out_fresh_spectra(tmp_path, cleared_slot):
     key, held_ns, held = commands._held
     assert held_ns == set(held) == {8, 16, 256}
     big = held[256]
-    assert isinstance(big.exact_bounds, ExactPrefix) and "view" not in vars(big)
-    kept = big.exact_bounds.kept
+    assert type(big.exact_bounds) is list and "view" not in vars(big)
+    kept = big.exact_bounds
     spec = commands._power_spectrum(BaseSpectrum(big.base_probs), 256, (8, 16, 256))
     assert spec is not big and "view" not in vars(spec)
     assert spec.log2_masses is big.log2_masses and spec.exact_bounds is big.exact_bounds
@@ -559,7 +559,7 @@ def test_held_spectra_hand_out_fresh_spectra(tmp_path, cleared_slot):
     # the held spectrum keeps only what it held
     assert spec.view.bounds(spec.num_classes)[-1] == 2**256
     assert len(spec.view.bounds(0)) == 258 > len(kept)
-    assert big.exact_bounds.kept is kept and "view" not in vars(big)
+    assert big.exact_bounds is kept and "view" not in vars(big)
     # another grid of the same base drops every held spectrum and builds its
     # largest n first
     small = held[8]
@@ -578,9 +578,9 @@ def test_log2_mults_are_the_log2_int_of_every_kept_multiplicity(p, n, cleared_sl
     held = commands._power_spectrum(BaseSpectrum(np.array(p)), n, (n,))
     # a held spectrum keeps its boundaries where the mass is (at d = 2 under
     # half of them), all of them when that is the whole spectrum
-    kept = held.exact_bounds.kept
+    kept = held.exact_bounds
     assert len(p) > 2 or len(kept) < held.num_classes / 2
-    counts = held.exact_mults[: len(kept) - 1]
+    counts = [b - a for a, b in zip(kept, kept[1:])]
     assert held.log2_mults[: len(counts)].tolist() == [log2_int(c) for c in counts], (p, n)
 
 
@@ -589,7 +589,7 @@ def test_dilution_d2_grid_reads_only_kept_multiplicities(tmp_path, monkeypatch, 
     # its reference and classes_d4 grids, stays in the boundaries each held
     # spectrum keeps, so nothing is completed or rebuilt
     completed = []
-    monkeypatch.setattr(ExactPrefix, "complete", lambda prefix: completed.append(prefix))
+    monkeypatch.setattr(spectrum_module, "_complete_bounds", lambda *args: completed.append(args))
     built = _counting_builds(monkeypatch)
     for p, grid in (
         ((0.75, 0.25), (1024, 4096, 8192, 16384)),
@@ -600,7 +600,7 @@ def test_dilution_d2_grid_reads_only_kept_multiplicities(tmp_path, monkeypatch, 
         _run_everything(tiny_config(tmp_path / str(grid[0]), p=p, n_grid=grid))
         assert completed == [] and built == [grid[-1], *grid[:-1]], grid
         held = commands._held[2].values()
-        assert all(len(spec.exact_bounds.kept) <= spec.num_classes for spec in held), grid
+        assert all(len(spec.exact_bounds) <= spec.num_classes for spec in held), grid
 
 
 def test_dense_grid_holds_a_bounded_set_and_writes_the_same_bytes(
@@ -625,10 +625,46 @@ def test_communication_at_n_16384_never_sums_total_dim(tmp_path, monkeypatch, cl
     # boundaries the spectrum holds, so none completes them to the last one,
     # the sum of all 16,385 multiplicities
     completed = []
-    monkeypatch.setattr(ExactPrefix, "complete", lambda prefix: completed.append(prefix))
+    monkeypatch.setattr(spectrum_module, "_complete_bounds", lambda *args: completed.append(args))
     cmd_communication(tiny_config(tmp_path, n_grid=(16384,)))
     assert completed == []
     assert read_rows(tmp_path / "communication.csv")[0]["c_star"] == "535"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # growth_fit's sig_dim at delta = 1 reads to the last of 1,326 classes
+        ["inefficiency", "--p", "0.5,0.3,0.2", "--n-grid", "50", "--delta", "1"],
+        # the block family's prefix masses read past the held boundaries of 65 classes
+        ["communication", "--p", "0.75,0.25", "--n-grid", "64", "--epsilon", "0.001"],
+    ],
+    ids=["inefficiency", "communication"],
+)
+def test_commands_past_the_held_boundaries_complete_once_and_write_whole_build_bytes(
+    tmp_path, monkeypatch, cleared_slot, argv
+):
+    complete = spectrum_module._complete_bounds
+    completed = []
+
+    def counting(probs, n, held, num_classes):
+        completed.append(n)
+        return complete(probs, n, held, num_classes)
+
+    monkeypatch.setattr(spectrum_module, "_complete_bounds", counting)
+    assert main([*argv, "--out", str(tmp_path / "held")]) == 0
+    assert completed == [int(argv[4])]
+    # the same command on whole builds, which hold every boundary
+    completed.clear()
+    monkeypatch.setattr(commands, "_held", None)
+    monkeypatch.setattr(
+        commands,
+        "tensor_power_spectrum",
+        lambda base, n: spectrum_module._build_spectrum(base, n, whole=True),
+    )
+    assert main([*argv, "--out", str(tmp_path / "whole")]) == 0
+    assert completed == []
+    _same_tree(tmp_path / "held", tmp_path / "whole")
 
 
 def test_pipelines_in_one_process_write_the_bytes_of_unheld_runs(tmp_path, monkeypatch):
@@ -789,7 +825,7 @@ def test_commands_write_the_recorded_bytes(tmp_path, p, n_grid):
 )
 def test_spectrum_writer_equals_json_dump(tmp_path, p, n, exact):
     spec = tensor_power_spectrum(np.array(p), n)
-    assert (spec.exact_mults is not None) == exact
+    assert (spec.exact_bounds is not None) == exact
     write_spectrum_json(str(tmp_path / "new.json"), spec)
     write_spectrum_json_by_dump(str(tmp_path / "old.json"), spec)
     assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()

@@ -1,7 +1,6 @@
 """Dilution builders, the outcome runner, concentration, and certificates."""
 
 import dataclasses
-import itertools
 import math
 import tracemalloc
 
@@ -43,6 +42,7 @@ from oracles import (
     completeness_defect,
     concentration_yield_by_class,
     diagonal_kraus_dense,
+    exact_bounds_and_counts,
     materialize_by_runs,
     profile_queries_by_pieces,
     sorted_target_by_runs,
@@ -290,18 +290,19 @@ C_STAR_SHORT_RUNS = {
 def whole_spectrum(p, n):
     """tensor_power_spectrum(p, n), holding every exact boundary: the
     oracles read every multiplicity, which a spectrum held through its mass
-    cut rebuilds on each read."""
+    cut completes by a whole build per fresh view."""
     return _build_spectrum(np.asarray(p, dtype=float), n, whole=True)
 
 
-def assert_split_matches_oracle(spec, budget, eps):
-    """Check one build against the per-piece oracle; returns (the returned
-    protocol, the symbolic family)."""
+def assert_split_matches_oracle(spec, counts, budget, eps):
+    """Check one build against the per-piece oracle, which reads the
+    spectrum's exact class counts; returns (the returned protocol, the
+    symbolic family)."""
     proto, predicted = build_block_dilution(spec, budget, eps_target=eps)
     family = build_block_family(spec, budget, eps_target=eps)
     d1 = spec.view.sig_dim(1.0 - eps * eps / 8.0)[0]
     runs, tail, error = block_dilution_by_pieces(
-        spec.exact_mults, spec.log2_eigs, spec.log2_masses, d1, budget
+        counts, spec.log2_eigs, spec.log2_masses, d1, budget
     )
     # the oracle's pieces, merged where neighbouring log2 x are equal, are
     # the family's runs
@@ -332,20 +333,23 @@ def test_block_split_matches_the_per_piece_oracle():
     kinds = set()
     for n, c_star in C_STAR_QUARTER.items():
         spec = whole_spectrum(P_QUARTER, n)
+        counts = exact_bounds_and_counts(spec)[1]
         clamp = (spec.view.sig_dim(1.0 - 0.1 * 0.1 / 8.0)[0] - 1).bit_length()
         for budget in sorted({0, 1, c_star - 1, c_star, c_star + 1, clamp, clamp + 5}):
-            proto, _ = assert_split_matches_oracle(spec, budget, 0.1)
+            proto, _ = assert_split_matches_oracle(spec, counts, budget, 0.1)
             kinds.add(type(proto).__name__)
     for (p, n), c_star in C_STAR_SHORT_RUNS.items():
         spec = whole_spectrum(np.array(p), n)
+        counts = exact_bounds_and_counts(spec)[1]
         for budget in (c_star - 1, c_star, c_star + 1):
-            assert_split_matches_oracle(spec, budget, 0.1)
+            assert_split_matches_oracle(spec, counts, budget, 0.1)
     for p, ns in (((0.5, 0.3, 0.2), (2, 5, 9, 14)), ((0.4, 0.3, 0.2, 0.1), (3, 6, 10))):
         for n in ns:
             spec = whole_spectrum(np.array(p), n)
+            counts = exact_bounds_and_counts(spec)[1]
             for budget in range(0, 2 * n + 3):
                 for eps in (0.05, 0.3):
-                    proto, _ = assert_split_matches_oracle(spec, budget, eps)
+                    proto, _ = assert_split_matches_oracle(spec, counts, budget, eps)
                     kinds.add(type(proto).__name__)
     assert kinds == {"StandardFormProtocol", "BlockShiftFamily"}
 
@@ -358,8 +362,8 @@ def test_block_split_edge_cases_match_the_oracle(p, n, budget, ends_on_a_block_e
     # a class that ends exactly on an inner block end (r1 = 0) of blocks
     # longer than one position, and the zero-pad piece past the spectrum
     spec = whole_spectrum(np.array(p), n)
-    _, family = assert_split_matches_oracle(spec, budget, 0.1)
-    cum = list(itertools.accumulate(spec.exact_mults, initial=0))
+    cum, counts = exact_bounds_and_counts(spec)
+    _, family = assert_split_matches_oracle(spec, counts, budget, 0.1)
     inner = [b for b in cum[1:-1] if b < family.d_prime]
     assert family.m > 1
     assert any(b % family.m == 0 for b in inner) == ends_on_a_block_end
@@ -548,7 +552,7 @@ def test_sorted_target_equals_the_run_walk_bit_for_bit():
     for p in SORTED_TARGET_BASES:
         for n in range(1, 31):
             spec = whole_spectrum(np.array(p), n)
-            cum = list(itertools.accumulate(spec.exact_mults, initial=0))
+            cum = exact_bounds_and_counts(spec)[0]
             needs = {1, 2, 3} | {b + s for b in cum for s in (-1, 0, 1)}
             for need in sorted(x for x in needs if 1 <= x <= 1 << 12):
                 probs, tail, log2_tail = _sorted_target(spec, need)

